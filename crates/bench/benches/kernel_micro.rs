@@ -57,10 +57,8 @@ fn drain_calendar(entries: &[(SimTime, u64, u32)]) -> u64 {
     let mut epoch = 1u64;
     while !q.is_empty() {
         let limit = SimTime::from_micros(epoch * EPOCH_US);
-        while let Some((_, event, _)) = q.pop_within(limit) {
-            if let EngineEvent::CallEnd { user, .. } = event {
-                popped = popped.wrapping_add(user.0);
-            }
+        while let Some((_, EngineEvent::CallEnd { user, .. }, _)) = q.pop_within(limit) {
+            popped = popped.wrapping_add(user.0);
         }
         epoch += 1;
     }

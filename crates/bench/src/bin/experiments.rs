@@ -126,7 +126,6 @@ const EXPERIMENTS: &[&str] = &[
     "throughput",
     "trajectory",
     "planet",
-    "streamcheck",
     "validate",
     "golden",
 ];
@@ -787,44 +786,6 @@ fn main() {
             std::process::exit(1);
         });
         println!("# wrote hierarchical rollup to {path}");
-        println!();
-    }
-
-    // Streamed-vs-eager digest identity on the stress scenario: the PR
-    // CI safety net for the streaming synthesis path.
-    if exp == "streamcheck" {
-        ran_any = true;
-        let requests = 100_000;
-        println!("== streamcheck: {requests}-user streamed-vs-eager digest identity ==");
-        println!("shards,digest,verdict");
-        let build = facs_builder(facs::FacsConfig::compiled());
-        let build: &facs_cellsim::ControllerBuilder = &build;
-        for &n in &shards {
-            let mut eager = stress_scenario(requests, n);
-            eager.workers = workers;
-            let streamed = facs_cellsim::ScenarioConfig { streamed: true, ..eager.clone() };
-            let (_, eager_digest) = digest_run(&eager, build);
-            let (_, streamed_digest) = digest_run(&streamed, build);
-            if eager_digest == streamed_digest {
-                println!("{n},{},identical", eager_digest.hex());
-            } else {
-                eprintln!(
-                    "streamcheck FAILED at {n} shards: eager {} vs streamed {}",
-                    eager_digest.hex(),
-                    streamed_digest.hex()
-                );
-                step_summary(&format!(
-                    "**streamcheck FAILED**: streamed digest diverged at {n} shards"
-                ));
-                std::process::exit(1);
-            }
-        }
-        println!("streamcheck PASSED: streamed synthesis replays the eager trace bit-for-bit");
-        step_summary(&format!(
-            "**streamcheck**: {requests}-user streamed-vs-eager digests identical across \
-             {:?} shards",
-            shards
-        ));
         println!();
     }
 

@@ -607,24 +607,6 @@ pub fn backend_agreement(points_per_axis: usize, grid_steps: usize) -> BackendAg
     result
 }
 
-/// Builds the simulation behind a scenario and times the kernel run
-/// alone (workload generation and controller construction excluded) —
-/// the measurement behind the `sim_throughput` bench and the
-/// million-user smoke.
-#[must_use]
-pub fn timed_kernel_run(
-    config: &ScenarioConfig,
-    workload: Vec<UserSpec>,
-    build: &ControllerBuilder,
-) -> (Metrics, std::time::Duration) {
-    let grid = config.grid();
-    let controllers = build(&grid);
-    let mut sim = Simulation::new(grid, config.sim_config(config.seed), controllers);
-    let start = std::time::Instant::now();
-    let metrics = sim.run(workload);
-    (metrics, start.elapsed())
-}
-
 /// One scenario-catalog entry's aggregated result.
 #[derive(Debug, Clone)]
 pub struct CatalogResult {
@@ -741,7 +723,7 @@ pub fn stress_scenario(requests: usize, shards: usize) -> ScenarioConfig {
 pub struct ThroughputReport {
     /// The run's counters.
     pub metrics: Metrics,
-    /// Kernel wall time (generation and construction excluded).
+    /// Kernel wall time (construction and eager generation excluded).
     pub wall: std::time::Duration,
 }
 
@@ -759,36 +741,20 @@ impl ThroughputReport {
     }
 }
 
-/// Like [`timed_kernel_run`], but over the chunked streaming synthesis
-/// path: spec generation happens *inside* the timed region (that is the
-/// point of the memory-flat mode), only arrival-time sampling and
-/// controller construction are excluded.
-#[must_use]
-pub fn timed_kernel_run_streamed(
-    config: &ScenarioConfig,
-    build: &ControllerBuilder,
-) -> (Metrics, std::time::Duration) {
-    let grid = config.grid();
-    let controllers = build(&grid);
-    let mut sim = Simulation::new(grid, config.sim_config(config.seed), controllers);
-    let stream = config.stream_workload(config.seed);
-    let start = std::time::Instant::now();
-    let metrics = sim.run_streamed(stream);
-    (metrics, start.elapsed())
-}
-
-/// Runs one scenario once (FACS on compiled surfaces) and reports kernel
-/// throughput, honouring the scenario's `streamed` flag.
+/// Runs one scenario once (FACS on compiled surfaces) and times the
+/// kernel run alone — the measurement behind the `sim_throughput` bench
+/// and the million-user smoke. Controller construction is excluded, and
+/// so is generation of an eager `Vec`; with the scenario's `streamed`
+/// flag set, specs are synthesized inside the timed run.
 #[must_use]
 pub fn throughput_run(config: &ScenarioConfig) -> ThroughputReport {
-    let build = facs_builder(FacsConfig::compiled());
-    let (metrics, wall) = if config.streamed {
-        timed_kernel_run_streamed(config, &build)
-    } else {
-        let workload = config.generate_workload(config.seed);
-        timed_kernel_run(config, workload, &build)
-    };
-    ThroughputReport { metrics, wall }
+    let grid = config.grid();
+    let controllers = facs_builder(FacsConfig::compiled())(&grid);
+    let mut sim = Simulation::new(grid, config.sim_config(config.seed), controllers);
+    let workload = config.run_input(config.seed);
+    let start = std::time::Instant::now();
+    let metrics = sim.run(workload);
+    ThroughputReport { metrics, wall: start.elapsed() }
 }
 
 /// Process peak resident-set size in bytes (Linux `VmHWM`), `None`
@@ -837,10 +803,8 @@ pub fn planet_run(config: &ScenarioConfig, region_cells: u32) -> PlanetReport {
     let mut sim = Simulation::new(grid, config.sim_config(config.seed), controllers);
     let stream = config.stream_workload(config.seed);
     let start = std::time::Instant::now();
-    let (metrics, rollup) = sim.run_streamed_with(
-        stream,
-        (Metrics::new(), facs_cellsim::RegionRollupSink::new(region_cells)),
-    );
+    let (metrics, rollup) =
+        sim.run_with(stream, (Metrics::new(), facs_cellsim::RegionRollupSink::new(region_cells)));
     PlanetReport { metrics, rollup, wall: start.elapsed() }
 }
 

@@ -99,11 +99,7 @@ pub fn checked_run(
     let controllers = build(&grid);
     let mut sim = Simulation::new(grid, config.sim_config(seed), controllers);
     let sink = (Metrics::new(), (InvariantSink::new(), TraceDigest::new()));
-    let (metrics, (invariants, digest)) = if config.streamed {
-        sim.run_streamed_with(config.stream_workload(seed), sink)
-    } else {
-        sim.run_with(config.generate_workload(seed), sink)
-    };
+    let (metrics, (invariants, digest)) = sim.run_with(config.run_input(seed), sink);
     let mut violations = invariants.violations();
     violations.extend(invariants.cross_check(&metrics));
     (metrics, digest, violations)

@@ -15,10 +15,11 @@
 //!    — the only cross-cell interaction — can occur *only* at movement
 //!    ticks, so a shard can safely simulate a whole epoch without
 //!    looking at any other shard.
-//! 2. **Shard-independent event order.** [`EngineQueue`] orders events
-//!    by `(time, kind, user, generation)` — content, not insertion
-//!    order — so each *cell* sees the same event sequence no matter
-//!    which queue hosts it.
+//! 2. **Shard-independent event order.** Call-ends pop from the
+//!    [`EngineQueue`] by `(time, user, generation)` and arrivals from a
+//!    FIFO by `(time, user)`, call-ends first at equal instants —
+//!    content, not insertion order — so each *cell* sees the same event
+//!    sequence no matter which shard hosts it.
 //! 3. **Per-user RNG streams.** Every user draws mobility noise from a
 //!    private stream seeded by `(simulation seed, user id)`; the stream
 //!    state travels with the call on migration. No draw ever depends on
@@ -42,6 +43,10 @@
 
 mod shard;
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
+
 use facs_cac::{
     AdmissionController, BandwidthLedger, BandwidthUnits, BoxedController, CellId,
     ControllerFactory, ServiceProfile,
@@ -54,9 +59,9 @@ use crate::mobility::{
 };
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::workload::WorkloadStream;
+use crate::workload::{WorkloadChunk, WorkloadStream};
 
-use shard::{sort_migrants, CellUnit, Migrant, Shard};
+use shard::{sort_migrants, CellUnit, Migrant, PendingArrival, Shard};
 
 /// A clonable, serde-friendly sum of the crate's mobility models, so
 /// workloads can be described as plain data.
@@ -129,17 +134,12 @@ pub struct SimulationConfig {
     /// results for cell-local controllers (see the module docs).
     pub shards: usize,
     /// Worker threads driving the shards. `0` (the default) sizes the
-    /// pool to `min(shards, available cores)`; `1` forces the
-    /// sequential driver even for many shards (useful on single-core
-    /// hosts, where threads only add barrier overhead). Shards are
-    /// **work items**, stolen whole — the worker count never affects
-    /// results, only wall-clock.
+    /// pool to `min(shards, available cores)`; `1` runs one inline
+    /// worker on the caller's thread even for many shards (useful on
+    /// single-core hosts, where threads only add barrier overhead).
+    /// Shards are **work items**, stolen whole — the worker count never
+    /// affects results, only wall-clock.
     pub workers: usize,
-    /// Pins each shard to one worker (static round-robin assignment,
-    /// shard `s` → worker `s % workers`) instead of work-stealing —
-    /// keeps every shard's caches warm on one thread at the cost of
-    /// load balance. Results are identical either way.
-    pub pin_shards: bool,
 }
 
 impl Default for SimulationConfig {
@@ -151,8 +151,32 @@ impl Default for SimulationConfig {
             seed: 0xFAC5,
             shards: 1,
             workers: 0,
-            pin_shards: false,
         }
+    }
+}
+
+/// What a run consumes: a lazily synthesized [`WorkloadStream`] or an
+/// in-memory `Vec<UserSpec>`, which is simply a stream with one chunk.
+/// Both convert with `From`, so [`Simulation::run`] takes either.
+#[derive(Debug)]
+pub enum RunInput {
+    /// Users synthesized chunk by chunk as their arrivals come due, so
+    /// peak resident specs are O(active calls + one chunk).
+    Stream(Box<WorkloadStream>),
+    /// A materialized workload; user id = index. It need not be sorted:
+    /// users dispatch in `(arrival µs, index)` order either way.
+    Specs(Vec<UserSpec>),
+}
+
+impl From<WorkloadStream> for RunInput {
+    fn from(stream: WorkloadStream) -> Self {
+        RunInput::Stream(Box::new(stream))
+    }
+}
+
+impl From<Vec<UserSpec>> for RunInput {
+    fn from(specs: Vec<UserSpec>) -> Self {
+        RunInput::Specs(specs)
     }
 }
 
@@ -168,7 +192,6 @@ pub struct Simulation {
     cells: Vec<CellUnit>,
     clock: SimTime,
     config: SimulationConfig,
-    metrics: Metrics,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -217,7 +240,7 @@ impl Simulation {
                 )
             })
             .collect();
-        Self { grid, cells, clock: SimTime::ZERO, config, metrics: Metrics::new() }
+        Self { grid, cells, clock: SimTime::ZERO, config }
     }
 
     /// Creates a simulation with one controller per cell built by
@@ -238,16 +261,20 @@ impl Simulation {
     /// Users are admitted at the cell covering their position; admitted
     /// calls hold bandwidth until their holding time elapses, the user
     /// hands off out of a full cell (drop), or the user leaves coverage.
-    pub fn run(&mut self, workload: Vec<UserSpec>) -> Metrics {
-        let metrics = self.run_with(workload, Metrics::new());
-        self.metrics = metrics.clone();
-        metrics
+    pub fn run(&mut self, workload: impl Into<RunInput>) -> Metrics {
+        self.run_with(workload, Metrics::new())
     }
 
     /// Runs the workload, streaming every observable event into `sink`
     /// (forked per shard, folded back in shard order; see
     /// [`MetricsSink`]).
-    pub fn run_with<S: MetricsSink>(&mut self, workload: Vec<UserSpec>, sink: S) -> S {
+    ///
+    /// Users are routed to their home shards one epoch window at a time,
+    /// whatever the input: a [`WorkloadStream`] replays the same random
+    /// draws as its eagerly generated `Vec`, and per-shard delivery order
+    /// is the content-defined `(arrival µs, user)` order either way, so
+    /// both inputs give bit-identical results.
+    pub fn run_with<S: MetricsSink>(&mut self, workload: impl Into<RunInput>, mut sink: S) -> S {
         let shard_count = self.config.shards.clamp(1, self.cells.len().max(1));
         if shard_count > 1 {
             // Bit-identity only holds for cell-local controllers; a
@@ -273,111 +300,31 @@ impl Simulation {
         }
         let grid = &self.grid;
         let config = self.config;
-        let specs: &[UserSpec] = &workload;
         let mut shards: Vec<Shard<'_, S>> = per_shard
             .into_iter()
             .enumerate()
-            .map(|(i, cells)| Shard::new(i, shard_count, grid, specs, config, cells, sink.fork()))
+            .map(|(i, cells)| Shard::new(i, shard_count, grid, config, cells, sink.fork()))
             .collect();
 
-        // Route each arrival to the shard owning its covering cell (the
-        // locate here is the only one; shards reuse it on dispatch).
-        // Shards reference the shared workload slice by index — the
-        // (large) specs are never copied out of it.
-        let estimate = workload.len() / shard_count;
-        for shard in &mut shards {
-            shard.reserve_arrivals(estimate + estimate / 4 + 64);
-        }
-        for (idx, spec) in workload.iter().enumerate() {
-            let home = grid.locate(spec.start.position);
-            shards[home.0 as usize % shard_count].push_arrival(idx as u32, home, spec.arrival_s);
-        }
-        for shard in &mut shards {
-            shard.seal_arrivals();
-        }
+        let feeder = StreamFeeder::new(workload.into(), grid);
+        let workers = resolve_workers(self.config.workers, shard_count);
+        let epochs = drive(&mut shards, tick, horizon, workers, feeder);
 
-        let workers = driver_workers(self.config.workers, shard_count);
-        let epochs = if workers <= 1 {
-            drive_sequential(&mut shards, tick, horizon)
-        } else {
-            drive_pool(&mut shards, tick, horizon, workers, self.config.pin_shards)
-        };
-        let (sink, cells, final_time) = reassemble(sink, shards, tick, epochs, horizon);
-        self.cells = cells;
+        // Reassemble: fold shard sinks in shard order, collect cells back
+        // into id order and flush each cell's utilization integral.
+        let final_time =
+            if epochs == 0 { SimTime::ZERO } else { barrier_time(tick, epochs).min(horizon) };
+        for shard in shards {
+            sink.absorb(shard.sink);
+            self.cells.extend(shard.cells);
+        }
+        self.cells.sort_by_key(|c| c.id.0);
+        for cell in &mut self.cells {
+            let (occupied_bu_s, capacity_bu_s) = cell.finish(final_time);
+            sink.on_cell_utilization(cell.id, occupied_bu_s, capacity_bu_s);
+        }
         self.clock = final_time;
         sink
-    }
-
-    /// Runs a streamed workload to completion and returns the collected
-    /// metrics. See [`Simulation::run_streamed_with`].
-    pub fn run_streamed(&mut self, stream: WorkloadStream) -> Metrics {
-        let metrics = self.run_streamed_with(stream, Metrics::new());
-        self.metrics = metrics.clone();
-        metrics
-    }
-
-    /// Runs a lazily synthesized workload: users are generated chunk by
-    /// chunk from `stream` and routed to their home shards one epoch
-    /// window at a time, so peak resident specs are O(active calls + one
-    /// chunk) instead of O(total users). Results are bit-identical to
-    /// [`Simulation::run_with`] on the eagerly generated workload: the
-    /// stream replays the same random draws in the same order, and
-    /// per-shard delivery order equals the eager slab's sorted dispatch
-    /// order (see the `shard` module).
-    pub fn run_streamed_with<S: MetricsSink>(&mut self, stream: WorkloadStream, sink: S) -> S {
-        let shard_count = self.config.shards.clamp(1, self.cells.len().max(1));
-        if shard_count > 1 {
-            if let Some(cell) = self.cells.iter().find(|c| !c.controller.is_cell_local()) {
-                panic!(
-                    "controller `{}` shares cross-cell state and cannot run on {} shards \
-                     without losing bit-reproducibility; use shards = 1",
-                    cell.controller.name(),
-                    shard_count
-                );
-            }
-        }
-        let tick = SimDuration::from_secs_f64(self.config.movement_tick_s);
-        assert!(tick.as_micros() > 0, "movement tick rounds to zero microseconds");
-        let horizon = SimTime::from_secs_f64(self.config.max_time_s);
-
-        let mut per_shard: Vec<Vec<CellUnit>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for cell in std::mem::take(&mut self.cells) {
-            per_shard[cell.id.0 as usize % shard_count].push(cell);
-        }
-        let grid = &self.grid;
-        let config = self.config;
-        // Streamed shards own their pending specs; the shared slab stays
-        // empty.
-        let mut shards: Vec<Shard<'_, S>> = per_shard
-            .into_iter()
-            .enumerate()
-            .map(|(i, cells)| Shard::new(i, shard_count, grid, &[], config, cells, sink.fork()))
-            .collect();
-
-        let mut feeder = StreamFeeder { stream, grid };
-        let workers = driver_workers(self.config.workers, shard_count);
-        let epochs = if workers <= 1 {
-            drive_sequential_streamed(&mut shards, tick, horizon, &mut feeder)
-        } else {
-            drive_pool_streamed(
-                &mut shards,
-                tick,
-                horizon,
-                workers,
-                self.config.pin_shards,
-                &mut feeder,
-            )
-        };
-        let (sink, cells, final_time) = reassemble(sink, shards, tick, epochs, horizon);
-        self.cells = cells;
-        self.clock = final_time;
-        sink
-    }
-
-    /// Metrics collected by the last [`Simulation::run`].
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// The simulation clock (final barrier time after a run).
@@ -410,216 +357,120 @@ fn barrier_time(tick: SimDuration, epoch: u64) -> SimTime {
     SimTime::from_micros(tick.as_micros() * epoch)
 }
 
-/// Reassembles a finished run — folds shard sinks in shard order,
-/// collects cells back into id order and flushes each cell's
-/// utilization integral — the shared tail of the eager and streamed run
-/// paths. Returns `(sink, cells, final time)`.
-fn reassemble<S: MetricsSink>(
-    mut sink: S,
-    shards: Vec<Shard<'_, S>>,
-    tick: SimDuration,
-    epochs: u64,
-    horizon: SimTime,
-) -> (S, Vec<CellUnit>, SimTime) {
-    let final_time =
-        if epochs == 0 { SimTime::ZERO } else { barrier_time(tick, epochs).min(horizon) };
-    let mut cells: Vec<CellUnit> = Vec::new();
-    for shard in shards {
-        sink.absorb(shard.sink);
-        cells.extend(shard.cells);
-    }
-    cells.sort_by_key(|c| c.id.0);
-    for cell in &mut cells {
-        let (occupied_bu_s, capacity_bu_s) = cell.finish(final_time);
-        sink.on_cell_utilization(cell.id, occupied_bu_s, capacity_bu_s);
-    }
-    (sink, cells, final_time)
-}
-
-/// Picks the worker count for a run, skipping pool setup (and the
-/// `available_parallelism` probe) outright when the pool cannot help:
-/// one shard serializes on its own state, and an explicit single worker
-/// would only add barrier churn.
-fn driver_workers(configured: usize, shard_count: usize) -> usize {
-    if shard_count == 1 || configured == 1 {
-        1
-    } else {
-        resolve_workers(configured, shard_count)
-    }
-}
-
-/// Feeds a [`WorkloadStream`] into the shards' pending-arrival queues,
-/// one epoch window at a time. Pull granularity is the stream's chunk
-/// size, so a refill can overshoot the window by at most one chunk —
-/// that overshoot simply waits in the pending queues.
-struct StreamFeeder<'g> {
-    stream: WorkloadStream,
-    grid: &'g HexGrid,
-}
-
-impl StreamFeeder<'_> {
-    /// True once every user has been synthesized and delivered.
-    fn exhausted(&self) -> bool {
-        self.stream.is_exhausted()
-    }
-
-    /// Delivers every arrival due at or before `limit` (sequential
-    /// driver variant: shards are directly mutable).
-    fn refill<S: MetricsSink>(&mut self, shards: &mut [Shard<'_, S>], limit: SimTime) {
-        let shard_count = shards.len();
-        while self.stream.peek_next_arrival_s().is_some_and(|t| SimTime::from_secs_f64(t) <= limit)
-        {
-            let Some(mut chunk) = self.stream.next_chunk() else { break };
-            for (i, spec) in chunk.specs.drain(..).enumerate() {
-                let user = chunk.first_user + i as u64;
-                let time = SimTime::from_secs_f64(spec.arrival_s);
-                let home = self.grid.locate(spec.start.position);
-                shards[home.0 as usize % shard_count].push_pending(
-                    time.as_micros(),
-                    user,
-                    home,
-                    spec,
-                );
-            }
-            self.stream.recycle(chunk);
-        }
-    }
-
-    /// Pooled-driver variant of [`StreamFeeder::refill`]: delivers into
-    /// the shard slots and clears the idle flag of every shard that
-    /// receives an arrival (their published flags predate the refill).
-    /// Only the barrier leader calls this, while the other workers hold
-    /// at a barrier — the per-push slot locks are uncontended.
-    fn refill_slots<S: MetricsSink>(
-        &mut self,
-        slots: &[std::sync::Mutex<&mut Shard<'_, S>>],
-        idle: &[std::sync::atomic::AtomicBool],
-        limit: SimTime,
-    ) {
-        let shard_count = slots.len();
-        while self.stream.peek_next_arrival_s().is_some_and(|t| SimTime::from_secs_f64(t) <= limit)
-        {
-            let Some(mut chunk) = self.stream.next_chunk() else { break };
-            for (i, spec) in chunk.specs.drain(..).enumerate() {
-                let user = chunk.first_user + i as u64;
-                let time = SimTime::from_secs_f64(spec.arrival_s);
-                let home = self.grid.locate(spec.start.position);
-                let target = home.0 as usize % shard_count;
-                slots[target].lock().expect("shard slot poisoned").push_pending(
-                    time.as_micros(),
-                    user,
-                    home,
-                    spec,
-                );
-                idle[target].store(false, std::sync::atomic::Ordering::SeqCst);
-            }
-            self.stream.recycle(chunk);
-        }
-    }
-}
-
-/// The single-threaded epoch driver for streamed workloads: identical to
-/// [`drive_sequential`] except that each epoch begins by delivering the
-/// arrivals due by the *next* barrier, and the loop only ends once the
-/// stream is exhausted — an all-idle world with undelivered future
-/// arrivals must keep pulsing epochs exactly like the eager driver
-/// (whose shards stay non-idle while arrivals remain).
-fn drive_sequential_streamed<S: MetricsSink>(
-    shards: &mut [Shard<'_, S>],
-    tick: SimDuration,
-    horizon: SimTime,
-    feeder: &mut StreamFeeder<'_>,
-) -> u64 {
-    let shard_count = shards.len();
-    let mut epoch: u64 = 0;
-    loop {
-        feeder.refill(shards, barrier_time(tick, epoch + 1).min(horizon));
-        if (shards.iter().all(Shard::idle) && feeder.exhausted())
-            || barrier_time(tick, epoch) >= horizon
-        {
-            break;
-        }
-        epoch += 1;
-        let t = barrier_time(tick, epoch);
-        let limit = t.min(horizon);
-        for s in shards.iter_mut() {
-            s.run_events(limit);
-        }
-        if t > horizon {
-            break;
-        }
-        let mut mailboxes: Vec<Vec<Migrant>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for s in shards.iter_mut() {
-            for (target, migrant) in s.run_movement(t) {
-                mailboxes[target].push(migrant);
-            }
-        }
-        for (s, mut inbox) in shards.iter_mut().zip(mailboxes) {
-            sort_migrants(&mut inbox);
-            s.run_admissions(t, inbox);
-            s.sample_cells(t);
-        }
-    }
-    epoch
-}
-
-/// The single-threaded epoch driver (also correct, though unused, for
-/// multiple shards — the determinism tests compare it against the
-/// threaded driver). Returns the number of epochs run.
-fn drive_sequential<S: MetricsSink>(
-    shards: &mut [Shard<'_, S>],
-    tick: SimDuration,
-    horizon: SimTime,
-) -> u64 {
-    let shard_count = shards.len();
-    let mut epoch: u64 = 0;
-    loop {
-        if shards.iter().all(Shard::idle) || barrier_time(tick, epoch) >= horizon {
-            break;
-        }
-        epoch += 1;
-        let t = barrier_time(tick, epoch);
-        let limit = t.min(horizon);
-        for s in shards.iter_mut() {
-            s.run_events(limit);
-        }
-        if t > horizon {
-            break;
-        }
-        let mut mailboxes: Vec<Vec<Migrant>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for s in shards.iter_mut() {
-            for (target, migrant) in s.run_movement(t) {
-                mailboxes[target].push(migrant);
-            }
-        }
-        for (s, mut inbox) in shards.iter_mut().zip(mailboxes) {
-            sort_migrants(&mut inbox);
-            s.run_admissions(t, inbox);
-            s.sample_cells(t);
-        }
-    }
-    epoch
-}
-
 /// Sizes the worker pool: an explicit count is honored (capped at one
 /// worker per shard, more can never help); `0` asks the OS for the
-/// available parallelism. Either way a single-shard run costs no
-/// threads at all.
+/// available parallelism, a probe skipped outright for one shard, which
+/// runs one inline worker and costs no threads at all.
 fn resolve_workers(configured: usize, shard_count: usize) -> usize {
-    let requested = if configured == 0 {
+    let requested = if configured == 0 && shard_count > 1 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
-        configured
+        configured.max(1)
     };
     requested.min(shard_count)
 }
 
-/// The pooled epoch driver: `workers` scoped threads drive all
-/// `shards.len()` shards, **stealing shards whole** from a shared
-/// atomic counter in each phase (or taking a static round-robin slice
-/// when pinned). Two [`std::sync::Barrier`]s per epoch separate the
-/// event/movement phase from the admission phase, exactly like the old
-/// one-thread-per-shard driver.
+/// Delivers a [`RunInput`] into per-shard arrival inboxes one epoch
+/// window at a time. Only the specs due by the window limit leave the
+/// current chunk, so an in-memory `Vec` (one chunk holding every user)
+/// is never duplicated into the pending queues, and a stream synthesizes
+/// its next chunk only once that chunk's first arrival is due.
+struct StreamFeeder<'g> {
+    grid: &'g HexGrid,
+    /// Chunks not yet synthesized (`None` for an in-memory `Vec`).
+    stream: Option<WorkloadStream>,
+    /// The current chunk's undelivered specs, in dispatch order.
+    chunk: VecDeque<UserSpec>,
+    /// User id of `chunk`'s front spec when ids run consecutively.
+    next_user: u64,
+    /// The user id of every spec left in `chunk` when an unsorted `Vec`
+    /// had to be reordered; empty otherwise.
+    reordered: VecDeque<u64>,
+}
+
+impl<'g> StreamFeeder<'g> {
+    fn new(input: RunInput, grid: &'g HexGrid) -> Self {
+        let (stream, chunk, reordered) = match input {
+            RunInput::Stream(stream) => (Some(*stream), Vec::new(), Vec::new()),
+            RunInput::Specs(specs) => {
+                let (specs, users) = dispatch_order(specs);
+                (None, specs, users)
+            }
+        };
+        Self { grid, stream, chunk: chunk.into(), next_user: 0, reordered: reordered.into() }
+    }
+
+    /// True once every user has been delivered.
+    fn exhausted(&self) -> bool {
+        self.chunk.is_empty() && self.stream.as_ref().map_or(true, WorkloadStream::is_exhausted)
+    }
+
+    /// Delivers every arrival due at or before `limit` to the inbox of
+    /// the shard owning its home cell, in `(time, user)` order. Returns
+    /// whether anything was delivered.
+    fn refill(&mut self, inboxes: &[Mutex<VecDeque<PendingArrival>>], limit: SimTime) -> bool {
+        let mut inboxes: Vec<_> =
+            inboxes.iter().map(|inbox| inbox.lock().expect("arrival inbox poisoned")).collect();
+        let mut delivered = false;
+        loop {
+            if self.chunk.is_empty() {
+                let Some(stream) = self.stream.as_mut() else { break };
+                if !stream.peek_next_arrival_s().is_some_and(|t| SimTime::from_secs_f64(t) <= limit)
+                {
+                    break;
+                }
+                // Hand the drained buffer back so the next chunk reuses it.
+                let drained = Vec::from(std::mem::take(&mut self.chunk));
+                stream.recycle(WorkloadChunk { first_user: self.next_user, specs: drained });
+                let next = stream.next_chunk().expect("a due arrival has a chunk");
+                self.next_user = next.first_user;
+                self.chunk = next.specs.into();
+            }
+            let Some(time) = self.chunk.front().map(|spec| SimTime::from_secs_f64(spec.arrival_s))
+            else {
+                break;
+            };
+            if time > limit {
+                break;
+            }
+            let spec = self.chunk.pop_front().expect("peeked spec vanished");
+            let user = self.reordered.pop_front().unwrap_or(self.next_user);
+            self.next_user += 1;
+            let cell = self.grid.locate(spec.start.position);
+            let target = cell.0 as usize % inboxes.len();
+            inboxes[target].push_back(PendingArrival {
+                time_us: time.as_micros(),
+                user,
+                cell,
+                spec,
+            });
+            delivered = true;
+        }
+        delivered
+    }
+}
+
+/// Puts an in-memory workload into dispatch order `(arrival µs, index)`,
+/// returning the specs and, only if they had to move, each one's user
+/// id (its original index). Generated workloads are already in order,
+/// so the common case costs one O(n) check and no sort.
+fn dispatch_order(specs: Vec<UserSpec>) -> (Vec<UserSpec>, Vec<u64>) {
+    let due = |spec: &UserSpec| SimTime::from_secs_f64(spec.arrival_s);
+    if specs.windows(2).all(|w| due(&w[0]) <= due(&w[1])) {
+        return (specs, Vec::new());
+    }
+    let mut indexed: Vec<(u64, UserSpec)> = (0..).zip(specs).collect();
+    // Stable: users due at the same instant keep ascending index order.
+    indexed.sort_by_key(|(_, spec)| due(spec));
+    indexed.into_iter().map(|(user, spec)| (spec, user)).unzip()
+}
+
+/// The epoch driver: `workers` threads drive all `shards.len()` shards,
+/// **stealing shards whole** from a shared atomic counter in each
+/// phase. Two [`Barrier`] waits per epoch separate the event/movement
+/// phase from the admission phase. With one worker the same loop runs
+/// inline on the caller's thread — no scope, no spawned threads — and
+/// every barrier wait returns at once.
 ///
 /// ## Why stealing cannot perturb results
 ///
@@ -629,244 +480,118 @@ fn resolve_workers(configured: usize, shard_count: usize) -> usize {
 /// from concurrently-running shards can interleave arbitrarily — the
 /// inbox is sorted into global user order before any admission — and
 /// sinks are folded in shard order at reassembly, so every float and
-/// every RNG draw happens in the same order as the sequential driver.
+/// every RNG draw happens in the same order on any worker count.
 ///
-/// Every worker computes the identical `all_idle`/horizon branches from
-/// the same published flags, so barrier counts always match. The phase
-/// counters are reset by the barrier leader one full barrier before
-/// their next use, which orders the reset before every subsequent
-/// `fetch_add`.
-fn drive_pool<S: MetricsSink>(
+/// ## Feeding arrivals between the two barriers
+///
+/// Epoch 1's window is delivered before the loop starts. Each later
+/// window is delivered by the leader of the phase-A barrier while the
+/// other workers already run phase B. The refill writes only the
+/// per-shard arrival inboxes, which nothing else touches until the
+/// next phase A moves them into the shards' pending FIFOs, so it never
+/// contends with phase B for a shard. The leader publishes `more_input`
+/// (something was delivered, or the input is not exhausted) before it
+/// reaches the next loop-top barrier, so every worker reads the same
+/// flags: the run ends only when every shard is idle *and* no input is
+/// left, because an all-idle world with undelivered future arrivals
+/// must keep pulsing epochs.
+///
+/// Every worker computes the identical termination and horizon branches
+/// from the same published flags, so barrier counts always match. The
+/// phase counters are reset by the barrier leader one full barrier
+/// before their next use, which orders the reset before every
+/// subsequent `fetch_add`.
+fn drive<S: MetricsSink>(
     shards: &mut [Shard<'_, S>],
     tick: SimDuration,
     horizon: SimTime,
     workers: usize,
-    pin: bool,
+    mut feeder: StreamFeeder<'_>,
 ) -> u64 {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
-
     let shard_count = shards.len();
     let sync = Barrier::new(workers);
     let mailboxes: Vec<Mutex<Vec<Migrant>>> =
         (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
+    let arrivals: Vec<Mutex<VecDeque<PendingArrival>>> =
+        (0..shard_count).map(|_| Mutex::new(VecDeque::new())).collect();
     // Published at the end of each epoch's admission phase by whichever
     // worker ran the shard; seeded here so epoch 0's check sees truth.
     let idle: Vec<AtomicBool> = shards.iter().map(|s| AtomicBool::new(s.idle())).collect();
-    let next_a = AtomicUsize::new(0);
-    let next_b = AtomicUsize::new(0);
-    let slots: Vec<Mutex<&mut Shard<'_, S>>> = shards.iter_mut().map(Mutex::new).collect();
-
-    let epochs: Vec<u64> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let sync = &sync;
-                let mailboxes = &mailboxes;
-                let idle = &idle;
-                let next_a = &next_a;
-                let next_b = &next_b;
-                let slots = &slots;
-                scope.spawn(move || {
-                    // The shard indices this worker processes in a phase:
-                    // pinned → its static residue class; stealing → pull
-                    // from the shared counter until the phase runs dry.
-                    let claim = |counter: &AtomicUsize, k: usize| {
-                        if pin {
-                            let i = me + k * workers;
-                            (i < shard_count).then_some(i)
-                        } else {
-                            let i = counter.fetch_add(1, Ordering::Relaxed);
-                            (i < shard_count).then_some(i)
-                        }
-                    };
-                    let mut epoch: u64 = 0;
-                    loop {
-                        if sync.wait().is_leader() {
-                            // The previous epoch's phase B is over on
-                            // every worker; the counter's next use is
-                            // behind the phase-A barrier below, which
-                            // this reset happens-before.
-                            next_b.store(0, Ordering::Relaxed);
-                        }
-                        let all_idle = idle.iter().all(|flag| flag.load(Ordering::SeqCst));
-                        if all_idle || barrier_time(tick, epoch) >= horizon {
-                            break;
-                        }
-                        epoch += 1;
-                        let t = barrier_time(tick, epoch);
-                        let limit = t.min(horizon);
-                        // Phase A: local events, then movement.
-                        let mut k = 0;
-                        while let Some(i) = claim(next_a, k) {
-                            k += 1;
-                            let mut shard = slots[i].lock().expect("shard slot poisoned");
-                            shard.run_events(limit);
-                            if t <= horizon {
-                                for (target, migrant) in shard.run_movement(t) {
-                                    mailboxes[target]
-                                        .lock()
-                                        .expect("mailbox poisoned")
-                                        .push(migrant);
-                                }
-                            }
-                        }
-                        if sync.wait().is_leader() {
-                            // Phase A is over on every worker; the
-                            // counter's next use is behind the loop-top
-                            // barrier, which this reset happens-before.
-                            next_a.store(0, Ordering::Relaxed);
-                        }
-                        if t > horizon {
-                            break;
-                        }
-                        // Phase B: inbound handoffs, then the epoch pulse.
-                        let mut k = 0;
-                        while let Some(i) = claim(next_b, k) {
-                            k += 1;
-                            let mut shard = slots[i].lock().expect("shard slot poisoned");
-                            let mut inbox = std::mem::take(
-                                &mut *mailboxes[i].lock().expect("mailbox poisoned"),
-                            );
-                            sort_migrants(&mut inbox);
-                            shard.run_admissions(t, inbox);
-                            shard.sample_cells(t);
-                            idle[i].store(shard.idle(), Ordering::SeqCst);
-                        }
-                    }
-                    epoch
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
-    })
-    .expect("shard scope failed");
-
-    let first = epochs[0];
-    debug_assert!(epochs.iter().all(|&e| e == first), "workers disagreed on epoch count");
-    first
-}
-
-/// The pooled epoch driver for streamed workloads: [`drive_pool`] plus a
-/// refill phase at the top of every epoch. One extra barrier pair
-/// brackets the refill — the leader delivers the next epoch window into
-/// the shard slots while every other worker waits, then all workers read
-/// the same idle/exhausted flags, so the epoch count and the termination
-/// branch stay unanimous. Streamed runs pay this third barrier; eager
-/// runs keep the two-barrier loop untouched.
-fn drive_pool_streamed<S: MetricsSink>(
-    shards: &mut [Shard<'_, S>],
-    tick: SimDuration,
-    horizon: SimTime,
-    workers: usize,
-    pin: bool,
-    feeder: &mut StreamFeeder<'_>,
-) -> u64 {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
-
-    let shard_count = shards.len();
-    let sync = Barrier::new(workers);
-    let mailboxes: Vec<Mutex<Vec<Migrant>>> =
-        (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-    let idle: Vec<AtomicBool> = shards.iter().map(|s| AtomicBool::new(s.idle())).collect();
-    let stream_done = AtomicBool::new(feeder.exhausted());
-    let next_a = AtomicUsize::new(0);
-    let next_b = AtomicUsize::new(0);
-    let slots: Vec<Mutex<&mut Shard<'_, S>>> = shards.iter_mut().map(Mutex::new).collect();
+    let delivered = feeder.refill(&arrivals, barrier_time(tick, 1).min(horizon));
+    let more_input = AtomicBool::new(delivered || !feeder.exhausted());
     let feeder = Mutex::new(feeder);
+    let slots: Vec<Mutex<&mut Shard<'_, S>>> = shards.iter_mut().map(Mutex::new).collect();
+    let next_a = AtomicUsize::new(0);
+    let next_b = AtomicUsize::new(0);
+    let claim = |counter: &AtomicUsize| {
+        let i = counter.fetch_add(1, Ordering::Relaxed);
+        (i < shard_count).then_some(i)
+    };
 
-    let epochs: Vec<u64> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let sync = &sync;
-                let mailboxes = &mailboxes;
-                let idle = &idle;
-                let stream_done = &stream_done;
-                let next_a = &next_a;
-                let next_b = &next_b;
-                let slots = &slots;
-                let feeder = &feeder;
-                scope.spawn(move || {
-                    let claim = |counter: &AtomicUsize, k: usize| {
-                        if pin {
-                            let i = me + k * workers;
-                            (i < shard_count).then_some(i)
-                        } else {
-                            let i = counter.fetch_add(1, Ordering::Relaxed);
-                            (i < shard_count).then_some(i)
-                        }
-                    };
-                    let mut epoch: u64 = 0;
-                    loop {
-                        if sync.wait().is_leader() {
-                            next_b.store(0, Ordering::Relaxed);
-                            // Refill phase: deliver everything due by the
-                            // next barrier while the other workers hold at
-                            // the barrier below. Shards that received
-                            // arrivals have their idle flags cleared here,
-                            // so the unanimous check cannot terminate with
-                            // undispatched pending users.
-                            let mut feeder = feeder.lock().expect("feeder poisoned");
-                            feeder.refill_slots(
-                                slots,
-                                idle,
-                                barrier_time(tick, epoch + 1).min(horizon),
-                            );
-                            stream_done.store(feeder.exhausted(), Ordering::SeqCst);
-                        }
-                        sync.wait();
-                        let all_idle = idle.iter().all(|flag| flag.load(Ordering::SeqCst));
-                        if (all_idle && stream_done.load(Ordering::SeqCst))
-                            || barrier_time(tick, epoch) >= horizon
-                        {
-                            break;
-                        }
-                        epoch += 1;
-                        let t = barrier_time(tick, epoch);
-                        let limit = t.min(horizon);
-                        // Phase A: local events, then movement.
-                        let mut k = 0;
-                        while let Some(i) = claim(next_a, k) {
-                            k += 1;
-                            let mut shard = slots[i].lock().expect("shard slot poisoned");
-                            shard.run_events(limit);
-                            if t <= horizon {
-                                for (target, migrant) in shard.run_movement(t) {
-                                    mailboxes[target]
-                                        .lock()
-                                        .expect("mailbox poisoned")
-                                        .push(migrant);
-                                }
-                            }
-                        }
-                        if sync.wait().is_leader() {
-                            next_a.store(0, Ordering::Relaxed);
-                        }
-                        if t > horizon {
-                            break;
-                        }
-                        // Phase B: inbound handoffs, then the epoch pulse.
-                        let mut k = 0;
-                        while let Some(i) = claim(next_b, k) {
-                            k += 1;
-                            let mut shard = slots[i].lock().expect("shard slot poisoned");
-                            let mut inbox = std::mem::take(
-                                &mut *mailboxes[i].lock().expect("mailbox poisoned"),
-                            );
-                            sort_migrants(&mut inbox);
-                            shard.run_admissions(t, inbox);
-                            shard.sample_cells(t);
-                            idle[i].store(shard.idle(), Ordering::SeqCst);
-                        }
+    let work = || {
+        let mut epoch: u64 = 0;
+        loop {
+            if sync.wait().is_leader() {
+                // The previous epoch's phase B is over on every worker;
+                // the counter's next use is behind the phase-A barrier
+                // below, which this reset happens-before.
+                next_b.store(0, Ordering::Relaxed);
+            }
+            let all_idle = idle.iter().all(|flag| flag.load(Ordering::SeqCst));
+            if (all_idle && !more_input.load(Ordering::SeqCst))
+                || barrier_time(tick, epoch) >= horizon
+            {
+                break;
+            }
+            epoch += 1;
+            let t = barrier_time(tick, epoch);
+            let limit = t.min(horizon);
+            // Phase A: this window's arrivals and call-ends, then movement.
+            while let Some(i) = claim(&next_a) {
+                let mut shard = slots[i].lock().expect("shard slot poisoned");
+                shard.accept_arrivals(&mut arrivals[i].lock().expect("arrival inbox poisoned"));
+                shard.run_events(limit);
+                if t <= horizon {
+                    for (target, migrant) in shard.run_movement(t) {
+                        mailboxes[target].lock().expect("mailbox poisoned").push(migrant);
                     }
-                    epoch
-                })
-            })
-            .collect();
+                }
+            }
+            if sync.wait().is_leader() {
+                // Phase A is over on every worker; the counter's next
+                // use is behind the loop-top barrier, which this reset
+                // happens-before. Then the next epoch's window.
+                next_a.store(0, Ordering::Relaxed);
+                let mut feeder = feeder.lock().expect("feeder poisoned");
+                let delivered =
+                    feeder.refill(&arrivals, barrier_time(tick, epoch + 1).min(horizon));
+                more_input.store(delivered || !feeder.exhausted(), Ordering::SeqCst);
+            }
+            if t > horizon {
+                break;
+            }
+            // Phase B: inbound handoffs, then the epoch pulse.
+            while let Some(i) = claim(&next_b) {
+                let mut shard = slots[i].lock().expect("shard slot poisoned");
+                let mut inbox =
+                    std::mem::take(&mut *mailboxes[i].lock().expect("mailbox poisoned"));
+                sort_migrants(&mut inbox);
+                shard.run_admissions(t, inbox);
+                shard.sample_cells(t);
+                idle[i].store(shard.idle(), Ordering::SeqCst);
+            }
+        }
+        epoch
+    };
+
+    if workers == 1 {
+        return work();
+    }
+    let epochs: Vec<u64> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
         handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
     })
     .expect("shard scope failed");
-
     let first = epochs[0];
     debug_assert!(epochs.iter().all(|&e| e == first), "workers disagreed on epoch count");
     first
@@ -930,6 +655,50 @@ mod tests {
         let metrics = sim.run(workload);
         assert_eq!(metrics.accepted_new, 5);
         assert_eq!(metrics.completed, 5);
+    }
+
+    #[test]
+    fn call_end_frees_capacity_for_an_arrival_at_the_same_instant() {
+        // Four video calls fill the 40-BU cell; the first ends at exactly
+        // t = 7 s. A video arrival at 7 s is admitted because call-ends
+        // dispatch before arrivals at equal instants; one a microsecond
+        // earlier is blocked.
+        let run = |arrival_s: f64| {
+            let mut workload: Vec<UserSpec> = (0..4)
+                .map(|i| stationary_spec(1.0 + f64::from(i), ServiceClass::Video, 1_000.0))
+                .collect();
+            workload[0].holding_s = 6.0;
+            workload.push(stationary_spec(arrival_s, ServiceClass::Video, 10.0));
+            let grid = HexGrid::single_cell(10.0);
+            let mut sim = Simulation::new(grid, SimulationConfig::default(), controllers(1));
+            sim.run(workload)
+        };
+        let same_instant = run(7.0);
+        assert_eq!(same_instant.accepted_new, 5);
+        assert_eq!(same_instant.blocked_new, 0);
+        let just_before = run(6.999_999);
+        assert_eq!(just_before.accepted_new, 4);
+        assert_eq!(just_before.blocked_new, 1);
+    }
+
+    #[test]
+    fn unsorted_workload_matches_the_sorted_one() {
+        // Overlapping calls of mixed classes into one cell: which calls
+        // win depends on dispatch order, so the reversed input must be
+        // put back in arrival order to reproduce the sorted run.
+        let classes = [ServiceClass::Video, ServiceClass::Voice, ServiceClass::Text];
+        let sorted: Vec<UserSpec> = (0..40)
+            .map(|i| stationary_spec(0.7 * f64::from(i), classes[i as usize % 3], 30.0))
+            .collect();
+        let reversed: Vec<UserSpec> = sorted.iter().rev().cloned().collect();
+        let run = |workload: Vec<UserSpec>| {
+            let grid = HexGrid::single_cell(10.0);
+            let mut sim = Simulation::new(grid, SimulationConfig::default(), controllers(1));
+            sim.run(workload)
+        };
+        let expected = run(sorted);
+        assert!(expected.blocked_new > 0, "workload should contend for capacity");
+        assert_eq!(expected, run(reversed));
     }
 
     #[test]
@@ -1181,31 +950,28 @@ mod tests {
     #[test]
     fn pooled_and_pinned_drivers_match_sequential_bit_for_bit() {
         // Force worker counts explicitly: auto-sizing on a small CI box
-        // may resolve to the sequential driver, and the stealing/pinned
-        // paths must be exercised regardless of the host's core count.
-        let run = |shards: usize, workers: usize, pin_shards: bool| {
+        // may resolve to one inline worker, and the stealing path must
+        // be exercised regardless of the host's core count.
+        let run = |shards: usize, workers: usize| {
             let grid = HexGrid::new(2, 2.0);
             let config = SimulationConfig {
                 movement_tick_s: 2.0,
                 seed: 7,
                 shards,
                 workers,
-                pin_shards,
                 ..Default::default()
             };
             let mut sim = Simulation::new(grid, config, controllers(19));
             sim.run(walker_workload(200))
         };
-        let single = run(1, 1, false);
+        let single = run(1, 1);
         for shards in [2, 3, 7] {
             for workers in [2, 3] {
-                for pin_shards in [false, true] {
-                    assert_eq!(
-                        single,
-                        run(shards, workers, pin_shards),
-                        "{shards} shards / {workers} workers (pin={pin_shards}) diverged"
-                    );
-                }
+                assert_eq!(
+                    single,
+                    run(shards, workers),
+                    "{shards} shards / {workers} workers diverged"
+                );
             }
         }
         assert!(single.handoff_attempts > 0, "workload should exercise handoffs");
@@ -1241,7 +1007,7 @@ mod tests {
                     let stream = desc.stream(&grid, 300, 600.0, holding, 42, chunk);
                     let mut sim =
                         Simulation::new(grid.clone(), config(shards, workers), controllers(19));
-                    let streamed = sim.run_streamed(stream);
+                    let streamed = sim.run(stream);
                     assert_eq!(
                         eager, streamed,
                         "streamed diverged: {shards} shards, {workers} workers, chunk {chunk}"
@@ -1254,7 +1020,7 @@ mod tests {
     #[test]
     fn streamed_cell_series_matches_eager() {
         // The epoch pulse (sample_cells) must fire on exactly the same
-        // barriers in both drivers, including arrival gaps where every
+        // barriers for both inputs, including arrival gaps where every
         // shard is momentarily idle but the stream is not exhausted.
         use crate::traffic::HoldingTimes;
         use crate::workload::{MobilityChoice, SpawnSpec, Workload};
@@ -1281,7 +1047,7 @@ mod tests {
         };
         let streamed = {
             let mut sim = Simulation::new(grid.clone(), config, controllers(7));
-            sim.run_streamed_with(
+            sim.run_with(
                 desc.stream(&grid, 60, 400.0, holding, 5, 8),
                 (Metrics::new(), CellLoadSeries::new()),
             )

@@ -8,6 +8,8 @@
 //! exchanged only at the barrier. See the module docs of
 //! [`crate::engine`] for why this is deterministic.
 
+use std::collections::VecDeque;
+
 use facs_cac::{
     AdmissionPlan, BandwidthLedger, BandwidthUnits, BoxedController, CallId, CallKind, CallRequest,
     CellId, ServiceProfile,
@@ -169,15 +171,14 @@ fn user_rng(seed: u64, user: u64) -> SimRng {
     SimRng::seed_from_u64(seed ^ user.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// A streamed arrival waiting to be dispatched: the routed home cell
-/// plus the owned spec (streamed runs have no shared workload slab to
-/// reference). Pushed in global user order with nondecreasing times, so
-/// FIFO order *is* the content-defined `(time, user)` dispatch order.
+/// An arrival waiting to be dispatched: the routed home cell plus the
+/// owned spec. Pushed in `(time, user)` order, so FIFO order *is* the
+/// content-defined dispatch order.
 pub(crate) struct PendingArrival {
-    time_us: u64,
-    user: u64,
-    cell: CellId,
-    spec: UserSpec,
+    pub(crate) time_us: u64,
+    pub(crate) user: u64,
+    pub(crate) cell: CellId,
+    pub(crate) spec: UserSpec,
 }
 
 pub(crate) struct Shard<'a, S> {
@@ -187,27 +188,11 @@ pub(crate) struct Shard<'a, S> {
     config: SimulationConfig,
     /// The owned cells, ascending id (ids ≡ `index` mod `shard_count`).
     pub(crate) cells: Vec<CellUnit>,
+    /// Call-ends only; arrivals never touch the calendar queue.
     queue: EngineQueue,
-    /// The run's full workload, shared read-only across shards; this
-    /// shard's arrivals reference it by index, so the (large) specs are
-    /// never copied during routing.
-    specs: &'a [UserSpec],
-    /// Routed arrivals: `(covering cell, workload index)` — the cell is
-    /// located once by the router, not re-derived per event. The
-    /// workload index doubles as the user id.
-    arrivals: Vec<(CellId, u32)>,
-    /// Dispatch order over `arrivals`: `(time in µs, slot)` sorted
-    /// ascending by [`seal_arrivals`](Self::seal_arrivals) and consumed
-    /// by `arrival_cursor`. Slot order equals user-id order, so the sort
-    /// key reproduces the content-defined `(time, user)` event order the
-    /// queue would impose — arrivals never touch the calendar queue at
-    /// all, which carries only call-ends.
-    arrival_order: Vec<(u64, u32)>,
-    arrival_cursor: usize,
-    /// Streamed arrivals delivered by the feeder one epoch window at a
-    /// time (plus chunk-granularity overshoot). Mutually exclusive with
-    /// the eager slab above: a run populates one or the other.
-    pending: std::collections::VecDeque<PendingArrival>,
+    /// Arrivals delivered by the feeder one epoch window at a time, the
+    /// home cell already located.
+    pending: VecDeque<PendingArrival>,
     active: ActiveArena,
     /// Scratch for the movement phase's `(user, slot)` sort, reused
     /// across epochs.
@@ -220,7 +205,6 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         index: usize,
         shard_count: usize,
         grid: &'a HexGrid,
-        specs: &'a [UserSpec],
         config: SimulationConfig,
         cells: Vec<CellUnit>,
         sink: S,
@@ -234,60 +218,32 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             // Bucket the calendar at the epoch cadence so one epoch's
             // drain range maps onto exactly one bucket.
             queue: EngineQueue::with_epoch(SimDuration::from_secs_f64(config.movement_tick_s)),
-            specs,
-            arrivals: Vec::new(),
-            arrival_order: Vec::new(),
-            arrival_cursor: 0,
-            pending: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
             active: ActiveArena::default(),
             movers: Vec::new(),
             sink,
         }
     }
 
-    /// Queues one workload user whose starting position (covered by
-    /// `home`, as located by the router) this shard owns.
-    /// Pre-sizes the arrival slab so routing appends without
-    /// reallocating (each `UserSpec` is large enough that doubling-growth
-    /// memcpys dominate the routing pass otherwise).
-    pub(crate) fn reserve_arrivals(&mut self, n: usize) {
-        self.arrivals.reserve_exact(n);
-        self.arrival_order.reserve_exact(n);
-    }
-
-    pub(crate) fn push_arrival(&mut self, widx: u32, home: CellId, arrival_s: f64) {
-        let slot = u32::try_from(self.arrivals.len()).expect("more than u32::MAX pending arrivals");
-        let time = SimTime::from_secs_f64(arrival_s);
-        self.arrival_order.push((time.as_micros(), slot));
-        self.arrivals.push((home, widx));
-    }
-
-    /// Sorts the arrival slab into dispatch order. Must be called once
-    /// after routing, before the first `run_events`.
-    pub(crate) fn seal_arrivals(&mut self) {
-        // Keys are unique (the slot breaks ties), and equal-time entries
-        // order by slot == user id, matching the queue's content key.
-        self.arrival_order.sort_unstable();
-    }
-
-    /// Delivers one streamed arrival. The feeder pushes in global user
-    /// order with nondecreasing timestamps, so the FIFO queue needs no
-    /// sort — its order already matches the eager slab's sorted
-    /// `(time, user)` dispatch order.
-    pub(crate) fn push_pending(&mut self, time_us: u64, user: u64, cell: CellId, spec: UserSpec) {
+    /// Takes the feeder's delivery for this epoch as the pending FIFO,
+    /// handing the drained FIFO's buffer back in `delivered` for reuse.
+    /// The feeder delivers exactly the window the coming `run_events`
+    /// drains, so the FIFO is always empty here.
+    pub(crate) fn accept_arrivals(&mut self, delivered: &mut VecDeque<PendingArrival>) {
+        assert!(self.pending.is_empty(), "arrivals left undispatched by the previous epoch");
         debug_assert!(
-            self.pending.back().map_or(true, |p| (p.time_us, p.user) < (time_us, user)),
-            "streamed arrivals must be pushed in (time, user) order"
+            delivered
+                .iter()
+                .zip(delivered.iter().skip(1))
+                .all(|(a, b)| (a.time_us, a.user) < (b.time_us, b.user)),
+            "arrivals must be delivered in (time, user) order"
         );
-        self.pending.push_back(PendingArrival { time_us, user, cell, spec });
+        std::mem::swap(&mut self.pending, delivered);
     }
 
     /// `true` when the shard has nothing left to do.
     pub(crate) fn idle(&self) -> bool {
-        self.arrival_cursor == self.arrival_order.len()
-            && self.pending.is_empty()
-            && self.queue.is_empty()
-            && self.active.is_empty()
+        self.pending.is_empty() && self.queue.is_empty() && self.active.is_empty()
     }
 
     fn cell_mut(&mut self, id: CellId) -> &mut CellUnit {
@@ -393,72 +349,34 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
     }
 
     /// Phase A: processes every event with `time <= limit` — arrivals
-    /// streamed from the sorted slab, call-ends drained from the
-    /// calendar queue, merged on the content-defined order. A call-end
-    /// at the same instant as an arrival dispatches first (its event
-    /// rank is lower), so the queue is drained up to and including each
-    /// arrival's timestamp before the arrival fires.
+    /// from the pending FIFO, call-ends drained from the calendar queue,
+    /// merged on the content-defined order. A call-end at the same
+    /// instant as an arrival dispatches first (capacity is freed before
+    /// new decisions are made), so the queue is drained up to and
+    /// including each arrival's timestamp before the arrival fires.
     pub(crate) fn run_events(&mut self, limit: SimTime) {
         loop {
-            // The next arrival instant, whichever backing holds it: the
-            // eager sorted slab or the streamed FIFO (never both).
-            let next_arrival = self
-                .arrival_order
-                .get(self.arrival_cursor)
-                .map(|&(t, _)| t)
-                .or_else(|| self.pending.front().map(|p| p.time_us));
+            let next_arrival = self.pending.front().map(|p| SimTime::from_micros(p.time_us));
             if !self.queue.is_empty() {
-                let bound = next_arrival.map_or(limit, |t| SimTime::from_micros(t).min(limit));
-                while let Some((now, event, tag)) = self.queue.pop_within(bound) {
-                    match event {
-                        EngineEvent::CallEnd { user, generation } => {
-                            self.handle_call_end(now, user, generation, tag);
-                        }
-                        EngineEvent::Arrival { .. } => {
-                            unreachable!("arrivals stream from the sorted slab, never the queue")
-                        }
-                    }
+                let bound = next_arrival.map_or(limit, |t| t.min(limit));
+                while let Some((now, EngineEvent::CallEnd { user, generation }, tag)) =
+                    self.queue.pop_within(bound)
+                {
+                    self.handle_call_end(now, user, generation, tag);
                 }
             }
             match next_arrival {
-                Some(t) if SimTime::from_micros(t) <= limit => {
-                    let now = SimTime::from_micros(t);
-                    if let Some(&(_, slot)) = self.arrival_order.get(self.arrival_cursor) {
-                        self.arrival_cursor += 1;
-                        self.handle_arrival(now, slot);
-                        if self.arrival_cursor == self.arrival_order.len()
-                            && !self.arrival_order.is_empty()
-                        {
-                            // The slab is fully consumed: free the routed
-                            // arrivals and their dispatch order instead of
-                            // holding dead bookkeeping for the rest of the
-                            // run (long tails otherwise pin one `(CellId,
-                            // u32)` + `(u64, u32)` pair per user).
-                            self.arrivals = Vec::new();
-                            self.arrival_order = Vec::new();
-                            self.arrival_cursor = 0;
-                        }
-                    } else {
-                        let p = self.pending.pop_front().expect("peeked streamed arrival vanished");
-                        self.dispatch_arrival(now, UserId(p.user), p.cell, &p.spec);
-                    }
+                Some(now) if now <= limit => {
+                    let p = self.pending.pop_front().expect("peeked arrival vanished");
+                    self.dispatch_arrival(now, UserId(p.user), p.cell, p.spec);
                 }
                 _ => break,
             }
         }
     }
 
-    fn handle_arrival(&mut self, now: SimTime, slot: u32) {
-        let (cell_id, widx) = self.arrivals[slot as usize];
-        let user = UserId(u64::from(widx));
-        let specs = self.specs;
-        self.dispatch_arrival(now, user, cell_id, &specs[widx as usize]);
-    }
-
-    /// Admission of one new-call arrival, shared by the eager and
-    /// streamed backings. `spec` lives outside `self`'s mutable state
-    /// (the shared slab or a just-popped pending record).
-    fn dispatch_arrival(&mut self, now: SimTime, user: UserId, cell_id: CellId, spec: &UserSpec) {
+    /// Admission of one new-call arrival.
+    fn dispatch_arrival(&mut self, now: SimTime, user: UserId, cell_id: CellId, spec: UserSpec) {
         let (profile, start) = (spec.profile, spec.start);
         // Saturated cell or off-map request: denied without building the
         // full request — `fast_reject` is a conservative proof that
@@ -489,7 +407,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             let slot = self.active.insert(ActiveUser {
                 user,
                 state: start,
-                mobility: spec.mobility.clone(),
+                mobility: spec.mobility,
                 profile,
                 rng: user_rng(self.config.seed, user.0),
                 cell: cell_id,
@@ -671,8 +589,7 @@ impl<S> std::fmt::Debug for Shard<'_, S> {
             .field("cells", &self.cells.len())
             .field("active", &self.active.len())
             .field("queued", &self.queue.len())
-            .field("arrivals_left", &(self.arrival_order.len() - self.arrival_cursor))
-            .field("pending_streamed", &self.pending.len())
+            .field("pending", &self.pending.len())
             .finish()
     }
 }

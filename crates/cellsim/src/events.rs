@@ -1,13 +1,11 @@
-//! Deterministic discrete-event queue.
+//! The kernel's deterministic event queue.
 //!
-//! Events at equal timestamps pop in insertion order (a monotonically
-//! increasing sequence number breaks ties), so runs are bit-reproducible
-//! regardless of heap internals.
+//! [`EngineQueue`] orders events by their contents, never by insertion
+//! order, so runs are bit-reproducible however events are partitioned
+//! across shard queues.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-
-use facs_cac::{CallId, CellId};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -21,130 +19,14 @@ impl std::fmt::Display for UserId {
     }
 }
 
-/// The events driving the cellular simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// A user issues a new-call request at its located cell.
-    Arrival {
-        /// The requesting user.
-        user: UserId,
-    },
-    /// An admitted call's holding time expires.
-    CallEnd {
-        /// The finishing call.
-        call: CallId,
-        /// The user holding it.
-        user: UserId,
-        /// The cell the call was last served by (stale values are
-        /// revalidated against the live ledger on dispatch).
-        cell: CellId,
-    },
-    /// Advance all mobile terminals and process boundary crossings.
-    MovementTick,
-}
-
-#[derive(Debug, Clone)]
-struct Scheduled {
-    time: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
-        // pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// A time-ordered event queue with deterministic tie-breaking.
+/// The queued events of the sharded epoch kernel ([`crate::engine`]).
+/// Arrivals never enter the queue: each shard dispatches them from a
+/// FIFO, after every call-end due at the same instant.
 ///
-/// Legacy: ties break in *insertion* order, which is only reproducible
-/// within a single queue. Kernel code must use [`EngineQueue`], whose
-/// order is defined by event contents and therefore survives any
-/// partitioning of events across shard queues.
-///
-/// # Examples
-///
-/// ```
-/// use facs_cellsim::events::{Event, EventQueue, UserId};
-/// use facs_cellsim::time::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_secs_f64(2.0), Event::MovementTick);
-/// q.schedule(SimTime::from_secs_f64(1.0), Event::Arrival { user: UserId(0) });
-/// let (t, e) = q.pop().unwrap();
-/// assert_eq!(t, SimTime::from_secs_f64(1.0));
-/// assert!(matches!(e, Event::Arrival { .. }));
-/// ```
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|s| (s.time, s.event))
-    }
-
-    /// The timestamp of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// The events of the sharded epoch kernel ([`crate::engine`]).
-///
-/// Unlike [`Event`], which relies on insertion order for tie-breaking
-/// (and is therefore only deterministic within a single queue), an
-/// `EngineEvent` carries everything needed for a **shard-independent**
-/// total order: at equal timestamps, call-ends sort before arrivals
-/// (capacity is freed before new decisions are made), then by user id,
-/// then by handoff generation. Any partition of the event set across
-/// shard queues therefore preserves each cell's event sequence exactly.
+/// An `EngineEvent` carries everything needed for a **shard-independent**
+/// total order: at equal timestamps, events sort by user id, then by
+/// handoff generation. Any partition of the event set across shard
+/// queues therefore preserves each cell's event sequence exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineEvent {
     /// An admitted call's holding time expires. `generation` counts the
@@ -158,21 +40,14 @@ pub enum EngineEvent {
         /// Handoff generation at scheduling time.
         generation: u32,
     },
-    /// A user issues a new-call request at its located cell.
-    Arrival {
-        /// The requesting user.
-        user: UserId,
-    },
 }
 
 impl EngineEvent {
-    /// The shard-independent tie-break key `(rank, user, generation)`.
+    /// The shard-independent tie-break key `(user, generation)`.
     #[must_use]
-    const fn key(self) -> (u8, u64, u32) {
-        match self {
-            EngineEvent::CallEnd { user, generation } => (0, user.0, generation),
-            EngineEvent::Arrival { user } => (1, user.0, 0),
-        }
+    const fn key(self) -> (u64, u32) {
+        let EngineEvent::CallEnd { user, generation } = self;
+        (user.0, generation)
     }
 }
 
@@ -189,7 +64,7 @@ struct EngineEntry {
 
 impl EngineEntry {
     /// The full content-defined sort key.
-    fn sort_key(&self) -> (SimTime, (u8, u64, u32)) {
+    fn sort_key(&self) -> (SimTime, (u64, u32)) {
         (self.time, self.event.key())
     }
 }
@@ -472,53 +347,18 @@ mod tests {
         SimTime::from_secs_f64(secs)
     }
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(t(3.0), Event::MovementTick);
-        q.schedule(t(1.0), Event::Arrival { user: UserId(1) });
-        q.schedule(t(2.0), Event::Arrival { user: UserId(2) });
-        let order: Vec<f64> =
-            std::iter::from_fn(|| q.pop()).map(|(tm, _)| tm.as_secs_f64()).collect();
-        assert_eq!(order, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn equal_times_pop_in_insertion_order() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule(t(5.0), Event::Arrival { user: UserId(i) });
-        }
-        let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Arrival { user } => user.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1.0), Event::MovementTick);
-        let (t1, _) = q.pop().unwrap();
-        assert_eq!(t1, t(1.0));
-        q.schedule(t(0.5), Event::MovementTick); // in the past relative to t1 — still pops
-        q.schedule(t(2.0), Event::MovementTick);
-        assert_eq!(q.pop().unwrap().0, t(0.5));
-        assert_eq!(q.pop().unwrap().0, t(2.0));
-        assert!(q.pop().is_none());
+    fn end(user: u64, generation: u32) -> EngineEvent {
+        EngineEvent::CallEnd { user: UserId(user), generation }
     }
 
     #[test]
     fn engine_queue_order_is_insertion_independent() {
         let events = [
-            (t(2.0), EngineEvent::Arrival { user: UserId(3) }),
-            (t(1.0), EngineEvent::CallEnd { user: UserId(9), generation: 1 }),
-            (t(1.0), EngineEvent::Arrival { user: UserId(1) }),
-            (t(1.0), EngineEvent::CallEnd { user: UserId(2), generation: 0 }),
-            (t(1.0), EngineEvent::CallEnd { user: UserId(2), generation: 2 }),
+            (t(2.0), end(3, 0)),
+            (t(1.0), end(9, 1)),
+            (t(1.0), end(1, 4)),
+            (t(1.0), end(2, 0)),
+            (t(1.0), end(2, 2)),
         ];
         // Schedule in two different orders; pops must agree.
         let drain = |order: &[usize]| {
@@ -531,12 +371,9 @@ mod tests {
         let a = drain(&[0, 1, 2, 3, 4]);
         let b = drain(&[4, 2, 0, 3, 1]);
         assert_eq!(a, b);
-        // At t=1: call-ends (user 2 gen 0, user 2 gen 2, user 9) precede
-        // the arrival of user 1.
-        assert_eq!(a[0].1, EngineEvent::CallEnd { user: UserId(2), generation: 0 });
-        assert_eq!(a[1].1, EngineEvent::CallEnd { user: UserId(2), generation: 2 });
-        assert_eq!(a[2].1, EngineEvent::CallEnd { user: UserId(9), generation: 1 });
-        assert_eq!(a[3].1, EngineEvent::Arrival { user: UserId(1) });
+        // At t=1: by user, then by generation.
+        let order: Vec<EngineEvent> = a.iter().map(|&(_, e)| e).collect();
+        assert_eq!(order, vec![end(1, 4), end(2, 0), end(2, 2), end(9, 1), end(3, 0)]);
     }
 
     #[test]
@@ -545,12 +382,12 @@ mod tests {
         // must pop in content order against the sorted remainder, exactly
         // as a heap would have interleaved it.
         let mut q = EngineQueue::with_epoch(SimDuration::from_secs_f64(5.0));
-        q.schedule(t(1.0), EngineEvent::Arrival { user: UserId(0) });
-        q.schedule(t(4.0), EngineEvent::Arrival { user: UserId(1) });
+        q.schedule(t(1.0), end(0, 0));
+        q.schedule(t(4.0), end(1, 0));
         let first = q.pop().unwrap();
         assert_eq!(first.0, t(1.0));
         // Mid-drain: lands between the popped event and the remainder.
-        q.schedule(t(2.0), EngineEvent::CallEnd { user: UserId(0), generation: 0 });
+        q.schedule(t(2.0), end(2, 1));
         assert_eq!(q.peek_time(), Some(t(2.0)));
         assert_eq!(q.pop().unwrap().0, t(2.0));
         assert_eq!(q.pop().unwrap().0, t(4.0));
@@ -563,9 +400,9 @@ mod tests {
         // Far beyond the ring horizon (4096 × 5 s): overflow heap.
         let far = t(5.0 * 10_000.0);
         let farther = t(5.0 * 12_000.0);
-        q.schedule(farther, EngineEvent::Arrival { user: UserId(2) });
-        q.schedule(far, EngineEvent::Arrival { user: UserId(1) });
-        q.schedule(t(1.0), EngineEvent::Arrival { user: UserId(0) });
+        q.schedule(farther, end(2, 0));
+        q.schedule(far, end(1, 3));
+        q.schedule(t(1.0), end(0, 1));
         assert_eq!(q.len(), 3);
         let order: Vec<SimTime> = std::iter::from_fn(|| q.pop()).map(|(tm, _)| tm).collect();
         assert_eq!(order, vec![t(1.0), far, farther]);
@@ -575,9 +412,9 @@ mod tests {
     #[test]
     fn engine_queue_pop_within_respects_the_limit() {
         let mut q = EngineQueue::with_epoch(SimDuration::from_secs_f64(5.0));
-        q.schedule(t(3.0), EngineEvent::Arrival { user: UserId(0) });
-        q.schedule(t(5.0), EngineEvent::Arrival { user: UserId(1) });
-        q.schedule(t(5.1), EngineEvent::Arrival { user: UserId(2) });
+        q.schedule(t(3.0), end(0, 0));
+        q.schedule(t(5.0), end(1, 1));
+        q.schedule(t(5.1), end(2, 2));
         // Epoch 1 drains (0, 5]: the boundary event is included, the
         // next epoch's is not.
         assert_eq!(q.pop_within(t(5.0)).unwrap().0, t(3.0));
@@ -590,24 +427,11 @@ mod tests {
     #[test]
     fn engine_queue_tags_ride_along_without_affecting_order() {
         let mut q = EngineQueue::with_epoch(SimDuration::from_secs_f64(5.0));
-        q.schedule_tagged(t(2.0), EngineEvent::Arrival { user: UserId(7) }, 42);
-        q.schedule_tagged(t(1.0), EngineEvent::Arrival { user: UserId(9) }, 7);
+        q.schedule_tagged(t(2.0), end(7, 0), 42);
+        q.schedule_tagged(t(1.0), end(9, 1), 7);
         let (_, _, tag) = q.pop_within(t(10.0)).unwrap();
         assert_eq!(tag, 7);
         let (_, _, tag) = q.pop_within(t(10.0)).unwrap();
         assert_eq!(tag, 42);
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.schedule(t(4.0), Event::MovementTick);
-        q.schedule(t(2.0), Event::MovementTick);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(t(2.0)));
-        q.pop();
-        assert_eq!(q.len(), 1);
     }
 }

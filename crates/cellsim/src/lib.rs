@@ -14,10 +14,9 @@
 //! * [`mobility`] — walker / random-waypoint / Gauss–Markov models plus
 //!   the GPS observation (`(S, A, D)` triple) FLC1 consumes;
 //! * [`traffic`] — traffic mix, Poisson arrivals, holding times;
-//! * [`events`] — deterministic event queues (the legacy insertion-order
-//!   queue and the shard-independent engine queue);
+//! * [`events`] — the shard-independent, content-ordered event queue;
 //! * [`engine`] — the sharded deterministic simulation kernel (cells,
-//!   users, handoffs, epoch barriers); [`network`] is its compat facade;
+//!   users, handoffs, epoch barriers);
 //! * [`workload`] — declarative workload descriptions and the named
 //!   scenario catalog (hotspot, flash crowd, rush hour, …);
 //! * [`fuzz`] — seeded sampling of arbitrary valid workloads with
@@ -62,7 +61,6 @@ pub mod fuzz;
 pub mod geometry;
 pub mod metrics;
 pub mod mobility;
-pub mod network;
 pub mod rng;
 pub mod scenario;
 pub mod stats;
@@ -71,8 +69,8 @@ pub mod traffic;
 pub mod validate;
 pub mod workload;
 
-pub use engine::{MobilityKind, Simulation, SimulationConfig, UserSpec};
-pub use events::{EngineEvent, EngineQueue, Event, EventQueue, UserId};
+pub use engine::{MobilityKind, RunInput, Simulation, SimulationConfig, UserSpec};
+pub use events::{EngineEvent, EngineQueue, UserId};
 pub use fuzz::{
     case_complexity, complexity, shrink, shrink_candidates, ControllerSlot, FuzzCase,
     WorkloadFuzzer,
@@ -98,7 +96,7 @@ pub use workload::{
 
 /// Commonly used items, for glob import in applications and examples.
 pub mod prelude {
-    pub use crate::engine::{MobilityKind, Simulation, SimulationConfig, UserSpec};
+    pub use crate::engine::{MobilityKind, RunInput, Simulation, SimulationConfig, UserSpec};
     pub use crate::fuzz::{ControllerSlot, FuzzCase, WorkloadFuzzer};
     pub use crate::geometry::{HexGrid, Point};
     pub use crate::metrics::{CellLoadSeries, Metrics, MetricsSink, RegionRollupSink, Series};

@@ -22,9 +22,9 @@
 
 use facs_cac::{BandwidthUnits, BoxedController, ServiceProfileSet};
 
+use crate::engine::{RunInput, Simulation, SimulationConfig, UserSpec};
 use crate::geometry::HexGrid;
 use crate::metrics::{Metrics, Series};
-use crate::network::{Simulation, SimulationConfig, UserSpec};
 use crate::stats::Summary;
 use crate::traffic::{HoldingTimes, TrafficMix};
 use crate::workload::{Workload, WorkloadStream};
@@ -89,9 +89,11 @@ pub struct ScenarioConfig {
     pub replications: u32,
     /// Synthesize the workload through the chunked
     /// [`WorkloadStream`] instead of materializing every
-    /// [`UserSpec`] up front. Results are bit-identical either way (the
-    /// eager path is the stream drained in one chunk); streaming keeps
-    /// peak memory at O(active calls + one chunk) for planet-scale runs.
+    /// [`UserSpec`] up front (see [`ScenarioConfig::run_input`]). It
+    /// selects only how specs are synthesized: the kernel runs one
+    /// arrival path, and results are bit-identical either way;
+    /// streaming keeps peak memory at O(active calls + one chunk) for
+    /// planet-scale runs.
     pub streamed: bool,
 }
 
@@ -190,7 +192,6 @@ impl ScenarioConfig {
             seed: seed ^ 0x5EED_0001,
             shards: self.shards,
             workers: self.workers,
-            ..SimulationConfig::default()
         }
     }
 
@@ -199,17 +200,26 @@ impl ScenarioConfig {
     /// call set, large enough to amortize per-chunk dispatch.
     pub const STREAM_CHUNK: usize = 8192;
 
+    /// The workload for seed `seed` as the kernel consumes it — the one
+    /// place [`ScenarioConfig::streamed`] is read: a chunked
+    /// [`WorkloadStream`] when set, the eagerly generated specs
+    /// otherwise. Either input gives bit-identical results.
+    #[must_use]
+    pub fn run_input(&self, seed: u64) -> RunInput {
+        if self.streamed {
+            self.stream_workload(seed).into()
+        } else {
+            self.generate_workload(seed).into()
+        }
+    }
+
     /// Runs the scenario once with the given per-grid controller builder
     /// and returns the metrics.
     pub fn run_once(&self, seed: u64, build: &ControllerBuilder) -> Metrics {
         let grid = self.grid();
         let controllers = build(&grid);
         let mut sim = Simulation::new(grid, self.sim_config(seed), controllers);
-        if self.streamed {
-            sim.run_streamed(self.stream_workload(seed))
-        } else {
-            sim.run(self.generate_workload(seed))
-        }
+        sim.run(self.run_input(seed))
     }
 
     /// The per-replication RNG seeds, in replication order.

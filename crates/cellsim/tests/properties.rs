@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 use facs_cac::policies::GuardChannel;
 use facs_cac::{BandwidthUnits, BoxedController};
 use facs_cellsim::erlang::erlang_b;
-use facs_cellsim::events::{EngineEvent, EngineQueue, Event, EventQueue, UserId};
+use facs_cellsim::events::{EngineEvent, EngineQueue, UserId};
 use facs_cellsim::geometry::{HexCoord, HexGrid, Point};
 use facs_cellsim::mobility::{MobileState, MobilityModel, Walker};
 use facs_cellsim::rng::SimRng;
@@ -16,16 +16,14 @@ use proptest::prelude::*;
 
 /// Reference priority queue over the same content keys the calendar
 /// queue orders by.
-type ModelHeap = BinaryHeap<Reverse<(SimTime, (u8, u64, u32))>>;
+type ModelHeap = BinaryHeap<Reverse<(SimTime, (u64, u32))>>;
 
 /// The calendar queue's content-defined tie-break key, recomputed here
 /// so the reference model cannot drift from the production ordering
-/// contract (call-ends before arrivals, then user, then generation).
-fn engine_key(event: EngineEvent) -> (u8, u64, u32) {
-    match event {
-        EngineEvent::CallEnd { user, generation } => (0, user.0, generation),
-        EngineEvent::Arrival { user } => (1, user.0, 0),
-    }
+/// contract (user, then generation).
+fn engine_key(event: EngineEvent) -> (u64, u32) {
+    let EngineEvent::CallEnd { user, generation } = event;
+    (user.0, generation)
 }
 
 proptest! {
@@ -95,28 +93,6 @@ proptest! {
         prop_assume!(d > 1e-6);
         let stepped = from.step(from.bearing_to(to), d);
         prop_assert!(stepped.distance_to(to) < 1e-9 * (1.0 + d));
-    }
-
-    /// The event queue is a stable priority queue: pops are sorted by
-    /// time, ties in insertion order.
-    #[test]
-    fn event_queue_stable_order(times in prop::collection::vec(0u64..1000, 1..100)) {
-        let mut queue = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            queue.schedule(
-                SimTime::from_micros(t),
-                Event::Arrival { user: UserId(i as u64) },
-            );
-        }
-        let mut last: Option<(SimTime, u64)> = None;
-        while let Some((time, event)) = queue.pop() {
-            let Event::Arrival { user } = event else { unreachable!() };
-            if let Some((lt, lu)) = last {
-                prop_assert!(time > lt || (time == lt && user.0 > lu),
-                    "order violated: ({time}, {user}) after ({lt}, {lu})");
-            }
-            last = Some((time, user.0));
-        }
     }
 
     /// The walker conserves speed and moves at most speed × time.
@@ -190,11 +166,7 @@ proptest! {
                 // Ordinary near-term event.
                 _ => SimTime::from_micros(raw_us),
             };
-            let event = if user % 4 == 0 {
-                EngineEvent::Arrival { user: UserId(user) }
-            } else {
-                EngineEvent::CallEnd { user: UserId(user), generation: (user % 3) as u32 }
-            };
+            let event = EngineEvent::CallEnd { user: UserId(user), generation: (user % 3) as u32 };
             queue.schedule(time, event);
             model.push(Reverse((time, engine_key(event))));
         };
@@ -275,7 +247,7 @@ fn guard_controllers(grid_cells: usize) -> Vec<BoxedController> {
 /// The full-trace digest (every decision, reallocation, completion, and
 /// exit event) is bit-identical across 1–7 shards with the
 /// work-stealing pool driver enabled. Worker counts are forced
-/// explicitly because auto-sizing resolves to the sequential driver on
+/// explicitly because auto-sizing resolves to one inline worker on
 /// small CI hosts, which would leave the stealing path uncovered.
 #[test]
 fn trace_digests_identical_across_shards_and_stealing() {

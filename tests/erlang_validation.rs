@@ -7,8 +7,8 @@ use facs_cac::{BandwidthUnits, BoxedController, ServiceClass, ServiceProfile};
 use facs_cellsim::erlang::erlang_b;
 use facs_cellsim::geometry::{HexGrid, Point};
 use facs_cellsim::mobility::MobileState;
-use facs_cellsim::network::{MobilityKind, Simulation, SimulationConfig, UserSpec};
 use facs_cellsim::rng::SimRng;
+use facs_cellsim::{MobilityKind, Simulation, SimulationConfig, UserSpec};
 
 /// Builds a stationary single-class workload: Poisson arrivals at
 /// `rate_per_s` over `window_s`, exponential holding with mean

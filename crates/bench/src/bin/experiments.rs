@@ -424,10 +424,10 @@ fn main() {
 
     if run("predict") {
         ran_any = true;
-        // Keep the all-experiments sweep fast: the 7-scenario x 5-system
+        // Keep the all-experiments sweep fast: the 7-scenario x 3-system
         // grid honours --reps only when asked for explicitly.
         let predict_reps = if exp == "predict" { reps } else { 1 };
-        println!("== predict: forecast-fed and self-tuned admission across the catalog ==");
+        println!("== predict: forecast-fed admission across the catalog ==");
         println!("scenario,system,acceptance%,new_block%,handoff_drop%,handoffs");
         let rows = predict_comparison(predict_reps);
         for row in &rows {
@@ -442,7 +442,7 @@ fn main() {
             );
         }
         // The acceptance bar from the paper's future-work direction:
-        // forecast-fed or self-tuned FACS must cut handoff drops on the
+        // forecast-fed FACS must cut handoff drops on the
         // congestion-ramp scenarios without giving the win back as
         // extra new-call blocking (comparable = within 2 points).
         let mut gate_ok = true;
@@ -455,7 +455,7 @@ fn main() {
                 .iter()
                 .filter(|r| r.scenario == scenario && r.label.starts_with("FACS-"))
                 .min_by(|a, b| a.dropping_percentage().total_cmp(&b.dropping_percentage()))
-                .expect("at least one predictive/tuned row per scenario");
+                .expect("a predictive row per scenario");
             let drop_gain = facs.dropping_percentage() - best.dropping_percentage();
             let block_cost = best.blocking_percentage() - facs.blocking_percentage();
             let ok = drop_gain > 0.0 && block_cost <= 2.0;
@@ -471,7 +471,7 @@ fn main() {
             );
         }
         println!(
-            "predict gate {}: predictive/tuned FACS {} static FACS on the ramp scenarios",
+            "predict gate {}: predictive FACS {} static FACS on the ramp scenarios",
             if gate_ok { "PASSED" } else { "WARNING" },
             if gate_ok { "beats" } else { "did not beat" },
         );

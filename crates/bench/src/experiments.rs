@@ -6,13 +6,13 @@
 //! measured numbers against the paper's.
 
 use facs::{
-    FacsConfig, FacsController, FacsDegradeController, Flc1, Flc2, PredictiveFacsController,
-    TunedFacsController, FRB1, FRB2,
+    FacsConfig, FacsController, FacsDegradeController, Flc1, Flc2, PredictiveFacsController, FRB1,
+    FRB2,
 };
 use facs_cac::policies::CompleteSharing;
 use facs_cac::{
-    BoxedController, CallId, CallKind, CallRequest, CellSnapshot, EwmaHoltForecaster,
-    LoadForecaster, MobilityInfo, RecurrentForecaster, ServiceClass,
+    BoxedController, CallId, CallKind, CallRequest, CellSnapshot, EwmaHoltForecaster, MobilityInfo,
+    ServiceClass,
 };
 use facs_cellsim::prelude::*;
 use facs_cellsim::HexGrid;
@@ -56,22 +56,6 @@ pub fn predictive_ewma_builder(
     config: FacsConfig,
 ) -> impl Fn(&HexGrid) -> Vec<BoxedController> + Sync {
     let build = PredictiveFacsController::ewma_factory(config).expect("predictive FACS builds");
-    move |grid: &HexGrid| grid.cell_ids().map(|_| build()).collect()
-}
-
-/// Builds one predictive (recurrent-forecaster) FACS controller per grid
-/// cell.
-pub fn predictive_rnn_builder(
-    config: FacsConfig,
-) -> impl Fn(&HexGrid) -> Vec<BoxedController> + Sync {
-    let build =
-        PredictiveFacsController::recurrent_factory(config).expect("predictive FACS builds");
-    move |grid: &HexGrid| grid.cell_ids().map(|_| build()).collect()
-}
-
-/// Builds one online-tuned FACS controller per grid cell.
-pub fn tuned_facs_builder(config: FacsConfig) -> impl Fn(&HexGrid) -> Vec<BoxedController> + Sync {
-    let build = TunedFacsController::factory(config).expect("tuned FACS builds");
     move |grid: &HexGrid| grid.cell_ids().map(|_| build()).collect()
 }
 
@@ -401,7 +385,7 @@ pub fn elastic_comparison(replications: u32) -> Vec<ElasticRow> {
 pub struct PredictRow {
     /// Catalog scenario name.
     pub scenario: &'static str,
-    /// System label (`FACS`, `SCC`, `FACS-predict-*`, `FACS-tuned`).
+    /// System label (`FACS`, `SCC`, `FACS-predict-ewma`).
     pub label: &'static str,
     /// Counters aggregated over the replications.
     pub metrics: Metrics,
@@ -421,14 +405,13 @@ impl PredictRow {
     }
 }
 
-/// Compares static FACS, SCC, both predictive FACS variants and the
-/// online-tuned FACS across the whole scenario catalog — the
-/// EXPERIMENTS.md `predict` table. The acceptance bar: on the
-/// congestion-ramp scenarios (`flash-crowd`, `rush-hour`) the predictive
-/// or tuned controller must show a lower handoff-drop probability than
-/// static FACS at comparable new-call blocking.
+/// Compares static FACS, SCC and predictive FACS across the whole
+/// scenario catalog — the EXPERIMENTS.md `predict` table. The
+/// acceptance bar: on the congestion-ramp scenarios (`flash-crowd`,
+/// `rush-hour`) the predictive controller must show a lower handoff-drop
+/// probability than static FACS at comparable new-call blocking.
 ///
-/// All FACS variants run on compiled FLC1 surfaces; SCC is pinned to one
+/// Both FACS variants run on compiled FLC1 surfaces; SCC is pinned to one
 /// shard because its cluster-wide shadow board is not cell-local.
 #[must_use]
 pub fn predict_comparison(replications: u32) -> Vec<PredictRow> {
@@ -436,8 +419,6 @@ pub fn predict_comparison(replications: u32) -> Vec<PredictRow> {
         ("FACS", true, Box::new(facs_builder(FacsConfig::compiled()))),
         ("SCC", false, Box::new(scc_builder(SccConfig::default()))),
         ("FACS-predict-ewma", true, Box::new(predictive_ewma_builder(FacsConfig::compiled()))),
-        ("FACS-predict-rnn", true, Box::new(predictive_rnn_builder(FacsConfig::compiled()))),
-        ("FACS-tuned", true, Box::new(tuned_facs_builder(FacsConfig::compiled()))),
     ];
     let mut rows = Vec::new();
     for entry in facs_cellsim::catalog() {
@@ -458,7 +439,7 @@ pub fn predict_comparison(replications: u32) -> Vec<PredictRow> {
 /// [`forecast_accuracy`]).
 #[derive(Debug, Clone)]
 pub struct MaeRow {
-    /// Forecaster label (`naive`, `ewma`, `holt`, `rnn`).
+    /// Forecaster label (`naive`, `ewma`, `holt`).
     pub forecaster: &'static str,
     /// Look-ahead, in epoch samples.
     pub horizon_epochs: u32,
@@ -494,19 +475,18 @@ pub fn forecast_accuracy(scenario_name: &str, horizons: &[u32]) -> Vec<MaeRow> {
 
     let mut rows = Vec::new();
     for &h in horizons {
-        let mut acc: [(&'static str, f64, u64); 4] =
-            [("naive", 0.0, 0), ("ewma", 0.0, 0), ("holt", 0.0, 0), ("rnn", 0.0, 0)];
+        let mut acc: [(&'static str, f64, u64); 3] =
+            [("naive", 0.0, 0), ("ewma", 0.0, 0), ("holt", 0.0, 0)];
         for &cell in &cells {
             let samples = series.samples(cell);
             if samples.len() <= h as usize {
                 continue;
             }
             // Fresh forecasters per cell: accuracy is a per-cell skill.
-            let mut forecasters: [Box<dyn LoadForecaster>; 4] = [
-                Box::new(EwmaHoltForecaster::new(1.0, 0.0)),
-                Box::new(EwmaHoltForecaster::ewma(0.4)),
-                Box::new(EwmaHoltForecaster::default_profile()),
-                Box::new(RecurrentForecaster::default_profile(capacity)),
+            let mut forecasters = [
+                EwmaHoltForecaster::new(1.0, 0.0),
+                EwmaHoltForecaster::ewma(0.4),
+                EwmaHoltForecaster::default_profile(),
             ];
             for (i, &(t, x)) in samples.iter().enumerate() {
                 for f in &mut forecasters {

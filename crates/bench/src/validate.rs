@@ -26,15 +26,14 @@
 //!   runs it over N fuzzed scenarios and shrinks any failure to a
 //!   minimal reproducer (see [`facs_cellsim::fuzz`]).
 
-use facs::{FacsConfig, FacsController, FacsEvaluation, TunedFacsController};
+use facs::{FacsConfig, FacsController};
 use facs_cac::{BandwidthUnits, CallId, CallKind, CallRequest, CellSnapshot};
 use facs_cellsim::prelude::*;
 use facs_cellsim::{catalog, ControllerSlot, FuzzCase, InvariantSink, TraceDigest};
 use facs_scc::SccConfig;
 
 use crate::experiments::{
-    cs_builder, facs_builder, facs_degrade_builder, predictive_ewma_builder,
-    predictive_rnn_builder, scc_builder, tuned_facs_builder,
+    cs_builder, facs_builder, facs_degrade_builder, predictive_ewma_builder, scc_builder,
 };
 
 /// The golden-file schema version. Bump it whenever the digest
@@ -57,18 +56,12 @@ pub fn golden_variants() -> Vec<(&'static str, Box<ControllerBuilder>)> {
         ("facs-degrade", Box::new(facs_degrade_builder(FacsConfig::default()))),
         ("complete-sharing", Box::new(cs_builder())),
         ("scc", Box::new(scc_builder(SccConfig::default()))),
-        // Predictive/tuned variants, appended behind the original five
-        // so existing baseline digests stay byte-comparable (same
+        // Predictive variants, appended behind the original five so
+        // existing baseline digests stay byte-comparable (same
         // GOLDEN_SCHEMA; golden_diff flags the new names as "re-bless"
-        // on baselines that predate them). For the tuned variants the
-        // "compiled" backend applies to FLC1 only — the weighted FLC2
-        // always runs exact inference.
+        // on baselines that predate them).
         ("facs-predict-ewma", Box::new(predictive_ewma_builder(FacsConfig::default()))),
         ("facs-predict-ewma-compiled", Box::new(predictive_ewma_builder(FacsConfig::compiled()))),
-        ("facs-predict-rnn", Box::new(predictive_rnn_builder(FacsConfig::default()))),
-        ("facs-predict-rnn-compiled", Box::new(predictive_rnn_builder(FacsConfig::compiled()))),
-        ("facs-tuned", Box::new(tuned_facs_builder(FacsConfig::default()))),
-        ("facs-tuned-compiled", Box::new(tuned_facs_builder(FacsConfig::compiled()))),
     ]
 }
 
@@ -338,25 +331,10 @@ pub struct BackendPair {
     pub compiled: FacsConfig,
     exact_builder: Box<ControllerBuilder>,
     compiled_builder: Box<ControllerBuilder>,
-    exact_eval: AuditEvaluator,
-    compiled_eval: AuditEvaluator,
-}
-
-/// A stateless single-decision scorer the open-loop audit replays —
-/// built per [`ControllerSlot`] so the audited surface is exactly the
-/// one the variant under test runs on (the tuned variant keeps FLC2 on
-/// the exact backend even in its "compiled" configuration, so auditing
-/// it against a fully compiled cascade would over-attribute error).
-type AuditEvaluator = Box<dyn Fn(&CallRequest, &CellSnapshot) -> FacsEvaluation + Sync>;
-
-fn facs_evaluator(config: FacsConfig) -> AuditEvaluator {
-    let controller = FacsController::with_config(config).expect("FACS builds");
-    Box::new(move |request, cell| controller.evaluate(request, cell))
-}
-
-fn tuned_evaluator(config: FacsConfig) -> AuditEvaluator {
-    let controller = TunedFacsController::with_config(config).expect("tuned FACS builds");
-    Box::new(move |request, cell| controller.evaluate(request, cell))
+    /// The stateless single-decision cascades the open-loop audit
+    /// replays, one per backend.
+    exact_eval: FacsController,
+    compiled_eval: FacsController,
 }
 
 impl std::fmt::Debug for BackendPair {
@@ -377,46 +355,28 @@ impl BackendPair {
             compiled,
             exact_builder: Box::new(facs_builder(exact)),
             compiled_builder: Box::new(facs_builder(compiled)),
-            exact_eval: facs_evaluator(exact),
-            compiled_eval: facs_evaluator(compiled),
+            exact_eval: FacsController::with_config(exact).expect("FACS builds"),
+            compiled_eval: FacsController::with_config(compiled).expect("FACS builds"),
         }
     }
 
     /// Builds the pair for one fuzzed controller family: the default
     /// exact/compiled FACS configurations, wrapped in that family's
     /// controller. The open-loop [`audit_backend_divergence`] replays
-    /// each family's own single-decision surface: the plain reactive
-    /// cascade for the baseline and predictive variants (the predictive
-    /// gate only swaps the occupancy fed in, so their per-decision
-    /// divergence is the cascade's), and the tuned cascade — whose FLC2
-    /// stays on the exact backend by construction — for the tuned
-    /// variant.
+    /// the plain reactive cascade for both families: the predictive gate
+    /// only swaps the occupancy fed in, so its per-decision divergence
+    /// is the cascade's.
     #[must_use]
     pub fn for_slot(slot: ControllerSlot) -> Self {
         let (exact, compiled) = (FacsConfig::default(), FacsConfig::compiled());
-        let (exact_builder, compiled_builder): (Box<ControllerBuilder>, Box<ControllerBuilder>) =
-            match slot {
-                ControllerSlot::Baseline => {
-                    (Box::new(facs_builder(exact)), Box::new(facs_builder(compiled)))
-                }
-                ControllerSlot::PredictEwma => (
-                    Box::new(predictive_ewma_builder(exact)),
-                    Box::new(predictive_ewma_builder(compiled)),
-                ),
-                ControllerSlot::PredictRnn => (
-                    Box::new(predictive_rnn_builder(exact)),
-                    Box::new(predictive_rnn_builder(compiled)),
-                ),
-                ControllerSlot::Tuned => {
-                    (Box::new(tuned_facs_builder(exact)), Box::new(tuned_facs_builder(compiled)))
-                }
-            };
-        let (exact_eval, compiled_eval) = if slot == ControllerSlot::Tuned {
-            (tuned_evaluator(exact), tuned_evaluator(compiled))
-        } else {
-            (facs_evaluator(exact), facs_evaluator(compiled))
-        };
-        Self { exact, compiled, exact_builder, compiled_builder, exact_eval, compiled_eval }
+        match slot {
+            ControllerSlot::Baseline => Self::new(exact, compiled),
+            ControllerSlot::PredictEwma => Self {
+                exact_builder: Box::new(predictive_ewma_builder(exact)),
+                compiled_builder: Box::new(predictive_ewma_builder(compiled)),
+                ..Self::new(exact, compiled)
+            },
+        }
     }
 }
 
@@ -462,8 +422,8 @@ pub fn audit_backend_divergence(
                     BandwidthUnits::new(config.capacity_bu),
                     BandwidthUnits::new(occupied.min(config.capacity_bu)),
                 );
-                let e = (pair.exact_eval)(&request, &snapshot);
-                let c = (pair.compiled_eval)(&request, &snapshot);
+                let e = pair.exact_eval.evaluate(&request, &snapshot);
+                let c = pair.compiled_eval.evaluate(&request, &snapshot);
                 samples += 1;
                 if (e.score > threshold) != (c.score > threshold) {
                     flips += 1;
@@ -631,8 +591,6 @@ pub fn run_validation(
     let pairs = [
         (ControllerSlot::Baseline, BackendPair::for_slot(ControllerSlot::Baseline)),
         (ControllerSlot::PredictEwma, BackendPair::for_slot(ControllerSlot::PredictEwma)),
-        (ControllerSlot::PredictRnn, BackendPair::for_slot(ControllerSlot::PredictRnn)),
-        (ControllerSlot::Tuned, BackendPair::for_slot(ControllerSlot::Tuned)),
     ];
     let pair_for = |slot: ControllerSlot| {
         &pairs.iter().find(|(s, _)| *s == slot).expect("every slot has a pair").1

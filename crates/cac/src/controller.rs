@@ -66,6 +66,55 @@ impl AdmissionPlan {
             | AdmissionPlan::Reject(d) => *d,
         }
     }
+
+    /// Applies the plan to `ledger` for `request` — the one admission
+    /// routine the simulator shard and the distributed actor share.
+    ///
+    /// An admitting plan is written atomically (`allocate` at nominal,
+    /// or `admit_with_plan` with its squeezes); on success `controller`
+    /// is told via [`on_admitted`](AdmissionController::on_admitted).
+    /// A rejecting plan, or one the ledger can no longer honor (the
+    /// allocation stopped fitting, a squeeze went stale), returns `None`
+    /// and leaves both the ledger and the controller untouched.
+    pub fn apply<C: AdmissionController + ?Sized>(
+        self,
+        request: &CallRequest,
+        ledger: &mut BandwidthLedger,
+        controller: &mut C,
+    ) -> Option<Admission> {
+        let admission = match self {
+            AdmissionPlan::Reject(_) => return None,
+            AdmissionPlan::Admit(_) => {
+                ledger.allocate(request.id, request.profile).ok()?;
+                Admission { granted: request.profile.rb_cost_nominal, squeezed: Vec::new() }
+            }
+            AdmissionPlan::AdmitDegraded { squeezes, grant, .. } => {
+                ledger.admit_with_plan(request.id, request.profile, grant, &squeezes).ok()?;
+                let squeezed = squeezes
+                    .iter()
+                    .map(|s| {
+                        let floor = ledger
+                            .profile_of(s.call)
+                            .map_or(BandwidthUnits::ZERO, |p| p.rb_cost_min);
+                        (s.call, s.to, floor)
+                    })
+                    .collect();
+                Admission { granted: grant, squeezed }
+            }
+        };
+        controller.on_admitted(request, &ledger.snapshot());
+        Some(admission)
+    }
+}
+
+/// An admission the ledger honored (see [`AdmissionPlan::apply`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Admission {
+    /// Bandwidth granted to the entering call.
+    pub granted: BandwidthUnits,
+    /// `(call, new allocation, QoS floor)` for every existing call the
+    /// plan squeezed to make room, in plan order.
+    pub squeezed: Vec<(CallId, BandwidthUnits, BandwidthUnits)>,
 }
 
 /// A call admission control policy for one cell.
@@ -298,6 +347,81 @@ mod tests {
         m.on_admitted(&request(), &cell.snapshot());
         m.on_released(CallId(1), ServiceClass::Text, &cell.snapshot());
         assert!(!m.decide(&request(), &cell).admits());
+    }
+
+    fn counting() -> CountingController {
+        CountingController { admitted: 0, released: 0, observed: 0 }
+    }
+
+    #[test]
+    fn apply_admit_allocates_nominal_and_notifies() {
+        let mut ledger = empty_cell();
+        let mut controller = counting();
+        let request = request();
+        let admission = AdmissionPlan::gate(Decision::binary(true))
+            .apply(&request, &mut ledger, &mut controller)
+            .expect("an empty cell honors the plan");
+        assert_eq!(admission.granted, request.profile.rb_cost_nominal);
+        assert!(admission.squeezed.is_empty());
+        assert_eq!(ledger.allocated_to(request.id), Some(request.profile.rb_cost_nominal));
+        assert_eq!(controller.admitted, 1);
+        // The same call again: the ledger refuses, nothing is notified.
+        assert!(AdmissionPlan::gate(Decision::binary(true))
+            .apply(&request, &mut ledger, &mut controller)
+            .is_none());
+        assert_eq!(controller.admitted, 1);
+    }
+
+    #[test]
+    fn apply_degraded_squeezes_and_reports_floors() {
+        let mut ledger = empty_cell();
+        let elastic = ServiceProfile::elastic(
+            ServiceClass::Video,
+            BandwidthUnits::new(20),
+            0.5,
+            ServiceProfile::DEFAULT_MEAN_DURATION_S,
+        );
+        ledger.allocate(CallId(10), elastic).unwrap();
+        ledger
+            .allocate(
+                CallId(11),
+                ServiceProfile::fixed(ServiceClass::Text, BandwidthUnits::new(18)),
+            )
+            .unwrap();
+        let mut controller = counting();
+        let request = CallRequest::new(
+            CallId(1),
+            ServiceClass::Voice,
+            CallKind::New,
+            MobilityInfo::stationary(),
+        );
+        // 2 BU free; the 5-BU voice call needs 3 squeezed out of video.
+        let squeezes = ledger.degradation_squeezes(request.demand()).unwrap();
+        let plan = AdmissionPlan::AdmitDegraded {
+            decision: Decision::binary(true),
+            squeezes,
+            grant: request.profile.rb_cost_nominal,
+        };
+        let admission = plan.apply(&request, &mut ledger, &mut controller).unwrap();
+        assert_eq!(admission.granted, request.profile.rb_cost_nominal);
+        assert_eq!(
+            admission.squeezed,
+            vec![(CallId(10), BandwidthUnits::new(17), BandwidthUnits::new(10))]
+        );
+        assert_eq!(ledger.occupied().get(), 40);
+        assert_eq!(controller.admitted, 1);
+    }
+
+    #[test]
+    fn apply_reject_leaves_ledger_and_controller_untouched() {
+        let mut ledger = empty_cell();
+        ledger.allocate(CallId(9), ServiceProfile::paper(ServiceClass::Video)).unwrap();
+        let before = ledger.clone();
+        let mut controller = counting();
+        let plan = AdmissionPlan::gate(Decision::binary(false));
+        assert!(plan.apply(&request(), &mut ledger, &mut controller).is_none());
+        assert_eq!(ledger, before);
+        assert_eq!(controller.admitted, 0);
     }
 
     #[test]

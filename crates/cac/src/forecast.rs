@@ -1,47 +1,16 @@
 //! Per-cell load forecasting for predictive admission control.
 //!
-//! The related work replaces reactive CAC with prediction: an RNN-based
-//! controller forecasts per-class load (arXiv:1004.3563) and an
-//! intelligent decision mechanism conditions admission on predicted
-//! network state (arXiv:1004.4444). This module provides the substrate:
-//! a [`LoadForecaster`] fed one occupancy sample per epoch from the
-//! [`observe`](crate::AdmissionController::observe) hook, answering
-//! "where will this cell's load be `h` seconds from now?".
+//! An intelligent decision mechanism that conditions admission on
+//! predicted network state (arXiv:1004.4444) needs an answer to "where
+//! will this cell's load be `h` seconds from now?". This module provides
+//! it: an [`EwmaHoltForecaster`] fed one occupancy sample per epoch from
+//! the [`observe`](crate::AdmissionController::observe) hook, plus the
+//! [`InterarrivalEstimator`] that sets the look-ahead horizon.
 //!
-//! Two implementations ship:
-//!
-//! * [`EwmaHoltForecaster`] — exponentially weighted level + Holt linear
-//!   trend, the classical double-smoothing baseline;
-//! * [`RecurrentForecaster`] — a small Elman-style recurrent network
-//!   (single `tanh` hidden layer) trained online by one-step truncated
-//!   backpropagation, pure `f64`, no external dependencies.
-//!
-//! Both are **deterministic given the sample stream**: no wall-clock, no
-//! global entropy (the recurrent net's initial weights come from a fixed
-//! seeded xorshift), every update a fixed sequence of float ops. A
-//! forecaster owned by a cell-local controller therefore preserves the
-//! kernel's bit-reproducibility across shard counts.
-
-/// A streaming one-dimensional load forecaster.
-///
-/// Samples arrive in strictly increasing time order at a roughly uniform
-/// cadence (the simulation's movement tick). Implementations must be
-/// deterministic: identical sample streams yield bit-identical forecasts.
-pub trait LoadForecaster: std::fmt::Debug + Send {
-    /// Short model name (e.g. `"ewma"`, `"rnn"`).
-    fn name(&self) -> &'static str;
-
-    /// Feeds one occupancy sample (in BU) observed at `now_s` seconds.
-    fn observe(&mut self, now_s: f64, occupied_bu: f64);
-
-    /// Predicted occupancy (BU, `>= 0`) `horizon_s` seconds past the
-    /// last sample. Before any sample arrives the forecast is 0; with
-    /// few samples implementations fall back toward the last value.
-    fn forecast(&self, horizon_s: f64) -> f64;
-
-    /// Number of samples consumed so far.
-    fn samples(&self) -> u64;
-}
+//! The forecaster is **deterministic given the sample stream**: no
+//! wall-clock, no global entropy, every update a fixed sequence of float
+//! ops. A forecaster owned by a cell-local controller therefore preserves
+//! the kernel's bit-reproducibility across shard counts.
 
 /// EWMA level + Holt linear-trend forecaster.
 ///
@@ -106,18 +75,11 @@ impl EwmaHoltForecaster {
     pub fn trend(&self) -> f64 {
         self.trend
     }
-}
 
-impl LoadForecaster for EwmaHoltForecaster {
-    fn name(&self) -> &'static str {
-        if self.beta == 0.0 {
-            "ewma"
-        } else {
-            "holt"
-        }
-    }
-
-    fn observe(&mut self, now_s: f64, occupied_bu: f64) {
+    /// Feeds one occupancy sample (in BU) observed at `now_s` seconds.
+    /// Samples arrive in increasing time order; non-finite samples are
+    /// ignored.
+    pub fn observe(&mut self, now_s: f64, occupied_bu: f64) {
         if !occupied_bu.is_finite() || !now_s.is_finite() {
             return;
         }
@@ -136,224 +98,16 @@ impl LoadForecaster for EwmaHoltForecaster {
         self.samples += 1;
     }
 
-    fn forecast(&self, horizon_s: f64) -> f64 {
+    /// Predicted occupancy (BU, `>= 0`) `horizon_s` seconds past the
+    /// last sample; 0 before any sample arrives.
+    #[must_use]
+    pub fn forecast(&self, horizon_s: f64) -> f64 {
         (self.level + self.trend * horizon_s.max(0.0)).max(0.0)
     }
 
-    fn samples(&self) -> u64 {
-        self.samples
-    }
-}
-
-/// Hidden-layer width of the recurrent forecaster. Small on purpose: the
-/// model runs once per cell per epoch and must cost microseconds.
-const HIDDEN: usize = 8;
-/// Inputs: normalized occupancy, its one-step delta, and a constant bias.
-const INPUTS: usize = 3;
-/// Gradient clip bound — keeps online SGD stable on bursty load without
-/// any data-dependent branching.
-const GRAD_CLIP: f64 = 1.0;
-/// Multi-step forecasts iterate the network at most this many steps.
-const MAX_ROLLOUT: usize = 32;
-
-/// A small Elman-style recurrent forecaster trained online.
-///
-/// State: `h_t = tanh(Wx · u_t + Wh · h_{t-1})` with
-/// `u_t = [x_t / scale, (x_t - x_{t-1}) / scale, 1]`; the one-step
-/// prediction is `ŷ_t = wo · h_t + b`. On each new sample the previous
-/// prediction's squared error is backpropagated one step (truncated
-/// BPTT: `h_{t-1}` is treated as a constant), with a fixed learning
-/// rate and per-parameter gradient clipping.
-///
-/// Multi-step forecasts ([`LoadForecaster::forecast`]) roll the network
-/// forward on its own predictions at the observed sample cadence.
-///
-/// Everything is plain `f64` arithmetic in a fixed order, and the
-/// initial weights come from a seeded xorshift — the model is
-/// bit-deterministic given the sample stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecurrentForecaster {
-    /// Input → hidden weights, `[hidden][input]`.
-    wx: [[f64; INPUTS]; HIDDEN],
-    /// Hidden → hidden recurrent weights, `[hidden][hidden]`.
-    wh: [[f64; HIDDEN]; HIDDEN],
-    /// Hidden → output weights.
-    wo: [f64; HIDDEN],
-    /// Output bias.
-    bo: f64,
-    /// Current hidden state.
-    h: [f64; HIDDEN],
-    /// Hidden state one step back (for the truncated BPTT update).
-    h_prev: [f64; HIDDEN],
-    /// Input vector that produced `h`.
-    u: [f64; INPUTS],
-    /// Prediction made from `h` (normalized), scored on the next sample.
-    pending: f64,
-    /// Normalization scale (the cell capacity in BU).
-    scale: f64,
-    /// Learning rate.
-    eta: f64,
-    last_x: f64,
-    last_t: f64,
-    /// Running mean sample spacing, for horizon → step conversion.
-    mean_dt: f64,
-    samples: u64,
-}
-
-impl RecurrentForecaster {
-    /// Creates a forecaster normalizing occupancy by `scale_bu`
-    /// (typically the cell capacity) with learning rate `eta`.
+    /// Number of samples consumed so far.
     #[must_use]
-    pub fn new(scale_bu: f64, eta: f64) -> Self {
-        // Fixed-seed xorshift64* for the initial weights: deterministic,
-        // and identical across every cell so cloned prototypes agree.
-        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut small = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let mantissa = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64;
-            // Uniform in [-0.25, 0.25].
-            (mantissa / (1u64 << 53) as f64) * 0.5 - 0.25
-        };
-        let mut wx = [[0.0; INPUTS]; HIDDEN];
-        for row in &mut wx {
-            for w in row.iter_mut() {
-                *w = small();
-            }
-        }
-        let mut wh = [[0.0; HIDDEN]; HIDDEN];
-        for row in &mut wh {
-            for w in row.iter_mut() {
-                *w = small();
-            }
-        }
-        let mut wo = [0.0; HIDDEN];
-        for w in &mut wo {
-            *w = small();
-        }
-        Self {
-            wx,
-            wh,
-            wo,
-            bo: 0.0,
-            h: [0.0; HIDDEN],
-            h_prev: [0.0; HIDDEN],
-            u: [0.0; INPUTS],
-            pending: 0.0,
-            scale: scale_bu.max(1.0),
-            eta: eta.max(0.0),
-            last_x: 0.0,
-            last_t: 0.0,
-            mean_dt: 0.0,
-            samples: 0,
-        }
-    }
-
-    /// The defaults used by the predictive FACS controller.
-    #[must_use]
-    pub fn default_profile(scale_bu: f64) -> Self {
-        Self::new(scale_bu, 0.05)
-    }
-
-    /// One forward step from hidden state `h` and input `u`; returns the
-    /// new hidden state and the normalized prediction.
-    fn step(&self, h: &[f64; HIDDEN], u: &[f64; INPUTS]) -> ([f64; HIDDEN], f64) {
-        let mut next = [0.0; HIDDEN];
-        for (i, ni) in next.iter_mut().enumerate() {
-            let mut z = 0.0;
-            for (j, &uj) in u.iter().enumerate() {
-                z += self.wx[i][j] * uj;
-            }
-            for (j, &hj) in h.iter().enumerate() {
-                z += self.wh[i][j] * hj;
-            }
-            *ni = z.tanh();
-        }
-        let mut y = self.bo;
-        for (&wi, &ni) in self.wo.iter().zip(&next) {
-            y += wi * ni;
-        }
-        (next, y)
-    }
-
-    /// Backpropagates the pending prediction's error against the
-    /// realized normalized sample `target`, one step deep.
-    fn learn(&mut self, target: f64) {
-        let clip = |g: f64| g.clamp(-GRAD_CLIP, GRAD_CLIP);
-        // d(0.5 e^2)/dy = e
-        let e = clip(self.pending - target);
-        // Output layer.
-        let h = self.h;
-        for (wi, &hi) in self.wo.iter_mut().zip(&h) {
-            *wi -= self.eta * clip(e * hi);
-        }
-        self.bo -= self.eta * clip(e);
-        // Hidden layer through tanh', holding h_prev constant
-        // (truncated BPTT depth 1).
-        for (i, &hi) in h.iter().enumerate() {
-            let dzi = clip(e * self.wo[i] * (1.0 - hi * hi));
-            for (wij, &uj) in self.wx[i].iter_mut().zip(&self.u) {
-                *wij -= self.eta * clip(dzi * uj);
-            }
-            for (wij, &hj) in self.wh[i].iter_mut().zip(&self.h_prev) {
-                *wij -= self.eta * clip(dzi * hj);
-            }
-        }
-    }
-}
-
-impl LoadForecaster for RecurrentForecaster {
-    fn name(&self) -> &'static str {
-        "rnn"
-    }
-
-    fn observe(&mut self, now_s: f64, occupied_bu: f64) {
-        if !occupied_bu.is_finite() || !now_s.is_finite() {
-            return;
-        }
-        let x = occupied_bu / self.scale;
-        if self.samples > 0 {
-            self.learn(x);
-            let dt = (now_s - self.last_t).max(0.0);
-            // Running mean cadence (exact incremental mean).
-            self.mean_dt += (dt - self.mean_dt) / self.samples as f64;
-        }
-        let u = [x, x - self.last_x, 1.0];
-        let (h_next, y) = self.step(&self.h, &u);
-        self.h_prev = self.h;
-        self.h = h_next;
-        self.u = u;
-        self.pending = y;
-        self.last_x = x;
-        self.last_t = now_s;
-        self.samples += 1;
-    }
-
-    fn forecast(&self, horizon_s: f64) -> f64 {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        let step_s = if self.mean_dt > 0.0 { self.mean_dt } else { 1.0 };
-        let steps = (horizon_s.max(0.0) / step_s).round() as usize;
-        let steps = steps.clamp(1, MAX_ROLLOUT);
-        // The first step's prediction is already pending; further steps
-        // roll the network on its own (clamped) output.
-        let mut h = self.h;
-        let mut x = self.last_x;
-        let mut y = self.pending;
-        for _ in 1..steps {
-            let next_x = y.clamp(0.0, 1.5);
-            let u = [next_x, next_x - x, 1.0];
-            let (h_next, y_next) = self.step(&h, &u);
-            h = h_next;
-            x = next_x;
-            y = y_next;
-        }
-        (y * self.scale).max(0.0)
-    }
-
-    fn samples(&self) -> u64 {
+    pub fn samples(&self) -> u64 {
         self.samples
     }
 }
@@ -480,11 +234,6 @@ mod tests {
             f.observe(f64::from(i), (40.0 - 10.0 * f64::from(i)).max(0.0));
         }
         assert!(f.forecast(50.0) >= 0.0);
-        let mut r = RecurrentForecaster::default_profile(40.0);
-        for i in 0..20 {
-            r.observe(f64::from(i), 0.0);
-        }
-        assert!(r.forecast(10.0) >= 0.0);
     }
 
     #[test]
@@ -495,60 +244,11 @@ mod tests {
         f.observe(f64::INFINITY, 20.0);
         assert_eq!(f.samples(), 1);
         assert_eq!(f.level(), 10.0);
-        let mut r = RecurrentForecaster::default_profile(40.0);
-        r.observe(0.0, f64::NAN);
-        assert_eq!(r.samples(), 0);
-    }
-
-    #[test]
-    fn recurrent_model_learns_a_periodic_load() {
-        // A period-2 square wave: the naive last-value forecast is
-        // always wrong by the full swing (MAE 30); a converged model
-        // must learn the alternation from the input alone.
-        let mut f = RecurrentForecaster::default_profile(40.0);
-        let wave = |i: u64| if i % 2 == 0 { 5.0 } else { 35.0 };
-        for i in 0..1500u64 {
-            f.observe(i as f64 * 5.0, wave(i));
-        }
-        // Score one-step forecasts over a held-out tail.
-        let mut model_mae = 0.0;
-        let mut naive_mae = 0.0;
-        let mut n = 0.0;
-        for i in 1500..1700u64 {
-            let truth = wave(i);
-            model_mae += (f.forecast(5.0) - truth).abs();
-            naive_mae += (wave(i - 1) - truth).abs();
-            n += 1.0;
-            f.observe(i as f64 * 5.0, truth);
-        }
-        model_mae /= n;
-        naive_mae /= n;
-        assert!((naive_mae - 30.0).abs() < 1e-9);
-        assert!(
-            model_mae < 10.0,
-            "converged model MAE {model_mae} should be far below naive {naive_mae}"
-        );
-    }
-
-    #[test]
-    fn recurrent_model_is_deterministic() {
-        let run = || {
-            let mut f = RecurrentForecaster::default_profile(40.0);
-            for i in 0..500u64 {
-                let x = 20.0 + 15.0 * (i as f64 * 0.37).sin();
-                f.observe(i as f64 * 5.0, x);
-            }
-            (f.forecast(5.0), f.forecast(20.0))
-        };
-        let (a1, a2) = run();
-        let (b1, b2) = run();
-        assert_eq!(a1.to_bits(), b1.to_bits());
-        assert_eq!(a2.to_bits(), b2.to_bits());
     }
 
     #[test]
     fn cloned_forecasters_evolve_identically() {
-        let mut a = RecurrentForecaster::default_profile(40.0);
+        let mut a = EwmaHoltForecaster::default_profile();
         for i in 0..50u64 {
             a.observe(i as f64, (i % 7) as f64);
         }
@@ -576,20 +276,5 @@ mod tests {
         est.advance(40.0);
         assert_eq!(est.events(), 4);
         assert!((est.mean_interarrival_s() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forecaster_trait_objects_work() {
-        let mut boxed: Vec<Box<dyn LoadForecaster>> = vec![
-            Box::new(EwmaHoltForecaster::default_profile()),
-            Box::new(RecurrentForecaster::default_profile(40.0)),
-        ];
-        for f in &mut boxed {
-            for i in 0..10u64 {
-                f.observe(i as f64 * 5.0, 12.0);
-            }
-            assert_eq!(f.samples(), 10);
-            assert!(f.forecast(5.0).is_finite());
-        }
     }
 }

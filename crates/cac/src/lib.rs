@@ -3,9 +3,9 @@
 //! This crate is the shared vocabulary of the FACS reproduction: bandwidth
 //! units and ledgers, traffic classes, admission requests, soft decisions,
 //! the [`AdmissionController`] trait every policy implements, and the
-//! classical baseline policies the paper's related-work section surveys
-//! (Complete Sharing, Guard Channel, Fractional Guard Channel,
-//! Multi-Priority Threshold).
+//! two classical baseline policies the paper's related-work section
+//! surveys (Complete Sharing, Guard Channel), and the EWMA/Holt load
+//! forecaster behind predictive admission.
 //!
 //! The FACS controller itself lives in the `facs` crate; the Shadow
 //! Cluster Concept baseline in `facs-scc`; the simulator driving them in
@@ -57,11 +57,11 @@ pub mod policies;
 pub mod traffic;
 pub mod units;
 
-pub use controller::{AdmissionController, AdmissionPlan, BoxedController, ControllerFactory};
-pub use decision::{Decision, Verdict};
-pub use forecast::{
-    EwmaHoltForecaster, InterarrivalEstimator, LoadForecaster, RecurrentForecaster,
+pub use controller::{
+    Admission, AdmissionController, AdmissionPlan, BoxedController, ControllerFactory,
 };
+pub use decision::{Decision, Verdict};
+pub use forecast::{EwmaHoltForecaster, InterarrivalEstimator};
 pub use ledger::{Allocation, BandwidthLedger, CellSnapshot, LedgerError, Reallocation};
 pub use traffic::{
     normalize_angle, CallId, CallKind, CallRequest, CellId, ClassCounts, MobilityInfo,
@@ -73,7 +73,7 @@ pub use units::BandwidthUnits;
 pub mod prelude {
     pub use crate::controller::{AdmissionController, AdmissionPlan, BoxedController};
     pub use crate::decision::{Decision, Verdict};
-    pub use crate::forecast::{EwmaHoltForecaster, LoadForecaster, RecurrentForecaster};
+    pub use crate::forecast::EwmaHoltForecaster;
     pub use crate::ledger::{BandwidthLedger, CellSnapshot, Reallocation};
     pub use crate::traffic::{
         CallId, CallKind, CallRequest, CellId, ClassCounts, MobilityInfo, ServiceClass,

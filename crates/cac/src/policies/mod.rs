@@ -1,13 +1,8 @@
 //! Classical CAC baseline policies from the paper's related-work survey
-//! (§1): Complete Sharing, Guard Channel, Fractional Guard Channel, and
-//! the Multi-Priority Threshold policy.
+//! (§1): Complete Sharing and the Guard Channel.
 
 mod complete_sharing;
-mod fractional_guard;
 mod guard_channel;
-mod threshold;
 
 pub use complete_sharing::CompleteSharing;
-pub use fractional_guard::FractionalGuardChannel;
 pub use guard_channel::GuardChannel;
-pub use threshold::{ThresholdPolicy, ThresholdPolicyBuilder};

@@ -1,6 +1,6 @@
 //! Property-based tests for the CAC substrate invariants.
 
-use facs_cac::policies::{CompleteSharing, FractionalGuardChannel, GuardChannel, ThresholdPolicy};
+use facs_cac::policies::{CompleteSharing, GuardChannel};
 use facs_cac::{
     AdmissionController, BandwidthLedger, BandwidthUnits, CallId, CallKind, CallRequest,
     MobilityInfo, ServiceClass, ServiceProfile, Verdict,
@@ -182,55 +182,6 @@ proptest! {
         prop_assert!(!new_ok || ho_ok);
         if ho_ok {
             prop_assert!(occupied + class.demand().get() <= 40);
-        }
-    }
-
-    /// Fractional guard: over n arrivals at fixed utilization, admitted
-    /// count differs from n*p by at most 1 (error-diffusion tightness).
-    #[test]
-    fn fractional_guard_tracks_probability(
-        occupied in 0u32..=40,
-        n in 1usize..500,
-    ) {
-        let mut fg = FractionalGuardChannel::new(0.25, 0.95);
-        let cell = cell(occupied);
-        let req = CallRequest::new(
-            CallId(0), ServiceClass::Text, CallKind::New, MobilityInfo::stationary());
-        prop_assume!(cell.can_fit(req.demand()));
-        let p = fg.admission_probability(cell.utilization());
-        let admitted = (0..n).filter(|_| fg.decide(&req, &cell).admits()).count();
-        let expected = p * n as f64;
-        prop_assert!((admitted as f64 - expected).abs() <= 1.0 + 1e-9,
-            "admitted {} of {} expected {:.2}", admitted, n, expected);
-    }
-
-    /// Threshold policy never admits past capacity nor past the class
-    /// threshold (+bonus for handoffs).
-    #[test]
-    fn threshold_policy_respects_limits(
-        occupied in 0u32..=40,
-        t_text in 0u32..=40,
-        t_voice in 0u32..=40,
-        t_video in 0u32..=40,
-        bonus in 0u32..=10,
-        class in arb_class(),
-        kind in arb_kind(),
-    ) {
-        let mut p = ThresholdPolicy::builder(BandwidthUnits::new(40))
-            .text(BandwidthUnits::new(t_text))
-            .voice(BandwidthUnits::new(t_voice))
-            .video(BandwidthUnits::new(t_video))
-            .handoff_bonus(BandwidthUnits::new(bonus))
-            .build();
-        let req = CallRequest::new(CallId(0), class, kind, MobilityInfo::stationary());
-        if p.decide(&req, &cell(occupied)).admits() {
-            let after = occupied + class.demand().get();
-            prop_assert!(after <= 40);
-            let mut limit = p.threshold(class).get();
-            if kind == CallKind::Handoff {
-                limit += bonus;
-            }
-            prop_assert!(after <= limit.min(40));
         }
     }
 

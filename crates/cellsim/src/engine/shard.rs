@@ -11,8 +11,8 @@
 use std::collections::VecDeque;
 
 use facs_cac::{
-    AdmissionPlan, BandwidthLedger, BandwidthUnits, BoxedController, CallId, CallKind, CallRequest,
-    CellId, ServiceProfile,
+    BandwidthLedger, BandwidthUnits, BoxedController, CallId, CallKind, CallRequest, CellId,
+    ServiceProfile,
 };
 
 use crate::events::{EngineEvent, EngineQueue, UserId};
@@ -260,11 +260,12 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         cell
     }
 
-    /// Consults the controller, then applies its [`AdmissionPlan`]
-    /// against the ledger; both must agree before the call is admitted.
-    /// A plan the ledger can no longer honor (allocation stopped
-    /// fitting, a squeeze went stale) is downgraded to a denial without
-    /// mutating anything. Returns the granted bandwidth on admission.
+    /// Consults the controller, then applies its plan through
+    /// [`AdmissionPlan::apply`](facs_cac::AdmissionPlan::apply); both must
+    /// agree before the call is admitted. A plan the ledger can no
+    /// longer honor (allocation stopped fitting, a squeeze went stale)
+    /// is downgraded to a denial without mutating anything. Returns the
+    /// granted bandwidth on admission.
     fn try_admit(
         &mut self,
         now: SimTime,
@@ -282,43 +283,17 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             cell.last_observed_s
         );
         let plan = cell.controller.decide(request, &cell.ledger);
-        let (granted, squeezed) = match plan {
-            AdmissionPlan::Reject(_) => return None,
-            AdmissionPlan::Admit(_) => {
-                cell.integrate_to(now);
-                if cell.ledger.allocate(request.id, request.profile).is_err() {
-                    return None;
-                }
-                (request.profile.rb_cost_nominal, Vec::new())
-            }
-            AdmissionPlan::AdmitDegraded { squeezes, grant, .. } => {
-                cell.integrate_to(now);
-                if cell
-                    .ledger
-                    .admit_with_plan(request.id, request.profile, grant, &squeezes)
-                    .is_err()
-                {
-                    return None;
-                }
-                let squeezed: Vec<(CallId, BandwidthUnits, BandwidthUnits)> = squeezes
-                    .iter()
-                    .map(|s| {
-                        let floor = cell
-                            .ledger
-                            .profile_of(s.call)
-                            .map_or(BandwidthUnits::ZERO, |p| p.rb_cost_min);
-                        (s.call, s.to, floor)
-                    })
-                    .collect();
-                (grant, squeezed)
-            }
-        };
-        let after = cell.ledger.snapshot();
-        cell.controller.on_admitted(request, &after);
-        for (call, to, floor) in squeezed {
+        if !plan.admits() {
+            return None;
+        }
+        // Integrate only on the admit arms: an extra split point on a
+        // rejection would reorder the occupancy-integral summation.
+        cell.integrate_to(now);
+        let admission = plan.apply(request, &mut cell.ledger, &mut cell.controller)?;
+        for (call, to, floor) in admission.squeezed {
             self.sink.on_reallocation(now, cell_id, UserId(call.0), to, floor);
         }
-        Some(granted)
+        Some(admission.granted)
     }
 
     fn release(&mut self, now: SimTime, cell_id: CellId, call: CallId) {

@@ -28,20 +28,15 @@ use crate::workload::{
 ///
 /// The fuzzer samples a controller axis alongside the workload axes so
 /// the determinism/invariant properties cover the stateful predictive
-/// and self-tuning FACS variants, not just the reactive baseline. The
-/// baseline keeps the majority share (5/8): it is the reference
-/// implementation every other property (backend agreement, goldens) is
-/// phrased against.
+/// FACS variant, not just the reactive baseline. The baseline keeps the
+/// majority share (5/8): it is the reference implementation every other
+/// property (backend agreement, goldens) is phrased against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControllerSlot {
     /// Plain reactive FACS (the original harness subject).
     Baseline,
     /// Predictive FACS over the EWMA/Holt forecaster.
     PredictEwma,
-    /// Predictive FACS over the online-trained recurrent forecaster.
-    PredictRnn,
-    /// FACS with the online rule-weight tuner.
-    Tuned,
 }
 
 /// One fuzzed scenario: the sampled configuration plus its provenance.
@@ -214,12 +209,10 @@ impl WorkloadFuzzer {
         // Controller-family sampling: appended LAST, so every earlier
         // field of a given (seed, index) case is unchanged by the
         // predictive-admission extension. 3/8 of cases exercise the
-        // stateful variants (forecasters, tuner); the rest stay on the
-        // reactive baseline.
+        // stateful predictive controller; the rest stay on the reactive
+        // baseline.
         let controller = match rng.index(8) {
-            5 => ControllerSlot::PredictEwma,
-            6 => ControllerSlot::PredictRnn,
-            7 => ControllerSlot::Tuned,
+            5..=7 => ControllerSlot::PredictEwma,
             _ => ControllerSlot::Baseline,
         };
 
@@ -364,9 +357,9 @@ pub fn case_complexity(case: &FuzzCase) -> u64 {
 /// first one-step simplification on which `still_fails` returns `true`,
 /// until no simplification fails. The controller axis shrinks first — a
 /// failure that reproduces under the reactive baseline controller is
-/// far simpler to debug than one needing forecaster or tuner state —
-/// then the scenario axes. Because every candidate is strictly smaller
-/// under [`case_complexity`], the loop always terminates; the result
+/// far simpler to debug than one needing forecaster state — then the
+/// scenario axes. Because every candidate is strictly smaller under
+/// [`case_complexity`], the loop always terminates; the result
 /// still fails (it is the input when nothing smaller does).
 pub fn shrink(case: &FuzzCase, still_fails: impl Fn(&FuzzCase) -> bool) -> FuzzCase {
     let mut current = case.clone();
@@ -472,12 +465,7 @@ mod tests {
         );
         assert!(any(&|c| c.streamed), "streamed-synthesis cases never sampled");
         assert!(any(&|c| !c.streamed), "eager-synthesis cases never sampled");
-        for slot in [
-            ControllerSlot::Baseline,
-            ControllerSlot::PredictEwma,
-            ControllerSlot::PredictRnn,
-            ControllerSlot::Tuned,
-        ] {
+        for slot in [ControllerSlot::Baseline, ControllerSlot::PredictEwma] {
             assert!(
                 cases.iter().any(|c| c.controller == slot),
                 "controller slot {slot:?} never sampled"
@@ -511,7 +499,7 @@ mod tests {
         let case = WorkloadFuzzer::new(5).case(0);
         let mut case = case;
         case.config.requests = 300;
-        case.controller = ControllerSlot::PredictRnn;
+        case.controller = ControllerSlot::PredictEwma;
         let fails = |c: &FuzzCase| c.config.requests >= 40;
         let minimal = shrink(&case, fails);
         assert!(fails(&minimal), "shrunk case must still fail");
@@ -528,10 +516,10 @@ mod tests {
     #[test]
     fn shrink_keeps_the_controller_when_the_failure_needs_it() {
         let mut case = WorkloadFuzzer::new(5).case(0);
-        case.controller = ControllerSlot::Tuned;
-        // The failure only reproduces under the tuned controller.
-        let minimal = shrink(&case, |c| c.controller == ControllerSlot::Tuned);
-        assert_eq!(minimal.controller, ControllerSlot::Tuned);
+        case.controller = ControllerSlot::PredictEwma;
+        // The failure only reproduces under the predictive controller.
+        let minimal = shrink(&case, |c| c.controller == ControllerSlot::PredictEwma);
+        assert_eq!(minimal.controller, ControllerSlot::PredictEwma);
     }
 
     #[test]

@@ -182,61 +182,48 @@ impl FacsController {
     /// live system a broken GPS fix must not take the admission path down.
     #[must_use]
     pub fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
-        evaluate_cascade(&self.flc1, &self.flc2, &self.config, request, cell)
-    }
-}
-
-/// The FLC1 → FLC2 cascade over explicit engines — shared by
-/// [`FacsController`] and the predictive/tuned variants, which swap in a
-/// re-weighted FLC2 or a synthesized (forecast) cell snapshot.
-pub(crate) fn evaluate_cascade(
-    flc1: &Flc1,
-    flc2: &Flc2,
-    config: &FacsConfig,
-    request: &CallRequest,
-    cell: &CellSnapshot,
-) -> FacsEvaluation {
-    if !request.mobility.is_finite() {
-        return FacsEvaluation {
-            correction_value: 0.0,
-            score: -1.0,
-            decision: Decision::reject(-1.0),
-        };
-    }
-    let scaled = scale_mobility(config, &request.mobility);
-    let correction_value = match flc1.correction_value(&scaled) {
-        Ok(cv) => cv,
-        Err(_) => {
+        if !request.mobility.is_finite() {
             return FacsEvaluation {
                 correction_value: 0.0,
                 score: -1.0,
                 decision: Decision::reject(-1.0),
-            }
+            };
         }
-    };
-    let counter = scale_counter(config, cell);
-    let request_bu = request.class.request_level();
-    let mut score = match flc2.decision_score(correction_value, request_bu, counter) {
-        Ok(s) => s,
-        Err(_) => {
-            return FacsEvaluation {
-                correction_value,
-                score: -1.0,
-                decision: Decision::reject(-1.0),
+        let scaled = scale_mobility(&self.config, &request.mobility);
+        let correction_value = match self.flc1.correction_value(&scaled) {
+            Ok(cv) => cv,
+            Err(_) => {
+                return FacsEvaluation {
+                    correction_value: 0.0,
+                    score: -1.0,
+                    decision: Decision::reject(-1.0),
+                }
             }
+        };
+        let counter = scale_counter(&self.config, cell);
+        let request_bu = request.class.request_level();
+        let mut score = match self.flc2.decision_score(correction_value, request_bu, counter) {
+            Ok(s) => s,
+            Err(_) => {
+                return FacsEvaluation {
+                    correction_value,
+                    score: -1.0,
+                    decision: Decision::reject(-1.0),
+                }
+            }
+        };
+        if request.kind == CallKind::Handoff {
+            score = (score + self.config.handoff_bias).clamp(-1.0, 1.0);
         }
-    };
-    if request.kind == CallKind::Handoff {
-        score = (score + config.handoff_bias).clamp(-1.0, 1.0);
-    }
-    // Snap to a 1e-12 grid: the sampled centroid carries ~1e-16 noise
-    // which must not flip a `score > threshold` gate at exactly the
-    // neutral point (a pure-NRNA surface defuzzifies to 0 ± ulp).
-    score = (score * 1e12).round() / 1e12;
-    FacsEvaluation {
-        correction_value,
-        score,
-        decision: Decision::from_score(score, config.threshold),
+        // Snap to a 1e-12 grid: the sampled centroid carries ~1e-16 noise
+        // which must not flip a `score > threshold` gate at exactly the
+        // neutral point (a pure-NRNA surface defuzzifies to 0 ± ulp).
+        score = (score * 1e12).round() / 1e12;
+        FacsEvaluation {
+            correction_value,
+            score,
+            decision: Decision::from_score(score, self.config.threshold),
+        }
     }
 }
 
@@ -253,7 +240,7 @@ fn scale_mobility(config: &FacsConfig, mobility: &MobilityInfo) -> MobilityInfo 
 
 /// Scales occupancy into FLC2's 0–40 BU counter universe according to
 /// the configured capacity.
-pub(crate) fn scale_counter(config: &FacsConfig, cell: &CellSnapshot) -> f64 {
+fn scale_counter(config: &FacsConfig, cell: &CellSnapshot) -> f64 {
     let capacity = f64::from(config.capacity_bu.max(1));
     f64::from(cell.occupied.get()) * 40.0 / capacity
 }

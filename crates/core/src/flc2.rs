@@ -58,19 +58,16 @@ fn decision_variable() -> Result<Variable, FuzzyError> {
         .build()
 }
 
-/// Assembles the FRB2 engine with the given per-rule weights (1.0
-/// everywhere reproduces the paper's table exactly).
-fn build_engine(config: InferenceConfig, weights: &[f64; 27]) -> Result<Engine, FuzzyError> {
+/// Assembles the FRB2 engine from the paper's table.
+fn build_engine(config: InferenceConfig) -> Result<Engine, FuzzyError> {
     let rules: Result<Vec<Rule>, FuzzyError> = FRB2
         .iter()
-        .zip(weights)
         .enumerate()
-        .map(|(i, (&(cv, r, cs, ar), &weight))| {
+        .map(|(i, &(cv, r, cs, ar))| {
             Rule::when("cv", cv)
                 .and("r", r)
                 .and("cs", cs)
                 .then("ar", ar)
-                .weight(weight)
                 .label(format!("frb2-{i}"))
                 .build()
         })
@@ -141,7 +138,7 @@ impl Flc2 {
     /// Propagates [`FuzzyError`] on invalid configuration or lattice
     /// resolution.
     pub fn with_backend(config: InferenceConfig, backend: BackendKind) -> Result<Self, FuzzyError> {
-        let engine = build_engine(config, &[1.0; 27])?;
+        let engine = build_engine(config)?;
         let surface = match backend {
             BackendKind::Exact => None,
             BackendKind::Compiled { points_per_axis } => {
@@ -155,23 +152,6 @@ impl Flc2 {
             }
         };
         Ok(Self { engine: Arc::new(engine), surface })
-    }
-
-    /// Builds FLC2 with per-rule consequent weights (one per FRB2 row,
-    /// in table order, each in `[0, 1]`), always on the **exact**
-    /// backend: the process-wide cached surface is compiled from the
-    /// default (unit-weight) rule base and would silently serve stale
-    /// scores for any other weighting, and recompiling a 33³ lattice per
-    /// online weight update is orders of magnitude too slow. The online
-    /// rule-weight tuner rebuilds this small engine instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] on invalid configuration or weights
-    /// outside `[0, 1]`.
-    pub fn with_weights(config: InferenceConfig, weights: &[f64; 27]) -> Result<Self, FuzzyError> {
-        let engine = build_engine(config, weights)?;
-        Ok(Self { engine: Arc::new(engine), surface: None })
     }
 
     /// The active backend selector.
@@ -339,57 +319,6 @@ mod tests {
     fn inputs_clamped() {
         assert_eq!(score(2.0, 1.0, 10.0), score(1.0, 1.0, 10.0));
         assert_eq!(score(0.5, 1.0, 100.0), score(0.5, 1.0, 40.0));
-    }
-
-    #[test]
-    fn unit_weights_reproduce_the_default_engine_bit_for_bit() {
-        let default = flc2();
-        let weighted = Flc2::with_weights(InferenceConfig::default(), &[1.0; 27]).unwrap();
-        assert!(!weighted.backend().is_compiled(), "weighted engines stay exact");
-        for cv in [0.0, 0.33, 0.7, 1.0] {
-            for r in [1.0, 5.0, 10.0] {
-                for cs in [0.0, 13.0, 27.5, 40.0] {
-                    let a = default.decision_score(cv, r, cs).unwrap();
-                    let b = weighted.decision_score(cv, r, cs).unwrap();
-                    assert_eq!(a.to_bits(), b.to_bits(), "cv={cv} r={r} cs={cs}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn downweighting_accept_rules_lowers_scores() {
-        // Halve every rule whose consequent is A or WA: the surface must
-        // lean toward rejection everywhere it previously leaned accept.
-        let mut weights = [1.0; 27];
-        for (i, &(_, _, _, ar)) in FRB2.iter().enumerate() {
-            if ar == "a" || ar == "wa" {
-                weights[i] = 0.5;
-            }
-        }
-        let strict = Flc2::with_weights(InferenceConfig::default(), &weights).unwrap();
-        let default = flc2();
-        let mut lowered = 0;
-        for cv in [0.1, 0.5, 0.9] {
-            for r in [1.0, 5.0, 10.0] {
-                for cs in [2.0, 12.0, 22.0] {
-                    let base = default.decision_score(cv, r, cs).unwrap();
-                    let tuned = strict.decision_score(cv, r, cs).unwrap();
-                    assert!(tuned <= base + 1e-9, "cv={cv} r={r} cs={cs}: {tuned} > {base}");
-                    if tuned < base - 1e-6 {
-                        lowered += 1;
-                    }
-                }
-            }
-        }
-        assert!(lowered > 5, "halving accept weights must actually move scores");
-    }
-
-    #[test]
-    fn out_of_range_weights_are_rejected() {
-        let mut weights = [1.0; 27];
-        weights[3] = 1.4;
-        assert!(Flc2::with_weights(InferenceConfig::default(), &weights).is_err());
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   baselines. [`FacsDegradeController`] wraps it with elastic-bandwidth
 //!   degradation: handoffs that do not fit at nominal bandwidth may
 //!   squeeze existing elastic calls toward their QoS floors.
+//!   [`PredictiveFacsController`] gates new calls at an EWMA/Holt
+//!   forecast of the cell's occupancy instead of the live counter.
 //!
 //! ## Quickstart
 //!
@@ -57,7 +59,7 @@ pub mod tables;
 pub use controller::{FacsConfig, FacsController, FacsDegradeController, FacsEvaluation};
 pub use flc1::Flc1;
 pub use flc2::Flc2;
-pub use predictive::{PredictiveFacsController, TunedFacsController};
+pub use predictive::PredictiveFacsController;
 pub use tables::{FRB1, FRB2};
 
 /// Commonly used items, for glob import in applications and examples.
@@ -67,5 +69,5 @@ pub mod prelude {
     };
     pub use crate::flc1::Flc1;
     pub use crate::flc2::Flc2;
-    pub use crate::predictive::{PredictiveFacsController, TunedFacsController};
+    pub use crate::predictive::PredictiveFacsController;
 }

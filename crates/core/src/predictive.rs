@@ -1,36 +1,25 @@
-//! Predictive and learning FACS variants.
+//! Predictive FACS: the reactive cascade of [`FacsController`] fed a
+//! **forecast** occupancy for new calls.
 //!
-//! Two controllers extend the reactive cascade of
-//! [`FacsController`]:
+//! [`PredictiveFacsController`] keeps one EWMA/Holt forecaster per
+//! service class and gates new calls at the forecast occupancy, at a
+//! horizon equal to the cell's mean handoff interarrival (estimated
+//! online). The intelligent decision mechanism of arXiv:1004.4444
+//! motivates the shape: condition admission on where the network is
+//! *heading*, not where it is.
 //!
-//! * [`PredictiveFacsController`] feeds **forecast** occupancy into FLC2
-//!   in place of the instantaneous counter for new calls, at a horizon
-//!   equal to the cell's mean handoff interarrival (estimated online).
-//!   An RNN-based CAC (arXiv:1004.3563) and the intelligent decision
-//!   mechanism of arXiv:1004.4444 motivate the shape: condition
-//!   admission on where the network is *heading*, not where it is.
-//! * [`TunedFacsController`] keeps the cascade reactive but learns: an
-//!   online tuner nudges the FRB2 rule consequent weights from observed
-//!   drop/block outcomes (bounded steps, clamped weights, exportable as
-//!   JSON), hill-climbing the weighted QoS cost
-//!   `10 · P(drop) + P(block)`.
-//!
-//! Both controllers are strictly **cell-local**: every input to their
-//! mutable state arrives through `decide`/`observe` on their own cell,
-//! so each cell's update stream — and therefore the whole simulation —
+//! The controller is strictly **cell-local**: every input to its
+//! mutable state arrives through `decide`/`observe` on its own cell, so
+//! each cell's update stream — and therefore the whole simulation —
 //! stays bit-identical across shard counts.
 
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, BoxedController, CallKind,
-    CallRequest, CellSnapshot, Decision, EwmaHoltForecaster, InterarrivalEstimator, LoadForecaster,
-    RecurrentForecaster, ServiceClass,
+    CallRequest, CellSnapshot, Decision, EwmaHoltForecaster, InterarrivalEstimator, ServiceClass,
 };
 use facs_fuzzy::FuzzyError;
 
-use crate::controller::{evaluate_cascade, FacsConfig, FacsController, FacsEvaluation};
-use crate::flc1::Flc1;
-use crate::flc2::Flc2;
-use crate::tables::FRB2;
+use crate::controller::{FacsConfig, FacsController, FacsEvaluation};
 
 fn class_index(class: ServiceClass) -> usize {
     match class {
@@ -68,25 +57,40 @@ const WARMUP_SAMPLES: u64 = 4;
 /// `facs-distrib` actors), the controller degrades to plain reactive
 /// FACS.
 #[derive(Debug, Clone)]
-pub struct PredictiveFacsController<F> {
+pub struct PredictiveFacsController {
     inner: FacsController,
-    label: &'static str,
-    per_class: [F; 3],
+    per_class: [EwmaHoltForecaster; 3],
     horizon: InterarrivalEstimator,
 }
 
-impl<F: LoadForecaster + Clone> PredictiveFacsController<F> {
-    fn with_parts(
-        config: FacsConfig,
-        prototype: F,
-        label: &'static str,
-    ) -> Result<Self, FuzzyError> {
+impl PredictiveFacsController {
+    /// Predictive FACS over the EWMA/Holt forecaster
+    /// ([`EwmaHoltForecaster::default_profile`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`FuzzyError`] if the FLCs fail to compile.
+    pub fn ewma(config: FacsConfig) -> Result<Self, FuzzyError> {
+        let forecaster = EwmaHoltForecaster::default_profile();
         Ok(Self {
             inner: FacsController::with_config(config)?,
-            label,
-            per_class: [prototype.clone(), prototype.clone(), prototype],
+            per_class: [forecaster.clone(), forecaster.clone(), forecaster],
             horizon: InterarrivalEstimator::new(DEFAULT_HORIZON_S, HORIZON_MIN_EVENTS),
         })
+    }
+
+    /// A cloneable per-cell factory sharing one compiled prototype — the
+    /// predictive sibling of
+    /// [`FacsController::factory`](crate::FacsController::factory).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`FuzzyError`] if the prototype fails to build.
+    pub fn ewma_factory(
+        config: FacsConfig,
+    ) -> Result<impl Fn() -> BoxedController + Send + Sync + Clone, FuzzyError> {
+        let prototype = Self::ewma(config)?;
+        Ok(move || Box::new(prototype.clone()) as BoxedController)
     }
 
     /// The wrapped reactive FACS controller.
@@ -122,9 +126,11 @@ impl<F: LoadForecaster + Clone> PredictiveFacsController<F> {
 
     /// The snapshot the cascade is consulted at: live for handoffs and
     /// cold starts, `max(live, forecast)` for new calls once warm.
-    /// Taking the max keeps the predictive gate strictly no looser than
-    /// the reactive one: a forecast that lags a ramp-down can never
-    /// admit a call the live occupancy would have refused.
+    /// Taking the max means a forecast that lags a ramp-down never feeds
+    /// FLC2 a lower occupancy than the live one. The gate is still not
+    /// strictly monotone: FLC2's score can rise by up to ~0.07 as
+    /// occupancy rises, so a higher forecast occupancy can occasionally
+    /// admit a new call the live occupancy would have refused.
     fn gate_snapshot(&self, request: &CallRequest, cell: &CellSnapshot) -> CellSnapshot {
         if request.kind != CallKind::New || !self.warm() {
             return *cell;
@@ -136,58 +142,9 @@ impl<F: LoadForecaster + Clone> PredictiveFacsController<F> {
     }
 }
 
-impl PredictiveFacsController<EwmaHoltForecaster> {
-    /// Predictive FACS over the EWMA/Holt baseline forecaster.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the FLCs fail to compile.
-    pub fn ewma(config: FacsConfig) -> Result<Self, FuzzyError> {
-        Self::with_parts(config, EwmaHoltForecaster::default_profile(), "FACS-predict-ewma")
-    }
-
-    /// A cloneable per-cell factory sharing one compiled prototype — the
-    /// predictive sibling of
-    /// [`FacsController::factory`](crate::FacsController::factory).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the prototype fails to build.
-    pub fn ewma_factory(
-        config: FacsConfig,
-    ) -> Result<impl Fn() -> BoxedController + Send + Sync + Clone, FuzzyError> {
-        let prototype = Self::ewma(config)?;
-        Ok(move || Box::new(prototype.clone()) as BoxedController)
-    }
-}
-
-impl PredictiveFacsController<RecurrentForecaster> {
-    /// Predictive FACS over the online-trained recurrent forecaster.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the FLCs fail to compile.
-    pub fn recurrent(config: FacsConfig) -> Result<Self, FuzzyError> {
-        let scale = f64::from(config.capacity_bu.max(1));
-        Self::with_parts(config, RecurrentForecaster::default_profile(scale), "FACS-predict-rnn")
-    }
-
-    /// A cloneable per-cell factory sharing one compiled prototype.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the prototype fails to build.
-    pub fn recurrent_factory(
-        config: FacsConfig,
-    ) -> Result<impl Fn() -> BoxedController + Send + Sync + Clone, FuzzyError> {
-        let prototype = Self::recurrent(config)?;
-        Ok(move || Box::new(prototype.clone()) as BoxedController)
-    }
-}
-
-impl<F: LoadForecaster + Clone + 'static> AdmissionController for PredictiveFacsController<F> {
+impl AdmissionController for PredictiveFacsController {
     fn name(&self) -> &str {
-        self.label
+        "FACS-predict-ewma"
     }
 
     fn decide(&mut self, request: &CallRequest, cell: &BandwidthLedger) -> AdmissionPlan {
@@ -222,265 +179,6 @@ impl<F: LoadForecaster + Clone + 'static> AdmissionController for PredictiveFacs
         }
         for (i, forecaster) in self.per_class.iter_mut().enumerate() {
             forecaster.observe(now_s, f64::from(by_class[i]));
-        }
-    }
-}
-
-/// Tuner window length, in epoch samples.
-const TUNER_WINDOW_EPOCHS: u32 = 10;
-/// Bounded per-window step applied to the accept-rule weight scale.
-const TUNER_STEP: f64 = 0.05;
-/// Clamp bounds of the accept-rule weight scale.
-const TUNER_MIN_SCALE: f64 = 0.5;
-const TUNER_MAX_SCALE: f64 = 1.0;
-/// Minimum decisions a window must contain before its drop/block rates
-/// are trusted as a learning signal.
-const TUNER_MIN_DECISIONS: u64 = 12;
-/// Relative QoS cost of a dropped handoff vs a blocked new call — the
-/// classical CAC asymmetry (users tolerate blocking far better than
-/// mid-call drops; the paper defers handoff priority to future work,
-/// this controller learns it).
-const TUNER_DROP_PENALTY: f64 = 10.0;
-
-/// Drop/block outcome counters over one tuner window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct OutcomeWindow {
-    new_offered: u64,
-    new_blocked: u64,
-    handoff_attempts: u64,
-    handoff_dropped: u64,
-}
-
-impl OutcomeWindow {
-    fn record(&mut self, kind: CallKind, admitted: bool) {
-        match kind {
-            CallKind::New => {
-                self.new_offered += 1;
-                if !admitted {
-                    self.new_blocked += 1;
-                }
-            }
-            CallKind::Handoff => {
-                self.handoff_attempts += 1;
-                if !admitted {
-                    self.handoff_dropped += 1;
-                }
-            }
-        }
-    }
-
-    fn decisions(&self) -> u64 {
-        self.new_offered + self.handoff_attempts
-    }
-
-    /// The weighted QoS cost `10 · P(drop) + P(block)` of the window.
-    fn cost(&self) -> f64 {
-        let p_block = if self.new_offered == 0 {
-            0.0
-        } else {
-            self.new_blocked as f64 / self.new_offered as f64
-        };
-        let p_drop = if self.handoff_attempts == 0 {
-            0.0
-        } else {
-            self.handoff_dropped as f64 / self.handoff_attempts as f64
-        };
-        TUNER_DROP_PENALTY * p_drop + p_block
-    }
-}
-
-/// FACS with an online rule-weight tuner.
-///
-/// The controller starts at the paper's exact rule base (all consequent
-/// weights 1.0) and adapts at epoch cadence: every
-/// `TUNER_WINDOW_EPOCHS` `observe` pulses it measures the window's
-/// drop/block outcome cost `10 · P(drop) + P(block)` and hill-climbs a
-/// single *accept-rule weight scale* `g ∈ [0.5, 1.0]` applied to every
-/// FRB2 rule whose consequent is `A` or `WA` — down-weighting accept
-/// rules makes the cascade stricter, holding occupancy lower and
-/// trading a little new-call blocking for fewer mid-call drops. The
-/// climb is a ±`TUNER_STEP` coordinate search that reverses direction
-/// whenever the measured cost worsens, so the scale tracks the load: a
-/// congested rush hour drives it toward strict, a quiet cell lets it
-/// relax back to the paper's table.
-///
-/// Updates are bounded (one step per window), weights clamped, and the
-/// full 27-entry weight vector is exportable as JSON
-/// ([`TunedFacsController::weights_json`]) for reproducibility.
-///
-/// Every weight change rebuilds the small FRB2 engine on the **exact**
-/// backend (see [`Flc2::with_weights`]); FLC1 — untouched by tuning —
-/// honors the configured backend, so a "compiled" tuned controller
-/// still amortizes the expensive surface where it legally can.
-#[derive(Debug, Clone)]
-pub struct TunedFacsController {
-    flc1: Flc1,
-    flc2: Flc2,
-    config: FacsConfig,
-    weights: [f64; 27],
-    accept_scale: f64,
-    direction: f64,
-    prev_cost: Option<f64>,
-    epochs_in_window: u32,
-    window: OutcomeWindow,
-    weight_updates: u64,
-}
-
-impl TunedFacsController {
-    /// Builds the tuned controller with the default (paper-faithful)
-    /// starting configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the FLCs fail to compile.
-    pub fn new() -> Result<Self, FuzzyError> {
-        Self::with_config(FacsConfig::default())
-    }
-
-    /// Builds the tuned controller over a custom FACS configuration.
-    /// The `backend` choice applies to FLC1 only; the tunable FLC2
-    /// always runs exact inference (see [`Flc2::with_weights`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the FLCs fail to compile.
-    pub fn with_config(config: FacsConfig) -> Result<Self, FuzzyError> {
-        let weights = [1.0; 27];
-        Ok(Self {
-            flc1: Flc1::with_backend(config.inference, config.backend)?,
-            flc2: Flc2::with_weights(config.inference, &weights)?,
-            config,
-            weights,
-            accept_scale: 1.0,
-            direction: -1.0,
-            prev_cost: None,
-            epochs_in_window: 0,
-            window: OutcomeWindow::default(),
-            weight_updates: 0,
-        })
-    }
-
-    /// A cloneable per-cell factory sharing one compiled prototype.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the prototype fails to build.
-    pub fn factory(
-        config: FacsConfig,
-    ) -> Result<impl Fn() -> BoxedController + Send + Sync + Clone, FuzzyError> {
-        let prototype = Self::with_config(config)?;
-        Ok(move || Box::new(prototype.clone()) as BoxedController)
-    }
-
-    /// The current accept-rule weight scale `g ∈ [0.5, 1.0]`.
-    #[must_use]
-    pub fn accept_scale(&self) -> f64 {
-        self.accept_scale
-    }
-
-    /// The current 27-entry rule-weight vector, in FRB2 table order.
-    #[must_use]
-    pub fn weights(&self) -> &[f64; 27] {
-        &self.weights
-    }
-
-    /// Weight updates applied so far (engine rebuilds).
-    #[must_use]
-    pub fn weight_updates(&self) -> u64 {
-        self.weight_updates
-    }
-
-    /// Exports the learned rule weights as a JSON document: one object
-    /// per FRB2 rule with its antecedent terms, consequent and weight,
-    /// plus the scalar tuner state — enough to reconstruct the tuned
-    /// engine exactly.
-    #[must_use]
-    pub fn weights_json(&self) -> String {
-        let mut out = String::from("{\n  \"controller\": \"FACS-tuned\",\n");
-        out.push_str(&format!("  \"accept_scale\": {:.6},\n", self.accept_scale));
-        out.push_str(&format!("  \"weight_updates\": {},\n", self.weight_updates));
-        out.push_str("  \"rules\": [\n");
-        for (i, (&(cv, r, cs, ar), weight)) in FRB2.iter().zip(&self.weights).enumerate() {
-            out.push_str(&format!(
-                "    {{ \"rule\": \"frb2-{i}\", \"if\": \"cv={cv} r={r} cs={cs}\", \
-                 \"then\": \"ar={ar}\", \"weight\": {weight:.6} }}{}\n",
-                if i + 1 == FRB2.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Runs the cascade with the current weights, exposing the evidence.
-    #[must_use]
-    pub fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
-        evaluate_cascade(&self.flc1, &self.flc2, &self.config, request, cell)
-    }
-
-    /// Applies `scale` to every accept-leaning rule and rebuilds FLC2.
-    fn apply_scale(&mut self, scale: f64) {
-        self.accept_scale = scale;
-        for (weight, &(_, _, _, ar)) in self.weights.iter_mut().zip(FRB2.iter()) {
-            *weight = if ar == "a" || ar == "wa" { scale } else { 1.0 };
-        }
-        // Weights live in [TUNER_MIN_SCALE, 1.0] ⊂ [0, 1], so the
-        // rebuild cannot fail; keep the previous engine if it ever did.
-        if let Ok(flc2) = Flc2::with_weights(self.config.inference, &self.weights) {
-            self.flc2 = flc2;
-            self.weight_updates += 1;
-        }
-    }
-
-    /// Closes one tuner window: measure the outcome cost, steer the
-    /// hill-climb, take one bounded step.
-    fn end_window(&mut self) {
-        let window = std::mem::take(&mut self.window);
-        if window.decisions() < TUNER_MIN_DECISIONS {
-            // Too quiet to learn from — keep state, wait for traffic.
-            return;
-        }
-        let cost = window.cost();
-        if let Some(prev) = self.prev_cost {
-            if cost > prev + 1e-9 {
-                self.direction = -self.direction;
-            }
-        }
-        self.prev_cost = Some(cost);
-        let next = (self.accept_scale + self.direction * TUNER_STEP)
-            .clamp(TUNER_MIN_SCALE, TUNER_MAX_SCALE);
-        if (next - self.accept_scale).abs() > f64::EPSILON {
-            self.apply_scale(next);
-        } else {
-            // Pinned at a clamp bound: probe back inward next window.
-            self.direction = -self.direction;
-        }
-    }
-}
-
-impl AdmissionController for TunedFacsController {
-    fn name(&self) -> &str {
-        "FACS-tuned"
-    }
-
-    fn decide(&mut self, request: &CallRequest, cell: &BandwidthLedger) -> AdmissionPlan {
-        // No `fast_reject` short-circuit: the tuner must see every
-        // outcome, including saturation denials — those are exactly the
-        // drops it is learning to prevent.
-        if !cell.can_fit(request.profile.rb_cost_nominal) {
-            self.window.record(request.kind, false);
-            return AdmissionPlan::Reject(Decision::reject(-1.0));
-        }
-        let eval = self.evaluate(request, &cell.snapshot());
-        self.window.record(request.kind, eval.decision.admits());
-        AdmissionPlan::gate(eval.decision)
-    }
-
-    fn observe(&mut self, now_s: f64, cell: &BandwidthLedger) {
-        let _ = (now_s, cell);
-        self.epochs_in_window += 1;
-        if self.epochs_in_window >= TUNER_WINDOW_EPOCHS {
-            self.epochs_in_window = 0;
-            self.end_window();
         }
     }
 }
@@ -570,7 +268,7 @@ mod tests {
 
     #[test]
     fn horizon_tracks_mean_handoff_interarrival() {
-        let mut p = PredictiveFacsController::recurrent(FacsConfig::default()).unwrap();
+        let mut p = PredictiveFacsController::ewma(FacsConfig::default()).unwrap();
         assert_eq!(p.horizon_s(), DEFAULT_HORIZON_S);
         let l = ledger(0);
         // 10 handoffs over 50 seconds of epochs -> mean interarrival 5 s;
@@ -600,141 +298,9 @@ mod tests {
     #[test]
     fn predictive_controllers_are_cell_local_and_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<PredictiveFacsController<EwmaHoltForecaster>>();
-        assert_send::<PredictiveFacsController<RecurrentForecaster>>();
-        assert_send::<TunedFacsController>();
+        assert_send::<PredictiveFacsController>();
         let p = PredictiveFacsController::ewma(FacsConfig::default()).unwrap();
         assert!(p.is_cell_local());
-        assert!(TunedFacsController::new().unwrap().is_cell_local());
-    }
-
-    #[test]
-    fn tuned_starts_identical_to_static_facs() {
-        let mut tuned = TunedFacsController::new().unwrap();
-        let mut plain = FacsController::new().unwrap();
-        for occupied in [0, 12, 20, 31, 39] {
-            let l = ledger(occupied);
-            for kind in [CallKind::New, CallKind::Handoff] {
-                for class in ServiceClass::ALL {
-                    let r = req(class, kind);
-                    let a = plain.decide(&r, &l);
-                    let b = tuned.decide(&r, &l);
-                    assert_eq!(a.admits(), b.admits(), "{class} {kind:?} at {occupied}");
-                }
-            }
-        }
-        assert_eq!(tuned.accept_scale(), 1.0);
-        assert_eq!(tuned.weight_updates(), 0);
-    }
-
-    /// Drives one full tuner window containing `drops` dropped handoffs
-    /// (and enough clean traffic to clear the minimum-decisions bar).
-    fn drive_window(tuned: &mut TunedFacsController, drops: usize) {
-        let empty = ledger(0);
-        let full = ledger(40);
-        for _ in 0..drops {
-            // A saturated cell: the handoff is dropped.
-            tuned.decide(&req(ServiceClass::Voice, CallKind::Handoff), &full);
-        }
-        for _ in 0..(TUNER_MIN_DECISIONS as usize) {
-            tuned.decide(&req(ServiceClass::Text, CallKind::New), &empty);
-        }
-        for e in 0..TUNER_WINDOW_EPOCHS {
-            tuned.observe(f64::from(e) * 5.0, &empty);
-        }
-    }
-
-    #[test]
-    fn tuner_tightens_accept_rules_under_sustained_drops() {
-        let mut tuned = TunedFacsController::new().unwrap();
-        for _ in 0..4 {
-            drive_window(&mut tuned, 6);
-        }
-        assert!(
-            tuned.accept_scale() < 1.0,
-            "sustained drops must pull the accept scale down, got {}",
-            tuned.accept_scale()
-        );
-        assert!(tuned.weight_updates() >= 1);
-        // Bounded, clamped weights.
-        for (&w, &(_, _, _, ar)) in tuned.weights().iter().zip(FRB2.iter()) {
-            if ar == "a" || ar == "wa" {
-                assert!((TUNER_MIN_SCALE..=1.0).contains(&w), "weight {w}");
-                assert_eq!(w, tuned.accept_scale());
-            } else {
-                assert_eq!(w, 1.0, "reject-leaning rules are never touched");
-            }
-        }
-        // The tuned cascade is now stricter than the paper's table.
-        let plain = FacsController::new().unwrap();
-        let r = req(ServiceClass::Voice, CallKind::New);
-        let mid = ledger(20).snapshot();
-        assert!(tuned.evaluate(&r, &mid).score < plain.evaluate(&r, &mid).score);
-    }
-
-    #[test]
-    fn tuner_never_leaves_its_clamp_bounds() {
-        let mut tuned = TunedFacsController::new().unwrap();
-        for _ in 0..40 {
-            drive_window(&mut tuned, 8);
-        }
-        let g = tuned.accept_scale();
-        assert!((TUNER_MIN_SCALE..=TUNER_MAX_SCALE).contains(&g), "scale {g}");
-    }
-
-    #[test]
-    fn quiet_windows_do_not_move_the_tuner() {
-        let mut tuned = TunedFacsController::new().unwrap();
-        let empty = ledger(0);
-        // A handful of decisions, below the minimum-decisions bar.
-        for _ in 0..3 {
-            tuned.decide(&req(ServiceClass::Text, CallKind::New), &empty);
-        }
-        for e in 0..(3 * TUNER_WINDOW_EPOCHS) {
-            tuned.observe(f64::from(e) * 5.0, &empty);
-        }
-        assert_eq!(tuned.accept_scale(), 1.0);
-        assert_eq!(tuned.weight_updates(), 0);
-    }
-
-    #[test]
-    fn weights_json_is_complete_and_reconstructible() {
-        let mut tuned = TunedFacsController::new().unwrap();
-        drive_window(&mut tuned, 6);
-        drive_window(&mut tuned, 6);
-        let json = tuned.weights_json();
-        assert!(json.contains("\"controller\": \"FACS-tuned\""));
-        assert!(json.contains("\"accept_scale\""));
-        for i in 0..27 {
-            assert!(json.contains(&format!("\"rule\": \"frb2-{i}\"")), "rule {i} missing");
-        }
-        // The exported weights rebuild the same engine.
-        let rebuilt =
-            Flc2::with_weights(facs_fuzzy::InferenceConfig::default(), tuned.weights()).unwrap();
-        let score_a =
-            tuned.evaluate(&req(ServiceClass::Voice, CallKind::New), &ledger(20).snapshot()).score;
-        let direct = rebuilt.decision_score(
-            tuned
-                .evaluate(&req(ServiceClass::Voice, CallKind::New), &ledger(20).snapshot())
-                .correction_value,
-            5.0,
-            20.0,
-        );
-        assert!(direct.is_ok());
-        let _ = score_a;
-    }
-
-    #[test]
-    fn cloned_tuned_controllers_evolve_identically() {
-        let mut a = TunedFacsController::new().unwrap();
-        drive_window(&mut a, 5);
-        let mut b = a.clone();
-        drive_window(&mut a, 7);
-        drive_window(&mut b, 7);
-        assert_eq!(a.accept_scale(), b.accept_scale());
-        assert_eq!(a.weights(), b.weights());
-        let r = req(ServiceClass::Video, CallKind::New);
-        let snap = ledger(22).snapshot();
-        assert_eq!(a.evaluate(&r, &snap).score.to_bits(), b.evaluate(&r, &snap).score.to_bits());
+        assert_eq!(p.name(), "FACS-predict-ewma");
     }
 }

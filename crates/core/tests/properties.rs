@@ -3,9 +3,10 @@
 
 use std::sync::OnceLock;
 
-use facs::{FacsConfig, FacsController, Flc1, Flc2};
+use facs::{FacsConfig, FacsController, Flc1, Flc2, PredictiveFacsController};
 use facs_cac::{
-    BandwidthUnits, CallId, CallKind, CallRequest, CellSnapshot, MobilityInfo, ServiceClass,
+    AdmissionController, BandwidthLedger, BandwidthUnits, CallId, CallKind, CallRequest,
+    CellSnapshot, MobilityInfo, ServiceClass, ServiceProfile,
 };
 use facs_fuzzy::{BackendKind, InferenceConfig};
 use proptest::prelude::*;
@@ -51,6 +52,28 @@ const FLC2_TOLERANCE: f64 = 0.10;
 
 fn snapshot(occupied: u32) -> CellSnapshot {
     CellSnapshot::loaded(BandwidthUnits::new(40), BandwidthUnits::new(occupied.min(40)))
+}
+
+/// How far FLC2's score can *rise* when only the occupancy counter
+/// rises. The surface is not monotone in occupancy: a dense sweep (25
+/// speeds × 25 angles × 21 distances × 3 classes × every integer
+/// occupancy pair on a 40-BU cell, exact backend) measures a worst rise
+/// of 0.067, and 1 254 of those pairs cross the 0.1 admission threshold
+/// upward. Feeding a higher (forecast) occupancy can therefore raise a
+/// new call's score by up to this much.
+const OCCUPANCY_WOBBLE: f64 = 0.08;
+
+/// A 40-BU ledger holding one rigid `class` call of `occupied` BU.
+fn ledger(class: ServiceClass, occupied: u32) -> BandwidthLedger {
+    let mut l = BandwidthLedger::new(BandwidthUnits::new(40));
+    if occupied > 0 {
+        l.allocate(
+            CallId(999),
+            ServiceProfile::fixed(class, BandwidthUnits::new(occupied.min(40))),
+        )
+        .unwrap();
+    }
+    l
 }
 
 proptest! {
@@ -209,6 +232,49 @@ proptest! {
         prop_assert!(
             (exact - compiled).abs() < FLC2_TOLERANCE,
             "score diverged at ({cv}, {request}, {counter}): {exact} vs {compiled}"
+        );
+    }
+
+    /// The predictive gate is never looser than static FACS beyond
+    /// FLC2's own occupancy wobble: after any warm forecaster history, a
+    /// **new** call scores at most [`OCCUPANCY_WOBBLE`] above what the
+    /// static cascade gives it at the live occupancy (the gate feeds
+    /// `max(live, forecast)`), and a **handoff** scores bit-identically
+    /// to static FACS (it is gated at the live counter).
+    #[test]
+    fn predictive_gate_is_never_looser_than_static_facs(
+        history in prop::collection::vec((arb_class(), 0u32..=40, 1u32..=20), 4..40),
+        handoffs in 0usize..30,
+        speed in 0.0_f64..120.0,
+        angle in -180.0_f64..180.0,
+        distance in 0.0_f64..10.0,
+        class in arb_class(),
+        occupied in 0u32..=40,
+    ) {
+        let plain = FacsController::new().unwrap();
+        let mut predictive = PredictiveFacsController::ewma(FacsConfig::default()).unwrap();
+        let mobility = MobilityInfo::new(speed, angle, distance);
+        let handoff = CallRequest::new(CallId(1), class, CallKind::Handoff, mobility);
+        let mut now = 0.0;
+        for (i, &(held, occ, dt)) in history.iter().enumerate() {
+            let cell = ledger(held, occ);
+            if i < handoffs {
+                predictive.decide(&handoff, &cell);
+            }
+            now += f64::from(dt);
+            predictive.observe(now, &cell);
+        }
+        let cell = snapshot(occupied);
+        let new_call = CallRequest::new(CallId(0), class, CallKind::New, mobility);
+        let static_new = plain.evaluate(&new_call, &cell).score;
+        let predictive_new = predictive.evaluate(&new_call, &cell).score;
+        prop_assert!(
+            predictive_new <= static_new + OCCUPANCY_WOBBLE,
+            "new call scored looser than static FACS: {predictive_new} > {static_new}"
+        );
+        prop_assert_eq!(
+            predictive.evaluate(&handoff, &cell).score.to_bits(),
+            plain.evaluate(&handoff, &cell).score.to_bits()
         );
     }
 }

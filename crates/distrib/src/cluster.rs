@@ -15,8 +15,8 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, unbounded, Sender};
 use facs::{FacsConfig, FacsController};
 use facs_cac::{
-    AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, BoxedController, CallId,
-    CallRequest, CellId,
+    AdmissionController, BandwidthLedger, BandwidthUnits, BoxedController, CallId, CallRequest,
+    CellId,
 };
 use facs_cellsim::HexGrid;
 use facs_fuzzy::FuzzyError;
@@ -65,32 +65,9 @@ impl BsActor {
                 BsMessage::Admission { request, reply } => {
                     let plan = self.controller.decide(&request, &self.ledger);
                     let decision = plan.decision();
-                    let allocated = match plan {
-                        AdmissionPlan::Reject(_) => BandwidthUnits::ZERO,
-                        AdmissionPlan::Admit(_) => {
-                            if self.ledger.allocate(request.id, request.profile).is_ok() {
-                                request.profile.rb_cost_nominal
-                            } else {
-                                BandwidthUnits::ZERO
-                            }
-                        }
-                        AdmissionPlan::AdmitDegraded { squeezes, grant, .. } => {
-                            if self
-                                .ledger
-                                .admit_with_plan(request.id, request.profile, grant, &squeezes)
-                                .is_ok()
-                            {
-                                grant
-                            } else {
-                                BandwidthUnits::ZERO
-                            }
-                        }
-                    };
-                    let admitted = !allocated.is_zero();
-                    if admitted {
-                        let after = self.ledger.snapshot();
-                        self.controller.on_admitted(&request, &after);
-                    }
+                    let admission = plan.apply(&request, &mut self.ledger, &mut self.controller);
+                    let admitted = admission.is_some();
+                    let allocated = admission.map_or(BandwidthUnits::ZERO, |a| a.granted);
                     // A dropped reply receiver is the caller's problem,
                     // not the actor's: ignore the send error.
                     let _ = reply.send(AdmissionOutcome {

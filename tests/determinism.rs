@@ -4,11 +4,7 @@
 //! the parallel replication/sweep runners must be bit-identical to a
 //! sequential fold.
 
-use facs::{
-    FacsConfig, FacsController, FacsDegradeController, PredictiveFacsController,
-    TunedFacsController,
-};
-use facs_cac::forecast::{EwmaHoltForecaster, RecurrentForecaster};
+use facs::{FacsConfig, FacsController, FacsDegradeController, PredictiveFacsController};
 use facs_cac::policies::{CompleteSharing, GuardChannel};
 use facs_cac::{BandwidthUnits, BoxedController};
 use facs_cellsim::prelude::*;
@@ -61,27 +57,15 @@ fn backend_configs() -> [(&'static str, FacsConfig); 2] {
 }
 
 /// Per-cell builders for the stateful controller family introduced with
-/// the load forecasters: predictive (EWMA/Holt and recurrent) and the
-/// online-tuned FACS. Each cell gets an independent clone of a shared
-/// prototype, mirroring the bench builders.
+/// the load forecaster: predictive FACS over EWMA/Holt. Each cell gets
+/// an independent clone of a shared prototype, mirroring the bench
+/// builders.
 fn stateful_builders(config: FacsConfig) -> Vec<(&'static str, BoxedBuilder)> {
-    let ewma = PredictiveFacsController::<EwmaHoltForecaster>::ewma_factory(config)
-        .expect("predictive ewma factory");
-    let rnn = PredictiveFacsController::<RecurrentForecaster>::recurrent_factory(config)
-        .expect("predictive rnn factory");
-    let tuned = TunedFacsController::factory(config).expect("tuned factory");
-    vec![
-        (
-            "facs-predict-ewma",
-            Box::new(move |grid: &HexGrid| grid.cell_ids().map(|_| ewma()).collect())
-                as BoxedBuilder,
-        ),
-        (
-            "facs-predict-rnn",
-            Box::new(move |grid: &HexGrid| grid.cell_ids().map(|_| rnn()).collect()),
-        ),
-        ("facs-tuned", Box::new(move |grid: &HexGrid| grid.cell_ids().map(|_| tuned()).collect())),
-    ]
+    let ewma = PredictiveFacsController::ewma_factory(config).expect("predictive ewma factory");
+    vec![(
+        "facs-predict-ewma",
+        Box::new(move |grid: &HexGrid| grid.cell_ids().map(|_| ewma()).collect()),
+    )]
 }
 
 fn builders() -> Vec<(&'static str, BoxedBuilder)> {

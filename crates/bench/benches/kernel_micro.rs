@@ -1,9 +1,7 @@
-//! Micro-benchmarks for the two kernel hot paths PR 8 rebuilt: the
-//! calendar [`EngineQueue`] (vs the `BinaryHeap` it replaced) and the
-//! cell-sorted [`CompiledSurface::evaluate_batch`] (vs a loop over
-//! `evaluate_crisp`).
+//! Micro-benchmark for the kernel's event queue: the calendar
+//! [`EngineQueue`] vs the `BinaryHeap` it replaced.
 //!
-//! The queue workload mirrors the simulator's: call-end events spread
+//! The workload mirrors the simulator's: call-end events spread
 //! over a few hundred movement epochs (ring hits) with a tail of
 //! far-future events (overflow hits), drained epoch-by-epoch through
 //! `pop_within` exactly as the shard loop does. The reference heap pops
@@ -20,7 +18,6 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use facs_cellsim::{EngineEvent, EngineQueue, SimDuration, SimRng, SimTime, UserId};
-use facs_fuzzy::{CompiledSurface, Engine, InferenceBackend, MembershipFunction, Rule, Variable};
 
 /// Movement cadence the queue is bucketed at (the kernel default).
 const EPOCH_US: u64 = 5_000_000;
@@ -85,51 +82,6 @@ fn drain_heap(entries: &[(SimTime, u64, u32)]) -> u64 {
     popped
 }
 
-/// A 3-input engine with the same shape as the FACS FLC cascade inputs
-/// (the surface geometry, not the rule semantics, is what the batch
-/// path exercises).
-fn three_input_engine() -> Engine {
-    let axis = |name: &str, min: f64, max: f64| {
-        let mid = (min + max) / 2.0;
-        let span = max - min;
-        Variable::builder(name, min, max)
-            .term("lo", MembershipFunction::triangular(min, 0.0, span).unwrap())
-            .term("mid", MembershipFunction::triangular(mid, span / 2.0, span / 2.0).unwrap())
-            .term("hi", MembershipFunction::triangular(max, span, 0.0).unwrap())
-            .build()
-            .unwrap()
-    };
-    let out = axis("score", -1.0, 1.0);
-    // The `a` lo/hi memberships sum to 1 everywhere, so the first and
-    // third rules guarantee at least one rule fires at every lattice
-    // node (compilation would otherwise hit NoRuleFired holes).
-    Engine::builder()
-        .input(axis("a", 0.0, 100.0))
-        .input(axis("b", 0.0, 8.0))
-        .input(axis("c", 0.0, 40.0))
-        .output(out)
-        .rule(Rule::when("a", "lo").then("score", "hi").build().unwrap())
-        .rule(Rule::when("a", "mid").and("b", "mid").then("score", "mid").build().unwrap())
-        .rule(Rule::when("a", "hi").then("score", "lo").build().unwrap())
-        .rule(Rule::when("b", "hi").or("c", "hi").then("score", "lo").build().unwrap())
-        .build()
-        .unwrap()
-}
-
-/// A batch of queries clustered the way one epoch's admissions are:
-/// many requests landing in few distinct lattice cells.
-fn clustered_queries(n: usize) -> Vec<f64> {
-    let mut rng = SimRng::seed_from_u64(0x000b_a7c4);
-    let mut queries = Vec::with_capacity(n * 3);
-    for _ in 0..n {
-        let cluster = rng.index(8) as f64;
-        queries.push(cluster * 12.0 + rng.uniform_range(0.0, 1.5));
-        queries.push(cluster + rng.uniform_range(0.0, 0.4));
-        queries.push(cluster * 5.0 + rng.uniform_range(0.0, 2.0));
-    }
-    queries
-}
-
 fn bench_kernel_micro(c: &mut Criterion) {
     let events = if criterion::test_mode() { 10_000 } else { 100_000 };
     let entries = schedule(events);
@@ -141,26 +93,6 @@ fn bench_kernel_micro(c: &mut Criterion) {
     });
     c.bench_function("engine_queue_binary_heap_100k", |b| {
         b.iter(|| drain_heap(black_box(&entries)))
-    });
-
-    let surface = CompiledSurface::compile(&three_input_engine(), 33).unwrap();
-    let queries = clustered_queries(256);
-    let mut out = Vec::with_capacity(256);
-    c.bench_function("surface_batch_256x3", |b| {
-        b.iter(|| {
-            out.clear();
-            surface.evaluate_batch(black_box(&queries), &mut out).unwrap();
-            out.len()
-        })
-    });
-    c.bench_function("surface_looped_256x3", |b| {
-        b.iter(|| {
-            out.clear();
-            for row in black_box(&queries).chunks_exact(3) {
-                out.push(surface.evaluate_crisp(row).unwrap());
-            }
-            out.len()
-        })
     });
 }
 

@@ -1,13 +1,12 @@
 //! Regenerates every table and figure of the paper's evaluation, plus
-//! the scenario-catalog and kernel-throughput runs that go beyond it.
+//! the scenario-catalog and planet-scale runs that go beyond it.
 //!
 //! ```sh
 //! experiments                 # run everything at default replications
 //! experiments --exp fig7      # one experiment
 //! experiments --exp fig10 --reps 6
 //! experiments --exp catalog --out-dir results/catalog   # JSON per scenario
-//! experiments --exp throughput --shards 1,4             # 1M-user smoke
-//! experiments --exp trajectory --label "my change"      # record history
+//! experiments --exp planet --requests 1000000           # streamed planet smoke
 //! experiments --exp validate --cases 50                 # fuzzed invariants
 //! experiments --exp golden --check                      # golden digests
 //! experiments --list
@@ -16,7 +15,8 @@
 //! Output is CSV (stdout) plus an ASCII rendition of each figure;
 //! `catalog` additionally writes one machine-readable JSON file per
 //! scenario. EXPERIMENTS.md records a snapshot of these numbers next to
-//! the paper's.
+//! the paper's. Speed is measured by the benchmark harness
+//! (`python3 perfbench/run.py`), not by this binary.
 //!
 //! `validate` and `golden` are the CI safety net: `validate` fuzzes N
 //! workloads and cross-checks invariants, shard counts and inference
@@ -28,75 +28,18 @@
 
 use facs_bench::*;
 
-/// Counting global allocator (`--features mem-stats`): tracks the live
-/// allocated byte count and its high-water mark so the memory-flat
-/// claims can be checked at the allocator level, not just via RSS.
-#[cfg(feature = "mem-stats")]
-mod mem_stats {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static LIVE: AtomicUsize = AtomicUsize::new(0);
-    static HIGH: AtomicUsize = AtomicUsize::new(0);
-
-    struct CountingAlloc;
-
-    // SAFETY: delegates every allocation to `System` unchanged; the
-    // atomics only observe sizes.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let ptr = System.alloc(layout);
-            if !ptr.is_null() {
-                let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-                HIGH.fetch_max(live, Ordering::Relaxed);
-            }
-            ptr
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        }
-    }
-
-    #[global_allocator]
-    static ALLOC: CountingAlloc = CountingAlloc;
-
-    /// Highest live allocated byte count seen so far.
-    pub fn high_water_bytes() -> u64 {
-        HIGH.load(Ordering::Relaxed) as u64
-    }
-}
-
-/// Allocator high-water mark in bytes, when built with `mem-stats`.
-fn alloc_high_water_bytes() -> Option<u64> {
-    #[cfg(feature = "mem-stats")]
-    {
-        Some(mem_stats::high_water_bytes())
-    }
-    #[cfg(not(feature = "mem-stats"))]
-    {
-        None
-    }
-}
-
 /// Formats a byte count as mebibytes for report lines.
 fn mb(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
-/// Prints (and records in the CI job summary) the process memory
-/// high-water marks after a memory-sensitive experiment.
+/// Prints (and records in the CI job summary) the process's peak RSS
+/// after a memory-sensitive experiment.
 fn report_memory(context: &str) -> Option<f64> {
     let rss = peak_rss_bytes().map(mb);
     match rss {
         Some(rss_mb) => {
-            let line = match alloc_high_water_bytes().map(mb) {
-                Some(hwm) => {
-                    format!("{context}: peak RSS {rss_mb:.1} MB, allocator high-water {hwm:.1} MB")
-                }
-                None => format!("{context}: peak RSS {rss_mb:.1} MB"),
-            };
+            let line = format!("{context}: peak RSS {rss_mb:.1} MB");
             println!("# {line}");
             step_summary(&line);
         }
@@ -123,8 +66,6 @@ const EXPERIMENTS: &[&str] = &[
     "predict",
     "backend",
     "catalog",
-    "throughput",
-    "trajectory",
     "planet",
     "validate",
     "golden",
@@ -149,22 +90,15 @@ fn main() {
     let mut exp = "all".to_owned();
     let mut reps: u32 = 3;
     let mut out_dir = "results/catalog".to_owned();
-    let mut shards: Vec<usize> = vec![1, 4];
-    let mut assert_speedup: Option<f64> = None;
+    let mut shards: usize = 1;
     let mut cases: u64 = 50;
     let mut fuzz_seed: u64 = DEFAULT_FUZZ_SEED;
     let mut golden_dir = "results/golden".to_owned();
     let mut bless = false;
     let mut check = false;
-    let mut baseline_path: Option<String> = None;
-    let mut tolerance: f64 = 0.5;
-    let mut trajectory_path = "BENCH_trajectory.json".to_owned();
     let mut workers: usize = 0;
-    let mut label: Option<String> = None;
-    let mut sizes: Vec<usize> = vec![10_000, 100_000, 1_000_000];
     let mut requests: usize = 10_000_000;
     let mut region_cells: u32 = 1024;
-    let mut use_streamed = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -177,6 +111,10 @@ fn main() {
                     eprintln!("invalid --reps value `{}`", args[i + 1]);
                     std::process::exit(2);
                 });
+                if reps == 0 {
+                    eprintln!("--reps must be >= 1");
+                    std::process::exit(2);
+                }
                 i += 2;
             }
             "--out-dir" if i + 1 < args.len() => {
@@ -184,29 +122,14 @@ fn main() {
                 i += 2;
             }
             "--shards" if i + 1 < args.len() => {
-                shards = args[i + 1]
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("invalid --shards value `{}`", args[i + 1]);
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                let mut seen = shards.clone();
-                seen.sort_unstable();
-                seen.dedup();
-                if shards.contains(&0) || seen.len() != shards.len() {
-                    eprintln!("--shards values must be unique and >= 1, got `{}`", args[i + 1]);
+                shards = args[i + 1].parse().unwrap_or_else(|_| {
+                    eprintln!("invalid --shards value `{}`", args[i + 1]);
+                    std::process::exit(2);
+                });
+                if shards == 0 {
+                    eprintln!("--shards must be >= 1");
                     std::process::exit(2);
                 }
-                i += 2;
-            }
-            "--assert-speedup" if i + 1 < args.len() => {
-                assert_speedup = Some(args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --assert-speedup value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                }));
                 i += 2;
             }
             "--cases" if i + 1 < args.len() => {
@@ -214,6 +137,10 @@ fn main() {
                     eprintln!("invalid --cases value `{}`", args[i + 1]);
                     std::process::exit(2);
                 });
+                if cases == 0 {
+                    eprintln!("--cases must be >= 1");
+                    std::process::exit(2);
+                }
                 i += 2;
             }
             "--fuzz-seed" if i + 1 < args.len() => {
@@ -231,47 +158,15 @@ fn main() {
                 bless = true;
                 i += 1;
             }
-            "--streamed" => {
-                use_streamed = true;
-                i += 1;
-            }
             "--check" => {
                 check = true;
                 i += 1;
-            }
-            "--baseline" if i + 1 < args.len() => {
-                baseline_path = Some(args[i + 1].clone());
-                i += 2;
             }
             "--workers" if i + 1 < args.len() => {
                 workers = args[i + 1].parse().unwrap_or_else(|_| {
                     eprintln!("invalid --workers value `{}`", args[i + 1]);
                     std::process::exit(2);
                 });
-                i += 2;
-            }
-            "--trajectory" if i + 1 < args.len() => {
-                trajectory_path = args[i + 1].clone();
-                i += 2;
-            }
-            "--label" if i + 1 < args.len() => {
-                label = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--sizes" if i + 1 < args.len() => {
-                sizes = args[i + 1]
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("invalid --sizes value `{}`", args[i + 1]);
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                if sizes.contains(&0) || sizes.is_empty() {
-                    eprintln!("--sizes values must be >= 1, got `{}`", args[i + 1]);
-                    std::process::exit(2);
-                }
                 i += 2;
             }
             "--requests" if i + 1 < args.len() => {
@@ -294,13 +189,6 @@ fn main() {
                     eprintln!("--region-cells must be >= 1");
                     std::process::exit(2);
                 }
-                i += 2;
-            }
-            "--tolerance" if i + 1 < args.len() => {
-                tolerance = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --tolerance value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                });
                 i += 2;
             }
             "--list" => {
@@ -542,10 +430,9 @@ fn main() {
         // Keep the all-experiments sweep fast: the catalog's own
         // replication defaults apply only when asked for explicitly.
         let catalog_reps = if exp == "catalog" { reps } else { 1 };
-        let kernel_shards = *shards.first().unwrap_or(&1);
         println!("== catalog: named scenario sweep (FACS, compiled surfaces) ==");
         println!("scenario,requests,cells,shards,acceptance%,dropping%,utilization,handoffs");
-        let results = run_catalog(catalog_reps, kernel_shards);
+        let results = run_catalog(catalog_reps, shards);
         std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
             eprintln!("cannot create --out-dir `{out_dir}`: {e}");
             std::process::exit(1);
@@ -569,166 +456,6 @@ fn main() {
             });
         }
         println!("# wrote {} JSON artifacts to {out_dir}/", results.len());
-        println!();
-    }
-
-    if run("throughput") {
-        ran_any = true;
-        if assert_speedup.is_some() && shards.len() < 2 {
-            eprintln!("--assert-speedup needs at least two --shards values to compare");
-            std::process::exit(2);
-        }
-        // Keep the all-experiments sweep fast: the full million users run
-        // only when the smoke is requested explicitly.
-        let requests = if exp == "throughput" { 1_000_000 } else { 100_000 };
-        println!(
-            "== throughput: {}-user kernel smoke (127 cells, compiled FACS, {} synthesis) ==",
-            if requests == 1_000_000 { "1M" } else { "100k" },
-            if use_streamed { "streamed" } else { "eager" },
-        );
-        println!("shards,wall_s,events/s,calls/s,acceptance%");
-        // Best-of-two per shard count: a single sample would let one
-        // noisy run on a shared host flip the CI gate either way.
-        let mut walls: Vec<(usize, f64)> = Vec::new();
-        let mut rates: Vec<(usize, f64)> = Vec::new();
-        for &n in &shards {
-            let mut config = stress_scenario(requests, n);
-            config.workers = workers;
-            // `--streamed` swaps in chunked synthesis (for memory A/B
-            // runs); the digest is identical either way, only the spec
-            // residency differs.
-            config.streamed = use_streamed;
-            let mut best = throughput_run(&config);
-            let rerun = throughput_run(&config);
-            if rerun.wall < best.wall {
-                best = rerun;
-            }
-            let wall = best.wall.as_secs_f64();
-            println!(
-                "{n},{wall:.2},{:.0},{:.0},{:.2}",
-                best.events_per_sec(),
-                best.calls_per_sec(),
-                best.metrics.acceptance_percentage(),
-            );
-            walls.push((n, wall));
-            rates.push((n, best.events_per_sec()));
-        }
-        report_memory("throughput smoke");
-        if let Some(path) = &baseline_path {
-            compare_against_baseline(path, requests as u64, &rates, tolerance);
-        }
-        // Speedup is measured against the *smallest* shard count listed,
-        // wherever it appears in --shards.
-        let &(base_shards, base_wall) =
-            walls.iter().min_by_key(|&&(n, _)| n).expect("--shards is non-empty");
-        let best_speedup = walls
-            .iter()
-            .filter(|&&(n, _)| n != base_shards)
-            .map(|&(_, wall)| base_wall / wall)
-            .fold(f64::NAN, f64::max);
-        if best_speedup.is_finite() {
-            println!("# best speedup over the {base_shards}-shard baseline: {best_speedup:.2}x");
-        }
-        if let Some(required) = assert_speedup {
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            if cores < 2 {
-                // Shards can only run concurrently with cores to run on;
-                // on a single-core host the gate would measure noise.
-                eprintln!(
-                    "skipping --assert-speedup {required:.2}: only {cores} core available \
-                     (parallel shard scaling needs >= 2)"
-                );
-            } else {
-                // Loaded 2-core CI runners cannot reliably hit the
-                // full multi-core speedup; relax the bar and only warn
-                // so the gate stops flaking where it cannot measure.
-                let hard = cores >= 4;
-                let required = if hard { required } else { required.min(1.3) };
-                if !hard {
-                    eprintln!(
-                        "auto-relaxed --assert-speedup to {required:.2} (warn-only): \
-                         {cores} cores available, a reliable gate needs >= 4"
-                    );
-                }
-                if best_speedup.is_nan() || best_speedup < required {
-                    let verdict =
-                        format!("best speedup {best_speedup:.2}x < required {required:.2}x");
-                    if hard {
-                        eprintln!("throughput smoke FAILED: {verdict}");
-                        std::process::exit(1);
-                    }
-                    eprintln!(
-                        "throughput smoke WARNING (not failing on a {cores}-core runner): {verdict}"
-                    );
-                }
-            }
-        }
-        println!();
-    }
-
-    // Trajectory recording runs only when selected explicitly: it
-    // appends to a checked-in history file.
-    if exp == "trajectory" {
-        ran_any = true;
-        let Some(label) = label else {
-            eprintln!("--exp trajectory needs --label (what change is being measured?)");
-            std::process::exit(2);
-        };
-        let existing = std::fs::read_to_string(&trajectory_path).unwrap_or_default();
-        let Some(mut log) = TrajectoryLog::from_json(&existing) else {
-            eprintln!(
-                "{trajectory_path} exists but is not a trajectory log; refusing to overwrite"
-            );
-            std::process::exit(1);
-        };
-        println!(
-            "== trajectory: kernel throughput matrix, appending `{label}` to {trajectory_path} =="
-        );
-        println!("requests,shards,wall_s,events/s,calls/s");
-        let mut rows: Vec<(u64, usize, f64)> = Vec::new();
-        for &requests in &sizes {
-            for &n in &shards {
-                // Best-of-two, same policy as the throughput smoke.
-                let mut config = stress_scenario(requests, n);
-                config.workers = workers;
-                let mut best = throughput_run(&config);
-                let rerun = throughput_run(&config);
-                if rerun.wall < best.wall {
-                    best = rerun;
-                }
-                println!(
-                    "{requests},{n},{:.2},{:.0},{:.0}",
-                    best.wall.as_secs_f64(),
-                    best.events_per_sec(),
-                    best.calls_per_sec(),
-                );
-                rows.push((requests as u64, n, best.events_per_sec()));
-            }
-        }
-        if let Some(previous) = log.entries.last() {
-            for &(requests, n, eps) in &rows {
-                if let Some(reference) = previous.events_per_sec(requests, n) {
-                    println!(
-                        "# {requests} requests x {n} shards: {:.2}x of `{}` ({reference:.0} events/s)",
-                        eps / reference.max(1e-9),
-                        previous.label,
-                    );
-                }
-            }
-        }
-        let peak_rss_mb = report_memory("trajectory sweep");
-        log.entries.push(TrajectoryEntry {
-            date: today_iso(),
-            label,
-            rows,
-            peak_rss_mb,
-            alloc_hwm_mb: alloc_high_water_bytes().map(mb),
-        });
-        std::fs::write(&trajectory_path, log.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {trajectory_path}: {e}");
-            std::process::exit(1);
-        });
-        println!("# recorded entry {} in {trajectory_path}", log.entries.len());
         println!();
     }
 
@@ -886,70 +613,6 @@ fn main() {
         eprintln!("unknown experiment `{exp}` (try --list)");
         std::process::exit(2);
     }
-}
-
-/// Compares a throughput run against the checked-in baseline and
-/// prints (and records in the job summary) a trajectory line per shard
-/// count. Informational: absolute events/s depends on runner hardware,
-/// so drifting outside the band warns without failing the job.
-fn compare_against_baseline(path: &str, requests: u64, rates: &[(usize, f64)], tolerance: f64) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("cannot read --baseline {path}: {e}");
-            return;
-        }
-    };
-    let Some(baseline) = ThroughputBaseline::from_json(&text) else {
-        eprintln!("--baseline {path} is not a valid throughput baseline");
-        return;
-    };
-    if baseline.requests != requests {
-        println!(
-            "# baseline {path} was recorded at {} requests (this run: {requests}); skipping",
-            baseline.requests
-        );
-        return;
-    }
-    let (lo, hi) = (1.0 - tolerance, 1.0 + tolerance);
-    for &(shards, events_per_sec) in rates {
-        let Some(reference) = baseline.events_per_sec(shards) else {
-            println!("# no baseline entry for {shards} shards in {path}");
-            continue;
-        };
-        let ratio = events_per_sec / reference.max(1e-9);
-        let verdict = if (lo..=hi).contains(&ratio) { "within band" } else { "OUTSIDE band" };
-        let line = format!(
-            "throughput trajectory: {shards} shards at {events_per_sec:.0} events/s = \
-             {ratio:.2}x of baseline {reference:.0} ({verdict} {lo:.2}x-{hi:.2}x)"
-        );
-        println!("# {line}");
-        step_summary(&line);
-        if !(lo..=hi).contains(&ratio) {
-            eprintln!(
-                "warning: {shards}-shard throughput drifted outside the baseline band \
-                 (informational; runner hardware varies)"
-            );
-        }
-    }
-}
-
-/// Today's UTC date as `YYYY-MM-DD` (no chrono in the tree; this is
-/// the standard days-to-civil-date conversion).
-fn today_iso() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let day = doy - (153 * mp + 2) / 5 + 1;
-    let month = if mp < 10 { mp + 3 } else { mp - 9 };
-    let year = yoe + era * 400 + i64::from(month <= 2);
-    format!("{year:04}-{month:02}-{day:02}")
 }
 
 fn print_series(series: &[facs_cellsim::Series], y_min: f64, y_max: f64) {

@@ -677,66 +677,6 @@ pub fn run_catalog(replications: u32, shards: usize) -> Vec<CatalogResult> {
         .collect()
 }
 
-/// The throughput stress scenario: `requests` users over a 10-minute
-/// window on a 127-cell grid. The `sim_throughput` bench runs it at
-/// 10k / 100k / 1M users and 1 vs N shards; at 1M it is the ROADMAP's
-/// "heavy traffic from millions of users" smoke (`--exp throughput`),
-/// far beyond the paper's 100-request figures.
-#[must_use]
-pub fn stress_scenario(requests: usize, shards: usize) -> ScenarioConfig {
-    ScenarioConfig {
-        requests,
-        window_s: 600.0,
-        holding_mean_s: 40.0,
-        grid_radius: 6,
-        cell_radius_km: 2.0,
-        spawn: SpawnSpec::AnyCell,
-        mobility: MobilityChoice::Walker,
-        replications: 1,
-        shards,
-        ..Default::default()
-    }
-}
-
-/// Wall-clock report of one stress run.
-#[derive(Debug, Clone)]
-pub struct ThroughputReport {
-    /// The run's counters.
-    pub metrics: Metrics,
-    /// Kernel wall time (construction and eager generation excluded).
-    pub wall: std::time::Duration,
-}
-
-impl ThroughputReport {
-    /// Kernel events per wall-clock second.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.metrics.total_events() as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Offered calls per wall-clock second.
-    #[must_use]
-    pub fn calls_per_sec(&self) -> f64 {
-        self.metrics.offered_new as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Runs one scenario once (FACS on compiled surfaces) and times the
-/// kernel run alone — the measurement behind the `sim_throughput` bench
-/// and the million-user smoke. Controller construction is excluded, and
-/// so is generation of an eager `Vec`; with the scenario's `streamed`
-/// flag set, specs are synthesized inside the timed run.
-#[must_use]
-pub fn throughput_run(config: &ScenarioConfig) -> ThroughputReport {
-    let grid = config.grid();
-    let controllers = facs_builder(FacsConfig::compiled())(&grid);
-    let mut sim = Simulation::new(grid, config.sim_config(config.seed), controllers);
-    let workload = config.run_input(config.seed);
-    let start = std::time::Instant::now();
-    let metrics = sim.run(workload);
-    ThroughputReport { metrics, wall: start.elapsed() }
-}
-
 /// Process peak resident-set size in bytes (Linux `VmHWM`), `None`
 /// where `/proc` is unavailable. A whole-process high-water mark: it
 /// only ever grows, so measure it right after the run of interest.

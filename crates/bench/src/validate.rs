@@ -620,177 +620,6 @@ pub fn run_validation(
     Ok(summary)
 }
 
-/// The checked-in throughput reference (`BENCH_baseline.json`): the
-/// events/s the stress smoke achieved per shard count when the
-/// baseline was recorded. CI compares fresh runs against it with a
-/// ±tolerance band and prints the trajectory — informational, because
-/// absolute throughput depends on the runner hardware; the speedup
-/// gate (1 vs N shards on the *same* host) is the hard check.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThroughputBaseline {
-    /// Workload size the baseline was recorded at.
-    pub requests: u64,
-    /// `(shard count, events/s)` pairs.
-    pub entries: Vec<(usize, f64)>,
-}
-
-impl ThroughputBaseline {
-    /// Renders the baseline JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"throughput\",\n");
-        out.push_str(&format!("  \"requests\": \"{}\"", self.requests));
-        for (shards, events_per_sec) in &self.entries {
-            out.push_str(&format!(",\n  \"shards-{shards}\": \"{events_per_sec:.0}\""));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Parses a baseline document written by [`ThroughputBaseline::to_json`].
-    #[must_use]
-    pub fn from_json(json: &str) -> Option<Self> {
-        let mut requests = None;
-        let mut entries = Vec::new();
-        for (key, value) in string_fields(json) {
-            if key == "requests" {
-                requests = value.parse().ok();
-            } else if let Some(shards) = key.strip_prefix("shards-") {
-                if let (Ok(shards), Ok(eps)) = (shards.parse(), value.parse()) {
-                    entries.push((shards, eps));
-                }
-            }
-        }
-        Some(Self { requests: requests?, entries })
-    }
-
-    /// The recorded events/s for `shards`, if present.
-    #[must_use]
-    pub fn events_per_sec(&self, shards: usize) -> Option<f64> {
-        self.entries.iter().find(|&&(n, _)| n == shards).map(|&(_, eps)| eps)
-    }
-}
-
-/// One dated measurement sweep of the kernel throughput matrix
-/// (workload sizes × shard counts), as appended to
-/// `BENCH_trajectory.json` by `experiments --exp trajectory`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrajectoryEntry {
-    /// ISO date (YYYY-MM-DD) the sweep ran.
-    pub date: String,
-    /// Human label, e.g. the PR or change being measured.
-    pub label: String,
-    /// `(requests, shards, events/s)` per configuration measured.
-    pub rows: Vec<(u64, usize, f64)>,
-    /// Process peak RSS (MB) at the end of the sweep, when measurable
-    /// (Linux `VmHWM`). A whole-process high-water mark, so it reflects
-    /// the largest configuration of the sweep.
-    pub peak_rss_mb: Option<f64>,
-    /// Allocator high-water mark (MB) from the counting global
-    /// allocator, when the binary was built with `--features mem-stats`.
-    pub alloc_hwm_mb: Option<f64>,
-}
-
-impl TrajectoryEntry {
-    /// The recorded events/s for `(requests, shards)`, if measured.
-    #[must_use]
-    pub fn events_per_sec(&self, requests: u64, shards: usize) -> Option<f64> {
-        self.rows.iter().find(|&&(r, n, _)| r == requests && n == shards).map(|&(_, _, eps)| eps)
-    }
-}
-
-/// The kernel-throughput history (`BENCH_trajectory.json`): one entry
-/// per recorded sweep, oldest first. Unlike [`ThroughputBaseline`] —
-/// which holds the single reference CI compares against — this file
-/// only accumulates, so the before/after of every kernel change stays
-/// reviewable in one place.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TrajectoryLog {
-    /// Recorded sweeps, append order preserved.
-    pub entries: Vec<TrajectoryEntry>,
-}
-
-impl TrajectoryLog {
-    /// Renders the log JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out =
-            String::from("{\n  \"experiment\": \"throughput-trajectory\",\n  \"entries\": [\n");
-        for (i, entry) in self.entries.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"date\": \"{}\",\n", entry.date));
-            out.push_str(&format!("      \"label\": \"{}\"", entry.label));
-            for (requests, shards, eps) in &entry.rows {
-                out.push_str(&format!(",\n      \"r{requests}-s{shards}\": \"{eps:.0}\""));
-            }
-            if let Some(mb) = entry.peak_rss_mb {
-                out.push_str(&format!(",\n      \"peak_rss_mb\": \"{mb:.1}\""));
-            }
-            if let Some(mb) = entry.alloc_hwm_mb {
-                out.push_str(&format!(",\n      \"alloc_hwm_mb\": \"{mb:.1}\""));
-            }
-            out.push_str(if i + 1 == self.entries.len() { "\n    }\n" } else { "\n    },\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Parses a log written by [`TrajectoryLog::to_json`]. Returns an
-    /// empty log for an empty/blank document (first recording), `None`
-    /// for anything that does not look like a trajectory file — the
-    /// caller should refuse to overwrite such a file.
-    #[must_use]
-    pub fn from_json(json: &str) -> Option<Self> {
-        if json.trim().is_empty() {
-            return Some(Self::default());
-        }
-        // Entries are flat objects, so brace-matching is just splitting
-        // on the inner `{ ... }` blocks after the `entries` key.
-        let (head, body) = json.split_once("\"entries\"")?;
-        if !string_fields(head)
-            .iter()
-            .any(|(k, v)| k == "experiment" && v == "throughput-trajectory")
-        {
-            return None;
-        }
-        let mut entries = Vec::new();
-        let mut rest = body;
-        while let Some(open) = rest.find('{') {
-            let close = rest[open..].find('}')? + open;
-            let mut date = None;
-            let mut label = None;
-            let mut rows = Vec::new();
-            let mut peak_rss_mb = None;
-            let mut alloc_hwm_mb = None;
-            for (key, value) in string_fields(&rest[open..=close]) {
-                match key.as_str() {
-                    "date" => date = Some(value),
-                    "label" => label = Some(value),
-                    "peak_rss_mb" => peak_rss_mb = value.parse().ok(),
-                    "alloc_hwm_mb" => alloc_hwm_mb = value.parse().ok(),
-                    _ => {
-                        if let Some((r, s)) = key.strip_prefix('r').and_then(|k| k.split_once("-s"))
-                        {
-                            if let (Ok(r), Ok(s), Ok(eps)) = (r.parse(), s.parse(), value.parse()) {
-                                rows.push((r, s, eps));
-                            }
-                        }
-                    }
-                }
-            }
-            entries.push(TrajectoryEntry {
-                date: date?,
-                label: label?,
-                rows,
-                peak_rss_mb,
-                alloc_hwm_mb,
-            });
-            rest = &rest[close + 1..];
-        }
-        Some(Self { entries })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -817,36 +646,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trajectory_json_round_trips() {
-        let log = TrajectoryLog {
-            entries: vec![
-                TrajectoryEntry {
-                    date: "2026-08-01".to_owned(),
-                    label: "before".to_owned(),
-                    rows: vec![(10_000, 1, 2_826_034.0), (1_000_000, 4, 1_050_944.0)],
-                    peak_rss_mb: None,
-                    alloc_hwm_mb: None,
-                },
-                TrajectoryEntry {
-                    date: "2026-08-09".to_owned(),
-                    label: "after".to_owned(),
-                    rows: vec![(10_000, 1, 8_000_000.0)],
-                    peak_rss_mb: Some(412.5),
-                    alloc_hwm_mb: Some(350.1),
-                },
-            ],
-        };
-        let parsed = TrajectoryLog::from_json(&log.to_json()).expect("parses");
-        assert_eq!(parsed, log);
-        assert_eq!(parsed.entries[0].events_per_sec(1_000_000, 4), Some(1_050_944.0));
-        assert_eq!(parsed.entries[0].events_per_sec(1_000_000, 2), None);
-        // First recording: an empty document is an empty log…
-        assert_eq!(TrajectoryLog::from_json("").expect("empty ok").entries.len(), 0);
-        // …but an unrelated JSON file is refused, not clobbered.
-        assert!(TrajectoryLog::from_json("{\"experiment\": \"throughput\"}").is_none());
     }
 
     #[test]
@@ -1011,20 +810,6 @@ mod tests {
         // Both call kinds × 5 occupancy points per offered user.
         assert_eq!(samples, case.config.requests as u64 * 10);
         assert!(flips <= samples / 50, "flips {flips} of {samples} is not near-threshold noise");
-    }
-
-    #[test]
-    fn throughput_baseline_round_trips() {
-        let baseline = ThroughputBaseline {
-            requests: 1_000_000,
-            entries: vec![(1, 1_200_000.0), (4, 2_900_000.0)],
-        };
-        let parsed = ThroughputBaseline::from_json(&baseline.to_json()).expect("parses");
-        assert_eq!(parsed.requests, 1_000_000);
-        assert_eq!(parsed.events_per_sec(1), Some(1_200_000.0));
-        assert_eq!(parsed.events_per_sec(4), Some(2_900_000.0));
-        assert_eq!(parsed.events_per_sec(2), None);
-        assert!(ThroughputBaseline::from_json("{}").is_none(), "requests is required");
     }
 
     #[test]

@@ -375,7 +375,7 @@ impl Metrics {
 
     /// Total kernel events behind this run: admission decisions (new +
     /// handoff), completions, coverage exits and mobility steps. The
-    /// denominator of the throughput benches' events/sec figure.
+    /// numerator of the benchmarks' events-per-second figure.
     #[must_use]
     pub fn total_events(&self) -> u64 {
         self.offered_new

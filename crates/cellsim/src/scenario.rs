@@ -182,7 +182,7 @@ impl ScenarioConfig {
     /// The kernel configuration this scenario runs under for workload
     /// seed `seed` — the single source of the seed mix and horizon
     /// formula, shared by [`ScenarioConfig::run_once`] and the
-    /// throughput harness in `facs-bench`.
+    /// experiment runners in `facs-bench`.
     #[must_use]
     pub fn sim_config(&self, seed: u64) -> SimulationConfig {
         SimulationConfig {

@@ -58,57 +58,6 @@ pub trait InferenceBackend {
     /// arity errors when `readings` does not match the input count.
     fn evaluate_crisp(&self, readings: &[f64]) -> Result<f64>;
 
-    /// Number of positional inputs one query carries — the row width of
-    /// a batch passed to
-    /// [`evaluate_batch`](InferenceBackend::evaluate_batch).
-    fn input_dims(&self) -> usize;
-
-    /// Evaluates many queries at once, appending one output per query to
-    /// `out` in query order.
-    ///
-    /// `queries` is a flat row-major block of
-    /// [`input_dims`](InferenceBackend::input_dims)-wide rows. The
-    /// default implementation just loops
-    /// [`evaluate_crisp`](InferenceBackend::evaluate_crisp); backends
-    /// with exploitable structure (e.g. [`CompiledSurface`], which sorts
-    /// queries by lattice cell to amortize corner gathers) override it.
-    /// Overrides must return bit-identical values to the looped default.
-    ///
-    /// # Errors
-    ///
-    /// The same per-query errors as
-    /// [`evaluate_crisp`](InferenceBackend::evaluate_crisp); a trailing
-    /// partial row errors like a short `evaluate_crisp` call. On error,
-    /// `out` is left exactly as passed in.
-    fn evaluate_batch(&self, queries: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let dims = self.input_dims();
-        if dims == 0 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: "batch evaluation requires at least one input".to_owned(),
-            });
-        }
-        let start = out.len();
-        out.reserve(queries.len() / dims);
-        let chunks = queries.chunks_exact(dims);
-        let remainder = chunks.remainder();
-        for row in chunks {
-            match self.evaluate_crisp(row) {
-                Ok(value) => out.push(value),
-                Err(err) => {
-                    out.truncate(start);
-                    return Err(err);
-                }
-            }
-        }
-        if !remainder.is_empty() {
-            out.truncate(start);
-            // A short trailing row fails exactly like a short single
-            // query (MissingInput for the first absent axis).
-            self.evaluate_crisp(remainder)?;
-        }
-        Ok(())
-    }
-
     /// Short static name for logs and benches.
     fn backend_name(&self) -> &'static str;
 }
@@ -116,10 +65,6 @@ pub trait InferenceBackend {
 impl InferenceBackend for Engine {
     fn evaluate_crisp(&self, readings: &[f64]) -> Result<f64> {
         Engine::evaluate_crisp(self, readings)
-    }
-
-    fn input_dims(&self) -> usize {
-        self.inputs().len()
     }
 
     fn backend_name(&self) -> &'static str {
@@ -347,9 +292,7 @@ impl CompiledSurface {
     }
 
     /// Locates the lattice cell enclosing `readings`: the flattened base
-    /// node index plus the per-axis interpolation fractions. Shared by
-    /// the single-query and batched paths so both run the exact same
-    /// float operations (bit-identical outputs).
+    /// node index plus the per-axis interpolation fractions.
     // `always`: the kernel calls `evaluate_crisp` per admission, and
     // letting LLVM materialize the (usize, [f64; 8]) return through a
     // real call costs ~4% of simulator throughput.
@@ -381,29 +324,6 @@ impl CompiledSurface {
         }
         Ok((base, frac))
     }
-
-    /// Blends the `2^dims` corner values of one lattice cell with the
-    /// given fractions. `corners[c]` must hold the value at corner bit
-    /// pattern `c`; the accumulation order and zero-weight skip mirror
-    /// [`evaluate_crisp`](InferenceBackend::evaluate_crisp) exactly.
-    fn blend(&self, corners: &[f64], frac: &[f64; MAX_SURFACE_DIMS]) -> f64 {
-        let dims = self.axes.len();
-        let mut acc = 0.0;
-        for (corner, &value) in corners.iter().enumerate().take(1usize << dims) {
-            let mut weight = 1.0;
-            for (d, f) in frac.iter().enumerate().take(dims) {
-                if corner & (1 << d) != 0 {
-                    weight *= f;
-                } else {
-                    weight *= 1.0 - f;
-                }
-            }
-            if weight > 0.0 {
-                acc += weight * value;
-            }
-        }
-        acc
-    }
 }
 
 impl InferenceBackend for CompiledSurface {
@@ -415,10 +335,7 @@ impl InferenceBackend for CompiledSurface {
         let dims = self.axes.len();
         let (base, frac) = self.locate(readings)?;
         // Fused corner walk: offsets and weights in one pass, loading
-        // only corners with non-zero weight — measurably faster per
-        // single query than gather-then-blend. The weight products and
-        // accumulation run in the same order as [`CompiledSurface::blend`],
-        // so both paths stay bit-identical.
+        // only corners with non-zero weight.
         let mut acc = 0.0;
         for corner in 0..(1usize << dims) {
             let mut weight = 1.0;
@@ -438,72 +355,8 @@ impl InferenceBackend for CompiledSurface {
         Ok(acc)
     }
 
-    fn input_dims(&self) -> usize {
-        self.axes.len()
-    }
-
-    /// Cell-sorted batch evaluation: locates every query's lattice cell,
-    /// sorts query indices by flattened base node, and gathers each
-    /// cell's `2^dims` corner values once for all queries sharing it.
-    /// The per-query locate and blend arithmetic is byte-for-byte the
-    /// single-query path, so results are bit-identical to a loop over
-    /// [`evaluate_crisp`](InferenceBackend::evaluate_crisp) — the sort
-    /// only reorders *when* each independent output is computed, never
-    /// how.
-    fn evaluate_batch(&self, queries: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let dims = self.axes.len();
-        let chunks = queries.chunks_exact(dims);
-        let remainder = chunks.remainder();
-        if !remainder.is_empty() {
-            // A short trailing row fails exactly like a short query.
-            self.locate(remainder)?;
-        }
-        // Pass 1: locate all cells up front (also surfaces any
-        // non-finite reading before `out` is touched).
-        let mut located: Vec<(usize, u32, [f64; MAX_SURFACE_DIMS])> =
-            Vec::with_capacity(queries.len() / dims);
-        for (q, row) in chunks.enumerate() {
-            let (base, frac) = self.locate(row)?;
-            let q = u32::try_from(q).map_err(|_| FuzzyError::InvalidMembership {
-                reason: "batch larger than u32::MAX queries".to_owned(),
-            })?;
-            located.push((base, q, frac));
-        }
-        // Adjacent queries now share corner gathers; the query index
-        // breaks ties so the sort is deterministic.
-        located.sort_unstable_by_key(|&(base, q, _)| (base, q));
-
-        let start = out.len();
-        out.resize(start + located.len(), 0.0);
-        let mut corners = [0.0f64; 1 << MAX_SURFACE_DIMS];
-        let mut cached_base = usize::MAX;
-        for &(base, q, frac) in &located {
-            if base != cached_base {
-                gather_corners(&self.values, &self.strides, base, &mut corners[..1 << dims]);
-                cached_base = base;
-            }
-            out[start + q as usize] = self.blend(&corners[..1 << dims], &frac);
-        }
-        Ok(())
-    }
-
     fn backend_name(&self) -> &'static str {
         "compiled-surface"
-    }
-}
-
-/// Copies the `2^dims` corner values of the lattice cell at flattened
-/// node `base` into `corners` (whose length fixes `2^dims`), indexed by
-/// corner bit pattern: bit `d` set means "high side of axis `d`".
-fn gather_corners(values: &[f64], strides: &[usize], base: usize, corners: &mut [f64]) {
-    for (corner, slot) in corners.iter_mut().enumerate() {
-        let mut offset = 0usize;
-        for (d, &stride) in strides.iter().enumerate() {
-            if corner & (1 << d) != 0 {
-                offset += stride;
-            }
-        }
-        *slot = values[base + offset];
     }
 }
 
@@ -661,64 +514,6 @@ mod tests {
         assert_eq!(compiled, BackendKind::Compiled { points_per_axis: DEFAULT_LATTICE_POINTS });
         assert_eq!(compiled.to_string(), "compiled(33)");
         assert_eq!(BackendKind::Exact.to_string(), "exact");
-    }
-
-    #[test]
-    fn batched_surface_matches_looped_single_queries_bitwise() {
-        let engine = two_input_engine();
-        let surface = CompiledSurface::compile(&engine, 33).unwrap();
-        // A mix of duplicate cells (amortized gathers), clamped
-        // out-of-universe readings, and exact lattice nodes.
-        let mut queries = Vec::new();
-        for i in 0..40 {
-            let a = f64::from(i % 7) / 6.3 + 0.011;
-            let b = -1.2 + 2.4 * f64::from(i) / 39.0;
-            queries.extend_from_slice(&[a, b]);
-        }
-        let mut batched = vec![f64::NAN; 3]; // pre-existing prefix kept
-        surface.evaluate_batch(&queries, &mut batched).unwrap();
-        assert_eq!(batched.len(), 3 + 40);
-        for (q, row) in queries.chunks_exact(2).enumerate() {
-            let single = surface.evaluate_crisp(row).unwrap();
-            assert_eq!(batched[3 + q].to_bits(), single.to_bits(), "query {q} diverged");
-        }
-    }
-
-    #[test]
-    fn batched_engine_default_matches_loop() {
-        let engine = two_input_engine();
-        let queries = [0.1, -0.5, 0.9, 0.8, 0.5, 0.0];
-        let mut batched = Vec::new();
-        engine.evaluate_batch(&queries, &mut batched).unwrap();
-        assert_eq!(engine.input_dims(), 2);
-        assert_eq!(batched.len(), 3);
-        for (q, row) in queries.chunks_exact(2).enumerate() {
-            assert_eq!(batched[q].to_bits(), engine.evaluate_crisp(row).unwrap().to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_errors_leave_output_untouched() {
-        let engine = two_input_engine();
-        let surface = CompiledSurface::compile(&engine, 5).unwrap();
-        for backend in [&engine as &dyn InferenceBackend, &surface] {
-            // Trailing partial row: fails like a short single query.
-            let mut out = vec![1.0, 2.0];
-            assert!(matches!(
-                backend.evaluate_batch(&[0.5, 0.5, 0.5], &mut out),
-                Err(FuzzyError::MissingInput { .. })
-            ));
-            assert_eq!(out, vec![1.0, 2.0]);
-            // Non-finite reading anywhere in the batch.
-            assert!(matches!(
-                backend.evaluate_batch(&[0.5, 0.5, f64::NAN, 0.5], &mut out),
-                Err(FuzzyError::NonFiniteInput { .. })
-            ));
-            assert_eq!(out, vec![1.0, 2.0]);
-            // The empty batch is trivially fine and appends nothing.
-            backend.evaluate_batch(&[], &mut out).unwrap();
-            assert_eq!(out, vec![1.0, 2.0]);
-        }
     }
 
     #[test]

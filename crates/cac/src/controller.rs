@@ -239,29 +239,6 @@ impl AdmissionController for BoxedController {
     }
 }
 
-/// A factory producing one controller instance per cell, so multi-cell
-/// simulations can give every base station its own policy state.
-pub trait ControllerFactory {
-    /// Builds a fresh controller for one cell.
-    fn build(&self) -> BoxedController;
-
-    /// The policy name shared by all instances.
-    fn policy_name(&self) -> &str;
-}
-
-impl<F> ControllerFactory for F
-where
-    F: Fn() -> BoxedController,
-{
-    fn build(&self) -> BoxedController {
-        self()
-    }
-
-    fn policy_name(&self) -> &str {
-        "closure-policy"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,18 +293,6 @@ mod tests {
         boxed.observe(0.0, &cell);
         boxed.on_admitted(&request(), &cell.snapshot());
         boxed.on_released(CallId(1), ServiceClass::Voice, &cell.snapshot());
-    }
-
-    #[test]
-    fn closures_are_factories() {
-        let factory = || -> BoxedController {
-            Box::new(CountingController { admitted: 0, released: 0, observed: 0 })
-        };
-        let a = factory.build();
-        let b = factory.build();
-        assert_eq!(a.name(), "counting");
-        assert_eq!(b.name(), "counting");
-        assert_eq!(ControllerFactory::policy_name(&factory), "closure-policy");
     }
 
     #[test]

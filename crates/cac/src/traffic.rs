@@ -23,6 +23,17 @@ impl ServiceClass {
     pub const ALL: [ServiceClass; 3] =
         [ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video];
 
+    /// Position of the class in [`ServiceClass::ALL`], for per-class
+    /// arrays.
+    #[must_use]
+    pub const fn index(self) -> usize {
+        match self {
+            ServiceClass::Text => 0,
+            ServiceClass::Voice => 1,
+            ServiceClass::Video => 2,
+        }
+    }
+
     /// Bandwidth demanded by one call of this class.
     #[must_use]
     pub const fn demand(self) -> BandwidthUnits {
@@ -467,6 +478,13 @@ mod tests {
         assert_eq!(ServiceClass::Text.demand().get(), 1);
         assert_eq!(ServiceClass::Voice.demand().get(), 5);
         assert_eq!(ServiceClass::Video.demand().get(), 10);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, class) in ServiceClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i);
+        }
     }
 
     #[test]

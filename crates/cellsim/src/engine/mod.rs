@@ -48,32 +48,24 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use facs_cac::{
-    AdmissionController, BandwidthLedger, BandwidthUnits, BoxedController, CellId,
-    ControllerFactory, ServiceProfile,
+    AdmissionController, BandwidthLedger, BandwidthUnits, BoxedController, CellId, ServiceProfile,
 };
 
 use crate::geometry::HexGrid;
 use crate::metrics::{Metrics, MetricsSink};
-use crate::mobility::{
-    GaussMarkov, MobileState, MobilityModel, RandomWaypoint, StraightLine, Walker,
-};
+use crate::mobility::{MobileState, MobilityModel, StraightLine, Walker};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::workload::{WorkloadChunk, WorkloadStream};
 
 use shard::{sort_migrants, CellUnit, Migrant, PendingArrival, Shard};
 
-/// A clonable, serde-friendly sum of the crate's mobility models, so
-/// workloads can be described as plain data.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
+/// The mobility model of one user: a 1-byte tag, because every
+/// [`UserSpec`], in-call user and migrant carries one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MobilityKind {
     /// Heading-diffusion walker (speed-dependent stability).
-    Walker(Walker),
-    /// Random waypoint within a disc.
-    RandomWaypoint(RandomWaypoint),
-    /// Gauss–Markov autoregressive motion.
-    GaussMarkov(GaussMarkov),
+    Walker,
     /// Constant heading and speed.
     StraightLine,
 }
@@ -81,18 +73,14 @@ pub enum MobilityKind {
 impl MobilityModel for MobilityKind {
     fn step(&mut self, state: &mut MobileState, dt_s: f64, rng: &mut SimRng) {
         match self {
-            MobilityKind::Walker(m) => m.step(state, dt_s, rng),
-            MobilityKind::RandomWaypoint(m) => m.step(state, dt_s, rng),
-            MobilityKind::GaussMarkov(m) => m.step(state, dt_s, rng),
+            MobilityKind::Walker => Walker.step(state, dt_s, rng),
             MobilityKind::StraightLine => StraightLine.step(state, dt_s, rng),
         }
     }
 
     fn name(&self) -> &str {
         match self {
-            MobilityKind::Walker(_) => "walker",
-            MobilityKind::RandomWaypoint(_) => "random-waypoint",
-            MobilityKind::GaussMarkov(_) => "gauss-markov",
+            MobilityKind::Walker => "walker",
             MobilityKind::StraightLine => "straight-line",
         }
     }
@@ -241,19 +229,6 @@ impl Simulation {
             })
             .collect();
         Self { grid, cells, clock: SimTime::ZERO, config }
-    }
-
-    /// Creates a simulation with one controller per cell built by
-    /// `factory` — the per-shard construction hook used when every cell
-    /// runs the same policy.
-    #[must_use]
-    pub fn from_factory(
-        grid: HexGrid,
-        config: SimulationConfig,
-        factory: &dyn ControllerFactory,
-    ) -> Self {
-        let controllers = grid.cell_ids().map(|_| factory.build()).collect();
-        Self::new(grid, config, controllers)
     }
 
     /// Runs the workload to completion and returns the collected metrics.
@@ -914,7 +889,7 @@ mod tests {
                     ServiceClass::Text
                 }),
                 start: MobileState::new(Point::new(0.1 * i as f64 % 1.5, 0.0), 45.0, 30.0),
-                mobility: MobilityKind::Walker(Walker::paper_default()),
+                mobility: MobilityKind::Walker,
                 holding_s: 60.0 + i as f64,
             })
             .collect()
@@ -1148,12 +1123,14 @@ mod tests {
     }
 
     #[test]
-    fn from_factory_builds_one_controller_per_cell() {
-        let grid = HexGrid::new(1, 10.0);
-        let factory = || Box::new(CompleteSharing::new()) as BoxedController;
-        let mut sim = Simulation::from_factory(grid, SimulationConfig::default(), &factory);
-        let metrics = sim.run(vec![stationary_spec(1.0, ServiceClass::Voice, 10.0)]);
-        assert_eq!(metrics.accepted_new, 1);
+    fn mobility_is_a_one_byte_tag_and_user_spec_stays_small() {
+        // Every spec, in-call user and migrant carries a `MobilityKind`,
+        // and an eager `Vec<UserSpec>` input holds one spec per user for
+        // the whole run: eager input memory and the planet memory budget
+        // (25 % of users × `size_of::<UserSpec>()`) scale with the spec.
+        assert_eq!(std::mem::size_of::<MobilityKind>(), 1);
+        let spec = std::mem::size_of::<UserSpec>();
+        assert!(spec <= 88, "UserSpec grew to {spec} bytes");
     }
 
     #[test]

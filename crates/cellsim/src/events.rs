@@ -302,30 +302,6 @@ impl EngineQueue {
         }
     }
 
-    /// The timestamp of the next event without removing it.
-    ///
-    /// O(1) while the current bucket has entries; otherwise scans the
-    /// first non-empty future bucket (which is not yet sorted). Kernel
-    /// code drains via [`EngineQueue::pop_within`] and never pays this.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let near =
-            [self.cur.get(self.cur_idx).map(|c| c.time), self.incursions.peek().map(|i| i.time)];
-        if let Some(t) = near.into_iter().flatten().min() {
-            return Some(t);
-        }
-        // Buckets cover disjoint ascending time ranges, so the first
-        // non-empty future bucket bounds every bucket behind it; only
-        // the overflow heap can undercut it.
-        let ring_min = self
-            .ring
-            .iter()
-            .find(|b| !b.is_empty())
-            .and_then(|bucket| bucket.iter().map(|e| e.time).min());
-        let overflow_min = self.overflow.peek().map(|o| o.time);
-        [ring_min, overflow_min].into_iter().flatten().min()
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -388,7 +364,6 @@ mod tests {
         assert_eq!(first.0, t(1.0));
         // Mid-drain: lands between the popped event and the remainder.
         q.schedule(t(2.0), end(2, 1));
-        assert_eq!(q.peek_time(), Some(t(2.0)));
         assert_eq!(q.pop().unwrap().0, t(2.0));
         assert_eq!(q.pop().unwrap().0, t(4.0));
         assert!(q.pop().is_none());

@@ -11,9 +11,9 @@
 //! ## Architecture
 //!
 //! * [`geometry`] — hexagonal cell grid, planar points, locating users;
-//! * [`mobility`] — walker / random-waypoint / Gauss–Markov models plus
-//!   the GPS observation (`(S, A, D)` triple) FLC1 consumes;
-//! * [`traffic`] — traffic mix, Poisson arrivals, holding times;
+//! * [`mobility`] — the heading-diffusion walker and straight-line models
+//!   plus the GPS observation (`(S, A, D)` triple) FLC1 consumes;
+//! * [`traffic`] — traffic mix, Poisson arrival instants, holding times;
 //! * [`events`] — the shard-independent, content-ordered event queue;
 //! * [`engine`] — the sharded deterministic simulation kernel (cells,
 //!   users, handoffs, epoch barriers);
@@ -79,7 +79,7 @@ pub use geometry::{HexCoord, HexGrid, Point};
 pub use metrics::{
     CellLoadSeries, ClassCounters, Metrics, MetricsSink, RegionRollup, RegionRollupSink, Series,
 };
-pub use mobility::{GaussMarkov, MobileState, MobilityModel, RandomWaypoint, StraightLine, Walker};
+pub use mobility::{MobileState, MobilityModel, StraightLine, Walker};
 pub use rng::SimRng;
 pub use scenario::{
     acceptance_curve, offered_load_fraction, paper_request_counts, AngleSpec, ControllerBuilder,
@@ -87,7 +87,7 @@ pub use scenario::{
 };
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
-pub use traffic::{HoldingTimes, PoissonArrivals, TrafficMix};
+pub use traffic::{HoldingTimes, TrafficMix};
 pub use validate::{InvariantSink, TraceDigest};
 pub use workload::{
     catalog, catalog_names, planet_scale, scenario_by_name, ArrivalPattern, CatalogEntry, Workload,
@@ -107,7 +107,7 @@ pub mod prelude {
         MobilityChoice, ScenarioConfig, SpawnSpec, SpeedSpec,
     };
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::traffic::{HoldingTimes, PoissonArrivals, TrafficMix};
+    pub use crate::traffic::{HoldingTimes, TrafficMix};
     pub use crate::validate::{InvariantSink, TraceDigest};
     pub use crate::workload::{
         catalog, scenario_by_name, ArrivalPattern, CatalogEntry, Workload, WorkloadStream,

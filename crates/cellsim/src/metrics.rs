@@ -273,20 +273,12 @@ impl Metrics {
         Self::default()
     }
 
-    fn class_index(class: ServiceClass) -> usize {
-        match class {
-            ServiceClass::Text => 0,
-            ServiceClass::Voice => 1,
-            ServiceClass::Video => 2,
-        }
-    }
-
     /// Records the outcome of an admission decision.
     pub fn record_decision(&mut self, class: ServiceClass, kind: CallKind, admitted: bool) {
         match kind {
             CallKind::New => {
                 self.offered_new += 1;
-                let c = &mut self.per_class[Self::class_index(class)];
+                let c = &mut self.per_class[class.index()];
                 c.offered += 1;
                 if admitted {
                     self.accepted_new += 1;
@@ -315,13 +307,6 @@ impl Metrics {
     /// Records a call ended by leaving coverage.
     pub fn record_exit(&mut self) {
         self.exited_coverage += 1;
-    }
-
-    /// Accumulates `occupied`/`capacity` BU over `dt` seconds for the
-    /// time-averaged utilization estimate.
-    pub fn record_utilization(&mut self, occupied_bu: u32, capacity_bu: u32, dt_s: f64) {
-        self.utilization_bu_seconds += f64::from(occupied_bu) * dt_s;
-        self.capacity_bu_seconds += f64::from(capacity_bu) * dt_s;
     }
 
     /// The paper's headline metric: percentage of accepted (new) calls.
@@ -354,12 +339,6 @@ impl Metrics {
         } else {
             self.utilization_bu_seconds / self.capacity_bu_seconds
         }
-    }
-
-    /// Per-class acceptance percentage.
-    #[must_use]
-    pub fn class_acceptance(&self, class: ServiceClass) -> f64 {
-        self.per_class[Self::class_index(class)].acceptance_percentage()
     }
 
     /// Mean allocated/nominal fraction at admission time in `(0, 1]`
@@ -461,56 +440,23 @@ impl MetricsSink for Metrics {
     }
 }
 
-/// One cell's retained samples plus the decimation bookkeeping that
-/// keeps a capped series bounded.
-#[derive(Debug, Clone, PartialEq)]
-struct CellSeries {
-    samples: Vec<(f64, u32)>,
-    /// Samples offered so far (kept or skipped).
-    seen: u64,
-    /// Keep every `stride`-th offered sample; doubles on each
-    /// decimation pass. Always a power of two.
-    stride: u64,
-}
-
-impl CellSeries {
-    fn new() -> Self {
-        Self { samples: Vec::new(), seen: 0, stride: 1 }
-    }
-}
-
 /// A streaming per-cell occupancy time series: one `(t, occupied BU)`
 /// sample per cell per movement epoch, taken at the epoch barrier.
 ///
 /// Because a cell is sampled only by the shard that owns it, each cell's
 /// series is bit-identical no matter how many shards the run used.
-///
-/// [`CellLoadSeries::new`] retains every sample; on large grids or long
-/// horizons use [`CellLoadSeries::with_cap`], which bounds the retained
-/// samples per cell by stride-doubling decimation: when a cell reaches
-/// the cap, every other retained sample is dropped and only every
-/// 2ⁿ-th subsequent sample is kept. The decimation depends only on the
-/// cell's own sample count, so capped series stay shard-independent.
+/// Every sample is retained.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellLoadSeries {
-    series: BTreeMap<u32, CellSeries>,
+    series: BTreeMap<u32, Vec<(f64, u32)>>,
     capacity: u32,
-    /// Maximum retained samples per cell; 0 = unbounded.
-    cap: usize,
 }
 
 impl CellLoadSeries {
-    /// Creates an unbounded series sink (every sample retained).
+    /// Creates an empty series sink.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a series sink retaining at most `cap` samples per cell
-    /// (`0` means unbounded, like [`CellLoadSeries::new`]).
-    #[must_use]
-    pub fn with_cap(cap: usize) -> Self {
-        Self { cap, ..Self::default() }
     }
 
     /// Cells with at least one sample, in id order.
@@ -521,7 +467,7 @@ impl CellLoadSeries {
     /// The `(time s, occupied BU)` samples of one cell, in time order.
     #[must_use]
     pub fn samples(&self, cell: CellId) -> &[(f64, u32)] {
-        self.series.get(&cell.0).map_or(&[], |s| s.samples.as_slice())
+        self.series.get(&cell.0).map_or(&[], Vec::as_slice)
     }
 
     /// The sampled base-station capacity (0 before any sample arrived).
@@ -535,7 +481,7 @@ impl CellLoadSeries {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("cell,t_s,occupied_bu\n");
         for (cell, series) in &self.series {
-            for &(t, occupied) in &series.samples {
+            for &(t, occupied) in series {
                 out.push_str(&format!("{cell},{t:.3},{occupied}\n"));
             }
         }
@@ -545,44 +491,19 @@ impl CellLoadSeries {
 
 impl MetricsSink for CellLoadSeries {
     fn fork(&self) -> Self {
-        Self { cap: self.cap, ..Self::default() }
+        Self::default()
     }
 
     fn absorb(&mut self, other: Self) {
-        for (cell, series) in other.series {
-            match self.series.entry(cell) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    // Cells are owned by exactly one shard, so a cell's
-                    // whole series (including its decimation state)
-                    // moves wholesale.
-                    slot.insert(series);
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    slot.get_mut().samples.extend(series.samples);
-                }
-            }
+        for (cell, samples) in other.series {
+            self.series.entry(cell).or_default().extend(samples);
         }
         self.capacity = self.capacity.max(other.capacity);
     }
 
     fn on_cell_sample(&mut self, now: SimTime, cell: CellId, occupied: u32, capacity: u32) {
         self.capacity = capacity;
-        let entry = self.series.entry(cell.0).or_insert_with(CellSeries::new);
-        let keep = entry.seen % entry.stride == 0;
-        entry.seen += 1;
-        if !keep {
-            return;
-        }
-        entry.samples.push((now.as_secs_f64(), occupied));
-        if self.cap > 0 && entry.samples.len() >= self.cap {
-            let mut i = 0usize;
-            entry.samples.retain(|_| {
-                let keep = i % 2 == 0;
-                i += 1;
-                keep
-            });
-            entry.stride *= 2;
-        }
+        self.series.entry(cell.0).or_default().push((now.as_secs_f64(), occupied));
     }
 }
 
@@ -896,16 +817,6 @@ impl Series {
         self.points.push((x, y));
     }
 
-    /// Mean of the y values (`NaN`-free input assumed; empty ⇒ 0).
-    #[must_use]
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, y)| y).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
     /// Renders the series as CSV rows `label,x,y`.
     #[must_use]
     pub fn to_csv(&self) -> String {
@@ -914,29 +825,6 @@ impl Series {
             out.push_str(&format!("{},{:.4},{:.4}\n", self.label, x, y));
         }
         out
-    }
-}
-
-/// Timestamped snapshot helper: carries the last update instant for
-/// utilization integration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UtilizationProbe {
-    last: SimTime,
-}
-
-impl UtilizationProbe {
-    /// Creates a probe starting at t = 0.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances to `now`, returning the elapsed seconds since the last
-    /// call (0 on the first).
-    pub fn advance(&mut self, now: SimTime) -> f64 {
-        let dt = now.since(self.last).as_secs_f64();
-        self.last = now;
-        dt
     }
 }
 
@@ -981,9 +869,10 @@ mod tests {
         m.record_decision(ServiceClass::Video, CallKind::New, true);
         m.record_decision(ServiceClass::Video, CallKind::New, false);
         m.record_decision(ServiceClass::Text, CallKind::New, true);
-        assert_eq!(m.class_acceptance(ServiceClass::Video), 50.0);
-        assert_eq!(m.class_acceptance(ServiceClass::Text), 100.0);
-        assert_eq!(m.class_acceptance(ServiceClass::Voice), 100.0, "nothing offered => 100");
+        let acceptance = |class: ServiceClass| m.per_class[class.index()].acceptance_percentage();
+        assert_eq!(acceptance(ServiceClass::Video), 50.0);
+        assert_eq!(acceptance(ServiceClass::Text), 100.0);
+        assert_eq!(acceptance(ServiceClass::Voice), 100.0, "nothing offered => 100");
     }
 
     #[test]
@@ -1019,64 +908,19 @@ mod tests {
     #[test]
     fn utilization_time_average() {
         let mut m = Metrics::new();
-        m.record_utilization(40, 40, 10.0); // full for 10 s
-        m.record_utilization(0, 40, 30.0); // empty for 30 s
+        m.on_cell_utilization(CellId(0), 400.0, 400.0); // full for 10 s
+        m.on_cell_utilization(CellId(1), 0.0, 1200.0); // empty for 30 s
         assert!((m.mean_utilization() - 0.25).abs() < 1e-12);
     }
 
     #[test]
-    fn series_csv_and_mean() {
+    fn series_csv_rows() {
         let mut s = Series::new("30km/h");
         s.push(10.0, 95.0);
         s.push(20.0, 85.0);
-        assert_eq!(s.mean_y(), 90.0);
         let csv = s.to_csv();
         assert!(csv.contains("30km/h,10.0000,95.0000"));
         assert_eq!(csv.lines().count(), 2);
-    }
-
-    #[test]
-    fn probe_advances() {
-        let mut p = UtilizationProbe::new();
-        assert_eq!(p.advance(SimTime::from_secs_f64(5.0)), 5.0);
-        assert_eq!(p.advance(SimTime::from_secs_f64(7.5)), 2.5);
-    }
-
-    #[test]
-    fn capped_series_bounds_samples_and_preserves_order() {
-        let mut s = CellLoadSeries::with_cap(8);
-        let cell = CellId(3);
-        for i in 0..1000u32 {
-            s.on_cell_sample(SimTime::from_secs_f64(f64::from(i)), cell, i, 40);
-        }
-        let samples = s.samples(cell);
-        assert!(samples.len() <= 8, "cap exceeded: {}", samples.len());
-        assert!(samples.len() >= 4, "decimation too aggressive: {}", samples.len());
-        // Retained samples stay in time order and are stride-spaced.
-        for pair in samples.windows(2) {
-            assert!(pair[0].0 < pair[1].0);
-        }
-        assert_eq!(samples[0].0, 0.0, "first sample must survive decimation");
-        // Uncapped sink keeps everything.
-        let mut full = CellLoadSeries::new();
-        for i in 0..1000u32 {
-            full.on_cell_sample(SimTime::from_secs_f64(f64::from(i)), cell, i, 40);
-        }
-        assert_eq!(full.samples(cell).len(), 1000);
-    }
-
-    #[test]
-    fn capped_series_fork_inherits_cap_and_absorb_moves_state() {
-        let parent = CellLoadSeries::with_cap(4);
-        let mut child = parent.fork();
-        for i in 0..100u32 {
-            child.on_cell_sample(SimTime::from_secs_f64(f64::from(i)), CellId(1), i, 40);
-        }
-        assert!(child.samples(CellId(1)).len() <= 4);
-        let mut root = parent.clone();
-        root.absorb(child);
-        assert!(root.samples(CellId(1)).len() <= 4);
-        assert!(!root.samples(CellId(1)).is_empty());
     }
 
     #[test]

@@ -64,55 +64,39 @@ pub trait MobilityModel: Send {
     fn name(&self) -> &str;
 }
 
+/// Heading sigma (degrees per √second) of a [`Walker`] at
+/// `WALKER_REFERENCE_SPEED_KMH`.
+const WALKER_TURN_SIGMA_DEG: f64 = 4.0;
+
+/// The speed at which `WALKER_TURN_SIGMA_DEG` applies as-is.
+const WALKER_REFERENCE_SPEED_KMH: f64 = 10.0;
+
 /// Constant-speed walker with heading diffusion inversely related to
 /// speed.
 ///
 /// Per step the heading receives a gaussian perturbation with standard
-/// deviation `base_turn_sigma_deg * reference_speed / max(speed, 1)`
-/// (scaled by √dt): a 4 km/h pedestrian wanders; a 60 km/h car barely
-/// deviates. This reproduces the paper's premise that "with the increase
-/// of the user speed, the user direction can not be changed easy".
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Walker {
-    base_turn_sigma_deg: f64,
-    reference_speed_kmh: f64,
-}
+/// deviation `4° · 10 km/h / max(speed, 1)` (scaled by √dt): a 4 km/h
+/// pedestrian wanders; a 60 km/h car barely deviates. This reproduces
+/// the paper's premise that "with the increase of the user speed, the
+/// user direction can not be changed easy".
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct Walker;
 
 impl Walker {
-    /// Creates a walker with the given heading-diffusion scale, referenced
-    /// to `reference_speed_kmh` (the speed at which the sigma applies
-    /// as-is).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is not finite and positive.
-    #[must_use]
-    pub fn new(base_turn_sigma_deg: f64, reference_speed_kmh: f64) -> Self {
-        assert!(
-            base_turn_sigma_deg.is_finite() && base_turn_sigma_deg >= 0.0,
-            "bad turn sigma {base_turn_sigma_deg}"
-        );
-        assert!(
-            reference_speed_kmh.is_finite() && reference_speed_kmh > 0.0,
-            "bad reference speed {reference_speed_kmh}"
-        );
-        Self { base_turn_sigma_deg, reference_speed_kmh }
-    }
-
-    /// The paper-calibrated default: at 10 km/h a terminal's heading
+    /// The paper-calibrated walker: at 10 km/h a terminal's heading
     /// drifts with σ = 4°·√s, so over a five-minute journey a pedestrian's
     /// direction is close to uniform (σ ≈ 69° at 10 km/h, ≈173° at
     /// 4 km/h) while a 60 km/h vehicle stays within ≈12° of its course —
     /// the exact asymmetry the paper's Fig. 7 narrative describes.
     #[must_use]
     pub fn paper_default() -> Self {
-        Self::new(4.0, 10.0)
+        Self
     }
 
     /// Heading sigma (degrees per √second) at the given speed.
     #[must_use]
     pub fn turn_sigma_at(&self, speed_kmh: f64) -> f64 {
-        self.base_turn_sigma_deg * self.reference_speed_kmh / speed_kmh.max(1.0)
+        WALKER_TURN_SIGMA_DEG * WALKER_REFERENCE_SPEED_KMH / speed_kmh.max(1.0)
     }
 }
 
@@ -127,134 +111,6 @@ impl MobilityModel for Walker {
 
     fn name(&self) -> &str {
         "walker"
-    }
-}
-
-/// Random-waypoint: pick a destination in a disc, travel straight to it,
-/// pause, repeat. The classic ad-hoc-network benchmark model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RandomWaypoint {
-    region_center: Point,
-    region_radius_km: f64,
-    pause_s: f64,
-    destination: Option<Point>,
-    pause_left_s: f64,
-}
-
-impl RandomWaypoint {
-    /// Creates the model over a disc of `region_radius_km` around
-    /// `region_center`, pausing `pause_s` seconds at each waypoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the radius is not finite and positive or the pause is
-    /// negative.
-    #[must_use]
-    pub fn new(region_center: Point, region_radius_km: f64, pause_s: f64) -> Self {
-        assert!(
-            region_radius_km.is_finite() && region_radius_km > 0.0,
-            "bad region radius {region_radius_km}"
-        );
-        assert!(pause_s.is_finite() && pause_s >= 0.0, "bad pause {pause_s}");
-        Self { region_center, region_radius_km, pause_s, destination: None, pause_left_s: 0.0 }
-    }
-
-    fn pick_destination(&mut self, rng: &mut SimRng) -> Point {
-        // Uniform in the disc via rejection-free polar sampling.
-        let theta = rng.uniform_range(0.0, std::f64::consts::TAU);
-        let r = self.region_radius_km * rng.uniform().sqrt();
-        Point::new(self.region_center.x + r * theta.cos(), self.region_center.y + r * theta.sin())
-    }
-}
-
-impl MobilityModel for RandomWaypoint {
-    fn step(&mut self, state: &mut MobileState, dt_s: f64, rng: &mut SimRng) {
-        if self.pause_left_s > 0.0 {
-            self.pause_left_s = (self.pause_left_s - dt_s).max(0.0);
-            return;
-        }
-        let dest = match self.destination {
-            Some(d) => d,
-            None => {
-                let d = self.pick_destination(rng);
-                self.destination = Some(d);
-                d
-            }
-        };
-        let to_go = state.position.distance_to(dest);
-        let step_km = state.speed_kmh * dt_s / 3600.0;
-        if step_km >= to_go {
-            state.position = dest;
-            self.destination = None;
-            self.pause_left_s = self.pause_s;
-        } else {
-            state.heading_deg = state.position.bearing_to(dest);
-            state.position = state.position.step(state.heading_deg, step_km);
-        }
-    }
-
-    fn name(&self) -> &str {
-        "random-waypoint"
-    }
-}
-
-/// Gauss–Markov: speed and heading follow first-order autoregressive
-/// processes with tunable memory `alpha` in `[0, 1]` (1 = straight line,
-/// 0 = memoryless Brownian-like motion).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GaussMarkov {
-    alpha: f64,
-    mean_speed_kmh: f64,
-    speed_sigma: f64,
-    heading_sigma_deg: f64,
-    mean_heading_deg: f64,
-}
-
-impl GaussMarkov {
-    /// Creates the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `[0, 1]` or sigmas are negative.
-    #[must_use]
-    pub fn new(alpha: f64, mean_speed_kmh: f64, speed_sigma: f64, heading_sigma_deg: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha {alpha} outside [0,1]");
-        assert!(speed_sigma >= 0.0 && heading_sigma_deg >= 0.0, "negative sigma");
-        Self {
-            alpha,
-            mean_speed_kmh: mean_speed_kmh.max(0.0),
-            speed_sigma,
-            heading_sigma_deg,
-            mean_heading_deg: 0.0,
-        }
-    }
-
-    /// Sets the long-run mean heading (drift direction).
-    #[must_use]
-    pub fn with_mean_heading(mut self, heading_deg: f64) -> Self {
-        self.mean_heading_deg = facs_cac::normalize_angle(heading_deg);
-        self
-    }
-}
-
-impl MobilityModel for GaussMarkov {
-    fn step(&mut self, state: &mut MobileState, dt_s: f64, rng: &mut SimRng) {
-        let a = self.alpha;
-        let root = (1.0 - a * a).max(0.0).sqrt();
-        state.speed_kmh = (a * state.speed_kmh
-            + (1.0 - a) * self.mean_speed_kmh
-            + root * self.speed_sigma * rng.standard_normal())
-        .max(0.0);
-        let heading = a * state.heading_deg
-            + (1.0 - a) * self.mean_heading_deg
-            + root * self.heading_sigma_deg * rng.standard_normal();
-        state.heading_deg = facs_cac::normalize_angle(heading);
-        let dist_km = state.speed_kmh * dt_s / 3600.0;
-        state.position = state.position.step(state.heading_deg, dist_km);
-    }
-
-    fn name(&self) -> &str {
-        "gauss-markov"
     }
 }
 
@@ -340,64 +196,6 @@ mod tests {
             sum_sq / 200.0
         };
         assert!(spread(4.0, 1) > spread(60.0, 1) * 2.0);
-    }
-
-    #[test]
-    fn random_waypoint_reaches_destination_and_pauses() {
-        let mut model = RandomWaypoint::new(Point::ORIGIN, 1.0, 5.0);
-        let mut state = MobileState::new(Point::ORIGIN, 0.0, 36.0); // 10 m/s
-        let mut rng = rng();
-        // Step until a pause begins (destination reached).
-        let mut paused = false;
-        for _ in 0..10_000 {
-            model.step(&mut state, 1.0, &mut rng);
-            if model.pause_left_s > 0.0 {
-                paused = true;
-                break;
-            }
-        }
-        assert!(paused, "never reached a waypoint");
-        let at_pause = state.position;
-        model.step(&mut state, 1.0, &mut rng);
-        assert_eq!(state.position.distance_to(at_pause), 0.0, "moved during pause");
-    }
-
-    #[test]
-    fn random_waypoint_stays_in_region() {
-        let mut model = RandomWaypoint::new(Point::ORIGIN, 2.0, 0.0);
-        let mut state = MobileState::new(Point::ORIGIN, 0.0, 72.0);
-        let mut rng = rng();
-        for _ in 0..5_000 {
-            model.step(&mut state, 1.0, &mut rng);
-            assert!(
-                state.position.distance_to(Point::ORIGIN) <= 2.0 + 0.03,
-                "escaped to {:?}",
-                state.position
-            );
-        }
-    }
-
-    #[test]
-    fn gauss_markov_alpha_one_is_straight() {
-        let mut model = GaussMarkov::new(1.0, 30.0, 5.0, 20.0);
-        let mut state = MobileState::new(Point::ORIGIN, 45.0, 30.0);
-        let mut rng = rng();
-        for _ in 0..50 {
-            model.step(&mut state, 1.0, &mut rng);
-        }
-        assert!((state.heading_deg - 45.0).abs() < 1e-9);
-        assert!((state.speed_kmh - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gauss_markov_reverts_to_mean_speed() {
-        let mut model = GaussMarkov::new(0.5, 30.0, 0.0, 0.0);
-        let mut state = MobileState::new(Point::ORIGIN, 0.0, 120.0);
-        let mut rng = rng();
-        for _ in 0..60 {
-            model.step(&mut state, 1.0, &mut rng);
-        }
-        assert!((state.speed_kmh - 30.0).abs() < 0.1, "speed {}", state.speed_kmh);
     }
 
     #[test]

@@ -56,15 +56,6 @@ impl Summary {
     pub fn ci95(&self) -> (f64, f64) {
         (self.mean - self.ci95_half_width, self.mean + self.ci95_half_width)
     }
-
-    /// `true` when this summary's CI does not overlap `other`'s —
-    /// a conservative "these two configurations genuinely differ".
-    #[must_use]
-    pub fn separated_from(&self, other: &Summary) -> bool {
-        let (lo_a, hi_a) = self.ci95();
-        let (lo_b, hi_b) = other.ci95();
-        hi_a < lo_b || hi_b < lo_a
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -106,16 +97,6 @@ mod tests {
         let wide = Summary::of(&[9.0, 10.0, 11.0]);
         let narrow = Summary::of(&[9.0, 10.0, 11.0, 9.0, 10.0, 11.0, 9.0, 10.0, 11.0]);
         assert!(narrow.ci95_half_width < wide.ci95_half_width);
-    }
-
-    #[test]
-    fn separation_detects_disjoint_intervals() {
-        let a = Summary::of(&[10.0, 10.1, 9.9, 10.05]);
-        let b = Summary::of(&[20.0, 20.2, 19.8, 20.1]);
-        assert!(a.separated_from(&b));
-        assert!(b.separated_from(&a));
-        let c = Summary::of(&[10.0, 12.0, 8.0, 11.0]);
-        assert!(!a.separated_from(&c));
     }
 
     #[test]

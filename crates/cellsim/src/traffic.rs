@@ -1,4 +1,4 @@
-//! Traffic generation: class mix, arrival processes, holding times.
+//! Traffic generation: class mix, Poisson arrival instants, holding times.
 
 use facs_cac::ServiceClass;
 use serde::{Deserialize, Serialize};
@@ -70,62 +70,16 @@ impl Default for TrafficMix {
     }
 }
 
-/// Poisson arrival process: exponential inter-arrival times with a fixed
-/// rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoissonArrivals {
-    rate_per_s: f64,
-}
-
-impl PoissonArrivals {
-    /// Creates a process with the given mean arrival rate (calls/second).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the rate is finite and positive.
-    #[must_use]
-    pub fn new(rate_per_s: f64) -> Self {
-        assert!(rate_per_s.is_finite() && rate_per_s > 0.0, "bad rate {rate_per_s}");
-        Self { rate_per_s }
-    }
-
-    /// A process delivering `count` expected arrivals over `window_s`
-    /// seconds — how the paper's "number of requesting connections" maps
-    /// onto a rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or `window_s` is not positive.
-    #[must_use]
-    pub fn over_window(count: usize, window_s: f64) -> Self {
-        assert!(count > 0, "zero arrivals");
-        assert!(window_s.is_finite() && window_s > 0.0, "bad window {window_s}");
-        Self::new(count as f64 / window_s)
-    }
-
-    /// Mean rate in calls/second.
-    #[must_use]
-    pub fn rate_per_s(&self) -> f64 {
-        self.rate_per_s
-    }
-
-    /// Draws the next inter-arrival gap, in seconds.
-    #[must_use]
-    pub fn next_gap_s(&self, rng: &mut SimRng) -> f64 {
-        rng.exponential(1.0 / self.rate_per_s)
-    }
-
-    /// Generates exactly `count` arrival instants (seconds, ascending) of
-    /// a conditioned Poisson process: given `count` arrivals in
-    /// `[0, window_s]`, the instants are i.i.d. uniform — so we sample
-    /// uniforms and sort.
-    #[must_use]
-    pub fn arrival_times(count: usize, window_s: f64, rng: &mut SimRng) -> Vec<f64> {
-        let mut times: Vec<f64> =
-            (0..count).map(|_| rng.uniform_range(0.0, window_s.max(f64::MIN_POSITIVE))).collect();
-        times.sort_by(f64::total_cmp);
-        times
-    }
+/// Generates exactly `count` arrival instants (seconds, ascending) of a
+/// conditioned Poisson process: given `count` arrivals in
+/// `[0, window_s]`, the instants are i.i.d. uniform — so we sample
+/// uniforms and sort.
+#[must_use]
+pub(crate) fn arrival_times(count: usize, window_s: f64, rng: &mut SimRng) -> Vec<f64> {
+    let mut times: Vec<f64> =
+        (0..count).map(|_| rng.uniform_range(0.0, window_s.max(f64::MIN_POSITIVE))).collect();
+    times.sort_by(f64::total_cmp);
+    times
 }
 
 /// Exponentially distributed call holding times.
@@ -200,24 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn poisson_gap_mean() {
-        let arrivals = PoissonArrivals::new(2.0); // 2 calls/s => mean gap 0.5 s
-        let mut rng = SimRng::seed_from_u64(7);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| arrivals.next_gap_s(&mut rng)).sum();
-        assert!((sum / n as f64 - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn over_window_rate() {
-        let arrivals = PoissonArrivals::over_window(100, 50.0);
-        assert!((arrivals.rate_per_s() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn arrival_times_are_sorted_in_window() {
         let mut rng = SimRng::seed_from_u64(8);
-        let times = PoissonArrivals::arrival_times(500, 100.0, &mut rng);
+        let times = arrival_times(500, 100.0, &mut rng);
         assert_eq!(times.len(), 500);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert!(times.iter().all(|&t| (0.0..100.0).contains(&t)));
@@ -230,11 +169,5 @@ mod tests {
         let n = 20_000;
         let sum: f64 = (0..n).map(|_| holding.sample_s(&mut rng)).sum();
         assert!((sum / n as f64 - 120.0).abs() < 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad rate")]
-    fn rejects_bad_rate() {
-        let _ = PoissonArrivals::new(-1.0);
     }
 }

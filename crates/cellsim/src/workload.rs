@@ -22,7 +22,7 @@ use crate::geometry::{HexGrid, Point};
 use crate::mobility::{MobileState, Walker};
 use crate::rng::SimRng;
 use crate::scenario::ScenarioConfig;
-use crate::traffic::{HoldingTimes, PoissonArrivals, TrafficMix};
+use crate::traffic::{arrival_times, HoldingTimes, TrafficMix};
 
 /// How user speed is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -146,7 +146,7 @@ impl ArrivalPattern {
         let mut times: Vec<f64> = match self {
             // Delegate to the paper's process so the baseline random
             // stream is unchanged.
-            ArrivalPattern::Uniform => return PoissonArrivals::arrival_times(count, window_s, rng),
+            ArrivalPattern::Uniform => return arrival_times(count, window_s, rng),
             ArrivalPattern::Burst { center, width, weight } => (0..count)
                 .map(|_| {
                     if rng.chance(*weight) {
@@ -269,7 +269,6 @@ impl Workload {
             workload: self.clone(),
             grid: grid.clone(),
             holding,
-            walker: Walker::paper_default(),
             corridor_reach,
             rng,
             count: arrival_times.len(),
@@ -287,7 +286,6 @@ impl Workload {
         &self,
         arrival_s: f64,
         grid: &HexGrid,
-        walker: &Walker,
         corridor_reach: f64,
         holding: HoldingTimes,
         rng: &mut SimRng,
@@ -348,7 +346,7 @@ impl Workload {
             AngleSpec::Uniform => rng.uniform_range(-180.0, 180.0),
             AngleSpec::Heading(heading_deg) => heading_deg,
             AngleSpec::HeadingHistory { history_s } => {
-                let sigma = walker.turn_sigma_at(speed) * history_s.sqrt();
+                let sigma = Walker.turn_sigma_at(speed) * history_s.sqrt();
                 if sigma >= 60.0 {
                     // Past ~60° of diffusion a wrapped normal is
                     // dispersed enough that the direction carries
@@ -362,11 +360,11 @@ impl Workload {
             }
         };
         let mobility = match self.mobility {
-            MobilityChoice::Walker => MobilityKind::Walker(walker.clone()),
+            MobilityChoice::Walker => MobilityKind::Walker,
             MobilityChoice::StraightLine => MobilityKind::StraightLine,
             MobilityChoice::Auto => match self.angle {
                 AngleSpec::Fixed(_) | AngleSpec::Heading(_) => MobilityKind::StraightLine,
-                _ => MobilityKind::Walker(walker.clone()),
+                _ => MobilityKind::Walker,
             },
         };
         let profile = match &self.profiles {
@@ -415,7 +413,6 @@ pub struct WorkloadStream {
     workload: Workload,
     grid: HexGrid,
     holding: HoldingTimes,
-    walker: Walker,
     corridor_reach: f64,
     rng: SimRng,
     arrival_times: Vec<f64>,
@@ -473,7 +470,6 @@ impl WorkloadStream {
             let spec = self.workload.user_spec(
                 self.arrival_times[i],
                 &self.grid,
-                &self.walker,
                 self.corridor_reach,
                 self.holding,
                 &mut self.rng,

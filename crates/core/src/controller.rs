@@ -1,8 +1,8 @@
 //! The FACS admission controller: FLC1 → FLC2 cascade (paper Fig. 4).
 
 use facs_cac::{
-    AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, BoxedController, CallKind,
-    CallRequest, CellSnapshot, Decision, MobilityInfo, ServiceProfile,
+    AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, CallKind, CallRequest,
+    CellSnapshot, Decision, MobilityInfo, ServiceProfile,
 };
 use facs_fuzzy::{BackendKind, FuzzyError, InferenceConfig};
 
@@ -12,12 +12,12 @@ use crate::flc2::Flc2;
 /// Tunables of the FACS controller.
 ///
 /// Defaults are paper-faithful where the paper specifies them: no handoff
-/// bias (the paper explicitly defers call priority to future work), a
-/// 10-km distance universe and a 40-BU counter universe. The paper leaves
-/// the binary gate over the soft A/R score unspecified; the default
-/// threshold of 0.1 ("must lean at least slightly toward accept") is the
-/// calibration that reproduces the figure shapes — EXPERIMENTS.md records
-/// the sweep behind it, and `ablation_threshold` benches the sensitivity.
+/// bias (the paper explicitly defers call priority to future work) and a
+/// 10-km distance universe. The paper leaves the binary gate over the
+/// soft A/R score unspecified; the default threshold of 0.1 ("must lean
+/// at least slightly toward accept") is the calibration that reproduces
+/// the figure shapes — EXPERIMENTS.md records the sweep behind it, and
+/// `ablation_threshold` benches the sensitivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FacsConfig {
     /// Admit iff the defuzzified score exceeds this threshold.
@@ -28,8 +28,6 @@ pub struct FacsConfig {
     /// The radius the FLC1 distance universe (0–10 km) is scaled from:
     /// observed distances are multiplied by `10 / cell_radius_km`.
     pub cell_radius_km: f64,
-    /// The capacity the FLC2 counter universe (0–40 BU) is scaled from.
-    pub capacity_bu: u32,
     /// Inference operators shared by both FLCs.
     pub inference: InferenceConfig,
     /// Inference backend shared by both FLCs: exact Mamdani per decision
@@ -45,7 +43,6 @@ impl Default for FacsConfig {
             threshold: 0.1,
             handoff_bias: 0.0,
             cell_radius_km: 10.0,
-            capacity_bu: 40,
             inference: InferenceConfig::default(),
             backend: BackendKind::Exact,
         }
@@ -136,27 +133,6 @@ impl FacsController {
         })
     }
 
-    /// A cloneable per-cell controller factory sharing one prototype:
-    /// rule compilation (and, on the compiled backend, surface
-    /// precomputation) happens **once** here, and every invocation hands
-    /// out a clone — compiled surfaces clone by reference, so a sharded
-    /// simulation or a 100-cell cluster pays a single compile. The
-    /// returned closure satisfies `facs_cac::ControllerFactory`, which
-    /// is what [`facs_cellsim`-style] engines consume to construct one
-    /// controller per cell per shard.
-    ///
-    /// [`facs_cellsim`-style]: facs_cac::ControllerFactory
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the prototype fails to build.
-    pub fn factory(
-        config: FacsConfig,
-    ) -> Result<impl Fn() -> BoxedController + Send + Sync + Clone, FuzzyError> {
-        let prototype = Self::with_config(config)?;
-        Ok(move || Box::new(prototype.clone()) as BoxedController)
-    }
-
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &FacsConfig {
@@ -200,7 +176,7 @@ impl FacsController {
                 }
             }
         };
-        let counter = scale_counter(&self.config, cell);
+        let counter = scale_counter(cell);
         let request_bu = request.class.request_level();
         let mut score = match self.flc2.decision_score(correction_value, request_bu, counter) {
             Ok(s) => s,
@@ -239,9 +215,10 @@ fn scale_mobility(config: &FacsConfig, mobility: &MobilityInfo) -> MobilityInfo 
 }
 
 /// Scales occupancy into FLC2's 0–40 BU counter universe according to
-/// the configured capacity.
-fn scale_counter(config: &FacsConfig, cell: &CellSnapshot) -> f64 {
-    let capacity = f64::from(config.capacity_bu.max(1));
+/// the cell's own capacity, so a half-full cell reads as `Cs = 20`
+/// whatever its size.
+fn scale_counter(cell: &CellSnapshot) -> f64 {
+    let capacity = f64::from(cell.capacity.get().max(1));
     f64::from(cell.occupied.get()) * 40.0 / capacity
 }
 
@@ -320,19 +297,6 @@ impl FacsDegradeController {
     /// Propagates [`FuzzyError`] if the FLCs fail to compile.
     pub fn with_config(config: FacsConfig) -> Result<Self, FuzzyError> {
         Ok(Self { inner: FacsController::with_config(config)? })
-    }
-
-    /// A cloneable per-cell factory sharing one compiled prototype — the
-    /// degradation-aware sibling of [`FacsController::factory`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] if the prototype fails to build.
-    pub fn factory(
-        config: FacsConfig,
-    ) -> Result<impl Fn() -> BoxedController + Send + Sync + Clone, FuzzyError> {
-        let prototype = Self::with_config(config)?;
-        Ok(move || Box::new(prototype.clone()) as BoxedController)
     }
 
     /// The wrapped plain FACS controller.
@@ -536,9 +500,7 @@ mod tests {
     #[test]
     fn capacity_scaling_for_bigger_cells() {
         // An 80-BU cell half full should look like Cs = 20 (Middle).
-        let big =
-            FacsController::with_config(FacsConfig { capacity_bu: 80, ..FacsConfig::default() })
-                .unwrap();
+        let big = facs();
         let big_cell = CellSnapshot::loaded(BandwidthUnits::new(80), BandwidthUnits::new(40));
         let r = req(ServiceClass::Voice, CallKind::New, MobilityInfo::new(60.0, 0.0, 2.0));
         let eval = big.evaluate(&r, &big_cell);
@@ -548,6 +510,21 @@ mod tests {
         let full_cell = CellSnapshot::loaded(BandwidthUnits::new(80), BandwidthUnits::new(78));
         let r_vid = req(ServiceClass::Video, CallKind::New, MobilityInfo::new(60.0, 0.0, 2.0));
         assert!(!big.evaluate(&r_vid, &full_cell).decision.admits());
+    }
+
+    #[test]
+    fn flc2_reads_occupancy_against_the_cells_own_capacity() {
+        // Default FACS on an 80-BU cell holding 40 BU scores exactly like
+        // a 40-BU cell holding 20 BU: both are half full.
+        let facs = facs();
+        let big = CellSnapshot::loaded(BandwidthUnits::new(80), BandwidthUnits::new(40));
+        let paper = CellSnapshot::loaded(BandwidthUnits::new(40), BandwidthUnits::new(20));
+        for class in ServiceClass::ALL {
+            for mobility in [MobilityInfo::new(60.0, 0.0, 2.0), MobilityInfo::new(5.0, 90.0, 8.0)] {
+                let r = req(class, CallKind::New, mobility);
+                assert_eq!(facs.evaluate(&r, &big), facs.evaluate(&r, &paper), "{class:?}");
+            }
+        }
     }
 
     #[test]

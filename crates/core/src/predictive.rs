@@ -15,19 +15,11 @@
 
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, BoxedController, CallKind,
-    CallRequest, CellSnapshot, Decision, EwmaHoltForecaster, InterarrivalEstimator, ServiceClass,
+    CallRequest, CellSnapshot, Decision, EwmaHoltForecaster, InterarrivalEstimator,
 };
 use facs_fuzzy::FuzzyError;
 
 use crate::controller::{FacsConfig, FacsController, FacsEvaluation};
-
-fn class_index(class: ServiceClass) -> usize {
-    match class {
-        ServiceClass::Text => 0,
-        ServiceClass::Voice => 1,
-        ServiceClass::Video => 2,
-    }
-}
 
 /// Horizon used before enough handoffs have been seen to estimate the
 /// cell's mean handoff interarrival — one default movement tick.
@@ -79,9 +71,10 @@ impl PredictiveFacsController {
         })
     }
 
-    /// A cloneable per-cell factory sharing one compiled prototype — the
-    /// predictive sibling of
-    /// [`FacsController::factory`](crate::FacsController::factory).
+    /// A cloneable per-cell factory sharing one compiled prototype: rule
+    /// compilation (and, on the compiled backend, surface precomputation)
+    /// happens once here, and every call hands out a clone, so a sharded
+    /// simulation pays a single compile.
     ///
     /// # Errors
     ///
@@ -175,7 +168,7 @@ impl AdmissionController for PredictiveFacsController {
         self.horizon.advance(now_s);
         let mut by_class = [0u32; 3];
         for (_, alloc) in cell.iter() {
-            by_class[class_index(alloc.profile.class)] += alloc.allocated.get();
+            by_class[alloc.profile.class.index()] += alloc.allocated.get();
         }
         for (i, forecaster) in self.per_class.iter_mut().enumerate() {
             forecaster.observe(now_s, f64::from(by_class[i]));
@@ -186,7 +179,7 @@ impl AdmissionController for PredictiveFacsController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use facs_cac::{CallId, MobilityInfo, ServiceProfile};
+    use facs_cac::{CallId, MobilityInfo, ServiceClass, ServiceProfile};
 
     fn req(class: ServiceClass, kind: CallKind) -> CallRequest {
         CallRequest::new(CallId(1), class, kind, MobilityInfo::new(45.0, 20.0, 4.0))

@@ -278,12 +278,6 @@ impl CompiledSurface {
         self.values.is_empty()
     }
 
-    /// Approximate resident size of the sample block in bytes.
-    #[must_use]
-    pub fn sample_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<f64>()
-    }
-
     /// `true` when `self` and `other` share one sample block (clones of
     /// the same compilation — no memory was duplicated).
     #[must_use]
@@ -494,7 +488,6 @@ mod tests {
         assert_eq!(surface.points_per_axis(), 9);
         assert_eq!(surface.len(), 81);
         assert!(!surface.is_empty());
-        assert_eq!(surface.sample_bytes(), 81 * 8);
         assert_eq!(surface.backend_name(), "compiled-surface");
     }
 

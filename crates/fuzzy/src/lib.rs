@@ -44,8 +44,7 @@
 //!
 //! ## Module map
 //!
-//! * [`membership`] — the paper's triangular/trapezoidal shapes plus
-//!   gaussian, bell, sigmoid, S/Z and singleton.
+//! * [`membership`] — the paper's triangular and trapezoidal shapes.
 //! * [`term`] / [`variable`] — linguistic terms and variables.
 //! * [`norms`] — T-norms, S-norms and implication operators.
 //! * [`rule`] — rules, builders and rule bases.

@@ -9,8 +9,6 @@
 //!
 //! [`MembershipFunction::triangular`] and
 //! [`MembershipFunction::trapezoidal`] implement those formulas exactly.
-//! For completeness as a general-purpose engine this module also provides
-//! gaussian, generalized-bell, sigmoid, Z-, S- and singleton shapes.
 
 use serde::{Deserialize, Serialize};
 
@@ -61,49 +59,6 @@ pub enum MembershipFunction {
         /// Width of the falling ramp (`a1`).
         right_width: f64,
     },
-    /// Gaussian bell `exp(-(x-mean)^2 / (2 sigma^2))`.
-    Gaussian {
-        /// Location of the peak.
-        mean: f64,
-        /// Standard deviation (must be positive).
-        sigma: f64,
-    },
-    /// Generalized bell `1 / (1 + |(x-center)/width|^(2 slope))`.
-    Bell {
-        /// Location of the peak.
-        center: f64,
-        /// Half-width at membership 0.5 (must be positive).
-        width: f64,
-        /// Steepness of the flanks (must be positive).
-        slope: f64,
-    },
-    /// Logistic sigmoid `1 / (1 + exp(-slope (x - inflection)))`.
-    /// Positive `slope` rises to the right, negative falls.
-    Sigmoid {
-        /// Value where membership crosses 0.5.
-        inflection: f64,
-        /// Steepness; sign selects direction.
-        slope: f64,
-    },
-    /// Smooth descending spline: 1 before `start`, 0 after `end`.
-    ZShape {
-        /// Last value with membership 1.
-        start: f64,
-        /// First value with membership 0.
-        end: f64,
-    },
-    /// Smooth ascending spline: 0 before `start`, 1 after `end`.
-    SShape {
-        /// Last value with membership 0.
-        start: f64,
-        /// First value with membership 1.
-        end: f64,
-    },
-    /// Crisp spike: membership 1 exactly at `value`, 0 elsewhere.
-    Singleton {
-        /// The sole supported value.
-        value: f64,
-    },
 }
 
 impl MembershipFunction {
@@ -124,9 +79,7 @@ impl MembershipFunction {
         }
         if left_width == 0.0 && right_width == 0.0 {
             return Err(FuzzyError::InvalidMembership {
-                reason: "triangular function needs at least one positive width; \
-                         use a singleton for a crisp spike"
-                    .into(),
+                reason: "triangular function needs at least one positive width".into(),
             });
         }
         Ok(Self::Triangular { center, left_width, right_width })
@@ -162,96 +115,6 @@ impl MembershipFunction {
         Ok(Self::Trapezoidal { left_top, right_top, left_width, right_width })
     }
 
-    /// Builds a gaussian membership function.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidMembership`] if `sigma <= 0` or any
-    /// parameter is non-finite.
-    pub fn gaussian(mean: f64, sigma: f64) -> Result<Self> {
-        ensure_finite(&[mean, sigma])?;
-        if sigma <= 0.0 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("gaussian sigma must be positive (got {sigma})"),
-            });
-        }
-        Ok(Self::Gaussian { mean, sigma })
-    }
-
-    /// Builds a generalized-bell membership function.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidMembership`] if `width <= 0`,
-    /// `slope <= 0`, or any parameter is non-finite.
-    pub fn bell(center: f64, width: f64, slope: f64) -> Result<Self> {
-        ensure_finite(&[center, width, slope])?;
-        if width <= 0.0 || slope <= 0.0 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("bell width and slope must be positive (got {width}, {slope})"),
-            });
-        }
-        Ok(Self::Bell { center, width, slope })
-    }
-
-    /// Builds a sigmoid membership function.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidMembership`] if `slope == 0` or any
-    /// parameter is non-finite.
-    pub fn sigmoid(inflection: f64, slope: f64) -> Result<Self> {
-        ensure_finite(&[inflection, slope])?;
-        if slope == 0.0 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: "sigmoid slope must be non-zero".into(),
-            });
-        }
-        Ok(Self::Sigmoid { inflection, slope })
-    }
-
-    /// Builds a descending Z-shaped spline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidMembership`] if `end <= start` or any
-    /// parameter is non-finite.
-    pub fn z_shape(start: f64, end: f64) -> Result<Self> {
-        ensure_finite(&[start, end])?;
-        if end <= start {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("z-shape needs start < end (got {start}, {end})"),
-            });
-        }
-        Ok(Self::ZShape { start, end })
-    }
-
-    /// Builds an ascending S-shaped spline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidMembership`] if `end <= start` or any
-    /// parameter is non-finite.
-    pub fn s_shape(start: f64, end: f64) -> Result<Self> {
-        ensure_finite(&[start, end])?;
-        if end <= start {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!("s-shape needs start < end (got {start}, {end})"),
-            });
-        }
-        Ok(Self::SShape { start, end })
-    }
-
-    /// Builds a crisp singleton at `value`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FuzzyError::InvalidMembership`] if `value` is non-finite.
-    pub fn singleton(value: f64) -> Result<Self> {
-        ensure_finite(&[value])?;
-        Ok(Self::Singleton { value })
-    }
-
     /// Evaluates the membership degree of `x`.
     ///
     /// The result is always in `[0, 1]`; non-finite `x` yields `0.0` so a
@@ -269,34 +132,11 @@ impl MembershipFunction {
             Self::Trapezoidal { left_top, right_top, left_width, right_width } => {
                 trapezoid(x, left_top, right_top, left_width, right_width)
             }
-            Self::Gaussian { mean, sigma } => {
-                let d = (x - mean) / sigma;
-                (-0.5 * d * d).exp()
-            }
-            Self::Bell { center, width, slope } => {
-                let d = ((x - center) / width).abs();
-                1.0 / (1.0 + d.powf(2.0 * slope))
-            }
-            Self::Sigmoid { inflection, slope } => 1.0 / (1.0 + (-slope * (x - inflection)).exp()),
-            Self::ZShape { start, end } => 1.0 - s_spline(x, start, end),
-            Self::SShape { start, end } => s_spline(x, start, end),
-            Self::Singleton { value } => {
-                if x == value {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
         };
         mu.clamp(0.0, 1.0)
     }
 
-    /// Returns the closed interval outside of which membership is (for the
-    /// asymptotic shapes: effectively) zero.
-    ///
-    /// For gaussian/bell/sigmoid, the support is truncated where membership
-    /// falls below `1e-6`, which is sufficient for the sampled integration
-    /// the defuzzifiers perform.
+    /// Returns the closed interval outside of which membership is zero.
     #[must_use]
     pub fn support(&self) -> (f64, f64) {
         match *self {
@@ -306,25 +146,6 @@ impl MembershipFunction {
             Self::Trapezoidal { left_top, right_top, left_width, right_width } => {
                 (left_top - left_width, right_top + right_width)
             }
-            Self::Gaussian { mean, sigma } => {
-                // exp(-0.5 d^2) < 1e-6  <=>  |d| > ~5.26
-                (mean - 5.26 * sigma, mean + 5.26 * sigma)
-            }
-            Self::Bell { center, width, slope } => {
-                // 1/(1+d^(2 slope)) < 1e-6  <=>  d > 1e6^(1/(2 slope))
-                let reach = width * 1e6_f64.powf(1.0 / (2.0 * slope));
-                (center - reach, center + reach)
-            }
-            Self::Sigmoid { inflection, slope } => {
-                // Membership crosses 1e-6 about 13.8/|slope| from the
-                // inflection; the saturated side is unbounded so callers
-                // should clip to the variable universe.
-                let reach = 13.8 / slope.abs();
-                (inflection - reach, f64::INFINITY.min(inflection + reach).max(inflection + reach))
-            }
-            Self::ZShape { start, end } => (f64::NEG_INFINITY, end.max(start)),
-            Self::SShape { start, end } => (start.min(end), f64::INFINITY),
-            Self::Singleton { value } => (value, value),
         }
     }
 
@@ -335,28 +156,6 @@ impl MembershipFunction {
         match *self {
             Self::Triangular { center, .. } => center,
             Self::Trapezoidal { left_top, right_top, .. } => 0.5 * (left_top + right_top),
-            Self::Gaussian { mean, .. } => mean,
-            Self::Bell { center, .. } => center,
-            Self::Sigmoid { inflection, slope } => {
-                // The saturated plateau is unbounded; the inflection shifted
-                // by one slope-width is a pragmatic stand-in.
-                inflection + slope.signum() * (1.0 / slope.abs())
-            }
-            Self::ZShape { start, .. } => start,
-            Self::SShape { end, .. } => end,
-            Self::Singleton { value } => value,
-        }
-    }
-
-    /// Returns `true` if the shape attains membership 1 somewhere
-    /// (all shapes in this crate except [`MembershipFunction::Sigmoid`],
-    /// [`MembershipFunction::Bell`] asymptotics are normal).
-    #[must_use]
-    pub fn is_normal(&self) -> bool {
-        match *self {
-            Self::Sigmoid { .. } => false,
-            Self::Bell { .. } => true,
-            _ => true,
         }
     }
 }
@@ -400,24 +199,6 @@ fn trapezoid(x: f64, left_top: f64, right_top: f64, left_width: f64, right_width
         }
         let mu = (right_top - x) / right_width + 1.0;
         mu.max(0.0)
-    }
-}
-
-/// Smooth ascending spline used by the S and Z shapes (MATLAB `smf`).
-fn s_spline(x: f64, start: f64, end: f64) -> f64 {
-    if x <= start {
-        return 0.0;
-    }
-    if x >= end {
-        return 1.0;
-    }
-    let mid = 0.5 * (start + end);
-    if x <= mid {
-        let t = (x - start) / (end - start);
-        2.0 * t * t
-    } else {
-        let t = (end - x) / (end - start);
-        1.0 - 2.0 * t * t
     }
 }
 
@@ -522,59 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_peak_and_symmetry() {
-        let mf = MembershipFunction::gaussian(2.0, 0.5).unwrap();
-        assert_eq!(mf.evaluate(2.0), 1.0);
-        assert!((mf.evaluate(1.5) - mf.evaluate(2.5)).abs() < EPS);
-        assert!((mf.evaluate(2.5) - (-0.5f64).exp()).abs() < EPS);
-    }
-
-    #[test]
-    fn gaussian_rejects_bad_sigma() {
-        assert!(MembershipFunction::gaussian(0.0, 0.0).is_err());
-        assert!(MembershipFunction::gaussian(0.0, -1.0).is_err());
-    }
-
-    #[test]
-    fn bell_half_width_point() {
-        let mf = MembershipFunction::bell(0.0, 2.0, 3.0).unwrap();
-        assert_eq!(mf.evaluate(0.0), 1.0);
-        assert!((mf.evaluate(2.0) - 0.5).abs() < EPS);
-        assert!((mf.evaluate(-2.0) - 0.5).abs() < EPS);
-    }
-
-    #[test]
-    fn sigmoid_direction_follows_slope_sign() {
-        let rising = MembershipFunction::sigmoid(0.0, 2.0).unwrap();
-        assert!(rising.evaluate(5.0) > 0.99);
-        assert!(rising.evaluate(-5.0) < 0.01);
-        let falling = MembershipFunction::sigmoid(0.0, -2.0).unwrap();
-        assert!(falling.evaluate(5.0) < 0.01);
-        assert!(falling.evaluate(-5.0) > 0.99);
-    }
-
-    #[test]
-    fn z_and_s_shapes_are_complements() {
-        let z = MembershipFunction::z_shape(1.0, 3.0).unwrap();
-        let s = MembershipFunction::s_shape(1.0, 3.0).unwrap();
-        for i in 0..=40 {
-            let x = i as f64 * 0.1;
-            assert!((z.evaluate(x) + s.evaluate(x) - 1.0).abs() < EPS, "x={x}");
-        }
-        assert_eq!(z.evaluate(0.0), 1.0);
-        assert_eq!(z.evaluate(4.0), 0.0);
-        assert_eq!(s.evaluate(0.0), 0.0);
-        assert_eq!(s.evaluate(4.0), 1.0);
-    }
-
-    #[test]
-    fn singleton_is_a_spike() {
-        let mf = MembershipFunction::singleton(7.0).unwrap();
-        assert_eq!(mf.evaluate(7.0), 1.0);
-        assert_eq!(mf.evaluate(6.999), 0.0);
-    }
-
-    #[test]
     fn non_finite_inputs_evaluate_to_zero() {
         let mf = MembershipFunction::triangular(0.0, 1.0, 1.0).unwrap();
         assert_eq!(mf.evaluate(f64::NAN), 0.0);
@@ -587,14 +315,12 @@ mod tests {
         let shapes = [
             MembershipFunction::triangular(3.0, 1.0, 2.0).unwrap(),
             MembershipFunction::trapezoidal(1.0, 2.0, 0.5, 0.5).unwrap(),
-            MembershipFunction::gaussian(0.0, 1.0).unwrap(),
-            MembershipFunction::bell(0.0, 1.0, 2.0).unwrap(),
         ];
         for mf in shapes {
             let (lo, hi) = mf.support();
-            assert!(mf.evaluate(lo - 1.0) < 1e-5, "{mf:?}");
-            assert!(mf.evaluate(hi + 1.0) < 1e-5, "{mf:?}");
-            assert!(mf.evaluate(0.5 * (lo.max(-1e9) + hi.min(1e9))) > 0.0, "{mf:?}");
+            assert_eq!(mf.evaluate(lo - 1.0), 0.0, "{mf:?}");
+            assert_eq!(mf.evaluate(hi + 1.0), 0.0, "{mf:?}");
+            assert!(mf.evaluate(0.5 * (lo + hi)) > 0.0, "{mf:?}");
         }
     }
 
@@ -605,8 +331,6 @@ mod tests {
             MembershipFunction::trapezoidal(2.0, 6.0, 1.0, 1.0).unwrap().representative(),
             4.0
         );
-        assert_eq!(MembershipFunction::gaussian(1.5, 1.0).unwrap().representative(), 1.5);
-        assert_eq!(MembershipFunction::singleton(9.0).unwrap().representative(), 9.0);
     }
 
     #[test]

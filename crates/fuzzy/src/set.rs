@@ -121,13 +121,6 @@ impl SampledSet {
         }
     }
 
-    /// Applies `f` to every sample in place (e.g. implication clipping).
-    pub fn map_in_place(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.values {
-            *v = f(*v).clamp(0.0, 1.0);
-        }
-    }
-
     /// Resets every sample to zero, keeping the universe and resolution
     /// (lets the engine reuse one aggregation buffer across inferences).
     pub fn zero(&mut self) {
@@ -369,13 +362,6 @@ mod tests {
         let mut a = SampledSet::empty(0.0, 1.0, 10).unwrap();
         let b = SampledSet::empty(0.0, 1.0, 11).unwrap();
         a.merge_with(&b, f64::max);
-    }
-
-    #[test]
-    fn map_in_place_clamps() {
-        let mut s = SampledSet::from_fn(0.0, 1.0, 11, |_| 0.5).unwrap();
-        s.map_in_place(|v| v * 4.0);
-        assert!(s.values().iter().all(|&v| v == 1.0));
     }
 
     #[test]

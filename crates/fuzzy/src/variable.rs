@@ -101,21 +101,6 @@ impl Variable {
         self.terms.iter().map(|t| (t.name(), t.membership(x))).collect()
     }
 
-    /// The term with the highest membership for `x`, with ties broken in
-    /// term-declaration order. Returns `None` when every membership is zero.
-    #[must_use]
-    pub fn classify(&self, x: f64) -> Option<&Term> {
-        let x = self.clamp(x);
-        let mut best: Option<(&Term, f64)> = None;
-        for t in &self.terms {
-            let mu = t.membership(x);
-            if mu > 0.0 && best.map_or(true, |(_, b)| mu > b) {
-                best = Some((t, mu));
-            }
-        }
-        best.map(|(t, _)| t)
-    }
-
     /// Evaluates the *coverage* of the term set at `x`: the maximum
     /// membership any term assigns. A well-formed partition has coverage
     /// `> 0` everywhere in the universe.
@@ -277,14 +262,6 @@ mod tests {
         assert!(v.term("SLOW").is_some());
         assert_eq!(v.term_index("Fast"), Some(2));
         assert!(v.term("warp").is_none());
-    }
-
-    #[test]
-    fn classify_picks_dominant_term() {
-        let v = speed();
-        assert_eq!(v.classify(5.0).unwrap().name(), "slow");
-        assert_eq!(v.classify(30.0).unwrap().name(), "middle");
-        assert_eq!(v.classify(100.0).unwrap().name(), "fast");
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Micro-benchmarks of the fuzzy-inference engine: single FLC passes, the
-//! full FACS cascade, rule-base compilation and DSL parsing.
+//! Micro-benchmarks of the fuzzy-inference engine on the exact backend:
+//! single FLC passes, the full FACS cascade and rule-base compilation.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use facs::{FacsController, Flc1, Flc2};
-use facs_bench::{tab1_rules, tab2_rules};
 use facs_cac::{
     BandwidthUnits, CallId, CallKind, CallRequest, CellSnapshot, MobilityInfo, ServiceClass,
 };
@@ -28,14 +27,7 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| facs.evaluate(black_box(&request), black_box(&cell)))
     });
     c.bench_function("flc1_build", |b| b.iter(|| Flc1::new().unwrap()));
-    let tab1 = tab1_rules().join("\n");
-    let tab2 = tab2_rules().join("\n");
-    c.bench_function("dsl_parse_frb1_42_rules", |b| {
-        b.iter(|| facs_fuzzy::parse_rules(black_box(&tab1)).unwrap())
-    });
-    c.bench_function("dsl_parse_frb2_27_rules", |b| {
-        b.iter(|| facs_fuzzy::parse_rules(black_box(&tab2)).unwrap())
-    });
+    c.bench_function("flc2_build", |b| b.iter(|| Flc2::new().unwrap()));
 }
 
 criterion_group! {

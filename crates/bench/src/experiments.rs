@@ -92,14 +92,14 @@ pub fn fig10_scenario(requests_per_cell: usize) -> ScenarioConfig {
     }
 }
 
-/// Table 1 — FRB1 rendered in the rule DSL (one line per paper row).
+/// Table 1 — FRB1, one `RULE frb1-i: IF ... THEN ...` line per paper row.
 #[must_use]
 pub fn tab1_rules() -> Vec<String> {
     let flc1 = Flc1::new().expect("FLC1 builds");
     flc1.engine().rule_base().iter().map(ToString::to_string).collect()
 }
 
-/// Table 2 — FRB2 rendered in the rule DSL.
+/// Table 2 — FRB2, one `RULE frb2-i: IF ... THEN ...` line per paper row.
 #[must_use]
 pub fn tab2_rules() -> Vec<String> {
     let flc2 = Flc2::new().expect("FLC2 builds");
@@ -130,7 +130,7 @@ pub fn fig6_membership_csv() -> String {
 
 fn sample_engine_memberships(engine: &facs_fuzzy::Engine) -> String {
     let mut out = String::from("variable,term,x,mu\n");
-    let all = engine.inputs().iter().chain(engine.outputs());
+    let all = engine.inputs().iter().chain(std::iter::once(engine.output()));
     for variable in all {
         for term in variable.terms() {
             for i in 0..=100 {
@@ -701,7 +701,7 @@ pub fn eager_spec_projection_bytes(requests: usize) -> u64 {
     (requests * std::mem::size_of::<UserSpec>()) as u64
 }
 
-/// Outcome of one planet-scale streamed run.
+/// The result of one planet-scale streamed run.
 #[derive(Debug)]
 pub struct PlanetReport {
     /// The run's counters.
@@ -781,8 +781,20 @@ mod tests {
 
     #[test]
     fn tab_rules_are_valid_dsl() {
-        for line in tab1_rules().iter().chain(tab2_rules().iter()) {
-            assert!(facs_fuzzy::parse_rule(line).is_ok(), "unparseable: {line}");
+        // Every line is `RULE <label>: IF v IS t AND v IS t AND v IS t
+        // THEN v IS t`: three AND-joined conditions and one consequent.
+        for (prefix, lines) in [("frb1", tab1_rules()), ("frb2", tab2_rules())] {
+            for (i, line) in lines.iter().enumerate() {
+                let (head, body) = line.split_once(": IF ").expect("labelled rule");
+                assert_eq!(head, format!("RULE {prefix}-{i}"));
+                let (conditions, consequent) = body.split_once(" THEN ").expect("THEN");
+                let clauses: Vec<_> = conditions.split(" AND ").collect();
+                assert_eq!(clauses.len(), 3, "{line}");
+                for clause in clauses.into_iter().chain([consequent]) {
+                    let words: Vec<_> = clause.split(' ').collect();
+                    assert!(words.len() == 3 && words[1] == "IS", "malformed `{clause}` in {line}");
+                }
+            }
         }
     }
 

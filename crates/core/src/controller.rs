@@ -123,8 +123,8 @@ impl FacsController {
     ///
     /// # Errors
     ///
-    /// Propagates [`FuzzyError`] if the FLCs fail to compile (e.g. an
-    /// invalid resolution in `config.inference`).
+    /// Propagates [`FuzzyError`] if the FLCs fail to compile (e.g. a
+    /// compiled backend with fewer than 2 lattice points per axis).
     pub fn with_config(config: FacsConfig) -> Result<Self, FuzzyError> {
         Ok(Self {
             flc1: Flc1::with_backend(config.inference, config.backend)?,

@@ -9,14 +9,15 @@
 //! All membership break-points are read off the printed axes of Fig. 5
 //! and exposed as named constants so EXPERIMENTS.md can cite them.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use facs_cac::MobilityInfo;
 use facs_fuzzy::{
-    BackendKind, CompiledSurface, Engine, FuzzyError, InferenceBackend, InferenceConfig,
-    MembershipFunction, Rule, Variable,
+    BackendKind, CompiledSurface, Engine, FuzzyError, InferenceConfig, MembershipFunction, Rule,
+    Variable,
 };
 
+use crate::fuzzy_controller::FuzzyController;
 use crate::tables::FRB1;
 
 /// Universe of the speed input, km/h (paper §4).
@@ -101,12 +102,7 @@ fn cv_variable() -> Result<Variable, FuzzyError> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Flc1 {
-    // Arc-shared: the engine is immutable after construction
-    // (`Engine::evaluate*` is `&self`, scratch lives in a thread-local
-    // pool), so stamping one controller per cell of a planet-scale grid
-    // clones a pointer, not the rule base.
-    engine: Arc<Engine>,
-    surface: Option<CompiledSurface>,
+    flc: FuzzyController,
 }
 
 impl Flc1 {
@@ -119,22 +115,13 @@ impl Flc1 {
     /// the built-in tables; the `Result` exists because the engine API is
     /// fallible by design).
     pub fn new() -> Result<Self, FuzzyError> {
-        Self::with_config(InferenceConfig::default())
+        Self::with_backend(InferenceConfig::default(), BackendKind::Exact)
     }
 
-    /// Builds FLC1 with a custom inference configuration (used by the
-    /// ablation benches) on the exact backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] on invalid configuration (e.g. a
-    /// resolution below 2).
-    pub fn with_config(config: InferenceConfig) -> Result<Self, FuzzyError> {
-        Self::with_backend(config, BackendKind::Exact)
-    }
-
-    /// Builds FLC1 with an explicit inference backend: exact Mamdani per
-    /// query, or a compiled decision surface interpolated at query time.
+    /// Builds FLC1 with an inference configuration (the ablation
+    /// experiments vary it) on an explicit inference backend: exact
+    /// Mamdani per query, or a compiled decision surface interpolated at
+    /// query time.
     ///
     /// Compiling the surface costs one exact inference per lattice node
     /// (`points_per_axis`³ for the 3 FLC1 inputs), paid here once; the
@@ -144,8 +131,7 @@ impl Flc1 {
     ///
     /// # Errors
     ///
-    /// Propagates [`FuzzyError`] on invalid configuration or lattice
-    /// resolution.
+    /// Propagates [`FuzzyError`] on an invalid lattice resolution.
     pub fn with_backend(config: InferenceConfig, backend: BackendKind) -> Result<Self, FuzzyError> {
         let rules: Result<Vec<Rule>, FuzzyError> = FRB1
             .iter()
@@ -167,35 +153,21 @@ impl Flc1 {
             .rules(rules?)
             .config(config)
             .build()?;
-        let surface = match backend {
-            BackendKind::Exact => None,
-            BackendKind::Compiled { points_per_axis } => {
-                static DEFAULT_SURFACE: OnceLock<CompiledSurface> = OnceLock::new();
-                Some(crate::surface_cache::default_cached_surface(
-                    &DEFAULT_SURFACE,
-                    &engine,
-                    config,
-                    points_per_axis,
-                )?)
-            }
-        };
-        Ok(Self { engine: Arc::new(engine), surface })
+        static DEFAULT_SURFACE: OnceLock<CompiledSurface> = OnceLock::new();
+        Ok(Self { flc: FuzzyController::new(engine, backend, &DEFAULT_SURFACE)? })
     }
 
     /// The active backend selector.
     #[must_use]
     pub fn backend(&self) -> BackendKind {
-        match &self.surface {
-            None => BackendKind::Exact,
-            Some(s) => BackendKind::Compiled { points_per_axis: s.points_per_axis() },
-        }
+        self.flc.backend()
     }
 
     /// The compiled decision surface, when the compiled backend is
     /// active.
     #[must_use]
     pub fn surface(&self) -> Option<&CompiledSurface> {
-        self.surface.as_ref()
+        self.flc.surface()
     }
 
     /// Computes the correction value for a mobility observation.
@@ -207,21 +179,17 @@ impl Flc1 {
     ///
     /// [`FuzzyError::NonFiniteInput`] if the observation contains NaN or
     /// infinities.
+    #[inline]
     pub fn correction_value(&self, mobility: &MobilityInfo) -> Result<f64, FuzzyError> {
-        let readings = [mobility.speed_kmh, mobility.angle_deg, mobility.distance_km];
-        match &self.surface {
-            None => self.engine.evaluate_crisp(&readings),
-            Some(surface) => surface.evaluate_crisp(&readings),
-        }
+        self.flc.evaluate(&[mobility.speed_kmh, mobility.angle_deg, mobility.distance_km])
     }
 
-    /// The underlying fuzzy engine, exposed for inspection (rule firing
-    /// strengths, membership sampling for the Fig. 5 reproduction). With
-    /// the compiled backend this is the engine the surface was compiled
-    /// from.
+    /// The underlying fuzzy engine, exposed for inspection (the rule
+    /// base, membership sampling for the Fig. 5 reproduction). With the
+    /// compiled backend this is the engine the surface was compiled from.
     #[must_use]
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        self.flc.engine()
     }
 }
 

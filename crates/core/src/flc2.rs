@@ -6,13 +6,14 @@
 //! the soft accept/reject score **A/R** in `[-1, 1]` over the five terms
 //! {R, WR, NRNA, WA, A} (Fig. 6), driven by the 27-rule FRB2 (Table 2).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use facs_fuzzy::{
-    BackendKind, CompiledSurface, Engine, FuzzyError, InferenceBackend, InferenceConfig,
-    MembershipFunction, Rule, Variable,
+    BackendKind, CompiledSurface, Engine, FuzzyError, InferenceConfig, MembershipFunction, Rule,
+    Variable,
 };
 
+use crate::fuzzy_controller::FuzzyController;
 use crate::tables::FRB2;
 
 /// Universe of the Cv input.
@@ -58,30 +59,6 @@ fn decision_variable() -> Result<Variable, FuzzyError> {
         .build()
 }
 
-/// Assembles the FRB2 engine from the paper's table.
-fn build_engine(config: InferenceConfig) -> Result<Engine, FuzzyError> {
-    let rules: Result<Vec<Rule>, FuzzyError> = FRB2
-        .iter()
-        .enumerate()
-        .map(|(i, &(cv, r, cs, ar))| {
-            Rule::when("cv", cv)
-                .and("r", r)
-                .and("cs", cs)
-                .then("ar", ar)
-                .label(format!("frb2-{i}"))
-                .build()
-        })
-        .collect();
-    Engine::builder()
-        .input(cv_variable()?)
-        .input(request_variable()?)
-        .input(counter_variable()?)
-        .output(decision_variable()?)
-        .rules(rules?)
-        .config(config)
-        .build()
-}
-
 /// The compiled FLC2.
 ///
 /// # Examples
@@ -102,10 +79,7 @@ fn build_engine(config: InferenceConfig) -> Result<Engine, FuzzyError> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Flc2 {
-    // Arc-shared for the same reason as [`Flc1`]: immutable after
-    // construction, so per-cell clones share one rule base.
-    engine: Arc<Engine>,
-    surface: Option<CompiledSurface>,
+    flc: FuzzyController,
 }
 
 impl Flc2 {
@@ -116,58 +90,53 @@ impl Flc2 {
     ///
     /// Propagates [`FuzzyError`] if construction fails.
     pub fn new() -> Result<Self, FuzzyError> {
-        Self::with_config(InferenceConfig::default())
+        Self::with_backend(InferenceConfig::default(), BackendKind::Exact)
     }
 
-    /// Builds FLC2 with a custom inference configuration on the exact
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FuzzyError`] on invalid configuration.
-    pub fn with_config(config: InferenceConfig) -> Result<Self, FuzzyError> {
-        Self::with_backend(config, BackendKind::Exact)
-    }
-
-    /// Builds FLC2 with an explicit inference backend (see
+    /// Builds FLC2 with an inference configuration on an explicit
+    /// inference backend (see
     /// [`Flc1::with_backend`](crate::Flc1::with_backend) — the same
     /// compile-once / cached-default-surface rules apply).
     ///
     /// # Errors
     ///
-    /// Propagates [`FuzzyError`] on invalid configuration or lattice
-    /// resolution.
+    /// Propagates [`FuzzyError`] on an invalid lattice resolution.
     pub fn with_backend(config: InferenceConfig, backend: BackendKind) -> Result<Self, FuzzyError> {
-        let engine = build_engine(config)?;
-        let surface = match backend {
-            BackendKind::Exact => None,
-            BackendKind::Compiled { points_per_axis } => {
-                static DEFAULT_SURFACE: OnceLock<CompiledSurface> = OnceLock::new();
-                Some(crate::surface_cache::default_cached_surface(
-                    &DEFAULT_SURFACE,
-                    &engine,
-                    config,
-                    points_per_axis,
-                )?)
-            }
-        };
-        Ok(Self { engine: Arc::new(engine), surface })
+        let rules: Result<Vec<Rule>, FuzzyError> = FRB2
+            .iter()
+            .enumerate()
+            .map(|(i, &(cv, r, cs, ar))| {
+                Rule::when("cv", cv)
+                    .and("r", r)
+                    .and("cs", cs)
+                    .then("ar", ar)
+                    .label(format!("frb2-{i}"))
+                    .build()
+            })
+            .collect();
+        let engine = Engine::builder()
+            .input(cv_variable()?)
+            .input(request_variable()?)
+            .input(counter_variable()?)
+            .output(decision_variable()?)
+            .rules(rules?)
+            .config(config)
+            .build()?;
+        static DEFAULT_SURFACE: OnceLock<CompiledSurface> = OnceLock::new();
+        Ok(Self { flc: FuzzyController::new(engine, backend, &DEFAULT_SURFACE)? })
     }
 
     /// The active backend selector.
     #[must_use]
     pub fn backend(&self) -> BackendKind {
-        match &self.surface {
-            None => BackendKind::Exact,
-            Some(s) => BackendKind::Compiled { points_per_axis: s.points_per_axis() },
-        }
+        self.flc.backend()
     }
 
     /// The compiled decision surface, when the compiled backend is
     /// active.
     #[must_use]
     pub fn surface(&self) -> Option<&CompiledSurface> {
-        self.surface.as_ref()
+        self.flc.surface()
     }
 
     /// Computes the soft decision score in `[-1, 1]`.
@@ -181,24 +150,21 @@ impl Flc2 {
     /// # Errors
     ///
     /// [`FuzzyError::NonFiniteInput`] on NaN/infinite inputs.
+    #[inline]
     pub fn decision_score(
         &self,
         cv: f64,
         request_bu: f64,
         counter_bu: f64,
     ) -> Result<f64, FuzzyError> {
-        let readings = [cv, request_bu, counter_bu];
-        match &self.surface {
-            None => self.engine.evaluate_crisp(&readings),
-            Some(surface) => surface.evaluate_crisp(&readings),
-        }
+        self.flc.evaluate(&[cv, request_bu, counter_bu])
     }
 
     /// The underlying fuzzy engine, exposed for inspection. With the
     /// compiled backend this is the engine the surface was compiled from.
     #[must_use]
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        self.flc.engine()
     }
 }
 

@@ -52,8 +52,8 @@
 pub mod controller;
 pub mod flc1;
 pub mod flc2;
+mod fuzzy_controller;
 pub mod predictive;
-mod surface_cache;
 pub mod tables;
 
 pub use controller::{FacsConfig, FacsController, FacsDegradeController, FacsEvaluation};

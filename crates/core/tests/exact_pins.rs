@@ -1,0 +1,102 @@
+//! Bit-level pins of the exact Mamdani backend.
+//!
+//! Each FLC is evaluated on a 7-points-per-axis lattice over its three
+//! input universes (343 queries) and the `f64::to_bits` of every output
+//! is folded into one FNV-1a hash. One pair of hashes is pinned for each
+//! inference configuration an experiment runs: the paper default (the
+//! goldens cover only this one), the product T-norm of
+//! `--exp ablation-tnorm` and the three alternative defuzzifiers of
+//! `--exp ablation-defuzz`. Any change to the order of a floating-point
+//! operation on the exact path moves a hash.
+
+use facs::{flc1, flc2, Flc1, Flc2};
+use facs_cac::MobilityInfo;
+use facs_fuzzy::{BackendKind, Defuzzifier, InferenceConfig, TNorm};
+
+const POINTS: u32 = 7;
+
+/// The `POINTS` evenly spaced values spanning `universe`, ends included.
+fn axis(universe: (f64, f64)) -> impl Iterator<Item = f64> + Clone {
+    let (lo, hi) = universe;
+    (0..POINTS).map(move |i| lo + (hi - lo) * f64::from(i) / f64::from(POINTS - 1))
+}
+
+fn fnv1a(hash: u64, bits: u64) -> u64 {
+    bits.to_le_bytes().iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn flc1_hash(config: InferenceConfig) -> u64 {
+    let flc = Flc1::with_backend(config, BackendKind::Exact).unwrap();
+    let mut hash = FNV_OFFSET;
+    for s in axis(flc1::SPEED_UNIVERSE) {
+        for a in axis(flc1::ANGLE_UNIVERSE) {
+            for d in axis(flc1::DISTANCE_UNIVERSE) {
+                let cv = flc.correction_value(&MobilityInfo::new(s, a, d)).unwrap();
+                hash = fnv1a(hash, cv.to_bits());
+            }
+        }
+    }
+    hash
+}
+
+fn flc2_hash(config: InferenceConfig) -> u64 {
+    let flc = Flc2::with_backend(config, BackendKind::Exact).unwrap();
+    let mut hash = FNV_OFFSET;
+    for cv in axis(flc2::CV_UNIVERSE) {
+        for r in axis(flc2::REQUEST_UNIVERSE) {
+            for cs in axis(flc2::COUNTER_UNIVERSE) {
+                hash = fnv1a(hash, flc.decision_score(cv, r, cs).unwrap().to_bits());
+            }
+        }
+    }
+    hash
+}
+
+fn config(tnorm: TNorm, defuzzifier: Defuzzifier) -> InferenceConfig {
+    InferenceConfig { tnorm, defuzzifier }
+}
+
+#[test]
+fn exact_outputs_are_pinned_per_inference_config() {
+    // (label, config, FLC1 hash, FLC2 hash)
+    let pins = [
+        ("default", InferenceConfig::default(), 0x23993c9479c36877, 0x2f949cd94236c6dc),
+        (
+            "product",
+            config(TNorm::Product, Defuzzifier::Centroid),
+            0x5bd79e35e6f921ae,
+            0xfe2b716c083148e5,
+        ),
+        (
+            "bisector",
+            config(TNorm::Minimum, Defuzzifier::Bisector),
+            0x82bdb5c23a2cc6fc,
+            0x62047ba303a2e499,
+        ),
+        (
+            "mom",
+            config(TNorm::Minimum, Defuzzifier::MeanOfMaxima),
+            0x4542d6e0d6fea70b,
+            0xc4e26afd1fba7989,
+        ),
+        (
+            "wavg",
+            config(TNorm::Minimum, Defuzzifier::WeightedAverage),
+            0x44127f8d3b961625,
+            0x3e0190f9d4b5d869,
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (label, config, flc1_pin, flc2_pin) in pins {
+        let (h1, h2) = (flc1_hash(config), flc2_hash(config));
+        if h1 != flc1_pin {
+            moved.push(format!("{label} FLC1 {h1:#018x} (pinned {flc1_pin:#018x})"));
+        }
+        if h2 != flc2_pin {
+            moved.push(format!("{label} FLC2 {h2:#018x} (pinned {flc2_pin:#018x})"));
+        }
+    }
+    assert!(moved.is_empty(), "exact outputs moved: {moved:#?}");
+}

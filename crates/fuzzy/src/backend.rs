@@ -5,8 +5,8 @@
 //! workspace evaluates a single-output fuzzy controller:
 //!
 //! * **Exact Mamdani** — [`Engine`] itself: fuzzify, fire the rule base,
-//!   aggregate, defuzzify on every query. O(rules × resolution) per
-//!   call, bit-exact by definition.
+//!   aggregate, defuzzify on every query. O(rules × samples) per call,
+//!   bit-exact by definition.
 //! * **Compiled decision surface** — [`CompiledSurface`]: the engine's
 //!   defuzzified output precomputed over a dense input lattice at build
 //!   time, queried by multilinear interpolation. A handful of array
@@ -177,22 +177,13 @@ impl CompiledSurface {
     ///
     /// * [`FuzzyError::InvalidResolution`] — fewer than 2 points per
     ///   axis, or a lattice too large to allocate (> 2^26 nodes);
-    /// * [`FuzzyError::InvalidMembership`] — the engine has more than one
-    ///   output, no inputs, or more than [`MAX_SURFACE_DIMS`] inputs;
+    /// * [`FuzzyError::InvalidMembership`] — the engine has no inputs or
+    ///   more than [`MAX_SURFACE_DIMS`] inputs;
     /// * any evaluation error from the engine at a lattice node (e.g.
-    ///   [`FuzzyError::NoRuleFired`] where the rule base has a hole and
-    ///   no fallback is configured).
+    ///   [`FuzzyError::NoRuleFired`] where the rule base has a hole).
     pub fn compile(engine: &Engine, points_per_axis: usize) -> Result<Self> {
         if points_per_axis < 2 {
             return Err(FuzzyError::InvalidResolution { samples: points_per_axis });
-        }
-        if engine.outputs().len() != 1 {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!(
-                    "compiled surfaces require exactly one output (engine has {})",
-                    engine.outputs().len()
-                ),
-            });
         }
         let dims = engine.inputs().len();
         if dims == 0 || dims > MAX_SURFACE_DIMS {
@@ -402,7 +393,9 @@ mod tests {
             .input(b)
             .output(out)
             .rule(Rule::when("a", "lo").and("b", "lo").then("out", "small").build().unwrap())
-            .rule(Rule::when("a", "hi").or("b", "hi").then("out", "large").build().unwrap())
+            .rule(Rule::when("a", "hi").and("b", "hi").then("out", "large").build().unwrap())
+            .rule(Rule::when("a", "lo").and("b", "hi").then("out", "large").build().unwrap())
+            .rule(Rule::when("a", "hi").and("b", "lo").then("out", "large").build().unwrap())
             .build()
             .unwrap()
     }

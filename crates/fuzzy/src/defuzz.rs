@@ -6,19 +6,19 @@ use serde::{Deserialize, Serialize};
 use crate::error::{FuzzyError, Result};
 use crate::set::SampledSet;
 
-/// Default number of integration samples used by area-based defuzzifiers.
+/// Number of samples of the aggregation surface that the area-based
+/// defuzzifiers integrate over.
 ///
 /// 501 points over a unit universe gives a 0.002 grid — far below the
 /// granularity at which admission decisions change, while keeping a single
 /// inference under a microsecond-scale budget.
-pub const DEFAULT_RESOLUTION: usize = 501;
+pub const RESOLUTION: usize = 501;
 
 /// A defuzzification strategy.
 ///
-/// `Centroid` is the paper-faithful default; the others exist both for
-/// general use and for the ablation study in the benchmark suite.
+/// `Centroid` is the paper-faithful default; the others are the
+/// alternatives the `ablation-defuzz` experiment compares it against.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
 pub enum Defuzzifier {
     /// Center of gravity of the aggregated set (the Mamdani classic).
     #[default]
@@ -27,11 +27,8 @@ pub enum Defuzzifier {
     Bisector,
     /// Mean of the coordinates attaining maximum membership.
     MeanOfMaxima,
-    /// Smallest coordinate attaining maximum membership.
-    SmallestOfMaxima,
-    /// Largest coordinate attaining maximum membership.
-    LargestOfMaxima,
-    /// Weighted average of per-rule consequent representative values,
+    /// Weighted average of per-rule consequent representative values
+    /// (each term's peak midpoint, clipped to the output universe),
     /// weighted by firing strength. Skips building the aggregated surface
     /// entirely — the fastest option, at some fidelity cost.
     WeightedAverage,
@@ -58,8 +55,6 @@ impl Defuzzifier {
             Defuzzifier::Centroid => set.centroid(),
             Defuzzifier::Bisector => set.bisector(),
             Defuzzifier::MeanOfMaxima => set.mean_of_maxima(),
-            Defuzzifier::SmallestOfMaxima => set.smallest_of_maxima(),
-            Defuzzifier::LargestOfMaxima => set.largest_of_maxima(),
             Defuzzifier::WeightedAverage => {
                 return Err(FuzzyError::InvalidMembership {
                     reason: "weighted-average defuzzifier works from activations, \
@@ -130,25 +125,14 @@ mod tests {
                 },
             )
             .unwrap();
-        let som = Defuzzifier::SmallestOfMaxima.crisp(&set).unwrap();
-        let lom = Defuzzifier::LargestOfMaxima.crisp(&set).unwrap();
         let mom = Defuzzifier::MeanOfMaxima.crisp(&set).unwrap();
-        assert!((som - 0.2).abs() < 1e-3);
-        assert!((lom - 0.4).abs() < 1e-3);
         assert!((mom - 0.3).abs() < 1e-3);
-        assert!(som <= mom && mom <= lom);
     }
 
     #[test]
     fn empty_surface_is_no_rule_fired() {
         let set = SampledSet::empty(0.0, 1.0, 101).unwrap();
-        for d in [
-            Defuzzifier::Centroid,
-            Defuzzifier::Bisector,
-            Defuzzifier::MeanOfMaxima,
-            Defuzzifier::SmallestOfMaxima,
-            Defuzzifier::LargestOfMaxima,
-        ] {
+        for d in [Defuzzifier::Centroid, Defuzzifier::Bisector, Defuzzifier::MeanOfMaxima] {
             assert!(matches!(d.crisp(&set), Err(FuzzyError::NoRuleFired { .. })), "{d:?}");
         }
     }

@@ -67,27 +67,13 @@ pub enum FuzzyError {
     },
     /// The rule base is empty, so inference cannot produce an output.
     EmptyRuleBase,
-    /// No rule fired with non-zero strength and the defuzzifier has no
-    /// fallback, so the output is undefined.
+    /// No rule fired with non-zero strength, so the output is undefined.
     NoRuleFired {
         /// The output variable whose fuzzy set stayed empty.
         variable: String,
     },
-    /// A rule weight was outside `[0, 1]`.
-    InvalidWeight {
-        /// The offending weight.
-        weight: f64,
-    },
-    /// The textual rule DSL failed to parse.
-    Parse {
-        /// 1-based line number of the offending rule text.
-        line: usize,
-        /// Byte-offset column within the line (1-based, best effort).
-        column: usize,
-        /// Description of what was expected vs. found.
-        message: String,
-    },
-    /// The requested defuzzifier resolution was too small to integrate.
+    /// A sampled set or compiled surface was asked for too few samples to
+    /// interpolate (or, for a surface, too many to allocate).
     InvalidResolution {
         /// The rejected sample count.
         samples: usize,
@@ -128,12 +114,6 @@ impl fmt::Display for FuzzyError {
             FuzzyError::NoRuleFired { variable } => {
                 write!(f, "no rule fired for output variable `{variable}`")
             }
-            FuzzyError::InvalidWeight { weight } => {
-                write!(f, "rule weight {weight} outside [0, 1]")
-            }
-            FuzzyError::Parse { line, column, message } => {
-                write!(f, "rule parse error at {line}:{column}: {message}")
-            }
             FuzzyError::InvalidResolution { samples } => {
                 write!(f, "defuzzifier resolution {samples} too small (need >= 2 samples)")
             }
@@ -164,12 +144,6 @@ mod tests {
     fn error_is_send_sync_static() {
         fn assert_bounds<T: std::error::Error + Send + Sync + 'static>() {}
         assert_bounds::<FuzzyError>();
-    }
-
-    #[test]
-    fn parse_error_reports_position() {
-        let err = FuzzyError::Parse { line: 3, column: 14, message: "expected IS".into() };
-        assert_eq!(err.to_string(), "rule parse error at 3:14: expected IS");
     }
 
     #[test]

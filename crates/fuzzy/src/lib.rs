@@ -1,20 +1,22 @@
-//! # facs-fuzzy — a Mamdani fuzzy-inference engine
+//! # facs-fuzzy — the Mamdani inference engine behind FLC1 and FLC2
 //!
 //! This crate implements the Fuzzy Logic Controller (FLC) structure of
 //! Barolli et al., *"A Fuzzy-based Call Admission Control System for
 //! Wireless Cellular Networks"* (ICDCSW 2007), Fig. 2: a **fuzzifier**, an
-//! **inference engine**, a **fuzzy rule base**, and a **defuzzifier** —
-//! generalized into a reusable library.
+//! **inference engine**, a **fuzzy rule base**, and a **defuzzifier**.
 //!
-//! It is self-contained (no fuzzy-logic dependency exists in the ecosystem
-//! at the quality bar this project needs) and deterministic: the same
-//! inputs always produce the same outputs, which the simulation substrate
-//! relies on.
+//! It implements the paper's one design and the two variations its
+//! ablation experiments measure: single-output engines, `AND`-only rules
+//! with one consequent each, `min` implication, `max` aggregation over a
+//! 501-sample surface, a `min` or product conjunction, and centroid,
+//! bisector, mean-of-maxima or weighted-average defuzzification. It is
+//! self-contained and deterministic: the same inputs always produce the
+//! same outputs, which the simulation substrate relies on.
 //!
 //! ## Quick tour
 //!
 //! ```
-//! use facs_fuzzy::{Engine, MembershipFunction, Variable, parse_rules};
+//! use facs_fuzzy::{Engine, MembershipFunction, Rule, Variable};
 //!
 //! # fn main() -> Result<(), facs_fuzzy::FuzzyError> {
 //! // 1. Declare linguistic variables (paper Fig. 5a: user speed).
@@ -27,16 +29,17 @@
 //!     .uniform_partition("r", 3)
 //!     .build()?;
 //!
-//! // 2. Write rules — programmatically or in the textual DSL.
-//! let rules = parse_rules(
-//!     "IF speed IS slow   THEN risk IS r3\n\
-//!      IF speed IS middle THEN risk IS r2\n\
-//!      IF speed IS fast   THEN risk IS r1\n",
-//! )?;
+//! // 2. Write rules.
+//! let rules = [("slow", "r3"), ("middle", "r2"), ("fast", "r1")]
+//!     .map(|(s, r)| Rule::when("speed", s).then("risk", r).build());
 //!
-//! // 3. Compile and evaluate.
-//! let engine = Engine::builder().input(speed).output(risk).rules(rules).build()?;
-//! let risk_at_90 = engine.evaluate_single(&[("speed", 90.0)])?;
+//! // 3. Compile and evaluate; readings follow input declaration order.
+//! let engine = Engine::builder()
+//!     .input(speed)
+//!     .output(risk)
+//!     .rules(rules.into_iter().collect::<Result<Vec<_>, _>>()?)
+//!     .build()?;
+//! let risk_at_90 = engine.evaluate_crisp(&[90.0])?;
 //! assert!(risk_at_90 < 0.25);
 //! # Ok(())
 //! # }
@@ -46,11 +49,10 @@
 //!
 //! * [`membership`] — the paper's triangular and trapezoidal shapes.
 //! * [`term`] / [`variable`] — linguistic terms and variables.
-//! * [`norms`] — T-norms, S-norms and implication operators.
-//! * [`rule`] — rules, builders and rule bases.
-//! * [`dsl`] — the `IF x IS a AND ... THEN y IS b` text format.
+//! * [`norms`] — the conjunction T-norms (`min`, product).
+//! * [`rule`] — `AND` rules, their builder and rule bases.
 //! * [`set`] — sampled fuzzy sets (the aggregation surface).
-//! * [`defuzz`] — centroid, bisector, maxima and weighted-average
+//! * [`defuzz`] — centroid, bisector, mean-of-maxima and weighted-average
 //!   defuzzifiers.
 //! * [`engine`] — the compiled controller.
 //! * [`backend`] — pluggable inference backends: exact Mamdani per
@@ -63,7 +65,6 @@
 
 pub mod backend;
 pub mod defuzz;
-pub mod dsl;
 pub mod engine;
 pub mod error;
 pub mod membership;
@@ -74,13 +75,12 @@ pub mod term;
 pub mod variable;
 
 pub use backend::{BackendKind, CompiledSurface, InferenceBackend, DEFAULT_LATTICE_POINTS};
-pub use defuzz::{Defuzzifier, DEFAULT_RESOLUTION};
-pub use dsl::{parse_rule, parse_rules};
-pub use engine::{Engine, EngineBuilder, InferenceConfig, Outcome, OutputValue};
+pub use defuzz::{Defuzzifier, RESOLUTION};
+pub use engine::{Engine, EngineBuilder, InferenceConfig};
 pub use error::{FuzzyError, Result};
 pub use membership::MembershipFunction;
-pub use norms::{Implication, SNorm, TNorm};
-pub use rule::{Clause, Connective, Consequent, Rule, RuleBase, RuleBuilder};
+pub use norms::TNorm;
+pub use rule::{Clause, Rule, RuleBase, RuleBuilder};
 pub use set::SampledSet;
 pub use term::Term;
 pub use variable::{Variable, VariableBuilder};
@@ -89,11 +89,10 @@ pub use variable::{Variable, VariableBuilder};
 pub mod prelude {
     pub use crate::backend::{BackendKind, CompiledSurface, InferenceBackend};
     pub use crate::defuzz::Defuzzifier;
-    pub use crate::dsl::{parse_rule, parse_rules};
-    pub use crate::engine::{Engine, InferenceConfig, Outcome};
+    pub use crate::engine::{Engine, InferenceConfig};
     pub use crate::error::{FuzzyError, Result};
     pub use crate::membership::MembershipFunction;
-    pub use crate::norms::{Implication, SNorm, TNorm};
+    pub use crate::norms::TNorm;
     pub use crate::rule::{Rule, RuleBase};
     pub use crate::variable::Variable;
 }

@@ -149,14 +149,18 @@ impl MembershipFunction {
         }
     }
 
-    /// Returns the *representative value* of the shape — the center of its
-    /// maximum-membership region. Used by the weighted-average defuzzifier.
+    /// Returns the *representative value* of the shape over the universe
+    /// `[min, max]`: the midpoint of its maximum-membership region clipped
+    /// to that universe, so an edge term whose plateau runs past the
+    /// universe anchors at the edge. Used by the weighted-average
+    /// defuzzifier.
     #[must_use]
-    pub fn representative(&self) -> f64 {
-        match *self {
-            Self::Triangular { center, .. } => center,
-            Self::Trapezoidal { left_top, right_top, .. } => 0.5 * (left_top + right_top),
-        }
+    pub fn representative(&self, min: f64, max: f64) -> f64 {
+        let (lo, hi) = match *self {
+            Self::Triangular { center, .. } => (center, center),
+            Self::Trapezoidal { left_top, right_top, .. } => (left_top, right_top),
+        };
+        0.5 * (lo.clamp(min, max) + hi.clamp(min, max))
     }
 }
 
@@ -326,11 +330,17 @@ mod tests {
 
     #[test]
     fn representative_matches_peak_region() {
-        assert_eq!(MembershipFunction::triangular(4.0, 1.0, 1.0).unwrap().representative(), 4.0);
-        assert_eq!(
-            MembershipFunction::trapezoidal(2.0, 6.0, 1.0, 1.0).unwrap().representative(),
-            4.0
-        );
+        let tri = MembershipFunction::triangular(4.0, 1.0, 1.0).unwrap();
+        assert_eq!(tri.representative(0.0, 10.0), 4.0);
+        let trap = MembershipFunction::trapezoidal(2.0, 6.0, 1.0, 1.0).unwrap();
+        assert_eq!(trap.representative(0.0, 10.0), 4.0);
+        // A plateau running past the universe is clipped to it first:
+        // FLC2's R and A terms anchor at -1 and 1, not at -1.5 and 1.5.
+        let reject = MembershipFunction::trapezoidal(-2.0, -1.0, 0.0, 0.5).unwrap();
+        assert_eq!(reject.representative(-1.0, 1.0), -1.0);
+        let accept = MembershipFunction::trapezoidal(1.0, 2.0, 0.5, 0.0).unwrap();
+        assert_eq!(accept.representative(-1.0, 1.0), 1.0);
+        assert_eq!(trap.representative(0.0, 3.0), 2.5);
     }
 
     #[test]

@@ -7,50 +7,30 @@
 //! ```
 //!
 //! e.g. FRB1 rule 6: `IF s IS sl AND a IS st AND d IS n THEN cv IS cv9`.
+//! Conditions are joined by `AND` and every rule has one consequent, as
+//! in both of the paper's rule bases.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{FuzzyError, Result};
 
-/// How the antecedent clauses of one rule are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum Connective {
-    /// All clauses must hold (combined with the engine's T-norm).
-    #[default]
-    And,
-    /// Any clause may hold (combined with the engine's S-norm).
-    Or,
-}
-
-/// One antecedent condition: `variable IS term` or `variable IS NOT term`.
+/// One `variable IS term` assignment: an antecedent condition or the
+/// consequent.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Clause {
-    /// Input variable name (lowercased).
+    /// Variable name (lowercased).
     variable: String,
     /// Term name within that variable (lowercased).
     term: String,
-    /// Whether the clause is negated (`IS NOT`).
-    negated: bool,
 }
 
 impl Clause {
-    /// Creates the positive clause `variable IS term`.
+    /// Creates the clause `variable IS term`.
     #[must_use]
     pub fn is(variable: impl Into<String>, term: impl Into<String>) -> Self {
         Self {
             variable: variable.into().to_ascii_lowercase(),
             term: term.into().to_ascii_lowercase(),
-            negated: false,
-        }
-    }
-
-    /// Creates the negated clause `variable IS NOT term`.
-    #[must_use]
-    pub fn is_not(variable: impl Into<String>, term: impl Into<String>) -> Self {
-        Self {
-            variable: variable.into().to_ascii_lowercase(),
-            term: term.into().to_ascii_lowercase(),
-            negated: true,
         }
     }
 
@@ -65,56 +45,16 @@ impl Clause {
     pub fn term(&self) -> &str {
         &self.term
     }
+}
 
-    /// Whether the clause is negated.
-    #[must_use]
-    pub fn negated(&self) -> bool {
-        self.negated
-    }
-
-    /// Applies the (optional) negation to a raw membership degree.
-    #[must_use]
-    pub fn shape(&self, mu: f64) -> f64 {
-        if self.negated {
-            1.0 - mu.clamp(0.0, 1.0)
-        } else {
-            mu.clamp(0.0, 1.0)
-        }
+impl std::fmt::Display for Clause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} IS {}", self.variable, self.term)
     }
 }
 
-/// A consequent assignment: `variable IS term` on the THEN side.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Consequent {
-    variable: String,
-    term: String,
-}
-
-impl Consequent {
-    /// Creates the consequent `variable IS term`.
-    #[must_use]
-    pub fn assign(variable: impl Into<String>, term: impl Into<String>) -> Self {
-        Self {
-            variable: variable.into().to_ascii_lowercase(),
-            term: term.into().to_ascii_lowercase(),
-        }
-    }
-
-    /// The output variable name.
-    #[must_use]
-    pub fn variable(&self) -> &str {
-        &self.variable
-    }
-
-    /// The output term name.
-    #[must_use]
-    pub fn term(&self) -> &str {
-        &self.term
-    }
-}
-
-/// A complete fuzzy rule: antecedent clauses, a connective, one or more
-/// consequents, and a weight in `[0, 1]`.
+/// A complete fuzzy rule: `AND`-joined antecedent clauses and one
+/// consequent.
 ///
 /// Construct with [`Rule::when`]:
 ///
@@ -126,8 +66,10 @@ impl Consequent {
 ///     .and("angle", "st")
 ///     .and("dist", "n")
 ///     .then("cv", "cv9")
+///     .label("r6")
 ///     .build()?;
 /// assert_eq!(rule.clauses().len(), 3);
+/// assert_eq!(rule.to_string(), "RULE r6: IF speed IS slow AND angle IS st AND dist IS n THEN cv IS cv9");
 /// # Ok(())
 /// # }
 /// ```
@@ -135,9 +77,7 @@ impl Consequent {
 pub struct Rule {
     label: Option<String>,
     clauses: Vec<Clause>,
-    connective: Connective,
-    consequents: Vec<Consequent>,
-    weight: f64,
+    consequent: Clause,
 }
 
 impl Rule {
@@ -147,23 +87,7 @@ impl Rule {
         RuleBuilder {
             label: None,
             clauses: vec![Clause::is(variable, term)],
-            connective: None,
             consequents: Vec::new(),
-            weight: 1.0,
-            error: None,
-        }
-    }
-
-    /// Starts a rule whose first clause is `variable IS NOT term`.
-    #[must_use]
-    pub fn when_not(variable: impl Into<String>, term: impl Into<String>) -> RuleBuilder {
-        RuleBuilder {
-            label: None,
-            clauses: vec![Clause::is_not(variable, term)],
-            connective: None,
-            consequents: Vec::new(),
-            weight: 1.0,
-            error: None,
         }
     }
 
@@ -179,59 +103,28 @@ impl Rule {
         &self.clauses
     }
 
-    /// The antecedent connective.
+    /// The consequent.
     #[must_use]
-    pub fn connective(&self) -> Connective {
-        self.connective
-    }
-
-    /// The consequents.
-    #[must_use]
-    pub fn consequents(&self) -> &[Consequent] {
-        &self.consequents
-    }
-
-    /// The rule weight in `[0, 1]`.
-    #[must_use]
-    pub fn weight(&self) -> f64 {
-        self.weight
+    pub fn consequent(&self) -> &Clause {
+        &self.consequent
     }
 }
 
 impl std::fmt::Display for Rule {
-    /// Formats the rule in the canonical DSL syntax accepted by
-    /// [`parse_rule`](crate::dsl::parse_rule), e.g.
-    /// `RULE r6: IF s IS sl AND a IS st THEN cv IS cv9 WITH 0.75`.
+    /// Formats the rule as one line of the paper's rule tables, e.g.
+    /// `RULE r6: IF s IS sl AND a IS st THEN cv IS cv9`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if let Some(label) = &self.label {
             write!(f, "RULE {label}: ")?;
         }
         write!(f, "IF ")?;
-        let joiner = match self.connective {
-            Connective::And => " AND ",
-            Connective::Or => " OR ",
-        };
         for (i, clause) in self.clauses.iter().enumerate() {
-            if i > 0 {
-                write!(f, "{joiner}")?;
-            }
-            if clause.negated {
-                write!(f, "{} IS NOT {}", clause.variable, clause.term)?;
-            } else {
-                write!(f, "{} IS {}", clause.variable, clause.term)?;
-            }
-        }
-        write!(f, " THEN ")?;
-        for (i, consequent) in self.consequents.iter().enumerate() {
             if i > 0 {
                 write!(f, " AND ")?;
             }
-            write!(f, "{} IS {}", consequent.variable, consequent.term)?;
+            write!(f, "{clause}")?;
         }
-        if self.weight != 1.0 {
-            write!(f, " WITH {}", self.weight)?;
-        }
-        Ok(())
+        write!(f, " THEN {}", self.consequent)
     }
 }
 
@@ -240,71 +133,21 @@ impl std::fmt::Display for Rule {
 pub struct RuleBuilder {
     label: Option<String>,
     clauses: Vec<Clause>,
-    connective: Option<Connective>,
-    consequents: Vec<Consequent>,
-    weight: f64,
-    error: Option<FuzzyError>,
+    consequents: Vec<Clause>,
 }
 
 impl RuleBuilder {
     /// Adds an `AND variable IS term` clause.
-    ///
-    /// Mixing `and` and `or` within one rule is rejected at [`build`] time —
-    /// without parentheses the semantics would be ambiguous.
-    ///
-    /// [`build`]: RuleBuilder::build
     #[must_use]
     pub fn and(mut self, variable: impl Into<String>, term: impl Into<String>) -> Self {
-        self.push(Connective::And, Clause::is(variable, term));
+        self.clauses.push(Clause::is(variable, term));
         self
     }
 
-    /// Adds an `AND variable IS NOT term` clause.
-    #[must_use]
-    pub fn and_not(mut self, variable: impl Into<String>, term: impl Into<String>) -> Self {
-        self.push(Connective::And, Clause::is_not(variable, term));
-        self
-    }
-
-    /// Adds an `OR variable IS term` clause.
-    #[must_use]
-    pub fn or(mut self, variable: impl Into<String>, term: impl Into<String>) -> Self {
-        self.push(Connective::Or, Clause::is(variable, term));
-        self
-    }
-
-    /// Adds an `OR variable IS NOT term` clause.
-    #[must_use]
-    pub fn or_not(mut self, variable: impl Into<String>, term: impl Into<String>) -> Self {
-        self.push(Connective::Or, Clause::is_not(variable, term));
-        self
-    }
-
-    fn push(&mut self, connective: Connective, clause: Clause) {
-        match self.connective {
-            None => self.connective = Some(connective),
-            Some(existing) if existing != connective => {
-                self.error = Some(FuzzyError::InvalidMembership {
-                    reason: "cannot mix AND and OR within one rule".into(),
-                });
-            }
-            Some(_) => {}
-        }
-        self.clauses.push(clause);
-    }
-
-    /// Adds the consequent `variable IS term`. May be called multiple times
-    /// for rules driving several outputs.
+    /// Sets the consequent `variable IS term`.
     #[must_use]
     pub fn then(mut self, variable: impl Into<String>, term: impl Into<String>) -> Self {
-        self.consequents.push(Consequent::assign(variable, term));
-        self
-    }
-
-    /// Sets the rule weight (certainty factor) in `[0, 1]`; default `1.0`.
-    #[must_use]
-    pub fn weight(mut self, weight: f64) -> Self {
-        self.weight = weight;
+        self.consequents.push(Clause::is(variable, term));
         self
     }
 
@@ -319,27 +162,21 @@ impl RuleBuilder {
     ///
     /// # Errors
     ///
-    /// * [`FuzzyError::InvalidWeight`] — weight outside `[0, 1]`;
-    /// * [`FuzzyError::InvalidMembership`] — mixed connectives or no
-    ///   consequent.
-    pub fn build(self) -> Result<Rule> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if !(0.0..=1.0).contains(&self.weight) || !self.weight.is_finite() {
-            return Err(FuzzyError::InvalidWeight { weight: self.weight });
-        }
-        if self.consequents.is_empty() {
+    /// [`FuzzyError::InvalidMembership`] unless exactly one consequent
+    /// was set with [`then`](RuleBuilder::then).
+    pub fn build(mut self) -> Result<Rule> {
+        if self.consequents.len() != 1 {
             return Err(FuzzyError::InvalidMembership {
-                reason: "rule has no consequent (missing .then(..))".into(),
+                reason: format!(
+                    "a rule needs exactly one consequent (got {})",
+                    self.consequents.len()
+                ),
             });
         }
         Ok(Rule {
             label: self.label,
             clauses: self.clauses,
-            connective: self.connective.unwrap_or_default(),
-            consequents: self.consequents,
-            weight: self.weight,
+            consequent: self.consequents.remove(0),
         })
     }
 }
@@ -354,12 +191,6 @@ pub struct RuleBase {
 }
 
 impl RuleBase {
-    /// Creates an empty rule base.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends a rule.
     pub fn push(&mut self, rule: Rule) {
         self.rules.push(rule);
@@ -377,13 +208,7 @@ impl RuleBase {
         self.rules.is_empty()
     }
 
-    /// The rules, in insertion order.
-    #[must_use]
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
-    /// Iterates over the rules.
+    /// Iterates over the rules, in insertion order.
     pub fn iter(&self) -> std::slice::Iter<'_, Rule> {
         self.rules.iter()
     }
@@ -410,15 +235,6 @@ impl<'a> IntoIterator for &'a RuleBase {
     }
 }
 
-impl IntoIterator for RuleBase {
-    type Item = Rule;
-    type IntoIter = std::vec::IntoIter<Rule>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.rules.into_iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,10 +244,9 @@ mod tests {
         let rule =
             Rule::when("S", "Sl").and("A", "St").and("D", "N").then("Cv", "Cv9").build().unwrap();
         assert_eq!(rule.clauses().len(), 3);
-        assert_eq!(rule.connective(), Connective::And);
-        assert_eq!(rule.consequents()[0].variable(), "cv");
-        assert_eq!(rule.consequents()[0].term(), "cv9");
-        assert_eq!(rule.weight(), 1.0);
+        assert_eq!(rule.consequent().variable(), "cv");
+        assert_eq!(rule.consequent().term(), "cv9");
+        assert_eq!(rule.to_string(), "IF s IS sl AND a IS st AND d IS n THEN cv IS cv9");
     }
 
     #[test]
@@ -442,41 +257,16 @@ mod tests {
     }
 
     #[test]
-    fn negation_flips_membership() {
-        let c = Clause::is_not("x", "a");
-        assert_eq!(c.shape(0.3), 0.7);
-        let c = Clause::is("x", "a");
-        assert_eq!(c.shape(0.3), 0.3);
-    }
-
-    #[test]
-    fn mixed_connectives_rejected() {
-        let err = Rule::when("a", "x").and("b", "y").or("c", "z").then("o", "t").build();
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn or_rules_supported() {
-        let rule = Rule::when("a", "x").or("b", "y").then("o", "t").build().unwrap();
-        assert_eq!(rule.connective(), Connective::Or);
-    }
-
-    #[test]
     fn missing_consequent_rejected() {
         assert!(Rule::when("a", "x").build().is_err());
     }
 
     #[test]
-    fn invalid_weight_rejected() {
-        assert!(Rule::when("a", "x").then("o", "t").weight(1.5).build().is_err());
-        assert!(Rule::when("a", "x").then("o", "t").weight(-0.1).build().is_err());
-        assert!(Rule::when("a", "x").then("o", "t").weight(f64::NAN).build().is_err());
-    }
-
-    #[test]
     fn multiple_consequents() {
-        let rule = Rule::when("a", "x").then("o1", "t1").then("o2", "t2").build().unwrap();
-        assert_eq!(rule.consequents().len(), 2);
+        // Every rule of FRB1 and FRB2 drives one output term; a second
+        // consequent is rejected rather than silently dropped.
+        let err = Rule::when("a", "x").then("o1", "t1").then("o2", "t2").build();
+        assert!(matches!(err, Err(FuzzyError::InvalidMembership { .. })));
     }
 
     #[test]
@@ -494,11 +284,5 @@ mod tests {
         assert!(!base.is_empty());
         let labels: Vec<_> = base.iter().filter_map(Rule::label).collect();
         assert_eq!(labels, ["r0", "r1", "r2", "r3", "r4"]);
-    }
-
-    #[test]
-    fn when_not_starts_negated() {
-        let rule = Rule::when_not("a", "x").then("o", "t").build().unwrap();
-        assert!(rule.clauses()[0].negated());
     }
 }

@@ -234,30 +234,6 @@ impl SampledSet {
         }
         Some(sum / count as f64)
     }
-
-    /// Smallest coordinate attaining the maximum membership, or `None` when
-    /// the set is empty.
-    #[must_use]
-    pub fn smallest_of_maxima(&self) -> Option<f64> {
-        let h = self.height();
-        if h <= 0.0 {
-            return None;
-        }
-        let tol = 1e-9;
-        self.values.iter().position(|&v| (v - h).abs() <= tol).map(|i| self.x_at(i))
-    }
-
-    /// Largest coordinate attaining the maximum membership, or `None` when
-    /// the set is empty.
-    #[must_use]
-    pub fn largest_of_maxima(&self) -> Option<f64> {
-        let h = self.height();
-        if h <= 0.0 {
-            return None;
-        }
-        let tol = 1e-9;
-        self.values.iter().rposition(|&v| (v - h).abs() <= tol).map(|i| self.x_at(i))
-    }
 }
 
 #[cfg(test)]
@@ -341,8 +317,6 @@ mod tests {
                 },
             )
             .unwrap();
-        assert!((s.smallest_of_maxima().unwrap() - 0.4).abs() < 1e-3);
-        assert!((s.largest_of_maxima().unwrap() - 0.6).abs() < 1e-3);
         assert!((s.mean_of_maxima().unwrap() - 0.5).abs() < 1e-3);
     }
 

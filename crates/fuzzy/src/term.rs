@@ -29,13 +29,14 @@ pub struct Term {
 impl Term {
     /// Creates a term binding `name` to `function`.
     ///
-    /// Term names are matched case-insensitively by the rule DSL, so they
-    /// are normalized to lowercase here.
+    /// Term names are matched case-insensitively by rules, so they are
+    /// normalized to lowercase here.
     ///
     /// # Errors
     ///
     /// Returns [`FuzzyError::InvalidMembership`] if `name` is empty or
-    /// contains whitespace (which would make it unusable in the rule DSL).
+    /// contains whitespace (which would break the `IF x IS a ...` form the
+    /// rule tables print).
     pub fn new(name: impl Into<String>, function: MembershipFunction) -> Result<Self> {
         let name = name.into();
         validate_identifier(&name)?;
@@ -62,9 +63,9 @@ impl Term {
     }
 }
 
-/// Checks that a name is usable as a DSL identifier: non-empty, no
-/// whitespace, and not starting with a digit or sign (which would parse as a
-/// number).
+/// Checks that a name is usable as an identifier in a printed rule:
+/// non-empty, no whitespace, and not starting with a digit or sign (which
+/// would read as a number).
 pub(crate) fn validate_identifier(name: &str) -> Result<()> {
     if name.is_empty() {
         return Err(FuzzyError::InvalidMembership { reason: "name must not be empty".into() });

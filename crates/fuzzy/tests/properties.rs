@@ -1,9 +1,6 @@
 //! Property-based tests over the fuzzy engine's core invariants.
 
-use facs_fuzzy::{
-    parse_rule, Defuzzifier, Engine, Implication, MembershipFunction, Rule, SNorm, SampledSet,
-    TNorm, Variable,
-};
+use facs_fuzzy::{Defuzzifier, Engine, MembershipFunction, Rule, SampledSet, TNorm, Variable};
 use proptest::prelude::*;
 
 fn finite_f64(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
@@ -66,14 +63,11 @@ proptest! {
         prop_assert!(mf.evaluate(x0) + 1e-12 >= mf.evaluate(x1));
     }
 
-    /// Every T-norm result is bounded by min; every S-norm by max.
+    /// Every T-norm result is bounded by min.
     #[test]
     fn norm_bounds(a in 0.0_f64..1.0, b in 0.0_f64..1.0) {
-        for tn in [TNorm::Minimum, TNorm::Product, TNorm::Lukasiewicz, TNorm::Drastic] {
+        for tn in [TNorm::Minimum, TNorm::Product] {
             prop_assert!(tn.apply(a, b) <= a.min(b) + 1e-12, "{tn:?}");
-        }
-        for sn in [SNorm::Maximum, SNorm::ProbabilisticSum, SNorm::BoundedSum, SNorm::Drastic] {
-            prop_assert!(sn.apply(a, b) >= a.max(b) - 1e-12, "{sn:?}");
         }
     }
 
@@ -81,19 +75,9 @@ proptest! {
     #[test]
     fn tnorm_monotone(a in 0.0_f64..1.0, b in 0.0_f64..1.0, c in 0.0_f64..1.0) {
         let (b_lo, b_hi) = if b <= c { (b, c) } else { (c, b) };
-        for tn in [TNorm::Minimum, TNorm::Product, TNorm::Lukasiewicz] {
+        for tn in [TNorm::Minimum, TNorm::Product] {
             prop_assert!(tn.apply(a, b_lo) <= tn.apply(a, b_hi) + 1e-12, "{tn:?}");
         }
-    }
-
-    /// Implication output never exceeds the firing strength (for Mamdani)
-    /// and never exceeds the membership (both operators).
-    #[test]
-    fn implication_bounds(s in 0.0_f64..1.0, mu in 0.0_f64..1.0) {
-        prop_assert!(Implication::Minimum.apply(s, mu) <= s + 1e-12);
-        prop_assert!(Implication::Minimum.apply(s, mu) <= mu + 1e-12);
-        prop_assert!(Implication::Product.apply(s, mu) <= mu + 1e-12);
-        prop_assert!(Implication::Product.apply(s, mu) <= s + 1e-12);
     }
 
     /// All surface defuzzifiers return a value inside the universe.
@@ -110,19 +94,14 @@ proptest! {
             (peak - (x - center).abs() / span).max(0.0)
         }).unwrap();
         prop_assume!(!set.is_empty());
-        for d in [
-            Defuzzifier::Centroid,
-            Defuzzifier::Bisector,
-            Defuzzifier::MeanOfMaxima,
-            Defuzzifier::SmallestOfMaxima,
-            Defuzzifier::LargestOfMaxima,
-        ] {
+        for d in [Defuzzifier::Centroid, Defuzzifier::Bisector, Defuzzifier::MeanOfMaxima] {
             let v = d.crisp(&set).unwrap();
             prop_assert!(v >= min - 1e-9 && v <= max + 1e-9, "{d:?} gave {v} outside [{min}, {max}]");
         }
     }
 
-    /// SOM <= MOM <= LOM always holds.
+    /// The mean of maxima lies between the first and the last sample
+    /// attaining the maximum.
     #[test]
     fn maxima_ordering(values in prop::collection::vec(0.0_f64..1.0, 16..64)) {
         let n = values.len();
@@ -131,9 +110,11 @@ proptest! {
             values[idx]
         }).unwrap();
         prop_assume!(!set.is_empty());
-        let som = Defuzzifier::SmallestOfMaxima.crisp(&set).unwrap();
+        let h = set.height();
+        let at_max = |&v: &f64| (v - h).abs() <= 1e-9;
+        let som = set.x_at(set.values().iter().position(at_max).unwrap());
+        let lom = set.x_at(set.values().iter().rposition(at_max).unwrap());
         let mom = Defuzzifier::MeanOfMaxima.crisp(&set).unwrap();
-        let lom = Defuzzifier::LargestOfMaxima.crisp(&set).unwrap();
         prop_assert!(som <= mom + 1e-9 && mom <= lom + 1e-9, "{som} {mom} {lom}");
     }
 
@@ -150,7 +131,7 @@ proptest! {
             );
         }
         let engine = builder.build().unwrap();
-        let y = engine.evaluate_single(&[("x", x)]).unwrap();
+        let y = engine.evaluate_crisp(&[x]).unwrap();
         prop_assert!(y >= 0.0 && y <= out_span, "y={y}");
     }
 
@@ -168,48 +149,9 @@ proptest! {
         }
         let engine = builder.build().unwrap();
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let y_lo = engine.evaluate_single(&[("x", lo)]).unwrap();
-        let y_hi = engine.evaluate_single(&[("x", hi)]).unwrap();
+        let y_lo = engine.evaluate_crisp(&[lo]).unwrap();
+        let y_hi = engine.evaluate_crisp(&[hi]).unwrap();
         prop_assert!(y_lo <= y_hi + 1e-6, "f({lo})={y_lo} > f({hi})={y_hi}");
-    }
-
-    /// Display -> parse round-trips every generated rule.
-    #[test]
-    fn rule_display_parse_round_trip(
-        vars in prop::collection::vec("[a-z][a-z0-9]{0,6}", 1..4),
-        terms in prop::collection::vec("[a-z][a-z0-9]{0,6}", 1..4),
-        negate in prop::collection::vec(any::<bool>(), 4),
-        use_or in any::<bool>(),
-        weight_pct in 0u32..=100,
-    ) {
-        prop_assume!(vars.len() == terms.len());
-        // Variable names must be distinct from keyword tokens.
-        for v in vars.iter().chain(terms.iter()) {
-            prop_assume!(!matches!(v.as_str(), "if"|"then"|"and"|"or"|"is"|"not"|"with"|"rule"));
-        }
-        let mut builder = if negate[0] {
-            Rule::when_not(vars[0].clone(), terms[0].clone())
-        } else {
-            Rule::when(vars[0].clone(), terms[0].clone())
-        };
-        for i in 1..vars.len() {
-            builder = match (use_or, negate[i]) {
-                (false, false) => builder.and(vars[i].clone(), terms[i].clone()),
-                (false, true) => builder.and_not(vars[i].clone(), terms[i].clone()),
-                (true, false) => builder.or(vars[i].clone(), terms[i].clone()),
-                (true, true) => builder.or_not(vars[i].clone(), terms[i].clone()),
-            };
-        }
-        let rule = builder
-            .then("out", "t")
-            .weight(f64::from(weight_pct) / 100.0)
-            .build()
-            .unwrap();
-        let text = rule.to_string();
-        let reparsed = parse_rule(&text).unwrap();
-        prop_assert_eq!(rule.clauses(), reparsed.clauses(), "text: {}", text);
-        prop_assert_eq!(rule.consequents(), reparsed.consequents(), "text: {}", text);
-        prop_assert!((rule.weight() - reparsed.weight()).abs() < 1e-12);
     }
 
     /// Fuzzification of a uniform partition sums to 1 everywhere in the

@@ -1,12 +1,12 @@
-//! Build a custom fuzzy controller with the `facs-fuzzy` engine and its
-//! textual rule DSL — here, a handoff-urgency controller that decides how
-//! aggressively a cell should prepare to hand a user over.
+//! Build a custom fuzzy controller with the `facs-fuzzy` engine — here, a
+//! handoff-urgency controller that decides how aggressively a cell should
+//! prepare to hand a user over.
 //!
 //! ```sh
 //! cargo run --example custom_fuzzy_controller
 //! ```
 
-use facs_suite::fuzzy::{parse_rules, Engine, MembershipFunction, Variable};
+use facs_suite::fuzzy::{Engine, MembershipFunction, Rule, Variable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Inputs: signal strength (dBm, -110..-50) and user speed (km/h).
@@ -22,27 +22,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Output: handoff urgency in [0, 1].
     let urgency = Variable::builder("urgency", 0.0, 1.0).uniform_partition("u", 5).build()?;
 
-    // Rules in the textual DSL (could equally live in a config file).
-    let rules = parse_rules(
-        "RULE panic:   IF signal IS weak   AND speed IS fast THEN urgency IS u5\n\
-         RULE worried: IF signal IS weak   AND speed IS slow THEN urgency IS u4\n\
-         RULE watch:   IF signal IS fair   AND speed IS fast THEN urgency IS u3\n\
-         RULE calm:    IF signal IS fair   AND speed IS slow THEN urgency IS u2\n\
-         RULE idle:    IF signal IS strong                   THEN urgency IS u1\n",
-    )?;
+    // One rule per (signal, speed) pair, like the rows of the paper's
+    // rule tables; the label names the rule when it is printed.
+    let table = [
+        ("panic", "weak", "fast", "u5"),
+        ("worried", "weak", "slow", "u4"),
+        ("watch", "fair", "fast", "u3"),
+        ("calm", "fair", "slow", "u2"),
+        ("idle", "strong", "fast", "u1"),
+        ("idle-slow", "strong", "slow", "u1"),
+    ];
+    let mut builder = Engine::builder().input(signal).input(speed).output(urgency);
+    for (label, sig, spd, urg) in table {
+        let rule = Rule::when("signal", sig)
+            .and("speed", spd)
+            .then("urgency", urg)
+            .label(label)
+            .build()?;
+        println!("{rule}");
+        builder = builder.rule(rule);
+    }
+    let engine = builder.build()?;
 
-    let engine =
-        Engine::builder().input(signal).input(speed).output(urgency).rules(rules).build()?;
-
+    println!();
     println!("signal dBm | speed km/h | handoff urgency");
     println!("-----------+------------+----------------");
     for (dbm, kmh) in [(-100.0, 90.0), (-100.0, 5.0), (-80.0, 90.0), (-80.0, 5.0), (-55.0, 60.0)] {
-        let outcome = engine.evaluate(&[("signal", dbm), ("speed", kmh)])?;
-        let urgency = outcome.crisp("urgency").expect("urgency output exists");
-        let (rule, strength) = outcome.dominant_rule().expect("a rule fired");
-        println!(
-            "{dbm:10.0} | {kmh:10.0} | {urgency:.3}  (dominant rule #{rule}, strength {strength:.2})"
-        );
+        // Readings follow the input declaration order: signal, then speed.
+        let urgency = engine.evaluate_crisp(&[dbm, kmh])?;
+        println!("{dbm:10.0} | {kmh:10.0} | {urgency:.3}");
     }
     Ok(())
 }

@@ -156,6 +156,8 @@ pub trait AdmissionController: Send {
     /// full request, which on saturated cells skips the dominant
     /// per-arrival cost. Must never return `true` when admission is
     /// possible; the default claims nothing.
+    ///
+    /// FACS's pre-screen and the proof behind it are in DESIGN.md.
     fn fast_reject(&self, profile: &ServiceProfile, cell: &BandwidthLedger) -> bool {
         let _ = (profile, cell);
         false

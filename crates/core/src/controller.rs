@@ -2,12 +2,12 @@
 
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, CallKind, CallRequest,
-    CellSnapshot, Decision, MobilityInfo, ServiceProfile,
+    CellSnapshot, Decision, MobilityInfo, ServiceClass, ServiceProfile,
 };
 use facs_fuzzy::{BackendKind, FuzzyError, InferenceConfig};
 
 use crate::flc1::Flc1;
-use crate::flc2::Flc2;
+use crate::flc2::{Flc2, CV_UNIVERSE};
 
 /// Tunables of the FACS controller.
 ///
@@ -107,6 +107,7 @@ pub struct FacsController {
     flc1: Flc1,
     flc2: Flc2,
     config: FacsConfig,
+    bound: ScoreBound,
 }
 
 impl FacsController {
@@ -126,9 +127,11 @@ impl FacsController {
     /// Propagates [`FuzzyError`] if the FLCs fail to compile (e.g. a
     /// compiled backend with fewer than 2 lattice points per axis).
     pub fn with_config(config: FacsConfig) -> Result<Self, FuzzyError> {
+        let flc2 = Flc2::with_backend(config.inference, config.backend)?;
         Ok(Self {
             flc1: Flc1::with_backend(config.inference, config.backend)?,
-            flc2: Flc2::with_backend(config.inference, config.backend)?,
+            bound: ScoreBound::new(&flc2, &config),
+            flc2,
             config,
         })
     }
@@ -214,12 +217,74 @@ fn scale_mobility(config: &FacsConfig, mobility: &MobilityInfo) -> MobilityInfo 
     }
 }
 
+/// The capacity at which the counter state *is* the occupancy (FLC2's
+/// 0–40 BU counter universe, the paper's cell).
+const PAPER_CAPACITY_BU: u32 = 40;
+
 /// Scales occupancy into FLC2's 0–40 BU counter universe according to
 /// the cell's own capacity, so a half-full cell reads as `Cs = 20`
 /// whatever its size.
 fn scale_counter(cell: &CellSnapshot) -> f64 {
     let capacity = f64::from(cell.capacity.get().max(1));
-    f64::from(cell.occupied.get()) * 40.0 / capacity
+    f64::from(cell.occupied.get()) * f64::from(PAPER_CAPACITY_BU) / capacity
+}
+
+/// A [`ScoreBound`] entry with no proven tail.
+const NO_TAIL: u8 = u8::MAX;
+
+/// Per class, the least occupancy of a 40-BU cell from which the
+/// compiled FLC2 surface proves that no mobility input can admit — the
+/// table behind [`FacsController::fast_reject`].
+///
+/// On a 40-BU cell the counter is the occupancy. At a fixed (request,
+/// counter) the surface's multilinear interpolant is piecewise linear
+/// in Cv, so its maximum over Cv ∈ `[0, 1]` sits at one of the Cv
+/// lattice knots. An occupancy is *proven* when that maximum plus any
+/// positive handoff bias is at or below the gate less 1e-9 (float
+/// error; far above the 1e-12 score snap). The table holds the least
+/// occupancy from which *every* fuller one is proven: the whole tail is
+/// checked BU by BU because FLC2 is not monotone in occupancy. The
+/// bound covers every Cv, so FLC1 and the distance scaling play no part
+/// in it. Other capacities claim nothing. Kept in bytes: planet-scale
+/// grids clone one controller per cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ScoreBound([u8; 3]);
+
+impl ScoreBound {
+    /// Proves nothing: the exact backend has no lattice to bound over.
+    const NONE: Self = Self([NO_TAIL; 3]);
+
+    fn new(flc2: &Flc2, config: &FacsConfig) -> Self {
+        let Some(surface) = flc2.surface() else {
+            return Self::NONE;
+        };
+        let last_knot = (surface.points_per_axis() - 1) as f64;
+        let (lo, hi) = CV_UNIVERSE;
+        let gate = config.threshold - config.handoff_bias.max(0.0) - 1e-9;
+        let mut tails = [NO_TAIL; 3];
+        for class in ServiceClass::ALL {
+            let request = class.request_level();
+            let proven = |occupied: u32| {
+                (0..surface.points_per_axis()).all(|i| {
+                    let cv = lo + (hi - lo) * i as f64 / last_knot;
+                    flc2.decision_score(cv, request, f64::from(occupied))
+                        .is_ok_and(|score| score <= gate)
+                })
+            };
+            // The least n0 with every n in n0..=40 proven, if 40 is.
+            if let Some(n0) = (0..=PAPER_CAPACITY_BU).rev().take_while(|&n| proven(n)).last() {
+                tails[class.index()] = n0 as u8;
+            }
+        }
+        Self(tails)
+    }
+
+    /// `true` when `class` cannot be admitted into `cell` at any Cv.
+    #[inline]
+    fn rejects(&self, class: ServiceClass, cell: &BandwidthLedger) -> bool {
+        cell.capacity().get() == PAPER_CAPACITY_BU
+            && cell.occupied().get() >= u32::from(self.0[class.index()])
+    }
 }
 
 impl AdmissionController for FacsController {
@@ -228,11 +293,11 @@ impl AdmissionController for FacsController {
     }
 
     fn decide(&mut self, request: &CallRequest, cell: &BandwidthLedger) -> AdmissionPlan {
-        // Saturation short-circuit: plain FACS admits only at nominal
-        // bandwidth, so when the cell cannot fit that cost the request is
-        // denied whatever the cascade says (an Admit plan would fail
-        // allocation). Skipping the evaluation changes no outcome, and on
-        // saturated cells it skips the dominant per-arrival cost.
+        // Pre-screen: a request `fast_reject` proves deniable is denied
+        // whatever the cascade says, so skipping the evaluation changes
+        // no outcome — only the plan's score, which reads -1.0. On
+        // saturated and overloaded cells it skips the dominant
+        // per-arrival cost.
         if self.fast_reject(&request.profile, cell) {
             return AdmissionPlan::Reject(Decision::reject(-1.0));
         }
@@ -241,8 +306,10 @@ impl AdmissionController for FacsController {
 
     fn fast_reject(&self, profile: &ServiceProfile, cell: &BandwidthLedger) -> bool {
         // Plain FACS never degrades or squeezes, so a profile whose
-        // nominal cost does not fit is denied for any mobility and kind.
-        !cell.can_fit(profile.rb_cost_nominal)
+        // nominal cost does not fit is denied for any mobility and kind;
+        // on the compiled backend, so is one whose class the surface
+        // cannot score over the gate at this occupancy (`ScoreBound`).
+        !cell.can_fit(profile.rb_cost_nominal) || self.bound.rejects(profile.class, cell)
     }
 }
 
@@ -306,6 +373,10 @@ impl FacsDegradeController {
     }
 }
 
+// `fast_reject` keeps the trait default (`false`): this controller gates
+// at live occupancy minus the reclaimable slack, below the live
+// occupancy `FacsController`'s score bound is proven at, and admits
+// self-degraded calls whose nominal cost does not fit.
 impl AdmissionController for FacsDegradeController {
     fn name(&self) -> &str {
         "FACS-degrade"
@@ -688,6 +759,86 @@ mod tests {
         let eval = compiled.evaluate(&r, &cell(0));
         assert!(!eval.decision.admits());
         assert_eq!(eval.score, -1.0);
+    }
+
+    #[test]
+    fn compiled_score_bound_pins_the_paper_cell_tails() {
+        let compiled = FacsController::with_config(FacsConfig::compiled()).unwrap();
+        assert_eq!(compiled.bound, ScoreBound([32, 27, 29]), "text/voice/video tail starts (BU)");
+        let flc2 = compiled.flc2();
+        for class in ServiceClass::ALL {
+            let start = u32::from(compiled.bound.0[class.index()]);
+            let profile = ServiceProfile::paper(class);
+            assert!(compiled.fast_reject(&profile, &ledger(start)), "{class} at {start}");
+            assert!(
+                !compiled.fast_reject(&profile, &ledger(start - 1)),
+                "{class} at {}",
+                start - 1
+            );
+            // Tightness: one BU below the tail start some Cv knot scores
+            // over the gate, so the table is the least the proof allows.
+            let best = (0..=32)
+                .map(|i| {
+                    flc2.decision_score(
+                        f64::from(i) / 32.0,
+                        class.request_level(),
+                        f64::from(start - 1),
+                    )
+                    .unwrap()
+                })
+                .fold(f64::NEG_INFINITY, f64::max);
+            assert!(best > compiled.config().threshold, "{class} at {}: best {best}", start - 1);
+        }
+        // Other capacities claim only what does not fit.
+        let mut big = BandwidthLedger::new(BandwidthUnits::new(80));
+        let filler = ServiceProfile::fixed(ServiceClass::Text, BandwidthUnits::new(72));
+        big.allocate(CallId(999), filler).unwrap();
+        for class in ServiceClass::ALL {
+            let profile = ServiceProfile::paper(class);
+            let unfit = !big.can_fit(profile.rb_cost_nominal);
+            assert_eq!(compiled.fast_reject(&profile, &big), unfit, "{class} at 72/80");
+        }
+    }
+
+    #[test]
+    fn exact_backend_fast_reject_is_the_capacity_check() {
+        let exact = facs();
+        assert_eq!(exact.bound, ScoreBound::NONE);
+        for capacity in [7, 40, 80] {
+            for occupied in 0..=capacity {
+                let mut l = BandwidthLedger::new(BandwidthUnits::new(capacity));
+                if occupied > 0 {
+                    let filler =
+                        ServiceProfile::fixed(ServiceClass::Text, BandwidthUnits::new(occupied));
+                    l.allocate(CallId(999), filler).unwrap();
+                }
+                for class in ServiceClass::ALL {
+                    let profile = ServiceProfile::paper(class);
+                    assert_eq!(
+                        exact.fast_reject(&profile, &l),
+                        !l.can_fit(profile.rb_cost_nominal),
+                        "{class} at {occupied}/{capacity}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_bound_is_empty_when_the_gate_is_out_of_reach() {
+        // A gate below every score proves nothing.
+        let lax =
+            FacsController::with_config(FacsConfig { threshold: -1.5, ..FacsConfig::compiled() })
+                .unwrap();
+        assert_eq!(lax.bound, ScoreBound::NONE);
+        // A handoff bias raises every bound by itself.
+        let biased =
+            FacsController::with_config(FacsConfig { handoff_bias: 0.3, ..FacsConfig::compiled() })
+                .unwrap();
+        let plain = FacsController::with_config(FacsConfig::compiled()).unwrap();
+        for class in ServiceClass::ALL {
+            assert!(biased.bound.0[class.index()] >= plain.bound.0[class.index()]);
+        }
     }
 
     #[test]

@@ -144,10 +144,10 @@ impl AdmissionController for PredictiveFacsController {
         if request.kind == CallKind::Handoff {
             self.horizon.record_event();
         }
-        // Saturation short-circuit, exactly like reactive FACS: a
-        // request that cannot fit at nominal is denied whatever the
-        // (live or forecast) cascade would say.
-        if !cell.can_fit(request.profile.rb_cost_nominal) {
+        // Pre-screen, exactly like reactive FACS: a request the live
+        // cell proves deniable is denied whatever the (live or forecast)
+        // cascade would say.
+        if self.fast_reject(&request.profile, cell) {
             return AdmissionPlan::Reject(Decision::reject(-1.0));
         }
         let snapshot = cell.snapshot();
@@ -157,11 +157,12 @@ impl AdmissionController for PredictiveFacsController {
     }
 
     fn fast_reject(&self, profile: &facs_cac::ServiceProfile, cell: &BandwidthLedger) -> bool {
-        // Mobility-independent denial: nominal cost does not fit. Note
-        // this leaves handoff counting to `decide`; fast-rejected
-        // arrivals hit saturated cells where the horizon estimate
-        // matters least.
-        !cell.can_fit(profile.rb_cost_nominal)
+        // Reactive FACS's proof holds here too: the gate occupancy is
+        // the live one or `max(live, forecast)` clamped to capacity,
+        // never below live, so it stays inside the proven tail. The
+        // engine pre-screens new-call arrivals only, which `decide`
+        // would not count towards the handoff horizon either.
+        self.inner.fast_reject(profile, cell)
     }
 
     fn observe(&mut self, now_s: f64, cell: &BandwidthLedger) {

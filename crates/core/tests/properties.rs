@@ -10,6 +10,7 @@ use facs_cac::{
 };
 use facs_fuzzy::{BackendKind, InferenceConfig};
 use proptest::prelude::*;
+use proptest::strategy::Just;
 
 fn arb_class() -> impl Strategy<Value = ServiceClass> {
     prop::sample::select(vec![ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video])
@@ -76,7 +77,91 @@ fn ledger(class: ServiceClass, occupied: u32) -> BandwidthLedger {
     l
 }
 
+/// A `capacity`-BU ledger holding one rigid text call of `occupied` BU.
+fn filled(capacity: u32, occupied: u32) -> BandwidthLedger {
+    let mut l = BandwidthLedger::new(BandwidthUnits::new(capacity));
+    if occupied > 0 {
+        l.allocate(
+            CallId(999),
+            ServiceProfile::fixed(ServiceClass::Text, BandwidthUnits::new(occupied)),
+        )
+        .unwrap();
+    }
+    l
+}
+
+/// `(capacity, occupied)`: the paper's 40-BU cell half the time (where
+/// the score bound applies), any capacity in 1..=120 otherwise (where
+/// only the capacity check may claim). Occupancy is any value half the
+/// time and in the top third, where the bound's edges sit, otherwise.
+fn arb_cell() -> impl Strategy<Value = (u32, u32)> {
+    prop_oneof![Just(40u32), 1u32..=120].prop_flat_map(|capacity| {
+        (Just(capacity), prop_oneof![0..=capacity, capacity * 2 / 3..=capacity])
+    })
+}
+
+/// Mobility observations inside and far outside FLC1's universes, plus
+/// corrupted (non-finite) fixes. A third are fast users heading near the
+/// base station, whose high Cv is the bound's worst case.
+fn arb_mobility() -> impl Strategy<Value = MobilityInfo> {
+    let any = (-50.0_f64..300.0, -720.0_f64..720.0, -5.0_f64..50.0)
+        .prop_map(|(speed, angle, distance)| MobilityInfo::new(speed, angle, distance));
+    let good = (30.0_f64..120.0, -30.0_f64..30.0, 0.0_f64..5.0)
+        .prop_map(|(speed, angle, distance)| MobilityInfo::new(speed, angle, distance));
+    let corrupt = prop::sample::select(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
+        .prop_map(|x| MobilityInfo { speed_kmh: x, angle_deg: 0.0, distance_km: x });
+    prop_oneof![any, good, corrupt]
+}
+
 proptest! {
+    /// The `fast_reject` pre-screen is sound: whenever it claims a
+    /// request is deniable, the cascade denies it or its nominal cost
+    /// does not fit (an admitting plan would fail allocation). The
+    /// cascade runs through `evaluate`, which skips the pre-screen
+    /// `decide` consults. Checked for any class, kind, cell size,
+    /// occupancy, mobility, gate and handoff bias, on both backends,
+    /// for plain and for warm predictive FACS (whose forecast may read
+    /// above or below the live occupancy).
+    #[test]
+    fn fast_reject_implies_the_cascade_rejects(
+        class in arb_class(),
+        kind in prop::sample::select(vec![CallKind::New, CallKind::Handoff]),
+        cell in arb_cell(),
+        mobility in arb_mobility(),
+        handoff_bias in -0.2_f64..=0.5,
+        threshold in -0.5_f64..=0.6,
+        compiled in any::<bool>(),
+        history in prop::collection::vec(0.0_f64..=1.0, 4..12),
+    ) {
+        let backend = if compiled { BackendKind::compiled() } else { BackendKind::Exact };
+        let config = FacsConfig { threshold, handoff_bias, backend, ..FacsConfig::default() };
+        let (capacity, occupied) = cell;
+        let cell = filled(capacity, occupied);
+        let request = CallRequest::new(CallId(0), class, kind, mobility);
+        let fits = cell.can_fit(request.demand());
+        let plain = FacsController::with_config(config).unwrap();
+        if plain.fast_reject(&request.profile, &cell) {
+            let eval = plain.evaluate(&request, &cell.snapshot());
+            prop_assert!(
+                !(fits && eval.decision.admits()),
+                "plain FACS admits a pre-screened call: {eval:?}"
+            );
+        }
+        let mut predictive = PredictiveFacsController::ewma(config).unwrap();
+        for (i, &fill) in history.iter().enumerate() {
+            let held = (fill * f64::from(capacity)).round() as u32;
+            predictive.observe(i as f64 * 5.0, &filled(capacity, held));
+        }
+        if predictive.fast_reject(&request.profile, &cell) {
+            let eval = predictive.evaluate(&request, &cell.snapshot());
+            prop_assert!(
+                !(fits && eval.decision.admits()),
+                "predictive FACS admits a pre-screened call at forecast {}: {eval:?}",
+                predictive.forecast_occupancy_bu()
+            );
+        }
+    }
+
     /// FLC1's correction value is always inside [0, 1] for any observation
     /// — including out-of-universe readings (clamped).
     #[test]

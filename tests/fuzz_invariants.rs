@@ -1,13 +1,18 @@
 //! The validate subsystem, end to end: trace digests must be stable
 //! across shard/thread counts and sensitive to single flipped
 //! admissions; every catalog scenario and fuzzed workload must uphold
-//! the kernel's conservation invariants; and the fuzzer's shrinker must
-//! hand back a strictly smaller failing workload.
+//! the kernel's conservation invariants; the FACS `fast_reject`
+//! pre-screen must leave every digest unchanged; and the fuzzer's
+//! shrinker must hand back a strictly smaller failing workload.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use facs::{FacsConfig, FacsController, FacsEvaluation, PredictiveFacsController};
 use facs_cac::policies::CompleteSharing;
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BoxedController, CallId, CallRequest,
-    Decision,
+    CellSnapshot, Decision, ServiceClass, ServiceProfile,
 };
 use facs_cellsim::prelude::*;
 use facs_cellsim::{
@@ -89,6 +94,126 @@ impl AdmissionController for DenyOne {
             self.inner.decide(request, cell)
         }
     }
+}
+
+/// The FACS controllers whose `decide` is the cascade behind a
+/// `fast_reject` pre-screen.
+trait Cascade: AdmissionController + Clone + 'static {
+    fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation;
+}
+
+impl Cascade for FacsController {
+    fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
+        FacsController::evaluate(self, request, cell)
+    }
+}
+
+impl Cascade for PredictiveFacsController {
+    fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
+        PredictiveFacsController::evaluate(self, request, cell)
+    }
+}
+
+/// Forwards every method to `inner` except the pre-screen. `fast_reject`
+/// claims nothing, so the engine runs every arrival through `decide`.
+/// `decide` still runs the inner one for its side effects (predictive
+/// FACS counts handoffs there), but answers with the bare cascade: the
+/// gated score where the nominal cost fits, whatever the inner
+/// pre-screen said. It counts the requests the inner pre-screen denies
+/// on a cell that still fits them (the score-bound claims), so the test
+/// can tell the bound was exercised.
+struct NoPreScreen<C> {
+    inner: C,
+    bound_claims: Arc<AtomicU64>,
+}
+
+impl<C: Cascade> AdmissionController for NoPreScreen<C> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, request: &CallRequest, cell: &BandwidthLedger) -> AdmissionPlan {
+        let screened = self.inner.decide(request, cell);
+        if !cell.can_fit(request.demand()) {
+            return screened;
+        }
+        if self.inner.fast_reject(&request.profile, cell) {
+            self.bound_claims.fetch_add(1, Ordering::Relaxed);
+        }
+        AdmissionPlan::gate(self.inner.evaluate(request, &cell.snapshot()).decision)
+    }
+
+    fn fast_reject(&self, _profile: &ServiceProfile, _cell: &BandwidthLedger) -> bool {
+        false
+    }
+
+    fn observe(&mut self, now_s: f64, cell: &BandwidthLedger) {
+        self.inner.observe(now_s, cell);
+    }
+
+    fn on_admitted(&mut self, request: &CallRequest, cell: &CellSnapshot) {
+        self.inner.on_admitted(request, cell);
+    }
+
+    fn on_released(&mut self, call: CallId, class: ServiceClass, cell: &CellSnapshot) {
+        self.inner.on_released(call, class, cell);
+    }
+
+    fn is_cell_local(&self) -> bool {
+        self.inner.is_cell_local()
+    }
+}
+
+/// Asserts that `prototype` (cloned per cell) digests identically with
+/// its pre-screen and with [`NoPreScreen`] on every scenario, and that
+/// the score bound fired somewhere.
+fn assert_pre_screen_is_invisible<C: Cascade>(
+    family: &str,
+    prototype: &C,
+    scenarios: &[(String, ScenarioConfig)],
+) {
+    let bound_claims = Arc::new(AtomicU64::new(0));
+    for (name, config) in scenarios {
+        let digest = |controllers: Vec<BoxedController>| {
+            let seed = config.replication_seeds().next().expect("one replication");
+            let mut sim = Simulation::new(config.grid(), config.sim_config(seed), controllers);
+            sim.run_with(config.run_input(seed), TraceDigest::new())
+        };
+        let cells = config.grid().cell_ids().count();
+        let screened =
+            digest((0..cells).map(|_| Box::new(prototype.clone()) as BoxedController).collect());
+        let unscreened = digest(
+            (0..cells)
+                .map(|_| {
+                    let inner = prototype.clone();
+                    let bound_claims = Arc::clone(&bound_claims);
+                    Box::new(NoPreScreen { inner, bound_claims }) as BoxedController
+                })
+                .collect(),
+        );
+        assert_eq!(screened, unscreened, "{family} on {name}: the pre-screen moved the digest");
+    }
+    assert!(bound_claims.load(Ordering::Relaxed) > 0, "{family}: the score bound never fired");
+}
+
+/// The FACS score-bound pre-screen changes no observable event: on every
+/// catalog scenario and 50 fuzzed workloads (capacities 10–80 BU, so
+/// cells the bound covers and cells it does not), compiled FACS and
+/// compiled predictive FACS digest identically with the pre-screen and
+/// without it.
+#[test]
+fn fast_reject_pre_screen_leaves_every_digest_unchanged() {
+    let fuzzer = WorkloadFuzzer::new(0xFA57);
+    let scenarios: Vec<(String, ScenarioConfig)> = catalog()
+        .into_iter()
+        .map(|entry| (entry.name.to_owned(), entry.config))
+        .chain(fuzzer.cases(50).map(|case| (format!("fuzz case {}", case.index), case.config)))
+        .collect();
+    let config = FacsConfig::compiled();
+    let facs = FacsController::with_config(config).expect("FACS builds");
+    assert_pre_screen_is_invisible("facs-compiled", &facs, &scenarios);
+    let predictive = PredictiveFacsController::ewma(config).expect("predictive FACS builds");
+    assert_pre_screen_is_invisible("facs-predict-ewma-compiled", &predictive, &scenarios);
 }
 
 #[test]

@@ -2,11 +2,10 @@
 //!
 //! The compiled backend answers from a precomputed lattice by multilinear
 //! interpolation, so a full FACS cascade collapses from two
-//! O(rules × resolution) inferences to ~16 array reads. The acceptance
-//! bar for this bench (EXPERIMENTS.md records measured numbers) is a
-//! ≥ 10× per-decision speedup of `facs_cascade_compiled` over
-//! `facs_cascade_exact`; in practice it lands around three orders of
-//! magnitude.
+//! O(rules + terms × resolution) inferences to ~16 array reads. The
+//! acceptance bar for this bench (EXPERIMENTS.md records measured
+//! numbers) is a ≥ 10× per-decision speedup of `facs_cascade_compiled`
+//! over `facs_cascade_exact`; in practice it lands around 50×.
 //!
 //! `cargo bench -p facs-bench --bench decision_surface` to measure;
 //! `cargo bench -p facs-bench --bench decision_surface -- --test` (CI)

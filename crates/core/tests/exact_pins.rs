@@ -1,4 +1,5 @@
-//! Bit-level pins of the exact Mamdani backend.
+//! Bit-level pins of the exact Mamdani backend and the default compiled
+//! surfaces.
 //!
 //! Each FLC is evaluated on a 7-points-per-axis lattice over its three
 //! input universes (343 queries) and the `f64::to_bits` of every output
@@ -8,17 +9,21 @@
 //! `--exp ablation-tnorm` and the three alternative defuzzifiers of
 //! `--exp ablation-defuzz`. Any change to the order of a floating-point
 //! operation on the exact path moves a hash.
+//!
+//! A second pair hashes both default compiled surfaces queried at all
+//! 33³ of their lattice nodes, so a change to how the lattice is filled
+//! (its node order or the inference behind each node) moves a hash too.
 
 use facs::{flc1, flc2, Flc1, Flc2};
 use facs_cac::MobilityInfo;
-use facs_fuzzy::{BackendKind, Defuzzifier, InferenceConfig, TNorm};
+use facs_fuzzy::{BackendKind, Defuzzifier, InferenceConfig, TNorm, DEFAULT_LATTICE_POINTS};
 
 const POINTS: u32 = 7;
 
-/// The `POINTS` evenly spaced values spanning `universe`, ends included.
-fn axis(universe: (f64, f64)) -> impl Iterator<Item = f64> + Clone {
+/// `points` evenly spaced values spanning `universe`, ends included.
+fn axis(universe: (f64, f64), points: u32) -> impl Iterator<Item = f64> + Clone {
     let (lo, hi) = universe;
-    (0..POINTS).map(move |i| lo + (hi - lo) * f64::from(i) / f64::from(POINTS - 1))
+    (0..points).map(move |i| lo + (hi - lo) * f64::from(i) / f64::from(points - 1))
 }
 
 fn fnv1a(hash: u64, bits: u64) -> u64 {
@@ -27,12 +32,11 @@ fn fnv1a(hash: u64, bits: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn flc1_hash(config: InferenceConfig) -> u64 {
-    let flc = Flc1::with_backend(config, BackendKind::Exact).unwrap();
+fn flc1_hash(flc: &Flc1, points: u32) -> u64 {
     let mut hash = FNV_OFFSET;
-    for s in axis(flc1::SPEED_UNIVERSE) {
-        for a in axis(flc1::ANGLE_UNIVERSE) {
-            for d in axis(flc1::DISTANCE_UNIVERSE) {
+    for s in axis(flc1::SPEED_UNIVERSE, points) {
+        for a in axis(flc1::ANGLE_UNIVERSE, points) {
+            for d in axis(flc1::DISTANCE_UNIVERSE, points) {
                 let cv = flc.correction_value(&MobilityInfo::new(s, a, d)).unwrap();
                 hash = fnv1a(hash, cv.to_bits());
             }
@@ -41,12 +45,11 @@ fn flc1_hash(config: InferenceConfig) -> u64 {
     hash
 }
 
-fn flc2_hash(config: InferenceConfig) -> u64 {
-    let flc = Flc2::with_backend(config, BackendKind::Exact).unwrap();
+fn flc2_hash(flc: &Flc2, points: u32) -> u64 {
     let mut hash = FNV_OFFSET;
-    for cv in axis(flc2::CV_UNIVERSE) {
-        for r in axis(flc2::REQUEST_UNIVERSE) {
-            for cs in axis(flc2::COUNTER_UNIVERSE) {
+    for cv in axis(flc2::CV_UNIVERSE, points) {
+        for r in axis(flc2::REQUEST_UNIVERSE, points) {
+            for cs in axis(flc2::COUNTER_UNIVERSE, points) {
                 hash = fnv1a(hash, flc.decision_score(cv, r, cs).unwrap().to_bits());
             }
         }
@@ -90,7 +93,8 @@ fn exact_outputs_are_pinned_per_inference_config() {
     ];
     let mut moved = Vec::new();
     for (label, config, flc1_pin, flc2_pin) in pins {
-        let (h1, h2) = (flc1_hash(config), flc2_hash(config));
+        let h1 = flc1_hash(&Flc1::with_backend(config, BackendKind::Exact).unwrap(), POINTS);
+        let h2 = flc2_hash(&Flc2::with_backend(config, BackendKind::Exact).unwrap(), POINTS);
         if h1 != flc1_pin {
             moved.push(format!("{label} FLC1 {h1:#018x} (pinned {flc1_pin:#018x})"));
         }
@@ -99,4 +103,17 @@ fn exact_outputs_are_pinned_per_inference_config() {
         }
     }
     assert!(moved.is_empty(), "exact outputs moved: {moved:#?}");
+}
+
+#[test]
+fn default_compiled_surfaces_are_pinned_at_every_lattice_node() {
+    let config = InferenceConfig::default();
+    let points = u32::try_from(DEFAULT_LATTICE_POINTS).unwrap();
+    let h1 = flc1_hash(&Flc1::with_backend(config, BackendKind::compiled()).unwrap(), points);
+    let h2 = flc2_hash(&Flc2::with_backend(config, BackendKind::compiled()).unwrap(), points);
+    assert_eq!(
+        (h1, h2),
+        (0x75447817ab70ae4a, 0x4fa3f84d718637fe),
+        "compiled surfaces moved: FLC1 {h1:#018x}, FLC2 {h2:#018x}"
+    );
 }

@@ -5,8 +5,12 @@
 //! workspace evaluates a single-output fuzzy controller:
 //!
 //! * **Exact Mamdani** — [`Engine`] itself: fuzzify, fire the rule base,
-//!   aggregate, defuzzify on every query. O(rules × samples) per call,
-//!   bit-exact by definition.
+//!   aggregate, defuzzify on every query. Each output term's membership
+//!   is sampled once, when the engine is built; a query clips each term
+//!   once, at the strongest firing among the rules that conclude it
+//!   (`max_r min(s_r, μ) = min(max_r s_r, μ)` holds exactly, so this is
+//!   the rule-by-rule surface bit for bit), and max-merges the clipped
+//!   samples. O(rules + terms × samples) per call.
 //! * **Compiled decision surface** — [`CompiledSurface`]: the engine's
 //!   defuzzified output precomputed over a dense input lattice at build
 //!   time, queried by multilinear interpolation. A handful of array
@@ -19,7 +23,9 @@
 //! cache. Compilation runs the exact engine once per lattice point, so
 //! it costs as much as `n^d` exact inferences, paid once per controller
 //! build (and the surface is cheap to clone: samples live behind an
-//! [`Arc`]).
+//! [`Arc`]). The nodes fill in contiguous ranges, one per available
+//! thread; each node is a pure function of its index, so the surface is
+//! the same for any thread count.
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,6 +47,11 @@ pub const DEFAULT_LATTICE_POINTS: usize = 33;
 /// The most input dimensions a [`CompiledSurface`] supports (its
 /// interpolation buffers are stack-allocated arrays of this size).
 pub const MAX_SURFACE_DIMS: usize = 8;
+
+/// The fewest lattice nodes worth a thread of their own when a surface
+/// compiles: smaller lattices fill on fewer threads (down to the calling
+/// one alone) rather than pay for spawns that outlast the work.
+const MIN_NODES_PER_THREAD: usize = 512;
 
 /// A strategy for evaluating a single-output fuzzy controller from
 /// positional readings.
@@ -215,33 +226,44 @@ impl CompiledSurface {
             strides[d] = strides[d + 1] * points_per_axis;
         }
 
-        let mut values = Vec::with_capacity(total);
-        let mut index = vec![0usize; dims];
-        let mut coords = vec![0.0f64; dims];
-        loop {
-            for (d, axis) in axes.iter().enumerate() {
-                let t = index[d] as f64 / (axis.points - 1) as f64;
-                coords[d] = axis.min + (axis.max - axis.min) * t;
-            }
-            values.push(engine.evaluate_crisp(&coords)?);
-            // Odometer increment, last axis fastest (row-major order).
-            let mut d = dims;
-            loop {
-                if d == 0 {
-                    break;
+        // Fills `out` with the nodes from flat index `start` on (row-major,
+        // last axis fastest), stopping at the first failing node.
+        let fill = |start: usize, out: &mut [f64]| -> Result<()> {
+            let mut coords = [0.0f64; MAX_SURFACE_DIMS];
+            for (i, value) in out.iter_mut().enumerate() {
+                let mut rest = start + i;
+                for (d, axis) in axes.iter().enumerate().rev() {
+                    let t = (rest % axis.points) as f64 / (axis.points - 1) as f64;
+                    coords[d] = axis.min + (axis.max - axis.min) * t;
+                    rest /= axis.points;
                 }
-                d -= 1;
-                index[d] += 1;
-                if index[d] < points_per_axis {
-                    break;
-                }
-                index[d] = 0;
+                *value = engine.evaluate_crisp(&coords[..dims])?;
             }
-            if index.iter().all(|&i| i == 0) {
-                break;
+            Ok(())
+        };
+        // Every node is a pure function of its index, so contiguous
+        // ranges fill in parallel into one buffer in node order: the
+        // surface is identical for any thread count.
+        let threads = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(total.div_ceil(MIN_NODES_PER_THREAD));
+        let chunk = total.div_ceil(threads);
+        let mut values = vec![0.0f64; total];
+        std::thread::scope(|scope| {
+            let mut ranges = values.chunks_mut(chunk).enumerate();
+            let (_, first) = ranges.next().expect("a lattice has at least 2 nodes");
+            let workers: Vec<_> =
+                ranges.map(|(k, out)| scope.spawn(move || fill(k * chunk, out))).collect();
+            // Joined in range order, so the error reported is that of
+            // the lowest-index failing node.
+            let mut result = fill(0, first);
+            for worker in workers {
+                let range_result =
+                    worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                result = result.and(range_result);
             }
-        }
-        debug_assert_eq!(values.len(), total);
+            result
+        })?;
         Ok(Self { axes, strides, values: values.into() })
     }
 
@@ -411,6 +433,22 @@ mod tests {
                 engine.evaluate_crisp(&[x]).unwrap(),
                 "node {i} diverged"
             );
+        }
+    }
+
+    #[test]
+    fn parallel_fill_stores_every_node_in_row_major_order() {
+        // 65² = 4,225 nodes: enough to split across every available
+        // thread; each stored value must be the engine's at its node.
+        let engine = two_input_engine();
+        let surface = CompiledSurface::compile(&engine, 65).unwrap();
+        for i in 0..65 {
+            for j in 0..65 {
+                let a = f64::from(i) / 64.0;
+                let b = -1.0 + 2.0 * (f64::from(j) / 64.0);
+                let exact = engine.evaluate_crisp(&[a, b]).unwrap();
+                assert_eq!(surface.values[i as usize * 65 + j as usize], exact, "node ({i}, {j})");
+            }
         }
     }
 

@@ -39,11 +39,12 @@ struct CompiledRule {
 /// Reusable evaluation buffers, one set per thread.
 ///
 /// Inference needs several short-lived vectors (clamped readings, term
-/// memberships, rule firings, the aggregation surface). Allocating them
-/// per call dominated the exact backend's profile, so they live in a
-/// thread-local pool instead: `Engine::evaluate_crisp` stays `&self` (the
-/// engine remains `Send + Sync` and shareable across threads) while the
-/// steady-state hot path allocates nothing.
+/// memberships, rule firings, consequent clips, the aggregation
+/// surface). Allocating them per call dominated the exact backend's
+/// profile, so they live in a thread-local pool instead:
+/// `Engine::evaluate_crisp` stays `&self` (the engine remains
+/// `Send + Sync` and shareable across threads) while the steady-state hot
+/// path allocates nothing.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Clamped input readings, in declaration order.
@@ -52,6 +53,9 @@ struct Scratch {
     memberships: Vec<f64>,
     /// Firing strength per rule.
     firings: Vec<f64>,
+    /// Clip level per output term: the strongest firing among the rules
+    /// that conclude it.
+    clips: Vec<f64>,
     /// `(strength, representative)` pairs for weighted-average defuzz.
     activations: Vec<(f64, f64)>,
     /// Aggregation surfaces, one per distinct output universe seen on
@@ -131,6 +135,9 @@ pub struct Engine {
     output: Variable,
     rule_base: RuleBase,
     compiled: Vec<CompiledRule>,
+    /// `term_samples[t * RESOLUTION + i]`: output term `t`'s membership
+    /// at sample `i` of the aggregation surface, computed once at build.
+    term_samples: Vec<f64>,
     config: InferenceConfig,
 }
 
@@ -213,9 +220,9 @@ impl Engine {
                 }),
             );
             if self.config.defuzzifier.needs_surface() {
-                let Scratch { firings, surfaces, .. } = scratch;
+                let Scratch { firings, clips, surfaces, .. } = scratch;
                 let surface = Scratch::surface_for_in(surfaces, &self.output)?;
-                if self.accumulate_surface(firings, surface) {
+                if self.accumulate_surface(firings, clips, surface) {
                     self.crisp_of_surface(surface)
                 } else {
                     Err(self.no_rule_fired())
@@ -236,18 +243,34 @@ impl Engine {
     }
 
     /// Aggregates every firing consequent into `surface` (which must
-    /// already be zeroed and shaped to the output universe): each is
-    /// clipped at its rule's strength (`min` implication) and merged by
-    /// `max`. Returns `false` when no rule fired.
-    fn accumulate_surface(&self, firings: &[f64], surface: &mut SampledSet) -> bool {
-        let mut any_mass = false;
+    /// already be zeroed and shaped to the output universe): `min`
+    /// implication clips each consequent at its rule's strength and `max`
+    /// aggregation merges the clipped sets. Returns `false` when no rule
+    /// fired.
+    ///
+    /// Rules sharing a consequent are grouped first: for strengths and
+    /// memberships in `[0, 1]`, `max_r min(s_r, μ) = min(max_r s_r, μ)`
+    /// holds exactly (`min` and `max` only select an operand), so each
+    /// output term is clipped once at its strongest firing and merged
+    /// from its precomputed samples — the same surface, bit for bit, as
+    /// merging rule by rule.
+    fn accumulate_surface(
+        &self,
+        firings: &[f64],
+        clips: &mut Vec<f64>,
+        surface: &mut SampledSet,
+    ) -> bool {
+        clips.clear();
+        clips.resize(self.output.terms().len(), 0.0);
         for (rule, &strength) in self.compiled.iter().zip(firings) {
-            if strength <= 0.0 {
-                continue;
+            clips[rule.consequent] = clips[rule.consequent].max(strength);
+        }
+        let mut any_mass = false;
+        for (&clip, samples) in clips.iter().zip(self.term_samples.chunks_exact(RESOLUTION)) {
+            if clip > 0.0 {
+                any_mass = true;
+                surface.merge_clipped(clip, samples);
             }
-            any_mass = true;
-            let mf = self.output.terms()[rule.consequent].function();
-            surface.merge_from_fn(|x| strength.min(mf.evaluate(x)), f64::max);
         }
         any_mass
     }
@@ -384,12 +407,20 @@ impl EngineBuilder {
             }
             compiled.push(CompiledRule { clauses, consequent: term_index(&output, consequent)? });
         }
+        let mut term_samples = Vec::with_capacity(output.terms().len() * RESOLUTION);
+        for term in output.terms() {
+            let mf = term.function();
+            let sampled =
+                SampledSet::from_fn(output.min(), output.max(), RESOLUTION, |x| mf.evaluate(x))?;
+            term_samples.extend_from_slice(sampled.values());
+        }
 
         Ok(Engine {
             inputs: self.inputs,
             output,
             rule_base: self.rules,
             compiled,
+            term_samples,
             config: self.config,
         })
     }

@@ -103,24 +103,6 @@ impl SampledSet {
         self.min + step * i as f64
     }
 
-    /// Point-wise in-place combination with `other` membership computed by
-    /// `combine` (used by the engine's aggregation step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets have different universes or lengths — that is an
-    /// engine bug, not a recoverable user error.
-    pub fn merge_with(&mut self, other: &SampledSet, combine: impl Fn(f64, f64) -> f64) {
-        assert_eq!(self.values.len(), other.values.len(), "sample-count mismatch");
-        assert!(
-            (self.min - other.min).abs() < 1e-12 && (self.max - other.max).abs() < 1e-12,
-            "universe mismatch"
-        );
-        for (a, &b) in self.values.iter_mut().zip(&other.values) {
-            *a = combine(*a, b).clamp(0.0, 1.0);
-        }
-    }
-
     /// Resets every sample to zero, keeping the universe and resolution
     /// (lets the engine reuse one aggregation buffer across inferences).
     pub fn zero(&mut self) {
@@ -129,21 +111,14 @@ impl SampledSet {
         }
     }
 
-    /// Point-wise merge with the membership function `f` sampled over this
-    /// set's own grid: for each sample `i` at coordinate `x_i`,
-    /// `values[i] = combine(values[i], sanitize(f(x_i)))`.
-    ///
-    /// Equivalent to building a [`SampledSet::from_fn`] contribution and
-    /// [`SampledSet::merge_with`]-ing it (same clamping and non-finite
-    /// sanitization), but without allocating the intermediate set — this
-    /// is the engine's aggregation hot loop.
-    pub fn merge_from_fn(&mut self, f: impl Fn(f64) -> f64, combine: impl Fn(f64, f64) -> f64) {
-        let step = (self.max - self.min) / (self.values.len() as f64 - 1.0);
-        for (i, v) in self.values.iter_mut().enumerate() {
-            let x = self.min + step * i as f64;
-            let mu = f(x);
-            let mu = if mu.is_finite() { mu.clamp(0.0, 1.0) } else { 0.0 };
-            *v = combine(*v, mu).clamp(0.0, 1.0);
+    /// Mamdani `min` implication and `max` aggregation of one
+    /// consequent: `values[i] = max(values[i], min(clip, samples[i]))`,
+    /// where `samples` holds the consequent's membership at each of this
+    /// set's sample points.
+    pub(crate) fn merge_clipped(&mut self, clip: f64, samples: &[f64]) {
+        debug_assert_eq!(samples.len(), self.values.len(), "sample-count mismatch");
+        for (v, &mu) in self.values.iter_mut().zip(samples) {
+            *v = v.max(clip.min(mu));
         }
     }
 
@@ -321,41 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_with_max_unions() {
-        let mut a =
-            SampledSet::from_fn(0.0, 1.0, 101, |x| if x < 0.5 { 0.8 } else { 0.0 }).unwrap();
-        let b = SampledSet::from_fn(0.0, 1.0, 101, |x| if x >= 0.5 { 0.6 } else { 0.0 }).unwrap();
-        a.merge_with(&b, f64::max);
-        assert_eq!(a.values()[0], 0.8);
-        assert_eq!(a.values()[100], 0.6);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample-count mismatch")]
-    fn merge_with_mismatched_sets_panics() {
-        let mut a = SampledSet::empty(0.0, 1.0, 10).unwrap();
-        let b = SampledSet::empty(0.0, 1.0, 11).unwrap();
-        a.merge_with(&b, f64::max);
-    }
-
-    #[test]
-    fn merge_from_fn_matches_from_fn_plus_merge_with() {
-        let tri = |x: f64| 1.0 - (x - 0.5).abs() * 2.0;
-        let base = |x: f64| if x < 0.5 { 0.3 } else { 0.0 };
-        let mut direct = SampledSet::from_fn(0.0, 1.0, 101, base).unwrap();
-        direct.merge_from_fn(tri, f64::max);
-        let mut reference = SampledSet::from_fn(0.0, 1.0, 101, base).unwrap();
-        let contribution = SampledSet::from_fn(0.0, 1.0, 101, tri).unwrap();
-        reference.merge_with(&contribution, f64::max);
-        assert_eq!(direct, reference);
-    }
-
-    #[test]
-    fn merge_from_fn_sanitizes_non_finite() {
-        let mut s = SampledSet::empty(0.0, 1.0, 11).unwrap();
-        s.merge_from_fn(|x| if x == 0.0 { f64::NAN } else { 2.0 }, f64::max);
-        assert_eq!(s.values()[0], 0.0);
-        assert!(s.values()[1..].iter().all(|&v| v == 1.0));
+    fn merge_clipped_takes_the_max_of_clipped_samples() {
+        let mut s = SampledSet::from_fn(0.0, 1.0, 5, |x| if x < 0.5 { 0.8 } else { 0.1 }).unwrap();
+        s.merge_clipped(0.6, &[0.0, 1.0, 0.3, 1.0, 0.9]);
+        assert_eq!(s.values(), &[0.8, 0.8, 0.3, 0.6, 0.6]);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests over the fuzzy engine's core invariants.
 
-use facs_fuzzy::{Defuzzifier, Engine, MembershipFunction, Rule, SampledSet, TNorm, Variable};
+use facs_fuzzy::{
+    Defuzzifier, Engine, InferenceConfig, MembershipFunction, Rule, SampledSet, TNorm, Variable,
+    RESOLUTION,
+};
 use proptest::prelude::*;
 
 fn finite_f64(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
@@ -8,6 +11,27 @@ fn finite_f64(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
         let span = range.end - range.start;
         range.start + (v.abs() % span.max(f64::MIN_POSITIVE))
     })
+}
+
+/// A random triangular or trapezoidal shape placed in `[lo, lo + 10]`;
+/// a zero left width (an edge term) comes up too.
+fn shape(lo: f64) -> impl Strategy<Value = MembershipFunction> {
+    (0usize..2, lo..lo + 10.0, 0.0_f64..3.0, 0.0_f64..5.0, 0.01_f64..5.0).prop_map(
+        |(kind, x, top, left, right)| match kind {
+            0 => MembershipFunction::triangular(x, left, right).unwrap(),
+            _ => MembershipFunction::trapezoidal(x, x + top, left, right).unwrap(),
+        },
+    )
+}
+
+/// A variable over `[lo, lo + 10]` whose terms `{prefix}0, {prefix}1, …`
+/// have the given shapes.
+fn variable(name: &str, lo: f64, prefix: &str, shapes: &[MembershipFunction]) -> Variable {
+    let mut builder = Variable::builder(name, lo, lo + 10.0);
+    for (i, &mf) in shapes.iter().enumerate() {
+        builder = builder.term(format!("{prefix}{i}"), mf);
+    }
+    builder.build().unwrap()
 }
 
 proptest! {
@@ -203,6 +227,76 @@ proptest! {
         let c0 = base.centroid().unwrap();
         let c1 = shifted.centroid().unwrap();
         prop_assert!((c1 - (c0 + shift)).abs() < 1e-6, "c0={c0} c1={c1} shift={shift}");
+    }
+
+    /// The engine clips each output term once, at the strongest firing
+    /// among the rules that conclude it, and merges it from samples taken
+    /// at build time. That must aggregate exactly as the Mamdani
+    /// definition written rule by rule here — clip every firing rule's
+    /// consequent at its strength (`min`), merge by `max` — so every
+    /// surface defuzzifier agrees to the bit under both T-norms. Rules
+    /// outnumber output terms, so consequents always repeat.
+    #[test]
+    fn grouped_aggregation_matches_rule_by_rule_reference(
+        a_shapes in prop::collection::vec(shape(0.0), 2..5),
+        b_shapes in prop::collection::vec(shape(0.0), 2..5),
+        y_shapes in prop::collection::vec(shape(-5.0), 2..5),
+        rules in prop::collection::vec((0usize..4, 0usize..5, 0usize..4, 0usize..2), 6..14),
+        a in -1.0_f64..11.0,
+        b in -1.0_f64..11.0,
+    ) {
+        let x_a = variable("a", 0.0, "p", &a_shapes);
+        let x_b = variable("b", 0.0, "q", &b_shapes);
+        let y = variable("y", -5.0, "r", &y_shapes);
+        // (a term, b term or none, consequent term), indices in range.
+        let rules: Vec<(usize, Option<usize>, usize)> = rules
+            .into_iter()
+            .map(|(i, j, k, both)| {
+                (i % a_shapes.len(), (both == 1).then_some(j % b_shapes.len()), k % y_shapes.len())
+            })
+            .collect();
+        let mu_a: Vec<f64> = a_shapes.iter().map(|mf| mf.evaluate(x_a.clamp(a))).collect();
+        let mu_b: Vec<f64> = b_shapes.iter().map(|mf| mf.evaluate(x_b.clamp(b))).collect();
+        for tnorm in [TNorm::Minimum, TNorm::Product] {
+            let firings: Vec<f64> = rules
+                .iter()
+                .map(|&(i, j, _)| tnorm.fold(std::iter::once(mu_a[i]).chain(j.map(|j| mu_b[j]))))
+                .collect();
+            let reference = SampledSet::from_fn(y.min(), y.max(), RESOLUTION, |x| {
+                let mut v = 0.0_f64;
+                for (&(_, _, k), &s) in rules.iter().zip(&firings) {
+                    if s > 0.0 {
+                        v = v.max(s.min(y_shapes[k].evaluate(x)));
+                    }
+                }
+                v
+            })
+            .unwrap();
+            let surface_defuzzifiers =
+                [Defuzzifier::Centroid, Defuzzifier::Bisector, Defuzzifier::MeanOfMaxima];
+            for defuzzifier in surface_defuzzifiers {
+                let mut builder = Engine::builder()
+                    .input(x_a.clone())
+                    .input(x_b.clone())
+                    .output(y.clone())
+                    .config(InferenceConfig { tnorm, defuzzifier });
+                for &(i, j, k) in &rules {
+                    let when = Rule::when("a", format!("p{i}"));
+                    let when = match j {
+                        Some(j) => when.and("b", format!("q{j}")),
+                        None => when,
+                    };
+                    builder = builder.rule(when.then("y", format!("r{k}")).build().unwrap());
+                }
+                let got = builder.build().unwrap().evaluate_crisp(&[a, b]).ok();
+                let want = defuzzifier.crisp(&reference).ok();
+                prop_assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{:?}/{:?}: engine {:?}, reference {:?}", tnorm, defuzzifier, got, want
+                );
+            }
+        }
     }
 }
 

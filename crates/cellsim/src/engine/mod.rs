@@ -457,25 +457,38 @@ fn dispatch_order(specs: Vec<UserSpec>) -> (Vec<UserSpec>, Vec<u64>) {
 /// sinks are folded in shard order at reassembly, so every float and
 /// every RNG draw happens in the same order on any worker count.
 ///
-/// ## Feeding arrivals between the two barriers
+/// ## Feeding arrivals alongside shard work
 ///
 /// Epoch 1's window is delivered before the loop starts. Each later
-/// window is delivered by the leader of the phase-A barrier while the
-/// other workers already run phase B. The refill writes only the
-/// per-shard arrival inboxes, which nothing else touches until the
-/// next phase A moves them into the shards' pending FIFOs, so it never
-/// contends with phase B for a shard. The leader publishes `more_input`
-/// (something was delivered, or the input is not exhausted) before it
-/// reaches the next loop-top barrier, so every worker reads the same
-/// flags: the run ends only when every shard is idle *and* no input is
-/// left, because an all-idle world with undelivered future arrivals
-/// must keep pulsing epochs.
+/// window, e + 1, is delivered during epoch e's phase A, as that
+/// phase's task 0: the first claim, so on a pool the refill (synthesis,
+/// `locate`, inbox pushes) overlaps the shards' event and movement work
+/// instead of stalling every worker at a barrier. With one worker the
+/// refill simply runs first, inline.
 ///
-/// Every worker computes the identical termination and horizon branches
-/// from the same published flags, so barrier counts always match. The
-/// phase counters are reset by the barrier leader one full barrier
-/// before their next use, which orders the reset before every
-/// subsequent `fetch_add`.
+/// Two things are double-buffered by epoch parity, because the refill
+/// of window e + 1 runs while window e is still being read:
+///
+/// * **The arrival inboxes.** Window e lives in `arrivals[e % 2]`, which
+///   epoch e's shards drain while the refill fills `arrivals[(e + 1) %
+///   2]`. The refill of window e + 2 reuses the first set only in
+///   epoch e + 1's phase A, behind the barrier that ends epoch e's.
+/// * **`more_input`.** The refill of window e + 1 publishes whether it
+///   delivered anything or input is left in `more_input[(e + 1) % 2]`,
+///   which the loop top of epoch e + 1 reads. A single flag would race:
+///   a fast worker already running epoch e + 1's refill could overwrite
+///   it while a slower worker still reads it at the loop top, the two
+///   would disagree on the epoch count, and the barrier would deadlock.
+///   With two flags the next write to a slot is a full phase-A barrier
+///   after every read of it.
+///
+/// The run ends only when every shard is idle *and* no input is left,
+/// because an all-idle world with undelivered future arrivals must keep
+/// pulsing epochs. Every worker computes the identical termination and
+/// horizon branches from the same published flags, so barrier counts
+/// always match. The phase counters are reset by the barrier leader one
+/// full barrier before their next use, which orders the reset before
+/// every subsequent `fetch_add`.
 fn drive<S: MetricsSink>(
     shards: &mut [Shard<'_, S>],
     tick: SimDuration,
@@ -487,21 +500,25 @@ fn drive<S: MetricsSink>(
     let sync = Barrier::new(workers);
     let mailboxes: Vec<Mutex<Vec<Migrant>>> =
         (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-    let arrivals: Vec<Mutex<VecDeque<PendingArrival>>> =
-        (0..shard_count).map(|_| Mutex::new(VecDeque::new())).collect();
+    let inboxes = || -> Vec<Mutex<VecDeque<PendingArrival>>> {
+        (0..shard_count).map(|_| Mutex::new(VecDeque::new())).collect()
+    };
+    let arrivals = [inboxes(), inboxes()];
     // Published at the end of each epoch's admission phase by whichever
     // worker ran the shard; seeded here so epoch 0's check sees truth.
     let idle: Vec<AtomicBool> = shards.iter().map(|s| AtomicBool::new(s.idle())).collect();
-    let delivered = feeder.refill(&arrivals, barrier_time(tick, 1).min(horizon));
-    let more_input = AtomicBool::new(delivered || !feeder.exhausted());
+    let delivered = feeder.refill(&arrivals[1], barrier_time(tick, 1).min(horizon));
+    let more_input = [AtomicBool::new(false), AtomicBool::new(delivered || !feeder.exhausted())];
     let feeder = Mutex::new(feeder);
     let slots: Vec<Mutex<&mut Shard<'_, S>>> = shards.iter_mut().map(Mutex::new).collect();
     let next_a = AtomicUsize::new(0);
     let next_b = AtomicUsize::new(0);
-    let claim = |counter: &AtomicUsize| {
+    // Phase A has one task more than there are shards: the refill.
+    let claim = |counter: &AtomicUsize, tasks: usize| {
         let i = counter.fetch_add(1, Ordering::Relaxed);
-        (i < shard_count).then_some(i)
+        (i < tasks).then_some(i)
     };
+    let parity = |epoch: u64| (epoch % 2) as usize;
 
     let work = || {
         let mut epoch: u64 = 0;
@@ -513,7 +530,7 @@ fn drive<S: MetricsSink>(
                 next_b.store(0, Ordering::Relaxed);
             }
             let all_idle = idle.iter().all(|flag| flag.load(Ordering::SeqCst));
-            if (all_idle && !more_input.load(Ordering::SeqCst))
+            if (all_idle && !more_input[parity(epoch + 1)].load(Ordering::SeqCst))
                 || barrier_time(tick, epoch) >= horizon
             {
                 break;
@@ -521,10 +538,21 @@ fn drive<S: MetricsSink>(
             epoch += 1;
             let t = barrier_time(tick, epoch);
             let limit = t.min(horizon);
-            // Phase A: this window's arrivals and call-ends, then movement.
-            while let Some(i) = claim(&next_a) {
+            let (current, next) = (parity(epoch), parity(epoch + 1));
+            // Phase A: the next epoch's window, then each shard's
+            // arrivals and call-ends for this window, then movement.
+            while let Some(task) = claim(&next_a, shard_count + 1) {
+                let Some(i) = task.checked_sub(1) else {
+                    let mut feeder = feeder.lock().expect("feeder poisoned");
+                    let delivered =
+                        feeder.refill(&arrivals[next], barrier_time(tick, epoch + 1).min(horizon));
+                    more_input[next].store(delivered || !feeder.exhausted(), Ordering::SeqCst);
+                    continue;
+                };
                 let mut shard = slots[i].lock().expect("shard slot poisoned");
-                shard.accept_arrivals(&mut arrivals[i].lock().expect("arrival inbox poisoned"));
+                shard.accept_arrivals(
+                    &mut arrivals[current][i].lock().expect("arrival inbox poisoned"),
+                );
                 shard.run_events(limit);
                 if t <= horizon {
                     for (target, migrant) in shard.run_movement(t) {
@@ -535,18 +563,14 @@ fn drive<S: MetricsSink>(
             if sync.wait().is_leader() {
                 // Phase A is over on every worker; the counter's next
                 // use is behind the loop-top barrier, which this reset
-                // happens-before. Then the next epoch's window.
+                // happens-before.
                 next_a.store(0, Ordering::Relaxed);
-                let mut feeder = feeder.lock().expect("feeder poisoned");
-                let delivered =
-                    feeder.refill(&arrivals, barrier_time(tick, epoch + 1).min(horizon));
-                more_input.store(delivered || !feeder.exhausted(), Ordering::SeqCst);
             }
             if t > horizon {
                 break;
             }
             // Phase B: inbound handoffs, then the epoch pulse.
-            while let Some(i) = claim(&next_b) {
+            while let Some(i) = claim(&next_b, shard_count) {
                 let mut shard = slots[i].lock().expect("shard slot poisoned");
                 let mut inbox =
                     std::mem::take(&mut *mailboxes[i].lock().expect("mailbox poisoned"));
@@ -997,6 +1021,8 @@ mod tests {
         // The epoch pulse (sample_cells) must fire on exactly the same
         // barriers for both inputs, including arrival gaps where every
         // shard is momentarily idle but the stream is not exhausted.
+        // Worker counts are explicit so the stealing path, where the
+        // refill runs alongside shard work, is pinned on any host.
         use crate::traffic::HoldingTimes;
         use crate::workload::{MobilityChoice, SpawnSpec, Workload};
         let grid = HexGrid::new(1, 2.0);
@@ -1006,28 +1032,26 @@ mod tests {
             ..Workload::default()
         };
         let holding = HoldingTimes::new(30.0);
-        let config = SimulationConfig {
-            movement_tick_s: 2.0,
-            seed: 9,
-            shards: 3,
-            max_time_s: 2_000.0,
-            ..Default::default()
-        };
-        let eager = {
+        let run = |input: RunInput, workers: usize| {
+            let config = SimulationConfig {
+                movement_tick_s: 2.0,
+                seed: 9,
+                shards: 3,
+                workers,
+                max_time_s: 2_000.0,
+                ..Default::default()
+            };
             let mut sim = Simulation::new(grid.clone(), config, controllers(7));
-            sim.run_with(
-                desc.generate(&grid, 60, 400.0, holding, 5),
-                (Metrics::new(), CellLoadSeries::new()),
-            )
+            let out = sim.run_with(input, (Metrics::new(), CellLoadSeries::new()));
+            (out, sim.now())
         };
-        let streamed = {
-            let mut sim = Simulation::new(grid.clone(), config, controllers(7));
-            sim.run_with(
-                desc.stream(&grid, 60, 400.0, holding, 5, 8),
-                (Metrics::new(), CellLoadSeries::new()),
-            )
-        };
-        assert_eq!(eager, streamed);
+        let eager = run(desc.generate(&grid, 60, 400.0, holding, 5).into(), 1);
+        for workers in [1, 2, 3] {
+            let streamed = run(desc.stream(&grid, 60, 400.0, holding, 5, 8).into(), workers);
+            assert_eq!(eager, streamed, "streamed diverged at {workers} workers");
+            let pooled = run(desc.generate(&grid, 60, 400.0, holding, 5).into(), workers);
+            assert_eq!(eager, pooled, "eager diverged at {workers} workers");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The FACS admission controller: FLC1 → FLC2 cascade (paper Fig. 4).
 
+use std::sync::Arc;
+
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, CallKind, CallRequest,
     CellSnapshot, Decision, MobilityInfo, ServiceClass, ServiceProfile,
@@ -77,6 +79,11 @@ pub struct FacsEvaluation {
 /// identical requests against identical cell states yield identical
 /// decisions — which the reproduction's determinism rests on.
 ///
+/// Nothing in it changes after construction, so every clone shares one
+/// core (both FLCs, the configuration and the score bound) behind an
+/// `Arc`: stamping one controller per cell of a planet-scale grid bumps
+/// a refcount, and every cell reads the same hot surfaces.
+///
 /// # Examples
 ///
 /// ```
@@ -104,6 +111,12 @@ pub struct FacsEvaluation {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FacsController {
+    core: Arc<FacsCore>,
+}
+
+/// What every clone of one [`FacsController`] shares.
+#[derive(Debug)]
+struct FacsCore {
     flc1: Flc1,
     flc2: Flc2,
     config: FacsConfig,
@@ -128,30 +141,31 @@ impl FacsController {
     /// compiled backend with fewer than 2 lattice points per axis).
     pub fn with_config(config: FacsConfig) -> Result<Self, FuzzyError> {
         let flc2 = Flc2::with_backend(config.inference, config.backend)?;
-        Ok(Self {
+        let core = FacsCore {
             flc1: Flc1::with_backend(config.inference, config.backend)?,
             bound: ScoreBound::new(&flc2, &config),
             flc2,
             config,
-        })
+        };
+        Ok(Self { core: Arc::new(core) })
     }
 
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &FacsConfig {
-        &self.config
+        &self.core.config
     }
 
     /// FLC1, for membership dumps and rule inspection.
     #[must_use]
     pub fn flc1(&self) -> &Flc1 {
-        &self.flc1
+        &self.core.flc1
     }
 
     /// FLC2, for membership dumps and rule inspection.
     #[must_use]
     pub fn flc2(&self) -> &Flc2 {
-        &self.flc2
+        &self.core.flc2
     }
 
     /// Runs the full cascade and returns every intermediate value.
@@ -168,8 +182,9 @@ impl FacsController {
                 decision: Decision::reject(-1.0),
             };
         }
-        let scaled = scale_mobility(&self.config, &request.mobility);
-        let correction_value = match self.flc1.correction_value(&scaled) {
+        let core = &*self.core;
+        let scaled = scale_mobility(&core.config, &request.mobility);
+        let correction_value = match core.flc1.correction_value(&scaled) {
             Ok(cv) => cv,
             Err(_) => {
                 return FacsEvaluation {
@@ -181,7 +196,7 @@ impl FacsController {
         };
         let counter = scale_counter(cell);
         let request_bu = request.class.request_level();
-        let mut score = match self.flc2.decision_score(correction_value, request_bu, counter) {
+        let mut score = match core.flc2.decision_score(correction_value, request_bu, counter) {
             Ok(s) => s,
             Err(_) => {
                 return FacsEvaluation {
@@ -192,7 +207,7 @@ impl FacsController {
             }
         };
         if request.kind == CallKind::Handoff {
-            score = (score + self.config.handoff_bias).clamp(-1.0, 1.0);
+            score = (score + core.config.handoff_bias).clamp(-1.0, 1.0);
         }
         // Snap to a 1e-12 grid: the sampled centroid carries ~1e-16 noise
         // which must not flip a `score > threshold` gate at exactly the
@@ -201,7 +216,7 @@ impl FacsController {
         FacsEvaluation {
             correction_value,
             score,
-            decision: Decision::from_score(score, self.config.threshold),
+            decision: Decision::from_score(score, core.config.threshold),
         }
     }
 }
@@ -245,8 +260,7 @@ const NO_TAIL: u8 = u8::MAX;
 /// occupancy from which *every* fuller one is proven: the whole tail is
 /// checked BU by BU because FLC2 is not monotone in occupancy. The
 /// bound covers every Cv, so FLC1 and the distance scaling play no part
-/// in it. Other capacities claim nothing. Kept in bytes: planet-scale
-/// grids clone one controller per cell.
+/// in it. Other capacities claim nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ScoreBound([u8; 3]);
 
@@ -309,7 +323,7 @@ impl AdmissionController for FacsController {
         // nominal cost does not fit is denied for any mobility and kind;
         // on the compiled backend, so is one whose class the surface
         // cannot score over the gate at this occupancy (`ScoreBound`).
-        !cell.can_fit(profile.rb_cost_nominal) || self.bound.rejects(profile.class, cell)
+        !cell.can_fit(profile.rb_cost_nominal) || self.core.bound.rejects(profile.class, cell)
     }
 }
 
@@ -764,10 +778,14 @@ mod tests {
     #[test]
     fn compiled_score_bound_pins_the_paper_cell_tails() {
         let compiled = FacsController::with_config(FacsConfig::compiled()).unwrap();
-        assert_eq!(compiled.bound, ScoreBound([32, 27, 29]), "text/voice/video tail starts (BU)");
+        assert_eq!(
+            compiled.core.bound,
+            ScoreBound([32, 27, 29]),
+            "text/voice/video tail starts (BU)"
+        );
         let flc2 = compiled.flc2();
         for class in ServiceClass::ALL {
-            let start = u32::from(compiled.bound.0[class.index()]);
+            let start = u32::from(compiled.core.bound.0[class.index()]);
             let profile = ServiceProfile::paper(class);
             assert!(compiled.fast_reject(&profile, &ledger(start)), "{class} at {start}");
             assert!(
@@ -803,7 +821,7 @@ mod tests {
     #[test]
     fn exact_backend_fast_reject_is_the_capacity_check() {
         let exact = facs();
-        assert_eq!(exact.bound, ScoreBound::NONE);
+        assert_eq!(exact.core.bound, ScoreBound::NONE);
         for capacity in [7, 40, 80] {
             for occupied in 0..=capacity {
                 let mut l = BandwidthLedger::new(BandwidthUnits::new(capacity));
@@ -830,21 +848,25 @@ mod tests {
         let lax =
             FacsController::with_config(FacsConfig { threshold: -1.5, ..FacsConfig::compiled() })
                 .unwrap();
-        assert_eq!(lax.bound, ScoreBound::NONE);
+        assert_eq!(lax.core.bound, ScoreBound::NONE);
         // A handoff bias raises every bound by itself.
         let biased =
             FacsController::with_config(FacsConfig { handoff_bias: 0.3, ..FacsConfig::compiled() })
                 .unwrap();
         let plain = FacsController::with_config(FacsConfig::compiled()).unwrap();
         for class in ServiceClass::ALL {
-            assert!(biased.bound.0[class.index()] >= plain.bound.0[class.index()]);
+            assert!(biased.core.bound.0[class.index()] >= plain.core.bound.0[class.index()]);
         }
     }
 
     #[test]
     fn cloned_compiled_controllers_share_surfaces() {
+        // A planet-scale grid clones one controller per cell, so a clone
+        // must be one pointer to one shared core, not a copy of it.
+        assert_eq!(std::mem::size_of::<FacsController>(), std::mem::size_of::<usize>());
         let a = FacsController::with_config(FacsConfig::compiled()).unwrap();
         let b = a.clone();
+        assert!(Arc::ptr_eq(&a.core, &b.core), "clones must share one core");
         assert!(a.flc1().surface().unwrap().shares_samples(b.flc1().surface().unwrap()));
         assert!(a.flc2().surface().unwrap().shares_samples(b.flc2().surface().unwrap()));
     }

@@ -1,7 +1,7 @@
 //! The state and dispatch FLC1 and FLC2 share: a rule engine plus, on the
 //! compiled backend, its decision surface.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use facs_fuzzy::{
     BackendKind, CompiledSurface, Engine, FuzzyError, InferenceBackend, InferenceConfig,
@@ -11,19 +11,15 @@ use facs_fuzzy::{
 /// One fuzzy logic controller of the cascade.
 #[derive(Debug, Clone)]
 pub(crate) struct FuzzyController {
-    // Arc-shared: the engine is immutable after construction
-    // (`Engine::evaluate_crisp` is `&self`, scratch lives in a
-    // thread-local pool), so stamping one controller per cell of a
-    // planet-scale grid clones a pointer, not the rule base.
-    engine: Arc<Engine>,
+    engine: Engine,
     surface: Option<CompiledSurface>,
 }
 
 impl FuzzyController {
     /// Wraps `engine` on `backend`. A compiled surface at the default
     /// configuration and lattice is fetched from (or compiled into) the
-    /// process-wide `cache`, so every cell of a cluster and every
-    /// replication of a sweep shares one; anything else compiles fresh.
+    /// process-wide `cache`, so separately built controllers (every
+    /// replication of a sweep) share one; anything else compiles fresh.
     /// Two threads racing the empty cache may both compile, but
     /// `OnceLock` guarantees they end up sharing one surface.
     pub(crate) fn new(
@@ -49,7 +45,7 @@ impl FuzzyController {
                 Some(CompiledSurface::compile(&engine, points_per_axis)?)
             }
         };
-        Ok(Self { engine: Arc::new(engine), surface })
+        Ok(Self { engine, surface })
     }
 
     pub(crate) fn backend(&self) -> BackendKind {

@@ -44,7 +44,9 @@
 mod shard;
 
 use std::collections::VecDeque;
+use std::panic;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Barrier, Mutex};
 
 use facs_cac::{
@@ -123,10 +125,12 @@ pub struct SimulationConfig {
     pub shards: usize,
     /// Worker threads driving the shards. `0` (the default) sizes the
     /// pool to `min(shards, available cores)`; `1` runs one inline
-    /// worker on the caller's thread even for many shards (useful on
-    /// single-core hosts, where threads only add barrier overhead).
-    /// Shards are **work items**, stolen whole — the worker count never
-    /// affects results, only wall-clock.
+    /// shard worker on the caller's thread even for many shards (useful
+    /// on single-core hosts, where threads only add barrier overhead).
+    /// It does not mean "no other thread": a [`WorkloadStream`] input is
+    /// always synthesized on one more thread, see [`Simulation::run_with`].
+    /// Shards are **work items**, stolen whole — neither the worker count
+    /// nor where synthesis runs ever affects results, only wall-clock.
     pub workers: usize,
 }
 
@@ -148,8 +152,8 @@ impl Default for SimulationConfig {
 /// Both convert with `From`, so [`Simulation::run`] takes either.
 #[derive(Debug)]
 pub enum RunInput {
-    /// Users synthesized chunk by chunk as their arrivals come due, so
-    /// peak resident specs are O(active calls + one chunk).
+    /// Users synthesized chunk by chunk, at most one chunk ahead of the
+    /// kernel, so peak resident specs are O(active calls + two chunks).
     Stream(Box<WorkloadStream>),
     /// A materialized workload; user id = index. It need not be sorted:
     /// users dispatch in `(arrival µs, index)` order either way.
@@ -249,6 +253,11 @@ impl Simulation {
     /// draws as its eagerly generated `Vec`, and per-shard delivery order
     /// is the content-defined `(arrival µs, user)` order either way, so
     /// both inputs give bit-identical results.
+    ///
+    /// A stream is synthesized on its own scoped thread, one chunk ahead
+    /// of the kernel, so synthesis overlaps the shards' work even with one
+    /// worker. The kernel consumes the same chunks in the same order as
+    /// if it had synthesized them itself.
     pub fn run_with<S: MetricsSink>(&mut self, workload: impl Into<RunInput>, mut sink: S) -> S {
         let shard_count = self.config.shards.clamp(1, self.cells.len().max(1));
         if shard_count > 1 {
@@ -281,9 +290,35 @@ impl Simulation {
             .map(|(i, cells)| Shard::new(i, shard_count, grid, config, cells, sink.fork()))
             .collect();
 
-        let feeder = StreamFeeder::new(workload.into(), grid);
         let workers = resolve_workers(self.config.workers, shard_count);
-        let epochs = drive(&mut shards, tick, horizon, workers, feeder);
+        let epochs = match workload.into() {
+            RunInput::Specs(specs) => {
+                drive(&mut shards, tick, horizon, workers, StreamFeeder::eager(specs, grid))
+            }
+            RunInput::Stream(stream) => std::thread::scope(|scope| {
+                // Rendezvous: the producer runs at most one chunk ahead,
+                // and stops once the feeder hangs up, so a run cut at its
+                // horizon never waits on synthesis nobody needs.
+                let (sender, chunks) = mpsc::sync_channel(0);
+                let unsent = stream.total() - stream.produced();
+                let producer = scope.spawn(move || {
+                    let mut stream = *stream;
+                    while let Some(chunk) = stream.next_chunk() {
+                        if sender.send(chunk).is_err() {
+                            break;
+                        }
+                    }
+                });
+                let feeder = StreamFeeder::piped(chunks, unsent, grid);
+                let epochs = drive(&mut shards, tick, horizon, workers, feeder);
+                // The feeder runs dry early only if the producer panicked:
+                // re-raise that panic rather than return a truncated run.
+                if let Err(cause) = producer.join() {
+                    panic::resume_unwind(cause);
+                }
+                epochs
+            }),
+        };
 
         // Reassemble: fold shard sinks in shard order, collect cells back
         // into id order and flush each cell's utilization integral.
@@ -348,12 +383,15 @@ fn resolve_workers(configured: usize, shard_count: usize) -> usize {
 /// Delivers a [`RunInput`] into per-shard arrival inboxes one epoch
 /// window at a time. Only the specs due by the window limit leave the
 /// current chunk, so an in-memory `Vec` (one chunk holding every user)
-/// is never duplicated into the pending queues, and a stream synthesizes
-/// its next chunk only once that chunk's first arrival is due.
+/// is never duplicated into the pending queues.
 struct StreamFeeder<'g> {
     grid: &'g HexGrid,
-    /// Chunks not yet synthesized (`None` for an in-memory `Vec`).
-    stream: Option<WorkloadStream>,
+    /// The producer's chunks after `chunk`, in stream order (`None` for
+    /// an in-memory `Vec`, which is one chunk holding every user).
+    chunks: Option<Receiver<WorkloadChunk>>,
+    /// Users the producer has yet to send: the feeder knows the stream
+    /// is exhausted without ever blocking on `chunks`.
+    unsent: usize,
     /// The current chunk's undelivered specs, in dispatch order.
     chunk: VecDeque<UserSpec>,
     /// User id of `chunk`'s front spec when ids run consecutively.
@@ -364,20 +402,43 @@ struct StreamFeeder<'g> {
 }
 
 impl<'g> StreamFeeder<'g> {
-    fn new(input: RunInput, grid: &'g HexGrid) -> Self {
-        let (stream, chunk, reordered) = match input {
-            RunInput::Stream(stream) => (Some(*stream), Vec::new(), Vec::new()),
-            RunInput::Specs(specs) => {
-                let (specs, users) = dispatch_order(specs);
-                (None, specs, users)
-            }
-        };
-        Self { grid, stream, chunk: chunk.into(), next_user: 0, reordered: reordered.into() }
+    fn eager(specs: Vec<UserSpec>, grid: &'g HexGrid) -> Self {
+        let (specs, users) = dispatch_order(specs);
+        let (chunk, reordered) = (specs.into(), users.into());
+        Self { grid, chunks: None, unsent: 0, chunk, next_user: 0, reordered }
+    }
+
+    fn piped(chunks: Receiver<WorkloadChunk>, unsent: usize, grid: &'g HexGrid) -> Self {
+        let (chunk, reordered) = (VecDeque::new(), VecDeque::new());
+        Self { grid, chunks: Some(chunks), unsent, chunk, next_user: 0, reordered }
     }
 
     /// True once every user has been delivered.
     fn exhausted(&self) -> bool {
-        self.chunk.is_empty() && self.stream.as_ref().map_or(true, WorkloadStream::is_exhausted)
+        self.chunk.is_empty() && self.unsent == 0
+    }
+
+    /// Replaces the drained current chunk with the producer's next one,
+    /// whatever its first arrival: `refill` reads from its front spec
+    /// whether it is due. Returns whether a chunk arrived.
+    ///
+    /// A producer that hangs up with users unsent can only have
+    /// panicked. The stream then counts as exhausted, so every worker
+    /// winds the run down and `run_with` re-raises the producer's panic;
+    /// panicking here instead, on one worker of a pool, would leave the
+    /// others waiting at a barrier forever.
+    fn pull_chunk(&mut self) -> bool {
+        let Some(chunks) = self.chunks.as_ref().filter(|_| self.unsent > 0) else {
+            return false;
+        };
+        let Ok(next) = chunks.recv() else {
+            self.unsent = 0;
+            return false;
+        };
+        self.unsent -= next.specs.len();
+        self.next_user = next.first_user;
+        self.chunk = next.specs.into();
+        true
     }
 
     /// Delivers every arrival due at or before `limit` to the inbox of
@@ -388,18 +449,8 @@ impl<'g> StreamFeeder<'g> {
             inboxes.iter().map(|inbox| inbox.lock().expect("arrival inbox poisoned")).collect();
         let mut delivered = false;
         loop {
-            if self.chunk.is_empty() {
-                let Some(stream) = self.stream.as_mut() else { break };
-                if !stream.peek_next_arrival_s().is_some_and(|t| SimTime::from_secs_f64(t) <= limit)
-                {
-                    break;
-                }
-                // Hand the drained buffer back so the next chunk reuses it.
-                let drained = Vec::from(std::mem::take(&mut self.chunk));
-                stream.recycle(WorkloadChunk { first_user: self.next_user, specs: drained });
-                let next = stream.next_chunk().expect("a due arrival has a chunk");
-                self.next_user = next.first_user;
-                self.chunk = next.specs.into();
+            if self.chunk.is_empty() && !self.pull_chunk() {
+                break;
             }
             let Some(time) = self.chunk.front().map(|spec| SimTime::from_secs_f64(spec.arrival_s))
             else {
@@ -461,10 +512,21 @@ fn dispatch_order(specs: Vec<UserSpec>) -> (Vec<UserSpec>, Vec<u64>) {
 ///
 /// Epoch 1's window is delivered before the loop starts. Each later
 /// window, e + 1, is delivered during epoch e's phase A, as that
-/// phase's task 0: the first claim, so on a pool the refill (synthesis,
-/// `locate`, inbox pushes) overlaps the shards' event and movement work
-/// instead of stalling every worker at a barrier. With one worker the
-/// refill simply runs first, inline.
+/// phase's task 0: the first claim, so on a pool the refill (receiving
+/// chunks, `locate`, inbox pushes) overlaps the shards' event and
+/// movement work instead of stalling every worker at a barrier. With one
+/// worker the refill simply runs first, inline.
+///
+/// For a stream the refill synthesizes nothing: it receives each chunk
+/// from the producer thread of [`Simulation::run_with`], which runs one
+/// chunk ahead over a rendezvous channel, so synthesis of chunk k + 1
+/// overlaps the shards' work on chunk k even with one worker. Synthesis
+/// is a pure function of the seed and the refill delivers exactly the
+/// specs due by its window, in stream order; only the thread that ran
+/// `WorkloadStream::next_chunk` differs from synthesizing inline. A
+/// refill blocks on the channel only when its chunk is drained and
+/// users remain unsent, and `more_input` is computed from the unsent
+/// count, never from the channel.
 ///
 /// Two things are double-buffered by epoch parity, because the refill
 /// of window e + 1 runs while window e is still being read:
@@ -1022,7 +1084,10 @@ mod tests {
         // barriers for both inputs, including arrival gaps where every
         // shard is momentarily idle but the stream is not exhausted.
         // Worker counts are explicit so the stealing path, where the
-        // refill runs alongside shard work, is pinned on any host.
+        // refill runs alongside shard work, is pinned on any host. Chunk
+        // sizes move where the feeder blocks on the producer thread, and
+        // a 200-s horizon cuts the 400-s arrival window with chunks the
+        // producer must give up on.
         use crate::traffic::HoldingTimes;
         use crate::workload::{MobilityChoice, SpawnSpec, Workload};
         let grid = HexGrid::new(1, 2.0);
@@ -1032,26 +1097,90 @@ mod tests {
             ..Workload::default()
         };
         let holding = HoldingTimes::new(30.0);
-        let run = |input: RunInput, workers: usize| {
+        let run = |input: RunInput, shards: usize, workers: usize, max_time_s: f64| {
             let config = SimulationConfig {
                 movement_tick_s: 2.0,
                 seed: 9,
-                shards: 3,
+                shards,
                 workers,
-                max_time_s: 2_000.0,
+                max_time_s,
                 ..Default::default()
             };
             let mut sim = Simulation::new(grid.clone(), config, controllers(7));
             let out = sim.run_with(input, (Metrics::new(), CellLoadSeries::new()));
             (out, sim.now())
         };
-        let eager = run(desc.generate(&grid, 60, 400.0, holding, 5).into(), 1);
-        for workers in [1, 2, 3] {
-            let streamed = run(desc.stream(&grid, 60, 400.0, holding, 5, 8).into(), workers);
-            assert_eq!(eager, streamed, "streamed diverged at {workers} workers");
-            let pooled = run(desc.generate(&grid, 60, 400.0, holding, 5).into(), workers);
-            assert_eq!(eager, pooled, "eager diverged at {workers} workers");
+        for max_time_s in [2_000.0, 200.0] {
+            let eager = run(desc.generate(&grid, 60, 400.0, holding, 5).into(), 1, 1, max_time_s);
+            let offered = eager.0 .0.offered_new;
+            assert_eq!(offered < 60, max_time_s < 400.0, "offered {offered}");
+            for (shards, workers) in [(1, 1), (3, 1), (3, 2), (3, 3)] {
+                for chunk in [1, 8, 4096] {
+                    let stream = desc.stream(&grid, 60, 400.0, holding, 5, chunk);
+                    assert_eq!(
+                        eager,
+                        run(stream.into(), shards, workers, max_time_s),
+                        "streamed diverged: {max_time_s} s, {shards} shards, {workers} workers, \
+                         chunk {chunk}"
+                    );
+                }
+                let pooled = desc.generate(&grid, 60, 400.0, holding, 5);
+                assert_eq!(
+                    eager,
+                    run(pooled.into(), shards, workers, max_time_s),
+                    "eager diverged: {max_time_s} s, {shards} shards, {workers} workers"
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad range")]
+    fn a_producer_panic_is_re_raised_on_one_worker() {
+        producer_panic_run(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad range")]
+    fn a_producer_panic_is_re_raised_on_a_pool() {
+        // The same panic on 3 shards and 2 workers must surface too.
+        producer_panic_run(3, 2);
+    }
+
+    #[test]
+    fn a_producer_that_hangs_up_early_ends_the_stream() {
+        // The producer dies after its first chunk. Past the first window
+        // the refill runs on one pool worker while the others wait at a
+        // barrier, so the feeder must end the stream, not panic.
+        let grid = HexGrid::single_cell(10.0);
+        let (sender, chunks) = mpsc::sync_channel(1);
+        let specs = vec![stationary_spec(1.0, ServiceClass::Voice, 10.0)];
+        sender.send(WorkloadChunk { first_user: 0, specs }).expect("channel open");
+        drop(sender);
+        let mut feeder = StreamFeeder::piped(chunks, 5, &grid);
+        let inboxes = [Mutex::new(VecDeque::new())];
+        assert!(!feeder.refill(&inboxes, SimTime::from_secs_f64(0.5)), "nothing due yet");
+        assert!(!feeder.exhausted(), "four users are still unsent");
+        assert!(feeder.refill(&inboxes, SimTime::from_secs_f64(2.0)));
+        assert!(feeder.exhausted(), "a hung-up producer ends the stream");
+        assert_eq!(inboxes[0].lock().expect("inbox").len(), 1);
+    }
+
+    /// A zero-width distance range panics inside synthesis; the run must
+    /// surface that panic, not hang or end quietly.
+    fn producer_panic_run(shards: usize, workers: usize) {
+        use crate::traffic::HoldingTimes;
+        use crate::workload::{DistanceSpec, SpawnSpec, Workload};
+        let grid = HexGrid::new(1, 2.0);
+        let desc = Workload {
+            spawn: SpawnSpec::AnyCell,
+            distance: DistanceSpec::Uniform(1.0, 1.0),
+            ..Workload::default()
+        };
+        let stream = desc.stream(&grid, 20, 60.0, HoldingTimes::new(30.0), 1, 4);
+        let config = SimulationConfig { shards, workers, ..Default::default() };
+        let mut sim = Simulation::new(grid, config, controllers(7));
+        let _ = sim.run(stream);
     }
 
     #[test]

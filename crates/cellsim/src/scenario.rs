@@ -81,7 +81,9 @@ pub struct ScenarioConfig {
     /// results are bit-identical for any value, see [`crate::engine`]).
     pub shards: usize,
     /// Worker threads driving the shards (0 = auto-size to the host,
-    /// 1 = sequential; bit-identical for any value).
+    /// 1 = one inline shard worker; bit-identical for any value). A
+    /// streamed run also synthesizes on one more thread, see
+    /// [`SimulationConfig::workers`].
     pub workers: usize,
     /// Base RNG seed.
     pub seed: u64,
@@ -92,8 +94,9 @@ pub struct ScenarioConfig {
     /// [`UserSpec`] up front (see [`ScenarioConfig::run_input`]). It
     /// selects only how specs are synthesized: the kernel runs one
     /// arrival path, and results are bit-identical either way;
-    /// streaming keeps peak memory at O(active calls + one chunk) for
-    /// planet-scale runs.
+    /// streaming keeps peak memory at O(active calls + two chunks) for
+    /// planet-scale runs, and synthesizes on its own thread alongside
+    /// the shard workers.
     pub streamed: bool,
 }
 

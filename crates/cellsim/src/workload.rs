@@ -450,12 +450,6 @@ impl WorkloadStream {
         self.chunk_size
     }
 
-    /// Arrival instant of the next not-yet-produced user, if any.
-    #[must_use]
-    pub fn peek_next_arrival_s(&self) -> Option<f64> {
-        self.arrival_times.get(self.next).copied()
-    }
-
     /// Synthesizes the next chunk of users, or `None` when exhausted.
     pub fn next_chunk(&mut self) -> Option<WorkloadChunk> {
         if self.is_exhausted() {

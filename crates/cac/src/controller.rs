@@ -9,9 +9,10 @@ use crate::units::BandwidthUnits;
 /// to admit — at full quality, or by degrading existing elastic calls
 /// toward their QoS floors to make room.
 ///
-/// A plan is a proposal; the caller (simulator shard, distributed actor)
-/// applies it against the live [`BandwidthLedger`] atomically and
-/// downgrades a plan that no longer fits to a rejection.
+/// A plan is a proposal; the caller (a simulator shard) applies it
+/// against the live [`BandwidthLedger`] atomically through
+/// [`apply`](AdmissionPlan::apply) and downgrades a plan that no longer
+/// fits to a rejection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionPlan {
     /// Admit at the profile's nominal bandwidth; nobody else is touched.
@@ -67,8 +68,8 @@ impl AdmissionPlan {
         }
     }
 
-    /// Applies the plan to `ledger` for `request` — the one admission
-    /// routine the simulator shard and the distributed actor share.
+    /// Applies the plan to `ledger` for `request` — the one routine
+    /// through which the simulator shard admits every call.
     ///
     /// An admitting plan is written atomically (`allocate` at nominal,
     /// or `admit_with_plan` with its squeezes); on success `controller`
@@ -133,8 +134,8 @@ pub struct Admission {
 /// randomness derive it from their own seeded state, never from global
 /// entropy.
 ///
-/// Controllers are `Send` so per-cell actors can own them on worker
-/// threads.
+/// Controllers are `Send` so the simulator's shard workers can own them
+/// on their threads.
 pub trait AdmissionController: Send {
     /// A short human-readable policy name (e.g. `"FACS"`, `"SCC"`).
     fn name(&self) -> &str;
@@ -178,8 +179,8 @@ pub trait AdmissionController: Send {
     /// (cold start). The kernel `debug_assert!`s this contract at both
     /// call sites.
     ///
-    /// Runtimes without an epoch clock (the message-driven
-    /// `facs-distrib` actors) never call `observe`; stateful policies
+    /// A controller used outside the kernel, e.g. a direct `decide` as
+    /// in the quickstart, may never see `observe`; stateful policies
     /// must degrade gracefully to reactive behavior when the hook stays
     /// silent.
     fn observe(&mut self, now_s: f64, cell: &BandwidthLedger) {

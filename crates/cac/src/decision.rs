@@ -61,24 +61,10 @@ impl fmt::Display for Verdict {
 
 /// The outcome of one admission decision: the binary gate plus the
 /// controller's soft evidence.
-///
-/// # Margin sign convention
-///
-/// The `margin` is the signed distance of the soft score from the
-/// boundary the decision was gated on, and its sign is always
-/// *verdict-consistent*: `margin > 0` exactly when the decision admits
-/// (up to the measure-zero boundary case `margin == 0`). Every
-/// constructor upholds this — [`Decision::from_score`] carries
-/// `score - threshold`, while the boundary-free constructors
-/// ([`Decision::accept`], [`Decision::reject`], [`Decision::binary`])
-/// carry `±|score|`, so a rejection at a high score still reports a
-/// non-positive margin. The invariant is `debug_assert`ed in the
-/// constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Decision {
     admit: bool,
     score: f64,
-    margin: f64,
     verdict: Verdict,
 }
 
@@ -87,18 +73,14 @@ impl Decision {
     #[must_use]
     pub fn accept(score: f64) -> Self {
         let score = score.clamp(-1.0, 1.0);
-        let margin = score.abs();
-        debug_assert!(margin >= 0.0, "acceptance margin must be non-negative");
-        Self { admit: true, score, margin, verdict: Verdict::from_score(score) }
+        Self { admit: true, score, verdict: Verdict::from_score(score) }
     }
 
     /// A rejection with the given soft score in `[-1, 1]`.
     #[must_use]
     pub fn reject(score: f64) -> Self {
         let score = score.clamp(-1.0, 1.0);
-        let margin = -score.abs();
-        debug_assert!(margin <= 0.0, "rejection margin must be non-positive");
-        Self { admit: false, score, margin, verdict: Verdict::from_score(score) }
+        Self { admit: false, score, verdict: Verdict::from_score(score) }
     }
 
     /// Gates a soft score with an acceptance threshold: admit iff
@@ -107,13 +89,7 @@ impl Decision {
     #[must_use]
     pub fn from_score(score: f64, threshold: f64) -> Self {
         let score = score.clamp(-1.0, 1.0);
-        let admit = score > threshold;
-        let margin = score - threshold;
-        debug_assert!(
-            admit == (margin > 0.0),
-            "margin sign must track the verdict: admit={admit}, margin={margin}"
-        );
-        Self { admit, score, margin, verdict: Verdict::from_score(score) }
+        Self { admit: score > threshold, score, verdict: Verdict::from_score(score) }
     }
 
     /// A crisp binary decision with canonical scores ±1.
@@ -142,14 +118,6 @@ impl Decision {
     #[must_use]
     pub fn verdict(&self) -> Verdict {
         self.verdict
-    }
-
-    /// The decision margin — see the [type-level sign
-    /// convention](Decision#margin-sign-convention): `margin > 0` exactly
-    /// when the decision admits, up to the boundary case.
-    #[must_use]
-    pub fn margin(&self) -> f64 {
-        self.margin
     }
 }
 
@@ -219,25 +187,6 @@ mod tests {
     fn scores_are_clamped() {
         assert_eq!(Decision::accept(5.0).score(), 1.0);
         assert_eq!(Decision::reject(-5.0).score(), -1.0);
-    }
-
-    #[test]
-    fn margin_is_signed_distance_from_the_gate() {
-        let d = Decision::from_score(0.4, 0.1);
-        assert!(d.admits());
-        assert!((d.margin() - 0.3).abs() < 1e-12);
-        let d = Decision::from_score(-0.2, 0.1);
-        assert!(!d.admits());
-        assert!((d.margin() + 0.3).abs() < 1e-12);
-        // Gate-constructed decisions: margin sign tracks the verdict.
-        for score in [-1.0, -0.3, 0.0, 0.1001, 0.7, 1.0] {
-            let d = Decision::from_score(score, 0.1);
-            assert_eq!(d.admits(), d.margin() > 0.0, "score {score}");
-        }
-        // Boundary-free constructors use a zero boundary.
-        assert_eq!(Decision::binary(true).margin(), 1.0);
-        assert_eq!(Decision::binary(false).margin(), -1.0);
-        assert_eq!(Decision::accept(0.5).margin(), 0.5);
     }
 
     #[test]

@@ -348,17 +348,6 @@ impl Simulation {
     pub fn grid(&self) -> &HexGrid {
         &self.grid
     }
-
-    /// Occupied bandwidth of a cell (for assertions in tests and the
-    /// distributed runtime's cross-checks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    #[must_use]
-    pub fn occupied(&self, cell: CellId) -> BandwidthUnits {
-        self.cells[cell.0 as usize].ledger.occupied()
-    }
 }
 
 /// The instant of barrier `epoch` (exact integer microsecond math, so
@@ -688,7 +677,7 @@ mod tests {
         assert_eq!(metrics.offered_new, 1);
         assert_eq!(metrics.accepted_new, 1);
         assert_eq!(metrics.completed, 1);
-        assert_eq!(sim.occupied(CellId(0)), BandwidthUnits::ZERO, "bandwidth returned");
+        assert_eq!(sim.cells[0].ledger.occupied(), BandwidthUnits::ZERO, "bandwidth returned");
     }
 
     #[test]
@@ -898,9 +887,9 @@ mod tests {
             let config = SimulationConfig { movement_tick_s: 1.0, shards, ..Default::default() };
             let mut sim = Simulation::new(HexGrid::new(1, 1.0), config, controllers(7));
             let metrics = sim.run(vec![spec.clone()]);
-            for id in 0..7 {
+            for (id, cell) in sim.cells.iter().enumerate() {
                 assert_eq!(
-                    sim.occupied(CellId(id)),
+                    cell.ledger.occupied(),
                     BandwidthUnits::ZERO,
                     "cell {id} leaked bandwidth at {shards} shards"
                 );

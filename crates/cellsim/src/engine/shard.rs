@@ -261,11 +261,12 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
     }
 
     /// Consults the controller, then applies its plan through
-    /// [`AdmissionPlan::apply`](facs_cac::AdmissionPlan::apply); both must
-    /// agree before the call is admitted. A plan the ledger can no
-    /// longer honor (allocation stopped fitting, a squeeze went stale)
-    /// is downgraded to a denial without mutating anything. Returns the
-    /// granted bandwidth on admission.
+    /// [`AdmissionPlan::apply`](facs_cac::AdmissionPlan::apply): the call
+    /// is admitted only if the controller plans an admission and the
+    /// ledger still honors it. A plan the ledger can no longer honor
+    /// (allocation stopped fitting, a squeeze went stale) is downgraded
+    /// to a denial without mutating anything. Returns the granted
+    /// bandwidth on admission.
     fn try_admit(
         &mut self,
         now: SimTime,

@@ -4,9 +4,8 @@
 //! speed/angle/distance distributions, mobility model and traffic mix —
 //! that deterministically expands into a list of [`UserSpec`]s for a
 //! given grid, request count, window and seed. [`crate::scenario::ScenarioConfig`] assembles
-//! its knobs into a `Workload`, the `experiments` binary runs every
-//! entry of the [`catalog`], and `facs-distrib` replays workloads
-//! through the actor runtime.
+//! its knobs into a `Workload`, and the `experiments` binary runs every
+//! entry of the [`catalog`].
 //!
 //! The [`catalog`] names the scenario families the suite ships beyond
 //! the paper's homogeneous Poisson/hex-grid setup: hotspot cells, flash

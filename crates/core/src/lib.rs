@@ -12,9 +12,9 @@
 //!   occupancy counter into a soft accept/reject score in `[-1, 1]`
 //!   (27-rule FRB2, paper Table 2, membership functions of Fig. 6).
 //! * [`FacsController`] cascades the two (paper Fig. 4) and implements
-//!   the [`facs_cac::AdmissionController`] trait, so the simulator and
-//!   the distributed runtime can drive it interchangeably with the
-//!   baselines. [`FacsDegradeController`] wraps it with elastic-bandwidth
+//!   the [`facs_cac::AdmissionController`] trait, so the simulator can
+//!   drive it interchangeably with the baselines.
+//!   [`FacsDegradeController`] wraps it with elastic-bandwidth
 //!   degradation: handoffs that do not fit at nominal bandwidth may
 //!   squeeze existing elastic calls toward their QoS floors.
 //!   [`PredictiveFacsController`] gates new calls at an EWMA/Holt

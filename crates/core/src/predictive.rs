@@ -45,9 +45,8 @@ const WARMUP_SAMPLES: u64 = 4;
 /// new-call blocking.
 ///
 /// Until the forecasters warm up (`WARMUP_SAMPLES` epoch samples) or
-/// when the runtime never pulses `observe` (the message-driven
-/// `facs-distrib` actors), the controller degrades to plain reactive
-/// FACS.
+/// when nothing pulses `observe` (a controller driven outside the
+/// kernel), the controller degrades to plain reactive FACS.
 #[derive(Debug, Clone)]
 pub struct PredictiveFacsController {
     inner: FacsController,

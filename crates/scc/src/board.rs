@@ -7,10 +7,8 @@
 //! cluster; neighbors read the incoming influence when making their own
 //! admission decisions.
 //!
-//! The board is shared state guarded by a mutex: in the single-process
-//! simulator every controller holds an `Arc` to it; in the distributed
-//! runtime (`facs-distrib`) the same exchanges travel as real messages
-//! between per-BS actors.
+//! The board is shared state guarded by a mutex: every controller of
+//! the simulated network holds an `Arc` to it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -1,12 +1,6 @@
 //! Offline stand-in for the slice of `crossbeam` this workspace uses:
-//! multi-producer channels with cloneable, `Sync` senders, and scoped
-//! threads for the parallel scenario sweeps.
-//!
-//! Channels are backed by `std::sync::mpsc`, whose `Sender` is `Sync`
-//! since Rust 1.72, which is all the actor runtime needs. `bounded` maps
-//! onto `mpsc::sync_channel`, so its backpressure semantics (block on
-//! full buffer) are preserved. Scoped threads are backed by
-//! `std::thread::scope` (stable since 1.63).
+//! scoped threads for the shard pool and the parallel scenario sweeps,
+//! backed by `std::thread::scope` (stable since 1.63).
 
 pub mod thread {
     //! Scoped threads with the `crossbeam::thread` API shape, backed by
@@ -103,163 +97,6 @@ pub mod thread {
             })
             .unwrap();
             assert_eq!(sum, 42);
-        }
-    }
-}
-
-pub mod channel {
-    //! MPSC channels with the `crossbeam_channel` API shape.
-
-    use std::fmt;
-    use std::sync::mpsc;
-
-    /// Error returned by [`Sender::send`] when the receiver is gone;
-    /// carries the unsent message like `crossbeam_channel::SendError`.
-    #[derive(PartialEq, Eq, Clone, Copy)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`] when every sender is gone.
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    enum SenderInner<T> {
-        Unbounded(mpsc::Sender<T>),
-        Bounded(mpsc::SyncSender<T>),
-    }
-
-    /// The sending half of a channel. Cloneable and `Sync`, like
-    /// `crossbeam_channel::Sender`.
-    pub struct Sender<T>(SenderInner<T>);
-
-    impl<T> Sender<T> {
-        /// Sends `msg`, blocking while a bounded channel is full.
-        ///
-        /// # Errors
-        ///
-        /// Returns the message back if the receiver has disconnected.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            match &self.0 {
-                SenderInner::Unbounded(tx) => tx.send(msg).map_err(|e| SendError(e.0)),
-                SenderInner::Bounded(tx) => tx.send(msg).map_err(|e| SendError(e.0)),
-            }
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            match &self.0 {
-                SenderInner::Unbounded(tx) => Sender(SenderInner::Unbounded(tx.clone())),
-                SenderInner::Bounded(tx) => Sender(SenderInner::Bounded(tx.clone())),
-            }
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    /// The receiving half of a channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives.
-        ///
-        /// # Errors
-        ///
-        /// [`RecvError`] once the channel is empty and every sender has
-        /// disconnected.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-    }
-
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    /// Creates a channel with unlimited buffering.
-    #[must_use]
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(SenderInner::Unbounded(tx)), Receiver(rx))
-    }
-
-    /// Creates a channel that blocks senders once `cap` messages are
-    /// queued.
-    #[must_use]
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender(SenderInner::Bounded(tx)), Receiver(rx))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn round_trip_unbounded() {
-            let (tx, rx) = unbounded();
-            tx.send(7).unwrap();
-            assert_eq!(rx.recv(), Ok(7));
-        }
-
-        #[test]
-        fn bounded_round_trip_across_threads() {
-            let (tx, rx) = bounded(1);
-            let t = std::thread::spawn(move || {
-                tx.send("hi").unwrap();
-            });
-            assert_eq!(rx.recv(), Ok("hi"));
-            t.join().unwrap();
-        }
-
-        #[test]
-        fn send_to_dropped_receiver_errors() {
-            let (tx, rx) = unbounded();
-            drop(rx);
-            assert_eq!(tx.send(1), Err(SendError(1)));
-        }
-
-        #[test]
-        fn recv_after_all_senders_dropped_errors() {
-            let (tx, rx) = unbounded::<u8>();
-            drop(tx);
-            assert_eq!(rx.recv(), Err(RecvError));
-        }
-
-        #[test]
-        fn cloned_senders_feed_one_receiver() {
-            let (tx, rx) = unbounded();
-            let tx2 = tx.clone();
-            tx.send(1).unwrap();
-            tx2.send(2).unwrap();
-            let mut got = [rx.recv().unwrap(), rx.recv().unwrap()];
-            got.sort_unstable();
-            assert_eq!(got, [1, 2]);
         }
     }
 }

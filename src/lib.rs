@@ -8,8 +8,7 @@
 //! * [`cac`] (`facs-cac`) — CAC abstractions and classical baselines;
 //! * [`cellsim`] (`facs-cellsim`) — the cellular-network simulator;
 //! * [`core`] (`facs`) — FLC1, FLC2 and the FACS controller;
-//! * [`scc`] (`facs-scc`) — the Shadow Cluster Concept baseline;
-//! * [`distrib`] (`facs-distrib`) — the per-BS actor runtime.
+//! * [`scc`] (`facs-scc`) — the Shadow Cluster Concept baseline.
 //!
 //! The runnable examples live in `examples/`; the experiment harness that
 //! regenerates every figure of the paper is the `experiments` binary of
@@ -43,7 +42,6 @@
 
 pub use facs_cac as cac;
 pub use facs_cellsim as cellsim;
-pub use facs_distrib as distrib;
 pub use facs_fuzzy as fuzzy;
 pub use facs_scc as scc;
 

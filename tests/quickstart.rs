@@ -49,5 +49,4 @@ fn every_umbrella_module_is_reachable() {
     let _cellsim = facs_suite::cellsim::HexGrid::single_cell(10.0);
     let _scc = facs_suite::scc::SccConfig::default();
     let _core = facs_suite::core::FacsConfig::default();
-    let _distrib: Option<facs_suite::distrib::ClusterError> = None;
 }

@@ -53,8 +53,8 @@ fn bench_backends(c: &mut Criterion) {
         b.iter(|| facs_compiled.evaluate(black_box(&request), black_box(&cell)))
     });
     // One-time cost the compiled backend pays up front (the default
-    // surface cache makes the *second* build nearly free, so measure the
-    // non-default resolution to see a real compile).
+    // surfaces are baked in at build time and never compile at run time,
+    // so measure a non-default resolution to see a real compile).
     c.bench_function("surface_compile_flc2_17pts", |b| {
         b.iter(|| {
             Flc2::with_backend(

@@ -322,8 +322,8 @@ pub const BACKEND_SCORE_TOLERANCE: f64 = 0.10;
 const AUDIT_OCCUPANCY_FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 0.95];
 
 /// The exact and compiled FACS configurations under cross-check, with
-/// their controller builders constructed once (so surface compilation
-/// happens once per process, not once per case).
+/// their controller builders constructed once (so controller
+/// construction happens once per process, not once per case).
 pub struct BackendPair {
     /// Exact-Mamdani configuration.
     pub exact: FacsConfig,
@@ -586,8 +586,8 @@ pub fn run_validation(
     cases: u64,
     mut progress: impl FnMut(u64, usize, BackendMatch),
 ) -> Result<ValidationSummary, Box<FuzzFailure>> {
-    // One pair per fuzzable controller family, built once so surface
-    // compilation is paid per process, not per case.
+    // One pair per fuzzable controller family, built once so controller
+    // construction is paid per process, not per case.
     let pairs = [
         (ControllerSlot::Baseline, BackendPair::for_slot(ControllerSlot::Baseline)),
         (ControllerSlot::PredictEwma, BackendPair::for_slot(ControllerSlot::PredictEwma)),

@@ -9,79 +9,17 @@
 //! All membership break-points are read off the printed axes of Fig. 5
 //! and exposed as named constants so EXPERIMENTS.md can cite them.
 
-use std::sync::OnceLock;
-
 use facs_cac::MobilityInfo;
-use facs_fuzzy::{
-    BackendKind, CompiledSurface, Engine, FuzzyError, InferenceConfig, MembershipFunction, Rule,
-    Variable,
+use facs_fuzzy::{BackendKind, CompiledSurface, Engine, FuzzyError, InferenceConfig};
+
+use crate::definitions::flc1::engine;
+pub use crate::definitions::flc1::{
+    ANGLE_CENTERS, ANGLE_UNIVERSE, CV_UNIVERSE, DISTANCE_UNIVERSE, SPEED_BREAKS, SPEED_UNIVERSE,
 };
+use crate::fuzzy_controller::{BakedSurface, FuzzyController};
 
-use crate::fuzzy_controller::FuzzyController;
-use crate::tables::FRB1;
-
-/// Universe of the speed input, km/h (paper §4).
-pub const SPEED_UNIVERSE: (f64, f64) = (0.0, 120.0);
-/// Universe of the angle input, degrees.
-pub const ANGLE_UNIVERSE: (f64, f64) = (-180.0, 180.0);
-/// Universe of the distance input, km.
-pub const DISTANCE_UNIVERSE: (f64, f64) = (0.0, 10.0);
-/// Universe of the correction-value output.
-pub const CV_UNIVERSE: (f64, f64) = (0.0, 1.0);
-
-/// Speed break-points of Fig. 5(a): Slow flat to 15, gone by 30; Middle
-/// peaks at 30; Fast flat from 60.
-pub const SPEED_BREAKS: [f64; 4] = [0.0, 15.0, 30.0, 60.0];
-/// Angle term centers of Fig. 5(b), degrees.
-pub const ANGLE_CENTERS: [f64; 7] = [-180.0, -90.0, -45.0, 0.0, 45.0, 90.0, 135.0];
-
-/// Builds the speed variable (Fig. 5a).
-fn speed_variable() -> Result<Variable, FuzzyError> {
-    Variable::builder("s", SPEED_UNIVERSE.0, SPEED_UNIVERSE.1)
-        .term("sl", MembershipFunction::trapezoidal(0.0, 15.0, 0.0, 15.0)?)
-        .term("m", MembershipFunction::triangular(30.0, 15.0, 30.0)?)
-        .term("fa", MembershipFunction::trapezoidal(60.0, 120.0, 30.0, 0.0)?)
-        .build()
-}
-
-/// Builds the angle variable (Fig. 5b). B1/B2 are the "back" trapezoids
-/// at ±180°; the five triangles sit at −90, −45, 0, 45, 90 with 45°
-/// flanks.
-fn angle_variable() -> Result<Variable, FuzzyError> {
-    Variable::builder("a", ANGLE_UNIVERSE.0, ANGLE_UNIVERSE.1)
-        .term("b1", MembershipFunction::trapezoidal(-180.0, -135.0, 0.0, 45.0)?)
-        .term("l1", MembershipFunction::triangular(-90.0, 45.0, 45.0)?)
-        .term("l2", MembershipFunction::triangular(-45.0, 45.0, 45.0)?)
-        .term("st", MembershipFunction::triangular(0.0, 45.0, 45.0)?)
-        .term("r1", MembershipFunction::triangular(45.0, 45.0, 45.0)?)
-        .term("r2", MembershipFunction::triangular(90.0, 45.0, 45.0)?)
-        .term("b2", MembershipFunction::trapezoidal(135.0, 180.0, 45.0, 0.0)?)
-        .build()
-}
-
-/// Builds the distance variable (Fig. 5c): Near and Far crossing at 5 km.
-fn distance_variable() -> Result<Variable, FuzzyError> {
-    Variable::builder("d", DISTANCE_UNIVERSE.0, DISTANCE_UNIVERSE.1)
-        .term("n", MembershipFunction::triangular(0.0, 0.0, 10.0)?)
-        .term("f", MembershipFunction::triangular(10.0, 10.0, 0.0)?)
-        .build()
-}
-
-/// Builds the Cv output (Fig. 5d): nine terms evenly spaced over `[0, 1]`
-/// with edge trapezoids (a Ruspini partition with centers at i/8).
-fn cv_variable() -> Result<Variable, FuzzyError> {
-    let step = 1.0 / 8.0;
-    let mut builder = Variable::builder("cv", CV_UNIVERSE.0, CV_UNIVERSE.1)
-        .term("cv1", MembershipFunction::trapezoidal(-1.0, 0.0, 0.0, step)?);
-    for i in 2..=8 {
-        let center = step * (i as f64 - 1.0);
-        builder =
-            builder.term(format!("cv{i}"), MembershipFunction::triangular(center, step, step)?);
-    }
-    builder.term("cv9", MembershipFunction::trapezoidal(1.0, 2.0, step, 0.0)?).build()
-}
-
-/// The compiled FLC1.
+/// FLC1, on the exact backend by default or on a compiled decision
+/// surface.
 ///
 /// # Examples
 ///
@@ -123,38 +61,20 @@ impl Flc1 {
     /// Mamdani per query, or a compiled decision surface interpolated at
     /// query time.
     ///
-    /// Compiling the surface costs one exact inference per lattice node
-    /// (`points_per_axis`³ for the 3 FLC1 inputs), paid here once; the
-    /// default-configuration surface is additionally cached per process,
-    /// so stamping out one controller per cell or thread recompiles
-    /// nothing.
+    /// The default configuration's surface at the default lattice is
+    /// compiled by the crate's build script and baked into the binary:
+    /// the first such controller in a process decodes it, and every later
+    /// one shares that sample block. Any other configuration or lattice
+    /// compiles here, at one exact inference per lattice node
+    /// (`points_per_axis`³ for the 3 FLC1 inputs).
     ///
     /// # Errors
     ///
     /// Propagates [`FuzzyError`] on an invalid lattice resolution.
     pub fn with_backend(config: InferenceConfig, backend: BackendKind) -> Result<Self, FuzzyError> {
-        let rules: Result<Vec<Rule>, FuzzyError> = FRB1
-            .iter()
-            .enumerate()
-            .map(|(i, &(s, a, d, cv))| {
-                Rule::when("s", s)
-                    .and("a", a)
-                    .and("d", d)
-                    .then("cv", cv)
-                    .label(format!("frb1-{i}"))
-                    .build()
-            })
-            .collect();
-        let engine = Engine::builder()
-            .input(speed_variable()?)
-            .input(angle_variable()?)
-            .input(distance_variable()?)
-            .output(cv_variable()?)
-            .rules(rules?)
-            .config(config)
-            .build()?;
-        static DEFAULT_SURFACE: OnceLock<CompiledSurface> = OnceLock::new();
-        Ok(Self { flc: FuzzyController::new(engine, backend, &DEFAULT_SURFACE)? })
+        static DEFAULT_SURFACE: BakedSurface =
+            BakedSurface::new(include_bytes!(concat!(env!("OUT_DIR"), "/flc1_surface.bin")));
+        Ok(Self { flc: FuzzyController::new(engine(config)?, backend, &DEFAULT_SURFACE)? })
     }
 
     /// The active backend selector.
@@ -245,7 +165,8 @@ mod tests {
     fn default_compiled_surface_is_cached_per_process() {
         let a = Flc1::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
         let b = Flc1::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
-        // Same sample block behind both controllers: one compile total.
+        // Same sample block behind both controllers: the baked surface is
+        // decoded once and shared.
         assert!(a.surface().unwrap().shares_samples(b.surface().unwrap()));
         let m = MobilityInfo::new(42.0, 17.0, 3.3);
         assert_eq!(a.correction_value(&m).unwrap(), b.correction_value(&m).unwrap());

@@ -6,60 +6,16 @@
 //! the soft accept/reject score **A/R** in `[-1, 1]` over the five terms
 //! {R, WR, NRNA, WA, A} (Fig. 6), driven by the 27-rule FRB2 (Table 2).
 
-use std::sync::OnceLock;
+use facs_fuzzy::{BackendKind, CompiledSurface, Engine, FuzzyError, InferenceConfig};
 
-use facs_fuzzy::{
-    BackendKind, CompiledSurface, Engine, FuzzyError, InferenceConfig, MembershipFunction, Rule,
-    Variable,
+use crate::definitions::flc2::engine;
+pub use crate::definitions::flc2::{
+    COUNTER_UNIVERSE, CV_UNIVERSE, DECISION_UNIVERSE, REQUEST_UNIVERSE,
 };
+use crate::fuzzy_controller::{BakedSurface, FuzzyController};
 
-use crate::fuzzy_controller::FuzzyController;
-use crate::tables::FRB2;
-
-/// Universe of the Cv input.
-pub const CV_UNIVERSE: (f64, f64) = (0.0, 1.0);
-/// Universe of the request input, BU.
-pub const REQUEST_UNIVERSE: (f64, f64) = (0.0, 10.0);
-/// Universe of the counter-state input, BU (the paper's 40-BU cell).
-pub const COUNTER_UNIVERSE: (f64, f64) = (0.0, 40.0);
-/// Universe of the decision output.
-pub const DECISION_UNIVERSE: (f64, f64) = (-1.0, 1.0);
-
-fn cv_variable() -> Result<Variable, FuzzyError> {
-    Variable::builder("cv", CV_UNIVERSE.0, CV_UNIVERSE.1)
-        .term("b", MembershipFunction::triangular(0.0, 0.0, 0.5)?)
-        .term("n", MembershipFunction::triangular(0.5, 0.5, 0.5)?)
-        .term("g", MembershipFunction::triangular(1.0, 0.5, 0.0)?)
-        .build()
-}
-
-fn request_variable() -> Result<Variable, FuzzyError> {
-    Variable::builder("r", REQUEST_UNIVERSE.0, REQUEST_UNIVERSE.1)
-        .term("t", MembershipFunction::triangular(0.0, 0.0, 5.0)?)
-        .term("vo", MembershipFunction::triangular(5.0, 5.0, 5.0)?)
-        .term("vi", MembershipFunction::triangular(10.0, 5.0, 0.0)?)
-        .build()
-}
-
-fn counter_variable() -> Result<Variable, FuzzyError> {
-    Variable::builder("cs", COUNTER_UNIVERSE.0, COUNTER_UNIVERSE.1)
-        .term("s", MembershipFunction::triangular(0.0, 0.0, 20.0)?)
-        .term("m", MembershipFunction::triangular(20.0, 20.0, 20.0)?)
-        .term("f", MembershipFunction::triangular(40.0, 20.0, 0.0)?)
-        .build()
-}
-
-fn decision_variable() -> Result<Variable, FuzzyError> {
-    Variable::builder("ar", DECISION_UNIVERSE.0, DECISION_UNIVERSE.1)
-        .term("r", MembershipFunction::trapezoidal(-2.0, -1.0, 0.0, 0.5)?)
-        .term("wr", MembershipFunction::triangular(-0.5, 0.5, 0.5)?)
-        .term("nrna", MembershipFunction::triangular(0.0, 0.5, 0.5)?)
-        .term("wa", MembershipFunction::triangular(0.5, 0.5, 0.5)?)
-        .term("a", MembershipFunction::trapezoidal(1.0, 2.0, 0.5, 0.0)?)
-        .build()
-}
-
-/// The compiled FLC2.
+/// FLC2, on the exact backend by default or on a compiled decision
+/// surface.
 ///
 /// # Examples
 ///
@@ -95,35 +51,17 @@ impl Flc2 {
 
     /// Builds FLC2 with an inference configuration on an explicit
     /// inference backend (see
-    /// [`Flc1::with_backend`](crate::Flc1::with_backend) — the same
-    /// compile-once / cached-default-surface rules apply).
+    /// [`Flc1::with_backend`](crate::Flc1::with_backend) — the default
+    /// surface is likewise baked in at build time and shared; any other
+    /// configuration or lattice compiles here).
     ///
     /// # Errors
     ///
     /// Propagates [`FuzzyError`] on an invalid lattice resolution.
     pub fn with_backend(config: InferenceConfig, backend: BackendKind) -> Result<Self, FuzzyError> {
-        let rules: Result<Vec<Rule>, FuzzyError> = FRB2
-            .iter()
-            .enumerate()
-            .map(|(i, &(cv, r, cs, ar))| {
-                Rule::when("cv", cv)
-                    .and("r", r)
-                    .and("cs", cs)
-                    .then("ar", ar)
-                    .label(format!("frb2-{i}"))
-                    .build()
-            })
-            .collect();
-        let engine = Engine::builder()
-            .input(cv_variable()?)
-            .input(request_variable()?)
-            .input(counter_variable()?)
-            .output(decision_variable()?)
-            .rules(rules?)
-            .config(config)
-            .build()?;
-        static DEFAULT_SURFACE: OnceLock<CompiledSurface> = OnceLock::new();
-        Ok(Self { flc: FuzzyController::new(engine, backend, &DEFAULT_SURFACE)? })
+        static DEFAULT_SURFACE: BakedSurface =
+            BakedSurface::new(include_bytes!(concat!(env!("OUT_DIR"), "/flc2_surface.bin")));
+        Ok(Self { flc: FuzzyController::new(engine(config)?, backend, &DEFAULT_SURFACE)? })
     }
 
     /// The active backend selector.

@@ -8,6 +8,35 @@ use facs_fuzzy::{
     DEFAULT_LATTICE_POINTS,
 };
 
+/// A default compiled surface baked into the binary: the little-endian
+/// `f64` nodes the build script compiled from the default engine,
+/// decoded at most once per process.
+pub(crate) struct BakedSurface {
+    bytes: &'static [u8],
+    decoded: OnceLock<CompiledSurface>,
+}
+
+impl BakedSurface {
+    pub(crate) const fn new(bytes: &'static [u8]) -> Self {
+        Self { bytes, decoded: OnceLock::new() }
+    }
+
+    /// The surface over `engine`'s default lattice, shared by every
+    /// caller in the process.
+    fn surface(&self, engine: &Engine) -> Result<CompiledSurface, FuzzyError> {
+        if let Some(decoded) = self.decoded.get() {
+            return Ok(decoded.clone());
+        }
+        let nodes = self
+            .bytes
+            .chunks_exact(8)
+            .map(|node| f64::from_le_bytes(node.try_into().expect("chunks of 8 bytes")))
+            .collect();
+        let surface = CompiledSurface::from_nodes(engine, DEFAULT_LATTICE_POINTS, nodes)?;
+        Ok(self.decoded.get_or_init(|| surface).clone())
+    }
+}
+
 /// One fuzzy logic controller of the cascade.
 #[derive(Debug, Clone)]
 pub(crate) struct FuzzyController {
@@ -17,15 +46,13 @@ pub(crate) struct FuzzyController {
 
 impl FuzzyController {
     /// Wraps `engine` on `backend`. A compiled surface at the default
-    /// configuration and lattice is fetched from (or compiled into) the
-    /// process-wide `cache`, so separately built controllers (every
-    /// replication of a sweep) share one; anything else compiles fresh.
-    /// Two threads racing the empty cache may both compile, but
-    /// `OnceLock` guarantees they end up sharing one surface.
+    /// configuration and lattice is the `baked` one, so separately built
+    /// controllers (every replication of a sweep) share one sample block
+    /// and none runs the engine; anything else compiles fresh.
     pub(crate) fn new(
         engine: Engine,
         backend: BackendKind,
-        cache: &'static OnceLock<CompiledSurface>,
+        baked: &'static BakedSurface,
     ) -> Result<Self, FuzzyError> {
         let surface = match backend {
             BackendKind::Exact => None,
@@ -33,13 +60,7 @@ impl FuzzyController {
                 if *engine.config() == InferenceConfig::default()
                     && points_per_axis == DEFAULT_LATTICE_POINTS =>
             {
-                Some(match cache.get() {
-                    Some(cached) => cached.clone(),
-                    None => {
-                        let surface = CompiledSurface::compile(&engine, points_per_axis)?;
-                        cache.get_or_init(|| surface).clone()
-                    }
-                })
+                Some(baked.surface(&engine)?)
             }
             BackendKind::Compiled { points_per_axis } => {
                 Some(CompiledSurface::compile(&engine, points_per_axis)?)

@@ -50,6 +50,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod controller;
+mod definitions;
 pub mod flc1;
 pub mod flc2;
 mod fuzzy_controller;

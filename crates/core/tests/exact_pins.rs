@@ -13,10 +13,16 @@
 //! A second pair hashes both default compiled surfaces queried at all
 //! 33³ of their lattice nodes, so a change to how the lattice is filled
 //! (its node order or the inference behind each node) moves a hash too.
+//! Those surfaces are baked in by the crate's build script, so a further
+//! test compiles both again at test time and compares every node bit for
+//! bit: a stale bake, or a build script whose definitions drift from the
+//! library's, fails it.
 
 use facs::{flc1, flc2, Flc1, Flc2};
 use facs_cac::MobilityInfo;
-use facs_fuzzy::{BackendKind, Defuzzifier, InferenceConfig, TNorm, DEFAULT_LATTICE_POINTS};
+use facs_fuzzy::{
+    BackendKind, CompiledSurface, Defuzzifier, InferenceConfig, TNorm, DEFAULT_LATTICE_POINTS,
+};
 
 const POINTS: u32 = 7;
 
@@ -116,4 +122,50 @@ fn default_compiled_surfaces_are_pinned_at_every_lattice_node() {
         (0x75447817ab70ae4a, 0x4fa3f84d718637fe),
         "compiled surfaces moved: FLC1 {h1:#018x}, FLC2 {h2:#018x}"
     );
+}
+
+/// Asserts that `surface` holds exactly the nodes `fresh` holds, bit for
+/// bit.
+fn assert_same_nodes(label: &str, surface: &CompiledSurface, fresh: &CompiledSurface) {
+    assert_eq!(surface.points_per_axis(), fresh.points_per_axis(), "{label}: lattice");
+    assert_eq!(surface.len(), fresh.len(), "{label}: node count");
+    let moved =
+        surface.nodes().iter().zip(fresh.nodes()).position(|(a, b)| a.to_bits() != b.to_bits());
+    assert_eq!(moved, None, "{label}: first node that differs from a runtime compile");
+}
+
+#[test]
+fn baked_default_surfaces_equal_a_runtime_compile() {
+    let flc1 = Flc1::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
+    let flc2 = Flc2::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
+    let fresh1 = CompiledSurface::compile(flc1.engine(), DEFAULT_LATTICE_POINTS).unwrap();
+    let fresh2 = CompiledSurface::compile(flc2.engine(), DEFAULT_LATTICE_POINTS).unwrap();
+    assert_same_nodes("FLC1", flc1.surface().unwrap(), &fresh1);
+    assert_same_nodes("FLC2", flc2.surface().unwrap(), &fresh2);
+}
+
+#[test]
+fn non_default_surfaces_compile_at_run_time() {
+    let default1 = Flc1::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
+    let default2 = Flc2::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
+    let coarse = Flc1::with_backend(
+        InferenceConfig::default(),
+        BackendKind::Compiled { points_per_axis: 17 },
+    )
+    .unwrap();
+    let product =
+        Flc2::with_backend(config(TNorm::Product, Defuzzifier::Centroid), BackendKind::compiled())
+            .unwrap();
+    assert_same_nodes(
+        "17-point FLC1",
+        coarse.surface().unwrap(),
+        &CompiledSurface::compile(coarse.engine(), 17).unwrap(),
+    );
+    assert_same_nodes(
+        "product FLC2",
+        product.surface().unwrap(),
+        &CompiledSurface::compile(product.engine(), DEFAULT_LATTICE_POINTS).unwrap(),
+    );
+    assert!(!coarse.surface().unwrap().shares_samples(default1.surface().unwrap()));
+    assert!(!product.surface().unwrap().shares_samples(default2.surface().unwrap()));
 }

@@ -16,8 +16,8 @@ fn arb_class() -> impl Strategy<Value = ServiceClass> {
     prop::sample::select(vec![ServiceClass::Text, ServiceClass::Voice, ServiceClass::Video])
 }
 
-/// Compiled controllers are built once per process (surface compilation
-/// is the expensive step) and shared across property cases.
+/// Compiled controllers are built once per process and shared across
+/// property cases.
 fn compiled_flc1() -> &'static Flc1 {
     static FLC1: OnceLock<Flc1> = OnceLock::new();
     FLC1.get_or_init(|| {

@@ -25,7 +25,9 @@
 //! build (and the surface is cheap to clone: samples live behind an
 //! [`Arc`]). The nodes fill in contiguous ranges, one per available
 //! thread; each node is a pure function of its index, so the surface is
-//! the same for any thread count.
+//! the same for any thread count. A surface whose nodes were stored
+//! earlier skips that cost: [`CompiledSurface::from_nodes`] rebuilds it
+//! from [`CompiledSurface::nodes`] without running the engine.
 
 use std::fmt;
 use std::sync::Arc;
@@ -193,38 +195,8 @@ impl CompiledSurface {
     /// * any evaluation error from the engine at a lattice node (e.g.
     ///   [`FuzzyError::NoRuleFired`] where the rule base has a hole).
     pub fn compile(engine: &Engine, points_per_axis: usize) -> Result<Self> {
-        if points_per_axis < 2 {
-            return Err(FuzzyError::InvalidResolution { samples: points_per_axis });
-        }
-        let dims = engine.inputs().len();
-        if dims == 0 || dims > MAX_SURFACE_DIMS {
-            return Err(FuzzyError::InvalidMembership {
-                reason: format!(
-                    "compiled surfaces support 1..={MAX_SURFACE_DIMS} inputs (engine has {dims})"
-                ),
-            });
-        }
-        let axes: Vec<Axis> = engine
-            .inputs()
-            .iter()
-            .map(|v| Axis {
-                name: v.name().to_owned(),
-                min: v.min(),
-                max: v.max(),
-                points: points_per_axis,
-            })
-            .collect();
-        let mut total = 1usize;
-        for _ in 0..dims {
-            total = total
-                .checked_mul(points_per_axis)
-                .filter(|&t| t <= 1 << 26)
-                .ok_or(FuzzyError::InvalidResolution { samples: points_per_axis })?;
-        }
-        let mut strides = vec![1usize; dims];
-        for d in (0..dims.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * points_per_axis;
-        }
+        let (axes, strides, total) = Self::lattice(engine, points_per_axis)?;
+        let dims = axes.len();
 
         // Fills `out` with the nodes from flat index `start` on (row-major,
         // last axis fastest), stopping at the first failing node.
@@ -265,6 +237,74 @@ impl CompiledSurface {
             result
         })?;
         Ok(Self { axes, strides, values: values.into() })
+    }
+
+    /// Rebuilds the surface [`compile`](Self::compile) would produce for
+    /// `engine` at `points_per_axis` from its precomputed node values
+    /// (row-major, last axis fastest — the order of
+    /// [`nodes`](Self::nodes)), without evaluating the engine.
+    ///
+    /// The caller vouches that `nodes` came from this engine; only the
+    /// count is checked.
+    ///
+    /// # Errors
+    ///
+    /// * [`FuzzyError::InvalidResolution`] — as for
+    ///   [`compile`](Self::compile), or `nodes` does not hold exactly one
+    ///   value per lattice node;
+    /// * [`FuzzyError::InvalidMembership`] — as for
+    ///   [`compile`](Self::compile).
+    pub fn from_nodes(engine: &Engine, points_per_axis: usize, nodes: Vec<f64>) -> Result<Self> {
+        let (axes, strides, total) = Self::lattice(engine, points_per_axis)?;
+        if nodes.len() != total {
+            return Err(FuzzyError::InvalidResolution { samples: nodes.len() });
+        }
+        Ok(Self { axes, strides, values: nodes.into() })
+    }
+
+    /// The axes, row-major strides and node count of `engine`'s lattice
+    /// at `points_per_axis` points per axis.
+    fn lattice(engine: &Engine, points_per_axis: usize) -> Result<(Vec<Axis>, Vec<usize>, usize)> {
+        if points_per_axis < 2 {
+            return Err(FuzzyError::InvalidResolution { samples: points_per_axis });
+        }
+        let dims = engine.inputs().len();
+        if dims == 0 || dims > MAX_SURFACE_DIMS {
+            return Err(FuzzyError::InvalidMembership {
+                reason: format!(
+                    "compiled surfaces support 1..={MAX_SURFACE_DIMS} inputs (engine has {dims})"
+                ),
+            });
+        }
+        let axes: Vec<Axis> = engine
+            .inputs()
+            .iter()
+            .map(|v| Axis {
+                name: v.name().to_owned(),
+                min: v.min(),
+                max: v.max(),
+                points: points_per_axis,
+            })
+            .collect();
+        let mut total = 1usize;
+        for _ in 0..dims {
+            total = total
+                .checked_mul(points_per_axis)
+                .filter(|&t| t <= 1 << 26)
+                .ok_or(FuzzyError::InvalidResolution { samples: points_per_axis })?;
+        }
+        let mut strides = vec![1usize; dims];
+        for d in (0..dims.saturating_sub(1)).rev() {
+            strides[d] = strides[d + 1] * points_per_axis;
+        }
+        Ok((axes, strides, total))
+    }
+
+    /// The node values, row-major over the lattice (last axis fastest):
+    /// what [`from_nodes`](Self::from_nodes) takes back.
+    #[must_use]
+    pub fn nodes(&self) -> &[f64] {
+        &self.values
     }
 
     /// Input dimensionality of the surface.
@@ -509,6 +549,50 @@ mod tests {
         assert!(matches!(
             CompiledSurface::compile(&engine, 1),
             Err(FuzzyError::InvalidResolution { .. })
+        ));
+    }
+
+    #[test]
+    fn from_nodes_round_trips_a_compiled_surface() {
+        let engine = two_input_engine();
+        let compiled = CompiledSurface::compile(&engine, 17).unwrap();
+        let rebuilt = CompiledSurface::from_nodes(&engine, 17, compiled.nodes().to_vec()).unwrap();
+        assert!(!rebuilt.shares_samples(&compiled));
+        assert_eq!(rebuilt.points_per_axis(), 17);
+        for i in 0..=12 {
+            for j in 0..=12 {
+                let a = f64::from(i) / 12.0 + 0.011;
+                let b = -1.0 + 2.0 * f64::from(j) / 12.0 - 0.017;
+                assert_eq!(
+                    rebuilt.evaluate_crisp(&[a, b]).unwrap().to_bits(),
+                    compiled.evaluate_crisp(&[a, b]).unwrap().to_bits(),
+                    "({a}, {b})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_nodes_rejects_a_node_block_that_misses_the_lattice() {
+        let engine = two_input_engine();
+        let nodes = CompiledSurface::compile(&engine, 9).unwrap().nodes().to_vec();
+        let short = nodes[..nodes.len() - 1].to_vec();
+        let mut long = nodes.clone();
+        long.push(0.0);
+        for bad in [short, long, Vec::new()] {
+            let len = bad.len();
+            assert_eq!(
+                CompiledSurface::from_nodes(&engine, 9, bad).unwrap_err(),
+                FuzzyError::InvalidResolution { samples: len }
+            );
+        }
+        assert!(matches!(
+            CompiledSurface::from_nodes(&engine, 1, vec![0.0]),
+            Err(FuzzyError::InvalidResolution { samples: 1 })
+        ));
+        assert!(matches!(
+            CompiledSurface::from_nodes(&engine, 0, Vec::new()),
+            Err(FuzzyError::InvalidResolution { samples: 0 })
         ));
     }
 

@@ -73,9 +73,10 @@ pub enum FuzzyError {
         variable: String,
     },
     /// A sampled set or compiled surface was asked for too few samples to
-    /// interpolate (or, for a surface, too many to allocate).
+    /// interpolate, or a surface for a lattice too large to allocate or
+    /// given a node block that does not match its lattice.
     InvalidResolution {
-        /// The rejected sample count.
+        /// The rejected sample count (for a node block, its length).
         samples: usize,
     },
 }
@@ -115,7 +116,11 @@ impl fmt::Display for FuzzyError {
                 write!(f, "no rule fired for output variable `{variable}`")
             }
             FuzzyError::InvalidResolution { samples } => {
-                write!(f, "defuzzifier resolution {samples} too small (need >= 2 samples)")
+                write!(
+                    f,
+                    "invalid resolution {samples} (need >= 2 samples per axis, at most 2^26 \
+                     lattice nodes and one value per node)"
+                )
             }
         }
     }

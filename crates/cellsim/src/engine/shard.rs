@@ -106,31 +106,73 @@ struct ActiveUser {
 /// caught by the `(user, generation)` check every call-end performs
 /// anyway (the event is then stale, exactly as under the map).
 ///
-/// Slot numbers are *never* part of simulation semantics — iteration
-/// for the movement phase sorts by user id first — so the free-list
-/// order (which differs across shard layouts) cannot leak into results.
+/// Slot numbers are *never* part of simulation semantics — the movement
+/// phase iterates a `(user, slot)` list kept in ascending user order (see
+/// [`update_order`](Self::update_order)) — so the free-list order (which
+/// differs across shard layouts) cannot leak into results.
 #[derive(Default)]
 struct ActiveArena {
     slots: Vec<Option<ActiveUser>>,
     free: Vec<u32>,
     live: usize,
+    /// `(user, slot)` of every insert since the last `update_order`.
+    joined: Vec<(u64, u32)>,
 }
 
 impl ActiveArena {
     fn insert(&mut self, record: ActiveUser) -> u32 {
         self.live += 1;
-        if let Some(slot) = self.free.pop() {
+        let user = record.user.0;
+        let slot = if let Some(slot) = self.free.pop() {
             self.slots[slot as usize] = Some(record);
             slot
         } else {
             let slot = u32::try_from(self.slots.len()).expect("more than u32::MAX active calls");
             self.slots.push(Some(record));
             slot
-        }
+        };
+        self.joined.push((user, slot));
+        slot
     }
 
     fn get(&self, slot: u32) -> Option<&ActiveUser> {
         self.slots.get(slot as usize).and_then(Option::as_ref)
+    }
+
+    /// `true` when `slot` holds `user`.
+    fn holds(&self, (user, slot): (u64, u32)) -> bool {
+        self.get(slot).is_some_and(|u| u.user.0 == user)
+    }
+
+    /// Brings `order` — every live `(user, slot)` in ascending user
+    /// order as of the previous call — up to date: drops every pair
+    /// whose slot no longer holds that user, sorts the live pairs
+    /// inserted since, and merges them in. Each user is live in at most
+    /// one slot, so the result is exactly the arena's pairs sorted,
+    /// without collecting or sorting every slot.
+    fn update_order(&mut self, order: &mut Vec<(u64, u32)>) {
+        order.retain(|&pair| self.holds(pair));
+        let mut joined = std::mem::take(&mut self.joined);
+        joined.retain(|&pair| self.holds(pair));
+        joined.sort_unstable();
+        // Merge from the back, so each kept pair moves at most once.
+        let mut kept = order.len();
+        order.resize(kept + joined.len(), (0, 0));
+        for at in (0..order.len()).rev() {
+            let Some(&next) = joined.last() else { break };
+            if kept > 0 && order[kept - 1] > next {
+                kept -= 1;
+                order[at] = order[kept];
+            } else {
+                order[at] = next;
+                joined.pop();
+            }
+        }
+        // A same-shard handoff can take back the slot its own departure
+        // just freed (the free list is LIFO): that pair is both kept and
+        // joined.
+        order.dedup();
+        self.joined = joined;
     }
 
     fn remove(&mut self, slot: u32) -> ActiveUser {
@@ -194,8 +236,8 @@ pub(crate) struct Shard<'a, S> {
     /// home cell already located.
     pending: VecDeque<PendingArrival>,
     active: ActiveArena,
-    /// Scratch for the movement phase's `(user, slot)` sort, reused
-    /// across epochs.
+    /// Every in-call `(user, slot)` in ascending user order, kept from
+    /// epoch to epoch by [`ActiveArena::update_order`].
     movers: Vec<(u64, u32)>,
     pub(crate) sink: S,
 }
@@ -426,20 +468,12 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             Cross(CellId),
         }
         let dt = self.config.movement_tick_s;
-        // Arena slots carry no deterministic order, so collect the live
-        // users and sort by user id: every step, RNG draw, and sink call
-        // below then happens in exactly the order the old ascending-id
-        // map iteration produced, on any shard layout.
+        // Arena slots carry no deterministic order, so walk the live
+        // users by user id: every step, RNG draw, and sink call below
+        // then happens in exactly the order the old ascending-id map
+        // iteration produced, on any shard layout.
         let mut movers = std::mem::take(&mut self.movers);
-        movers.clear();
-        movers.extend(
-            self.active
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, u)| u.as_ref().map(|u| (u.user.0, slot as u32))),
-        );
-        movers.sort_unstable();
+        self.active.update_order(&mut movers);
         let mut actions: Vec<(u32, Motion)> = Vec::new();
         for &(_, slot) in &movers {
             let user = self.active.slots[slot as usize].as_mut().expect("live slot vanished");
@@ -573,4 +607,110 @@ impl<S> std::fmt::Debug for Shard<'_, S> {
 /// Sorts a barrier's inbound migrants into global user order.
 pub(crate) fn sort_migrants(migrants: &mut [Migrant]) {
     migrants.sort_by_key(|m| m.user.0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use facs_cac::ServiceClass;
+    use proptest::prelude::*;
+
+    fn record(user: u64) -> ActiveUser {
+        ActiveUser {
+            user: UserId(user),
+            state: MobileState::new(Point::ORIGIN, 0.0, 10.0),
+            mobility: MobilityKind::Walker,
+            profile: ServiceProfile::paper(ServiceClass::Voice),
+            rng: user_rng(7, user),
+            cell: CellId(0),
+            call: CallId(user),
+            end_time: SimTime::ZERO,
+            generation: 0,
+        }
+    }
+
+    /// The order `update_order` replaces: every live pair, sorted.
+    fn collect_and_sort(arena: &ActiveArena) -> Vec<(u64, u32)> {
+        let mut pairs: Vec<(u64, u32)> = arena
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, u)| u.as_ref().map(|u| (u.user.0, slot as u32)))
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    proptest! {
+        /// The kept mover order equals collect-and-sort after every
+        /// epoch, through arrivals and inbound migrants (fresh users),
+        /// call-ends, exits and cross-shard departures (removals), and
+        /// same-shard handoffs that take back the freed slot or another.
+        #[test]
+        fn kept_mover_order_equals_collect_and_sort(
+            ops in prop::collection::vec((0u8..7, any::<u64>()), 0..400),
+        ) {
+            let mut arena = ActiveArena::default();
+            let mut order = Vec::new();
+            let mut next_user = 0u64;
+            let live_slot = |arena: &ActiveArena, pick: u64| {
+                let live: Vec<u32> = (0..arena.slots.len() as u32)
+                    .filter(|&s| arena.get(s).is_some())
+                    .collect();
+                (!live.is_empty()).then(|| live[pick as usize % live.len()])
+            };
+            for (op, pick) in ops {
+                match op {
+                    // Arrival or inbound migrant: a user id never seen
+                    // before, ascending or far above the others.
+                    0 | 1 => {
+                        next_user += 1 + pick % 5;
+                        let user = if op == 0 { next_user } else { next_user + (1 << 40) };
+                        arena.insert(record(user));
+                    }
+                    // Call-end, exit or cross-shard departure.
+                    2 => {
+                        if let Some(slot) = live_slot(&arena, pick) {
+                            arena.remove(slot);
+                        }
+                    }
+                    // Same-shard handoff into the slot it just freed.
+                    3 => {
+                        if let Some(slot) = live_slot(&arena, pick) {
+                            let user = arena.remove(slot);
+                            prop_assert_eq!(arena.insert(user), slot);
+                        }
+                    }
+                    // Two same-shard handoffs that swap slots.
+                    4 => {
+                        let a = live_slot(&arena, pick);
+                        let b = live_slot(&arena, pick.rotate_left(17));
+                        if let (Some(a), Some(b)) = (a, b) {
+                            if a != b {
+                                let (ua, ub) = (arena.remove(a), arena.remove(b));
+                                prop_assert_eq!(arena.insert(ua), b);
+                                prop_assert_eq!(arena.insert(ub), a);
+                            }
+                        }
+                    }
+                    // A departure whose slot a newcomer takes.
+                    5 => {
+                        if let Some(slot) = live_slot(&arena, pick) {
+                            arena.remove(slot);
+                            next_user += 1;
+                            prop_assert_eq!(arena.insert(record(next_user)), slot);
+                        }
+                    }
+                    // Epoch barrier: the movement phase's view.
+                    _ => {
+                        arena.update_order(&mut order);
+                        prop_assert_eq!(&order, &collect_and_sort(&arena));
+                    }
+                }
+            }
+            arena.update_order(&mut order);
+            prop_assert_eq!(&order, &collect_and_sort(&arena));
+            prop_assert!(arena.joined.is_empty());
+        }
+    }
 }

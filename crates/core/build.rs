@@ -1,10 +1,13 @@
 //! Compiles the default FLC1 and FLC2 decision surfaces (min/max Mamdani,
 //! centroid, `DEFAULT_LATTICE_POINTS` per axis) from the same engine
 //! definitions the library uses, and writes each surface's nodes to
-//! `OUT_DIR` as little-endian `f64`s. The library bakes them in with
-//! `include_bytes!`, so a compiled default controller runs no lattice
-//! fill at run time.
+//! `OUT_DIR` as a Rust array literal. The library bakes them in as a
+//! `static` with `include!`, so a compiled default controller runs no
+//! lattice fill at run time and borrows its nodes straight from the
+//! binary. Each node is printed with `{:?}`, the shortest decimal that
+//! parses back to the same `f64`, so the literal is exact.
 
+use std::fmt::Write;
 use std::path::PathBuf;
 
 use facs_fuzzy::{CompiledSurface, InferenceConfig, DEFAULT_LATTICE_POINTS};
@@ -31,9 +34,13 @@ fn main() {
         let engine = engine.unwrap_or_else(|err| panic!("{name} engine: {err}"));
         let surface = CompiledSurface::compile(&engine, DEFAULT_LATTICE_POINTS)
             .unwrap_or_else(|err| panic!("{name} surface: {err}"));
-        let bytes: Vec<u8> = surface.nodes().iter().flat_map(|node| node.to_le_bytes()).collect();
-        let path = out_dir.join(format!("{name}_surface.bin"));
-        std::fs::write(&path, bytes)
+        let mut literal = String::from("[\n");
+        for node in surface.nodes() {
+            writeln!(literal, "{node:?},").expect("writing to a String");
+        }
+        literal.push(']');
+        let path = out_dir.join(format!("{name}_surface.rs"));
+        std::fs::write(&path, literal)
             .unwrap_or_else(|err| panic!("writing {}: {err}", path.display()));
     }
 }

@@ -63,8 +63,8 @@ impl Flc1 {
     ///
     /// The default configuration's surface at the default lattice is
     /// compiled by the crate's build script and baked into the binary:
-    /// the first such controller in a process decodes it, and every later
-    /// one shares that sample block. Any other configuration or lattice
+    /// every such controller borrows that one sample block, with no
+    /// decode and no copy. Any other configuration or lattice
     /// compiles here, at one exact inference per lattice node
     /// (`points_per_axis`³ for the 3 FLC1 inputs).
     ///
@@ -73,7 +73,7 @@ impl Flc1 {
     /// Propagates [`FuzzyError`] on an invalid lattice resolution.
     pub fn with_backend(config: InferenceConfig, backend: BackendKind) -> Result<Self, FuzzyError> {
         static DEFAULT_SURFACE: BakedSurface =
-            BakedSurface::new(include_bytes!(concat!(env!("OUT_DIR"), "/flc1_surface.bin")));
+            include!(concat!(env!("OUT_DIR"), "/flc1_surface.rs"));
         Ok(Self { flc: FuzzyController::new(engine(config)?, backend, &DEFAULT_SURFACE)? })
     }
 
@@ -165,8 +165,8 @@ mod tests {
     fn default_compiled_surface_is_cached_per_process() {
         let a = Flc1::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
         let b = Flc1::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
-        // Same sample block behind both controllers: the baked surface is
-        // decoded once and shared.
+        // Same sample block behind both controllers: both borrow the
+        // baked nodes.
         assert!(a.surface().unwrap().shares_samples(b.surface().unwrap()));
         let m = MobilityInfo::new(42.0, 17.0, 3.3);
         assert_eq!(a.correction_value(&m).unwrap(), b.correction_value(&m).unwrap());

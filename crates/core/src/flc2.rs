@@ -60,7 +60,7 @@ impl Flc2 {
     /// Propagates [`FuzzyError`] on an invalid lattice resolution.
     pub fn with_backend(config: InferenceConfig, backend: BackendKind) -> Result<Self, FuzzyError> {
         static DEFAULT_SURFACE: BakedSurface =
-            BakedSurface::new(include_bytes!(concat!(env!("OUT_DIR"), "/flc2_surface.bin")));
+            include!(concat!(env!("OUT_DIR"), "/flc2_surface.rs"));
         Ok(Self { flc: FuzzyController::new(engine(config)?, backend, &DEFAULT_SURFACE)? })
     }
 

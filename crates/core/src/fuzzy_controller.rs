@@ -1,41 +1,16 @@
 //! The state and dispatch FLC1 and FLC2 share: a rule engine plus, on the
 //! compiled backend, its decision surface.
 
-use std::sync::OnceLock;
-
 use facs_fuzzy::{
     BackendKind, CompiledSurface, Engine, FuzzyError, InferenceBackend, InferenceConfig,
     DEFAULT_LATTICE_POINTS,
 };
 
-/// A default compiled surface baked into the binary: the little-endian
-/// `f64` nodes the build script compiled from the default engine,
-/// decoded at most once per process.
-pub(crate) struct BakedSurface {
-    bytes: &'static [u8],
-    decoded: OnceLock<CompiledSurface>,
-}
-
-impl BakedSurface {
-    pub(crate) const fn new(bytes: &'static [u8]) -> Self {
-        Self { bytes, decoded: OnceLock::new() }
-    }
-
-    /// The surface over `engine`'s default lattice, shared by every
-    /// caller in the process.
-    fn surface(&self, engine: &Engine) -> Result<CompiledSurface, FuzzyError> {
-        if let Some(decoded) = self.decoded.get() {
-            return Ok(decoded.clone());
-        }
-        let nodes = self
-            .bytes
-            .chunks_exact(8)
-            .map(|node| f64::from_le_bytes(node.try_into().expect("chunks of 8 bytes")))
-            .collect();
-        let surface = CompiledSurface::from_nodes(engine, DEFAULT_LATTICE_POINTS, nodes)?;
-        Ok(self.decoded.get_or_init(|| surface).clone())
-    }
-}
+/// A default compiled surface baked into the binary: the nodes of the
+/// 3-input default lattice, which the build script compiled from the
+/// default engine and wrote out as an array literal. Every surface built
+/// over it borrows the `static`.
+pub(crate) type BakedSurface = [f64; DEFAULT_LATTICE_POINTS.pow(3)];
 
 /// One fuzzy logic controller of the cascade.
 #[derive(Debug, Clone)]
@@ -46,9 +21,10 @@ pub(crate) struct FuzzyController {
 
 impl FuzzyController {
     /// Wraps `engine` on `backend`. A compiled surface at the default
-    /// configuration and lattice is the `baked` one, so separately built
-    /// controllers (every replication of a sweep) share one sample block
-    /// and none runs the engine; anything else compiles fresh.
+    /// configuration and lattice borrows the `baked` nodes, so separately
+    /// built controllers (every replication of a sweep) share one sample
+    /// block and none runs the engine or copies a node; anything else
+    /// compiles fresh.
     pub(crate) fn new(
         engine: Engine,
         backend: BackendKind,
@@ -60,7 +36,7 @@ impl FuzzyController {
                 if *engine.config() == InferenceConfig::default()
                     && points_per_axis == DEFAULT_LATTICE_POINTS =>
             {
-                Some(baked.surface(&engine)?)
+                Some(CompiledSurface::from_nodes(&engine, DEFAULT_LATTICE_POINTS, baked)?)
             }
             BackendKind::Compiled { points_per_axis } => {
                 Some(CompiledSurface::compile(&engine, points_per_axis)?)

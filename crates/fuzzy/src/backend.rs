@@ -25,9 +25,10 @@
 //! build (and the surface is cheap to clone: samples live behind an
 //! [`Arc`]). The nodes fill in contiguous ranges, one per available
 //! thread; each node is a pure function of its index, so the surface is
-//! the same for any thread count. A surface whose nodes were stored
-//! earlier skips that cost: [`CompiledSurface::from_nodes`] rebuilds it
-//! from [`CompiledSurface::nodes`] without running the engine.
+//! the same for any thread count. A surface whose nodes were baked into
+//! the binary skips that cost: [`CompiledSurface::from_nodes`] borrows a
+//! `'static` copy of [`CompiledSurface::nodes`] without running the
+//! engine or copying a node.
 
 use std::fmt;
 use std::sync::Arc;
@@ -46,8 +47,8 @@ use crate::error::{FuzzyError, Result};
 /// the full 3-input lattice stays cache-resident.
 pub const DEFAULT_LATTICE_POINTS: usize = 33;
 
-/// The most input dimensions a [`CompiledSurface`] supports (its
-/// interpolation buffers are stack-allocated arrays of this size).
+/// The most input dimensions a [`CompiledSurface`] supports (each
+/// dimension count up to it gets its own fixed-size interpolation walk).
 pub const MAX_SURFACE_DIMS: usize = 8;
 
 /// The fewest lattice nodes worth a thread of their own when a surface
@@ -135,6 +136,25 @@ struct Axis {
     points: usize,
 }
 
+/// The node block of a compiled surface.
+#[derive(Debug, Clone)]
+enum Nodes {
+    /// Filled at run time, shared by every clone.
+    Shared(Arc<[f64]>),
+    /// Baked into the binary.
+    Static(&'static [f64]),
+}
+
+impl Nodes {
+    #[inline(always)]
+    fn as_slice(&self) -> &[f64] {
+        match self {
+            Nodes::Shared(values) => values,
+            Nodes::Static(values) => values,
+        }
+    }
+}
+
 /// A compiled decision surface: the defuzzified output of an [`Engine`]
 /// precomputed over a dense input lattice, answered by multilinear
 /// interpolation.
@@ -142,8 +162,9 @@ struct Axis {
 /// Values at lattice nodes are bit-exact against the source engine;
 /// between nodes the surface is the piecewise-multilinear interpolant,
 /// so accuracy is governed by `points_per_axis`. Cloning is cheap (the
-/// sample block is shared behind an [`Arc`]), which lets one compiled
-/// controller be stamped out per cell or per thread without recompiling.
+/// sample block is shared behind an [`Arc`], or borrowed from the
+/// binary), which lets one compiled controller be stamped out per cell
+/// or per thread without recompiling.
 ///
 /// # Examples
 ///
@@ -177,9 +198,10 @@ struct Axis {
 #[derive(Debug, Clone)]
 pub struct CompiledSurface {
     axes: Vec<Axis>,
-    /// Row-major strides per axis (last axis contiguous).
-    strides: Vec<usize>,
-    values: Arc<[f64]>,
+    /// Row-major strides per axis (last axis contiguous); entries past
+    /// the axis count are unused.
+    strides: [usize; MAX_SURFACE_DIMS],
+    values: Nodes,
 }
 
 impl CompiledSurface {
@@ -236,13 +258,15 @@ impl CompiledSurface {
             }
             result
         })?;
-        Ok(Self { axes, strides, values: values.into() })
+        Ok(Self { axes, strides, values: Nodes::Shared(values.into()) })
     }
 
     /// Rebuilds the surface [`compile`](Self::compile) would produce for
     /// `engine` at `points_per_axis` from its precomputed node values
     /// (row-major, last axis fastest — the order of
-    /// [`nodes`](Self::nodes)), without evaluating the engine.
+    /// [`nodes`](Self::nodes)), without evaluating the engine. The
+    /// surface borrows `nodes`: every surface built from one block
+    /// shares it, and none copies it.
     ///
     /// The caller vouches that `nodes` came from this engine; only the
     /// count is checked.
@@ -254,17 +278,24 @@ impl CompiledSurface {
     ///   value per lattice node;
     /// * [`FuzzyError::InvalidMembership`] — as for
     ///   [`compile`](Self::compile).
-    pub fn from_nodes(engine: &Engine, points_per_axis: usize, nodes: Vec<f64>) -> Result<Self> {
+    pub fn from_nodes(
+        engine: &Engine,
+        points_per_axis: usize,
+        nodes: &'static [f64],
+    ) -> Result<Self> {
         let (axes, strides, total) = Self::lattice(engine, points_per_axis)?;
         if nodes.len() != total {
             return Err(FuzzyError::InvalidResolution { samples: nodes.len() });
         }
-        Ok(Self { axes, strides, values: nodes.into() })
+        Ok(Self { axes, strides, values: Nodes::Static(nodes) })
     }
 
     /// The axes, row-major strides and node count of `engine`'s lattice
     /// at `points_per_axis` points per axis.
-    fn lattice(engine: &Engine, points_per_axis: usize) -> Result<(Vec<Axis>, Vec<usize>, usize)> {
+    fn lattice(
+        engine: &Engine,
+        points_per_axis: usize,
+    ) -> Result<(Vec<Axis>, [usize; MAX_SURFACE_DIMS], usize)> {
         if points_per_axis < 2 {
             return Err(FuzzyError::InvalidResolution { samples: points_per_axis });
         }
@@ -293,8 +324,8 @@ impl CompiledSurface {
                 .filter(|&t| t <= 1 << 26)
                 .ok_or(FuzzyError::InvalidResolution { samples: points_per_axis })?;
         }
-        let mut strides = vec![1usize; dims];
-        for d in (0..dims.saturating_sub(1)).rev() {
+        let mut strides = [1usize; MAX_SURFACE_DIMS];
+        for d in (0..dims - 1).rev() {
             strides[d] = strides[d + 1] * points_per_axis;
         }
         Ok((axes, strides, total))
@@ -304,7 +335,7 @@ impl CompiledSurface {
     /// what [`from_nodes`](Self::from_nodes) takes back.
     #[must_use]
     pub fn nodes(&self) -> &[f64] {
-        &self.values
+        self.values.as_slice()
     }
 
     /// Input dimensionality of the surface.
@@ -322,44 +353,50 @@ impl CompiledSurface {
     /// Total number of precomputed lattice nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.nodes().len()
     }
 
     /// `false` always — a compiled surface holds at least `2^dims` nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.nodes().is_empty()
     }
 
     /// `true` when `self` and `other` share one sample block (clones of
-    /// the same compilation — no memory was duplicated).
+    /// the same compilation, or surfaces built from one baked block — no
+    /// memory was duplicated).
     #[must_use]
     pub fn shares_samples(&self, other: &CompiledSurface) -> bool {
-        Arc::ptr_eq(&self.values, &other.values)
+        std::ptr::eq(self.nodes(), other.nodes())
     }
 
-    /// Locates the lattice cell enclosing `readings`: the flattened base
-    /// node index plus the per-axis interpolation fractions.
+    /// The arity error for `given` positional readings, matching the
+    /// exact engine's.
+    #[cold]
+    fn arity_error(&self, given: usize) -> FuzzyError {
+        match self.axes.get(given) {
+            Some(axis) => FuzzyError::MissingInput { variable: axis.name.clone() },
+            None => FuzzyError::UnknownVariable {
+                variable: format!("positional input #{}", self.axes.len()),
+            },
+        }
+    }
+
+    /// Locates the lattice cell enclosing `readings` on a surface of `D`
+    /// axes: the flattened base node index plus the per-axis
+    /// interpolation fractions.
     // `always`: the kernel calls `evaluate_crisp` per admission, and
-    // letting LLVM materialize the (usize, [f64; 8]) return through a
+    // letting LLVM materialize the (usize, [f64; D]) return through a
     // real call costs ~4% of simulator throughput.
     #[inline(always)]
-    fn locate(&self, readings: &[f64]) -> Result<(usize, [f64; MAX_SURFACE_DIMS])> {
-        let dims = self.axes.len();
-        if readings.len() < dims {
-            return Err(FuzzyError::MissingInput {
-                variable: self.axes[readings.len()].name.clone(),
-            });
-        }
-        if readings.len() > dims {
-            return Err(FuzzyError::UnknownVariable {
-                variable: format!("positional input #{dims}"),
-            });
-        }
-        let mut frac = [0.0f64; MAX_SURFACE_DIMS];
+    fn locate<const D: usize>(&self, readings: &[f64]) -> Result<(usize, [f64; D])> {
+        let readings: &[f64; D] =
+            readings.try_into().map_err(|_| self.arity_error(readings.len()))?;
+        let axes: &[Axis; D] = self.axes.as_slice().try_into().expect("dispatched on axis count");
+        let mut frac = [0.0f64; D];
         let mut base = 0usize;
-        for (d, axis) in self.axes.iter().enumerate() {
-            let value = readings[d];
+        for d in 0..D {
+            let (axis, value) = (&axes[d], readings[d]);
             if !value.is_finite() {
                 return Err(FuzzyError::NonFiniteInput { variable: axis.name.clone(), value });
             }
@@ -371,6 +408,33 @@ impl CompiledSurface {
         }
         Ok((base, frac))
     }
+
+    /// Multilinear interpolation on a surface of `D` axes. `D` is a
+    /// constant, so the per-axis loops and the `2^D` corner walk unroll.
+    #[inline(always)]
+    fn interpolate<const D: usize>(&self, readings: &[f64]) -> Result<f64> {
+        let (base, frac) = self.locate::<D>(readings)?;
+        let values = self.values.as_slice();
+        // Fused corner walk: offsets and weights in one pass, loading
+        // only corners with non-zero weight.
+        let mut acc = 0.0;
+        for corner in 0..(1usize << D) {
+            let mut weight = 1.0;
+            let mut offset = 0usize;
+            for (d, (&f, &stride)) in frac.iter().zip(&self.strides).enumerate() {
+                if corner & (1 << d) != 0 {
+                    weight *= f;
+                    offset += stride;
+                } else {
+                    weight *= 1.0 - f;
+                }
+            }
+            if weight > 0.0 {
+                acc += weight * values[base + offset];
+            }
+        }
+        Ok(acc)
+    }
 }
 
 impl InferenceBackend for CompiledSurface {
@@ -379,27 +443,18 @@ impl InferenceBackend for CompiledSurface {
     /// values. Readings are clamped into each axis universe, mirroring
     /// the exact engine.
     fn evaluate_crisp(&self, readings: &[f64]) -> Result<f64> {
-        let dims = self.axes.len();
-        let (base, frac) = self.locate(readings)?;
-        // Fused corner walk: offsets and weights in one pass, loading
-        // only corners with non-zero weight.
-        let mut acc = 0.0;
-        for corner in 0..(1usize << dims) {
-            let mut weight = 1.0;
-            let mut offset = 0usize;
-            for (d, &stride) in self.strides.iter().enumerate() {
-                if corner & (1 << d) != 0 {
-                    weight *= frac[d];
-                    offset += stride;
-                } else {
-                    weight *= 1.0 - frac[d];
-                }
-            }
-            if weight > 0.0 {
-                acc += weight * self.values[base + offset];
-            }
+        // One dispatch on the axis count picks the walk built for it.
+        match self.axes.len() {
+            1 => self.interpolate::<1>(readings),
+            2 => self.interpolate::<2>(readings),
+            3 => self.interpolate::<3>(readings),
+            4 => self.interpolate::<4>(readings),
+            5 => self.interpolate::<5>(readings),
+            6 => self.interpolate::<6>(readings),
+            7 => self.interpolate::<7>(readings),
+            8 => self.interpolate::<8>(readings),
+            dims => unreachable!("a surface has 1..={MAX_SURFACE_DIMS} axes, not {dims}"),
         }
-        Ok(acc)
     }
 
     fn backend_name(&self) -> &'static str {
@@ -462,6 +517,156 @@ mod tests {
             .unwrap()
     }
 
+    fn three_input_engine() -> Engine {
+        let mut builder = Engine::builder();
+        for (name, min, max) in [("a", 0.0, 1.0), ("b", -1.0, 1.0), ("c", 0.0, 5.0)] {
+            builder = builder.input(
+                Variable::builder(name, min, max)
+                    .term("lo", MembershipFunction::triangular(min, 0.0, max - min).unwrap())
+                    .term("hi", MembershipFunction::triangular(max, max - min, 0.0).unwrap())
+                    .build()
+                    .unwrap(),
+            );
+        }
+        builder = builder.output(
+            Variable::builder("out", 0.0, 100.0)
+                .term("small", MembershipFunction::triangular(0.0, 0.0, 50.0).unwrap())
+                .term("mid", MembershipFunction::triangular(50.0, 50.0, 50.0).unwrap())
+                .term("large", MembershipFunction::triangular(100.0, 50.0, 0.0).unwrap())
+                .build()
+                .unwrap(),
+        );
+        for (a, b, c, out) in [
+            ("lo", "lo", "lo", "small"),
+            ("lo", "lo", "hi", "mid"),
+            ("lo", "hi", "lo", "large"),
+            ("lo", "hi", "hi", "small"),
+            ("hi", "lo", "lo", "mid"),
+            ("hi", "lo", "hi", "large"),
+            ("hi", "hi", "lo", "small"),
+            ("hi", "hi", "hi", "large"),
+        ] {
+            builder = builder
+                .rule(Rule::when("a", a).and("b", b).and("c", c).then("out", out).build().unwrap());
+        }
+        builder.build().unwrap()
+    }
+
+    /// The dimension-generic lookup: arity check, per-axis locate, then
+    /// the `2^dims` corner walk, all over the runtime axis count. The
+    /// fixed-size walk must answer exactly as this does.
+    fn reference_walk(surface: &CompiledSurface, readings: &[f64]) -> Result<f64> {
+        let dims = surface.axes.len();
+        if readings.len() < dims {
+            return Err(FuzzyError::MissingInput {
+                variable: surface.axes[readings.len()].name.clone(),
+            });
+        }
+        if readings.len() > dims {
+            return Err(FuzzyError::UnknownVariable {
+                variable: format!("positional input #{dims}"),
+            });
+        }
+        let mut frac = [0.0f64; MAX_SURFACE_DIMS];
+        let mut base = 0usize;
+        for (d, axis) in surface.axes.iter().enumerate() {
+            let value = readings[d];
+            if !value.is_finite() {
+                return Err(FuzzyError::NonFiniteInput { variable: axis.name.clone(), value });
+            }
+            let x = value.clamp(axis.min, axis.max);
+            let t = (x - axis.min) / (axis.max - axis.min) * (axis.points - 1) as f64;
+            let cell = (t.floor() as usize).min(axis.points - 2);
+            frac[d] = (t - cell as f64).clamp(0.0, 1.0);
+            base += cell * surface.strides[d];
+        }
+        let mut acc = 0.0;
+        for corner in 0..(1usize << dims) {
+            let mut weight = 1.0;
+            let mut offset = 0usize;
+            for (d, &stride) in surface.strides[..dims].iter().enumerate() {
+                if corner & (1 << d) != 0 {
+                    weight *= frac[d];
+                    offset += stride;
+                } else {
+                    weight *= 1.0 - frac[d];
+                }
+            }
+            if weight > 0.0 {
+                acc += weight * surface.nodes()[base + offset];
+            }
+        }
+        Ok(acc)
+    }
+
+    #[test]
+    fn fixed_size_walk_matches_the_generic_reference_bit_for_bit() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let same = |surface: &CompiledSurface, readings: &[f64]| {
+            let (fast, slow) =
+                (surface.evaluate_crisp(readings), reference_walk(surface, readings));
+            match (&fast, &slow) {
+                (Ok(f), Ok(s)) => assert_eq!(f.to_bits(), s.to_bits(), "{readings:?}"),
+                _ => assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{readings:?}"),
+            }
+        };
+        for (engine, points) in
+            [(ramp_engine(), 17), (two_input_engine(), 9), (three_input_engine(), 7)]
+        {
+            let surface = CompiledSurface::compile(&engine, points).unwrap();
+            let dims = surface.dims();
+            let axes = surface.axes.clone();
+            // Per axis: the bounds, every lattice knot, just outside the
+            // universe on both sides, and far outside it.
+            let special = |axis: &Axis| -> Vec<f64> {
+                let span = axis.max - axis.min;
+                let mut values: Vec<f64> = (0..axis.points)
+                    .map(|k| axis.min + span * (k as f64 / (axis.points - 1) as f64))
+                    .collect();
+                values.extend([axis.min - 1e-9, axis.max + 1e-9, axis.min - span, 1e6 * axis.max]);
+                values
+            };
+            let mut readings = vec![0.0; dims];
+            for _ in 0..4000 {
+                for (d, axis) in axes.iter().enumerate() {
+                    readings[d] = match (uniform() * 4.0) as u32 {
+                        0 => {
+                            let choices = special(axis);
+                            choices[(uniform() * choices.len() as f64) as usize]
+                        }
+                        1 => axis.min - 0.5 + (axis.max - axis.min + 1.0) * uniform(),
+                        _ => axis.min + (axis.max - axis.min) * uniform(),
+                    };
+                }
+                same(&surface, &readings);
+            }
+            for (d, axis) in axes.iter().enumerate() {
+                for knot in special(axis) {
+                    readings.iter_mut().for_each(|r| *r = 0.5 * (axis.min + axis.max));
+                    readings[d] = knot;
+                    same(&surface, &readings);
+                }
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    readings[d] = bad;
+                    same(&surface, &readings);
+                    assert!(matches!(
+                        surface.evaluate_crisp(&readings),
+                        Err(FuzzyError::NonFiniteInput { .. })
+                    ));
+                }
+                readings[d] = axis.min;
+            }
+            same(&surface, &readings[..dims - 1]);
+            same(&surface, &[readings.as_slice(), &[0.0]].concat());
+        }
+    }
+
     #[test]
     fn lattice_nodes_are_bit_exact() {
         let engine = ramp_engine();
@@ -487,7 +692,7 @@ mod tests {
                 let a = f64::from(i) / 64.0;
                 let b = -1.0 + 2.0 * (f64::from(j) / 64.0);
                 let exact = engine.evaluate_crisp(&[a, b]).unwrap();
-                assert_eq!(surface.values[i as usize * 65 + j as usize], exact, "node ({i}, {j})");
+                assert_eq!(surface.nodes()[i as usize * 65 + j as usize], exact, "node ({i}, {j})");
             }
         }
     }
@@ -556,7 +761,9 @@ mod tests {
     fn from_nodes_round_trips_a_compiled_surface() {
         let engine = two_input_engine();
         let compiled = CompiledSurface::compile(&engine, 17).unwrap();
-        let rebuilt = CompiledSurface::from_nodes(&engine, 17, compiled.nodes().to_vec()).unwrap();
+        let nodes: &'static [f64] = compiled.nodes().to_vec().leak();
+        let rebuilt = CompiledSurface::from_nodes(&engine, 17, nodes).unwrap();
+        assert!(rebuilt.shares_samples(&CompiledSurface::from_nodes(&engine, 17, nodes).unwrap()));
         assert!(!rebuilt.shares_samples(&compiled));
         assert_eq!(rebuilt.points_per_axis(), 17);
         for i in 0..=12 {
@@ -582,16 +789,16 @@ mod tests {
         for bad in [short, long, Vec::new()] {
             let len = bad.len();
             assert_eq!(
-                CompiledSurface::from_nodes(&engine, 9, bad).unwrap_err(),
+                CompiledSurface::from_nodes(&engine, 9, bad.leak()).unwrap_err(),
                 FuzzyError::InvalidResolution { samples: len }
             );
         }
         assert!(matches!(
-            CompiledSurface::from_nodes(&engine, 1, vec![0.0]),
+            CompiledSurface::from_nodes(&engine, 1, &[0.0]),
             Err(FuzzyError::InvalidResolution { samples: 1 })
         ));
         assert!(matches!(
-            CompiledSurface::from_nodes(&engine, 0, Vec::new()),
+            CompiledSurface::from_nodes(&engine, 0, &[]),
             Err(FuzzyError::InvalidResolution { samples: 0 })
         ));
     }
@@ -610,7 +817,8 @@ mod tests {
     fn clones_share_the_sample_block() {
         let surface = CompiledSurface::compile(&ramp_engine(), 33).unwrap();
         let clone = surface.clone();
-        assert!(Arc::ptr_eq(&surface.values, &clone.values));
+        assert!(surface.shares_samples(&clone));
+        assert!(!surface.shares_samples(&CompiledSurface::compile(&ramp_engine(), 33).unwrap()));
     }
 
     #[test]

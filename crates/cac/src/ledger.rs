@@ -4,7 +4,8 @@
 //! Every active call holds an allocation somewhere in its profile's
 //! `[rb_cost_min, rb_cost_nominal]` band. The ledger can *degrade*
 //! elastic calls toward their QoS floor to make room for
-//! higher-priority traffic ([`BandwidthLedger::degrade_to_fit`]) and
+//! higher-priority traffic ([`BandwidthLedger::degradation_squeezes`],
+//! then [`BandwidthLedger::apply_squeezes`]) and
 //! *re-upgrade* them toward nominal when bandwidth frees up
 //! ([`BandwidthLedger::reupgrade_on_release`]). Both directions move one
 //! bandwidth unit at a time in fair-share order, so the squeeze is
@@ -251,16 +252,7 @@ impl BandwidthLedger {
         profile: ServiceProfile,
         grant: BandwidthUnits,
     ) -> Result<(), LedgerError> {
-        if grant < profile.rb_cost_min || grant > profile.rb_cost_nominal {
-            return Err(LedgerError::GrantOutOfBand {
-                grant,
-                floor: profile.rb_cost_min,
-                nominal: profile.rb_cost_nominal,
-            });
-        }
-        if self.allocations.contains_key(&id) {
-            return Err(LedgerError::AlreadyAllocated(id));
-        }
+        self.check_grant(id, profile, grant)?;
         if !self.can_fit(grant) {
             return Err(LedgerError::Insufficient { requested: grant, free: self.free() });
         }
@@ -329,20 +321,7 @@ impl BandwidthLedger {
         &mut self,
         squeezes: &[Reallocation],
     ) -> Result<BandwidthUnits, LedgerError> {
-        let mut freed = BandwidthUnits::ZERO;
-        for s in squeezes {
-            let alloc = self.allocations.get(&s.call).ok_or(LedgerError::InvalidSqueeze(s.call))?;
-            if s.from != alloc.allocated
-                || s.to >= alloc.allocated
-                || s.to < alloc.profile.rb_cost_min
-            {
-                return Err(LedgerError::InvalidSqueeze(s.call));
-            }
-            freed += alloc.allocated - s.to;
-        }
-        // Squeezes naming the same call twice would double-free; the plan
-        // builder never emits duplicates, and the `from` check above
-        // rejects them (the second occurrence's `from` is stale).
+        let freed = self.squeeze_yield(squeezes)?;
         for s in squeezes {
             let alloc = self.allocations.get_mut(&s.call).expect("validated above");
             alloc.allocated = s.to;
@@ -350,15 +329,6 @@ impl BandwidthLedger {
         self.occupied -= freed;
         self.assert_conserved();
         Ok(freed)
-    }
-
-    /// Plans and applies the squeezes needed to free `demand` bandwidth
-    /// units, returning the applied reallocations. Returns `None` (ledger
-    /// unchanged) when the demand cannot be met even at full degradation.
-    pub fn degrade_to_fit(&mut self, demand: BandwidthUnits) -> Option<Vec<Reallocation>> {
-        let squeezes = self.degradation_squeezes(demand)?;
-        self.apply_squeezes(&squeezes).expect("planned squeezes are valid");
-        Some(squeezes)
     }
 
     /// Atomically applies an admission plan: squeezes first, then the
@@ -378,6 +348,24 @@ impl BandwidthLedger {
         grant: BandwidthUnits,
         squeezes: &[Reallocation],
     ) -> Result<(), LedgerError> {
+        self.check_grant(id, profile, grant)?;
+        let freed = self.squeeze_yield(squeezes)?;
+        if grant > self.free() + freed {
+            return Err(LedgerError::Insufficient { requested: grant, free: self.free() + freed });
+        }
+        self.apply_squeezes(squeezes).expect("validated above");
+        self.allocate_at(id, profile, grant).expect("freed bandwidth covers the grant");
+        Ok(())
+    }
+
+    /// Checks that `grant` lies in `profile`'s `[floor, nominal]` band
+    /// and that `id` holds no allocation yet.
+    fn check_grant(
+        &self,
+        id: CallId,
+        profile: ServiceProfile,
+        grant: BandwidthUnits,
+    ) -> Result<(), LedgerError> {
         if grant < profile.rb_cost_min || grant > profile.rb_cost_nominal {
             return Err(LedgerError::GrantOutOfBand {
                 grant,
@@ -388,7 +376,12 @@ impl BandwidthLedger {
         if self.allocations.contains_key(&id) {
             return Err(LedgerError::AlreadyAllocated(id));
         }
-        // Validate squeezes without mutating (mirror of apply_squeezes).
+        Ok(())
+    }
+
+    /// Validates `squeezes` without applying them and returns the
+    /// bandwidth they would free.
+    fn squeeze_yield(&self, squeezes: &[Reallocation]) -> Result<BandwidthUnits, LedgerError> {
         let mut freed = BandwidthUnits::ZERO;
         for s in squeezes {
             let alloc = self.allocations.get(&s.call).ok_or(LedgerError::InvalidSqueeze(s.call))?;
@@ -400,12 +393,7 @@ impl BandwidthLedger {
             }
             freed += alloc.allocated - s.to;
         }
-        if grant > self.free() + freed {
-            return Err(LedgerError::Insufficient { requested: grant, free: self.free() + freed });
-        }
-        self.apply_squeezes(squeezes).expect("validated above");
-        self.allocate_at(id, profile, grant).expect("freed bandwidth covers the grant");
-        Ok(())
+        Ok(freed)
     }
 
     /// Redistributes free bandwidth to degraded calls, one unit at a time
@@ -701,7 +689,9 @@ mod tests {
         let mut l = BandwidthLedger::new(BandwidthUnits::new(20));
         l.allocate(CallId(1), elastic_video()).unwrap();
         l.allocate(CallId(2), elastic_video()).unwrap();
-        let squeezes = l.degrade_to_fit(BandwidthUnits::new(10)).expect("slack covers the demand");
+        let squeezes =
+            l.degradation_squeezes(BandwidthUnits::new(10)).expect("slack covers the demand");
+        assert_eq!(l.apply_squeezes(&squeezes), Ok(BandwidthUnits::new(10)));
         assert_eq!(l.free().get(), 10);
         assert_eq!(l.allocated_to(CallId(1)), Some(BandwidthUnits::new(5)));
         assert_eq!(l.allocated_to(CallId(2)), Some(BandwidthUnits::new(5)));
@@ -717,7 +707,8 @@ mod tests {
         let mut l = BandwidthLedger::new(BandwidthUnits::new(17));
         l.allocate_at(CallId(1), elastic_video(), BandwidthUnits::new(7)).unwrap();
         l.allocate(CallId(2), elastic_video()).unwrap();
-        let squeezes = l.degrade_to_fit(BandwidthUnits::new(3)).unwrap();
+        let squeezes = l.degradation_squeezes(BandwidthUnits::new(3)).unwrap();
+        assert_eq!(l.apply_squeezes(&squeezes), Ok(BandwidthUnits::new(3)));
         assert_eq!(
             squeezes,
             vec![Reallocation {
@@ -738,7 +729,6 @@ mod tests {
         l.allocate(CallId(2), elastic_video()).unwrap();
         let before = l.clone();
         assert_eq!(l.degradation_squeezes(BandwidthUnits::new(15)), None);
-        assert_eq!(l.degrade_to_fit(BandwidthUnits::new(15)), None);
         assert_eq!(l, before);
     }
 
@@ -749,7 +739,7 @@ mod tests {
         // pre-elastic ledger's behavior.
         let mut l = full_ledger();
         assert_eq!(l.reclaimable(), BandwidthUnits::ZERO);
-        assert_eq!(l.degrade_to_fit(BandwidthUnits::new(1)), None);
+        assert_eq!(l.degradation_squeezes(BandwidthUnits::new(1)), None);
         assert!(l.reupgrade_on_release().is_empty());
         l.release(CallId(10)).unwrap();
         assert!(l.reupgrade_on_release().is_empty(), "nominal calls never re-upgrade");
@@ -844,7 +834,8 @@ mod tests {
         let mut l = BandwidthLedger::new(BandwidthUnits::new(20));
         l.allocate(CallId(1), elastic_video()).unwrap();
         l.allocate(CallId(2), elastic_video()).unwrap();
-        l.degrade_to_fit(BandwidthUnits::new(5)).unwrap();
+        let squeezes = l.degradation_squeezes(BandwidthUnits::new(5)).unwrap();
+        l.apply_squeezes(&squeezes).unwrap();
         l.allocate(CallId(3), ServiceProfile::fixed(ServiceClass::Voice, BandwidthUnits::new(5)))
             .unwrap();
         l.release(CallId(3)).unwrap();

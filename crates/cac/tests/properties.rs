@@ -124,8 +124,11 @@ proptest! {
                 ElasticOp::DegradeToFit(demand) => {
                     let demand = BandwidthUnits::new(u32::from(demand));
                     let before_free = ledger.free();
-                    match ledger.degrade_to_fit(demand) {
-                        Some(_) => prop_assert!(ledger.free() >= demand),
+                    match ledger.degradation_squeezes(demand) {
+                        Some(squeezes) => {
+                            prop_assert!(ledger.apply_squeezes(&squeezes).is_ok());
+                            prop_assert!(ledger.free() >= demand);
+                        }
                         None => prop_assert_eq!(ledger.free(), before_free, "failed degrade mutated"),
                     }
                 }

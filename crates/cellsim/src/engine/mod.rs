@@ -46,7 +46,7 @@ mod shard;
 use std::collections::VecDeque;
 use std::panic;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Barrier, Mutex};
 
 use facs_cac::{
@@ -127,10 +127,11 @@ pub struct SimulationConfig {
     /// pool to `min(shards, available cores)`; `1` runs one inline
     /// shard worker on the caller's thread even for many shards (useful
     /// on single-core hosts, where threads only add barrier overhead).
-    /// It does not mean "no other thread": a [`WorkloadStream`] input is
-    /// always synthesized on one more thread, see [`Simulation::run_with`].
-    /// Shards are **work items**, stolen whole — neither the worker count
-    /// nor where synthesis runs ever affects results, only wall-clock.
+    /// It does not mean "no other thread": every input reaches the kernel
+    /// from one more thread, the producer, which also synthesizes a
+    /// [`WorkloadStream`]; see [`Simulation::run_with`]. Shards are
+    /// **work items**, stolen whole — neither the worker count nor where
+    /// synthesis runs ever affects results, only wall-clock.
     pub workers: usize,
 }
 
@@ -155,9 +156,38 @@ pub enum RunInput {
     /// Users synthesized chunk by chunk, at most one chunk ahead of the
     /// kernel, so peak resident specs are O(active calls + two chunks).
     Stream(Box<WorkloadStream>),
-    /// A materialized workload; user id = index. It need not be sorted:
-    /// users dispatch in `(arrival µs, index)` order either way.
+    /// A materialized workload. It need not be sorted: users dispatch in
+    /// `(arrival µs, index)` order, and each user's id is its rank in
+    /// that order. For a sorted input, which every generated workload
+    /// is, the id equals the index.
     Specs(Vec<UserSpec>),
+}
+
+impl RunInput {
+    /// Users the input has yet to hand over.
+    fn unsent(&self) -> usize {
+        match self {
+            RunInput::Stream(stream) => stream.total() - stream.produced(),
+            RunInput::Specs(specs) => specs.len(),
+        }
+    }
+
+    /// Sends the input's chunks in stream order (a `Vec` as one chunk in
+    /// dispatch order) until they run out or the receiver hangs up.
+    fn send_chunks(self, sender: &SyncSender<WorkloadChunk>) {
+        match self {
+            RunInput::Stream(mut stream) => {
+                while let Some(chunk) = stream.next_chunk() {
+                    if sender.send(chunk).is_err() {
+                        break;
+                    }
+                }
+            }
+            RunInput::Specs(specs) => {
+                let _ = sender.send(WorkloadChunk { first_user: 0, specs: dispatch_order(specs) });
+            }
+        }
+    }
 }
 
 impl From<WorkloadStream> for RunInput {
@@ -254,10 +284,11 @@ impl Simulation {
     /// is the content-defined `(arrival µs, user)` order either way, so
     /// both inputs give bit-identical results.
     ///
-    /// A stream is synthesized on its own scoped thread, one chunk ahead
-    /// of the kernel, so synthesis overlaps the shards' work even with one
-    /// worker. The kernel consumes the same chunks in the same order as
-    /// if it had synthesized them itself.
+    /// Every input reaches the kernel from one scoped producer thread,
+    /// one chunk ahead over a rendezvous channel: a stream synthesizes
+    /// there, so synthesis overlaps the shards' work even with one worker,
+    /// and a `Vec` is sent as a single chunk. The kernel consumes the same
+    /// chunks in the same order as if it had produced them itself.
     pub fn run_with<S: MetricsSink>(&mut self, workload: impl Into<RunInput>, mut sink: S) -> S {
         let shard_count = self.config.shards.clamp(1, self.cells.len().max(1));
         if shard_count > 1 {
@@ -291,34 +322,24 @@ impl Simulation {
             .collect();
 
         let workers = resolve_workers(self.config.workers, shard_count);
-        let epochs = match workload.into() {
-            RunInput::Specs(specs) => {
-                drive(&mut shards, tick, horizon, workers, StreamFeeder::eager(specs, grid))
+        let input = workload.into();
+        let unsent = input.unsent();
+        let epochs = std::thread::scope(|scope| {
+            // Rendezvous: the producer runs at most one chunk ahead, and
+            // stops once the feeder hangs up (at the latest when `drive`
+            // returns and drops it), so a run cut at its horizon never
+            // waits on synthesis nobody needs.
+            let (sender, chunks) = mpsc::sync_channel(0);
+            let producer = scope.spawn(move || input.send_chunks(&sender));
+            let feeder = StreamFeeder::new(chunks, unsent, grid);
+            let epochs = drive(&mut shards, tick, horizon, workers, feeder);
+            // The feeder runs dry early only if the producer panicked:
+            // re-raise that panic rather than return a truncated run.
+            if let Err(cause) = producer.join() {
+                panic::resume_unwind(cause);
             }
-            RunInput::Stream(stream) => std::thread::scope(|scope| {
-                // Rendezvous: the producer runs at most one chunk ahead,
-                // and stops once the feeder hangs up, so a run cut at its
-                // horizon never waits on synthesis nobody needs.
-                let (sender, chunks) = mpsc::sync_channel(0);
-                let unsent = stream.total() - stream.produced();
-                let producer = scope.spawn(move || {
-                    let mut stream = *stream;
-                    while let Some(chunk) = stream.next_chunk() {
-                        if sender.send(chunk).is_err() {
-                            break;
-                        }
-                    }
-                });
-                let feeder = StreamFeeder::piped(chunks, unsent, grid);
-                let epochs = drive(&mut shards, tick, horizon, workers, feeder);
-                // The feeder runs dry early only if the producer panicked:
-                // re-raise that panic rather than return a truncated run.
-                if let Err(cause) = producer.join() {
-                    panic::resume_unwind(cause);
-                }
-                epochs
-            }),
-        };
+            epochs
+        });
 
         // Reassemble: fold shard sinks in shard order, collect cells back
         // into id order and flush each cell's utilization integral.
@@ -359,7 +380,7 @@ fn barrier_time(tick: SimDuration, epoch: u64) -> SimTime {
 /// Sizes the worker pool: an explicit count is honored (capped at one
 /// worker per shard, more can never help); `0` asks the OS for the
 /// available parallelism, a probe skipped outright for one shard, which
-/// runs one inline worker and costs no threads at all.
+/// runs one inline worker and costs no worker threads at all.
 fn resolve_workers(configured: usize, shard_count: usize) -> usize {
     let requested = if configured == 0 && shard_count > 1 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -369,37 +390,26 @@ fn resolve_workers(configured: usize, shard_count: usize) -> usize {
     requested.min(shard_count)
 }
 
-/// Delivers a [`RunInput`] into per-shard arrival inboxes one epoch
-/// window at a time. Only the specs due by the window limit leave the
-/// current chunk, so an in-memory `Vec` (one chunk holding every user)
-/// is never duplicated into the pending queues.
+/// Delivers the producer's chunks into per-shard arrival inboxes one
+/// epoch window at a time. Only the specs due by the window limit leave
+/// the current chunk, so an in-memory `Vec` (one chunk holding every
+/// user) is never duplicated into the pending queues.
 struct StreamFeeder<'g> {
     grid: &'g HexGrid,
-    /// The producer's chunks after `chunk`, in stream order (`None` for
-    /// an in-memory `Vec`, which is one chunk holding every user).
-    chunks: Option<Receiver<WorkloadChunk>>,
+    /// The producer's chunks after `chunk`, in stream order.
+    chunks: Receiver<WorkloadChunk>,
     /// Users the producer has yet to send: the feeder knows the stream
     /// is exhausted without ever blocking on `chunks`.
     unsent: usize,
     /// The current chunk's undelivered specs, in dispatch order.
     chunk: VecDeque<UserSpec>,
-    /// User id of `chunk`'s front spec when ids run consecutively.
+    /// User id of `chunk`'s front spec; ids run consecutively.
     next_user: u64,
-    /// The user id of every spec left in `chunk` when an unsorted `Vec`
-    /// had to be reordered; empty otherwise.
-    reordered: VecDeque<u64>,
 }
 
 impl<'g> StreamFeeder<'g> {
-    fn eager(specs: Vec<UserSpec>, grid: &'g HexGrid) -> Self {
-        let (specs, users) = dispatch_order(specs);
-        let (chunk, reordered) = (specs.into(), users.into());
-        Self { grid, chunks: None, unsent: 0, chunk, next_user: 0, reordered }
-    }
-
-    fn piped(chunks: Receiver<WorkloadChunk>, unsent: usize, grid: &'g HexGrid) -> Self {
-        let (chunk, reordered) = (VecDeque::new(), VecDeque::new());
-        Self { grid, chunks: Some(chunks), unsent, chunk, next_user: 0, reordered }
+    fn new(chunks: Receiver<WorkloadChunk>, unsent: usize, grid: &'g HexGrid) -> Self {
+        Self { grid, chunks, unsent, chunk: VecDeque::new(), next_user: 0 }
     }
 
     /// True once every user has been delivered.
@@ -417,10 +427,10 @@ impl<'g> StreamFeeder<'g> {
     /// panicking here instead, on one worker of a pool, would leave the
     /// others waiting at a barrier forever.
     fn pull_chunk(&mut self) -> bool {
-        let Some(chunks) = self.chunks.as_ref().filter(|_| self.unsent > 0) else {
+        if self.unsent == 0 {
             return false;
-        };
-        let Ok(next) = chunks.recv() else {
+        }
+        let Ok(next) = self.chunks.recv() else {
             self.unsent = 0;
             return false;
         };
@@ -449,7 +459,7 @@ impl<'g> StreamFeeder<'g> {
                 break;
             }
             let spec = self.chunk.pop_front().expect("peeked spec vanished");
-            let user = self.reordered.pop_front().unwrap_or(self.next_user);
+            let user = self.next_user;
             self.next_user += 1;
             let cell = self.grid.locate(spec.start.position);
             let target = cell.0 as usize % inboxes.len();
@@ -465,26 +475,23 @@ impl<'g> StreamFeeder<'g> {
     }
 }
 
-/// Puts an in-memory workload into dispatch order `(arrival µs, index)`,
-/// returning the specs and, only if they had to move, each one's user
-/// id (its original index). Generated workloads are already in order,
-/// so the common case costs one O(n) check and no sort.
-fn dispatch_order(specs: Vec<UserSpec>) -> (Vec<UserSpec>, Vec<u64>) {
+/// Puts an in-memory workload into dispatch order `(arrival µs, index)`.
+/// Generated workloads are already in order, so the common case costs
+/// one O(n) check and no sort.
+fn dispatch_order(mut specs: Vec<UserSpec>) -> Vec<UserSpec> {
     let due = |spec: &UserSpec| SimTime::from_secs_f64(spec.arrival_s);
-    if specs.windows(2).all(|w| due(&w[0]) <= due(&w[1])) {
-        return (specs, Vec::new());
+    if !specs.windows(2).all(|w| due(&w[0]) <= due(&w[1])) {
+        // Stable: users due at the same instant keep ascending index order.
+        specs.sort_by_key(due);
     }
-    let mut indexed: Vec<(u64, UserSpec)> = (0..).zip(specs).collect();
-    // Stable: users due at the same instant keep ascending index order.
-    indexed.sort_by_key(|(_, spec)| due(spec));
-    indexed.into_iter().map(|(user, spec)| (spec, user)).unzip()
+    specs
 }
 
 /// The epoch driver: `workers` threads drive all `shards.len()` shards,
 /// **stealing shards whole** from a shared atomic counter in each
 /// phase. Two [`Barrier`] waits per epoch separate the event/movement
 /// phase from the admission phase. With one worker the same loop runs
-/// inline on the caller's thread — no scope, no spawned threads — and
+/// inline on the caller's thread — no scope, no spawned workers — and
 /// every barrier wait returns at once.
 ///
 /// ## Why stealing cannot perturb results
@@ -506,10 +513,10 @@ fn dispatch_order(specs: Vec<UserSpec>) -> (Vec<UserSpec>, Vec<u64>) {
 /// movement work instead of stalling every worker at a barrier. With one
 /// worker the refill simply runs first, inline.
 ///
-/// For a stream the refill synthesizes nothing: it receives each chunk
-/// from the producer thread of [`Simulation::run_with`], which runs one
-/// chunk ahead over a rendezvous channel, so synthesis of chunk k + 1
-/// overlaps the shards' work on chunk k even with one worker. Synthesis
+/// The refill synthesizes nothing: it receives each chunk from the
+/// producer thread of [`Simulation::run_with`], which runs one chunk
+/// ahead over a rendezvous channel, so synthesis of chunk k + 1 overlaps
+/// the shards' work on chunk k even with one worker. Synthesis
 /// is a pure function of the seed and the refill delivers exactly the
 /// specs due by its window, in stream order; only the thread that ran
 /// `WorkloadStream::next_chunk` differs from synthesizing inline. A
@@ -744,11 +751,30 @@ mod tests {
         let run = |workload: Vec<UserSpec>| {
             let grid = HexGrid::single_cell(10.0);
             let mut sim = Simulation::new(grid, SimulationConfig::default(), controllers(1));
-            sim.run(workload)
+            sim.run_with(workload, (Metrics::new(), crate::validate::TraceDigest::new()))
         };
         let expected = run(sorted);
-        assert!(expected.blocked_new > 0, "workload should contend for capacity");
+        assert!(expected.0.blocked_new > 0, "workload should contend for capacity");
+        // The digest hashes user ids too: each reversed user takes its
+        // rank in dispatch order as its id, which is its sorted index.
         assert_eq!(expected, run(reversed));
+    }
+
+    #[test]
+    fn an_empty_workload_runs_no_epochs() {
+        use crate::traffic::HoldingTimes;
+        use crate::workload::{SpawnSpec, Workload};
+        let grid = HexGrid::new(1, 2.0);
+        let desc = Workload { spawn: SpawnSpec::AnyCell, ..Workload::default() };
+        for (shards, workers) in [(1, 1), (3, 3)] {
+            let stream = desc.stream(&grid, 0, 60.0, HoldingTimes::new(30.0), 1, 4);
+            for input in [RunInput::from(Vec::new()), stream.into()] {
+                let config = SimulationConfig { shards, workers, ..Default::default() };
+                let mut sim = Simulation::new(grid.clone(), config, controllers(7));
+                assert_eq!(sim.run(input), Metrics::default(), "{shards} shards");
+                assert_eq!(sim.now(), SimTime::ZERO);
+            }
+        }
     }
 
     #[test]
@@ -1146,7 +1172,7 @@ mod tests {
         let specs = vec![stationary_spec(1.0, ServiceClass::Voice, 10.0)];
         sender.send(WorkloadChunk { first_user: 0, specs }).expect("channel open");
         drop(sender);
-        let mut feeder = StreamFeeder::piped(chunks, 5, &grid);
+        let mut feeder = StreamFeeder::new(chunks, 5, &grid);
         let inboxes = [Mutex::new(VecDeque::new())];
         assert!(!feeder.refill(&inboxes, SimTime::from_secs_f64(0.5)), "nothing due yet");
         assert!(!feeder.exhausted(), "four users are still unsent");

@@ -230,7 +230,7 @@ pub(crate) struct Shard<'a, S> {
     config: SimulationConfig,
     /// The owned cells, ascending id (ids ≡ `index` mod `shard_count`).
     pub(crate) cells: Vec<CellUnit>,
-    /// Call-ends only; arrivals never touch the calendar queue.
+    /// Call-ends only; arrivals never touch the queue.
     queue: EngineQueue,
     /// Arrivals delivered by the feeder one epoch window at a time, the
     /// home cell already located.
@@ -257,9 +257,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             grid,
             config,
             cells,
-            // Bucket the calendar at the epoch cadence so one epoch's
-            // drain range maps onto exactly one bucket.
-            queue: EngineQueue::with_epoch(SimDuration::from_secs_f64(config.movement_tick_s)),
+            queue: EngineQueue::new(),
             pending: VecDeque::new(),
             active: ActiveArena::default(),
             movers: Vec::new(),
@@ -367,7 +365,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
     }
 
     /// Phase A: processes every event with `time <= limit` — arrivals
-    /// from the pending FIFO, call-ends drained from the calendar queue,
+    /// from the pending FIFO, call-ends drained from the event queue,
     /// merged on the content-defined order. A call-end at the same
     /// instant as an arrival dispatches first (capacity is freed before
     /// new decisions are made), so the queue is drained up to and
@@ -375,13 +373,11 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
     pub(crate) fn run_events(&mut self, limit: SimTime) {
         loop {
             let next_arrival = self.pending.front().map(|p| SimTime::from_micros(p.time_us));
-            if !self.queue.is_empty() {
-                let bound = next_arrival.map_or(limit, |t| t.min(limit));
-                while let Some((now, EngineEvent::CallEnd { user, generation }, tag)) =
-                    self.queue.pop_within(bound)
-                {
-                    self.handle_call_end(now, user, generation, tag);
-                }
+            let bound = next_arrival.map_or(limit, |t| t.min(limit));
+            while let Some((now, EngineEvent::CallEnd { user, generation }, tag)) =
+                self.queue.pop_within(bound)
+            {
+                self.handle_call_end(now, user, generation, tag);
             }
             match next_arrival {
                 Some(now) if now <= limit => {

@@ -81,8 +81,8 @@ pub struct ScenarioConfig {
     /// results are bit-identical for any value, see [`crate::engine`]).
     pub shards: usize,
     /// Worker threads driving the shards (0 = auto-size to the host,
-    /// 1 = one inline shard worker; bit-identical for any value). A
-    /// streamed run also synthesizes on one more thread, see
+    /// 1 = one inline shard worker; bit-identical for any value). Every
+    /// run also feeds its input from one more thread, the producer, see
     /// [`SimulationConfig::workers`].
     pub workers: usize,
     /// Base RNG seed.
@@ -91,12 +91,13 @@ pub struct ScenarioConfig {
     pub replications: u32,
     /// Synthesize the workload through the chunked
     /// [`WorkloadStream`] instead of materializing every
-    /// [`UserSpec`] up front (see [`ScenarioConfig::run_input`]). It
-    /// selects only how specs are synthesized: the kernel runs one
-    /// arrival path, and results are bit-identical either way;
+    /// [`UserSpec`] up front as one slab (see
+    /// [`ScenarioConfig::run_input`]). It selects only how specs are
+    /// synthesized: either input reaches the kernel through the same
+    /// producer thread and arrival path, and results are bit-identical;
     /// streaming keeps peak memory at O(active calls + two chunks) for
-    /// planet-scale runs, and synthesizes on its own thread alongside
-    /// the shard workers.
+    /// planet-scale runs and moves synthesis onto the producer thread,
+    /// alongside the shard workers.
     pub streamed: bool,
 }
 

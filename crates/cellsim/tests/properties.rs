@@ -10,15 +10,15 @@ use facs_cellsim::events::{EngineEvent, EngineQueue, UserId};
 use facs_cellsim::geometry::{HexCoord, HexGrid, Point};
 use facs_cellsim::mobility::{MobileState, MobilityModel, Walker};
 use facs_cellsim::rng::SimRng;
-use facs_cellsim::time::{SimDuration, SimTime};
+use facs_cellsim::time::SimTime;
 use facs_cellsim::{HoldingTimes, Simulation, SimulationConfig, TraceDigest, Workload};
 use proptest::prelude::*;
 
-/// Reference priority queue over the same content keys the calendar
+/// Reference priority queue over the same content keys the engine
 /// queue orders by.
 type ModelHeap = BinaryHeap<Reverse<(SimTime, (u64, u32))>>;
 
-/// The calendar queue's content-defined tie-break key, recomputed here
+/// The engine queue's content-defined tie-break key, recomputed here
 /// so the reference model cannot drift from the production ordering
 /// contract (user, then generation).
 fn engine_key(event: EngineEvent) -> (u64, u32) {
@@ -137,21 +137,19 @@ proptest! {
         prop_assert!(erlang_b(servers + 1, a) <= b);
     }
 
-    /// The calendar queue pops the exact `(time, key)` sequence a
-    /// reference `BinaryHeap` over the same content keys would, across
-    /// every internal path: current-bucket incursions (mid-drain
-    /// scheduling), ring buckets, same-instant ties on epoch
-    /// boundaries, and far-future events that overflow the ring and
-    /// migrate back. Also exercises the `pop_within` limit contract.
+    /// The engine queue pops the exact `(time, key)` sequence a
+    /// reference `BinaryHeap` over independently written content keys
+    /// would: mid-drain scheduling, same-instant ties on epoch
+    /// boundaries, and far-future events. Also exercises the
+    /// `pop_within` limit contract.
     #[test]
-    fn calendar_queue_matches_reference_heap(
+    fn engine_queue_matches_reference_heap(
         first in prop::collection::vec((0u8..3, 0u64..40_000_000), 1..80),
         second in prop::collection::vec((0u8..3, 0u64..40_000_000), 0..40),
         drained in 0usize..40,
         limit_us in 1u64..60_000_000,
     ) {
-        let epoch = SimDuration::from_micros(5_000_000);
-        let mut queue = EngineQueue::with_epoch(epoch);
+        let mut queue = EngineQueue::new();
         let mut model = ModelHeap::new();
         let push = |queue: &mut EngineQueue,
                         model: &mut ModelHeap,
@@ -161,7 +159,7 @@ proptest! {
             let time = match shape {
                 // Same-instant tie pinned to an epoch boundary.
                 0 => SimTime::from_micros(raw_us / 5_000_000 * 5_000_000),
-                // Far future: past the 4096-bucket ring, into overflow.
+                // Far future: hours past every near-term event.
                 1 => SimTime::from_micros(25_000_000_000 + raw_us),
                 // Ordinary near-term event.
                 _ => SimTime::from_micros(raw_us),
@@ -174,8 +172,7 @@ proptest! {
             push(&mut queue, &mut model, shape, raw, i as u64);
         }
         // Drain part of the schedule, then keep scheduling: later pushes
-        // can land in (or before) the bucket currently draining, the
-        // incursion path a plain heap never needs.
+        // can land before entries already popped.
         for _ in 0..drained.min(first.len()) {
             let (time, event, _) = queue.pop_within(SimTime::from_micros(u64::MAX)).unwrap();
             let Reverse(expected) = model.pop().unwrap();

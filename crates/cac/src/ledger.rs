@@ -10,10 +10,18 @@
 //! ([`BandwidthLedger::reupgrade_on_release`]). Both directions move one
 //! bandwidth unit at a time in fair-share order, so the squeeze is
 //! spread across the calls with the most slack and the recovery goes to
-//! the calls farthest below nominal. All iteration is over a `BTreeMap`,
-//! keeping reallocation order deterministic for the sharded simulator.
+//! the calls farthest below nominal.
+//!
+//! The calls live in one `Vec` kept sorted by [`CallId`] and searched by
+//! binary search, so every walk (iteration, both fair-share loops, the
+//! returned reallocation lists) runs in ascending-id order and the
+//! lowest-id tie-breaks stay deterministic for the sharded simulator.
+//! A cell holds a handful of calls, so the sorted insert and remove
+//! shift only a few entries. When the last call leaves, the buffer is
+//! freed, not kept: a large grid has ~100k cells, most of them idle at
+//! any moment, and an emptied buffer kept in each would stay resident
+//! for the whole run.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -45,8 +53,9 @@ pub enum LedgerError {
         /// The profile's nominal cost.
         nominal: BandwidthUnits,
     },
-    /// A squeeze that names an unknown call, raises an allocation, or
-    /// dips below the victim's QoS floor.
+    /// A squeeze that names an unknown call, raises an allocation, dips
+    /// below the victim's QoS floor, or repeats a call named earlier in
+    /// the same list.
     InvalidSqueeze(CallId),
 }
 
@@ -62,7 +71,10 @@ impl fmt::Display for LedgerError {
                 write!(f, "grant {grant} outside the [{floor}, {nominal}] profile band")
             }
             LedgerError::InvalidSqueeze(id) => {
-                write!(f, "squeeze on {id} is unknown, non-shrinking, or below its QoS floor")
+                write!(
+                    f,
+                    "squeeze on {id} is unknown, non-shrinking, below its QoS floor, or repeated"
+                )
             }
         }
     }
@@ -119,7 +131,8 @@ pub struct Reallocation {
 /// * conservation — `occupied()` equals the sum of all outstanding
 ///   allocations, and `occupied() + free() == capacity()`;
 /// * QoS floor — every allocation stays inside its profile's
-///   `[rb_cost_min, rb_cost_nominal]` band.
+///   `[rb_cost_min, rb_cost_nominal]` band;
+/// * order — the store is strictly ascending by [`CallId`].
 ///
 /// # Examples
 ///
@@ -141,7 +154,8 @@ pub struct Reallocation {
 pub struct BandwidthLedger {
     capacity: BandwidthUnits,
     occupied: BandwidthUnits,
-    allocations: BTreeMap<CallId, Allocation>,
+    /// Live calls, strictly ascending by id; no heap buffer while empty.
+    allocations: Vec<(CallId, Allocation)>,
     counts: ClassCounts,
 }
 
@@ -152,7 +166,7 @@ impl BandwidthLedger {
         Self {
             capacity,
             occupied: BandwidthUnits::ZERO,
-            allocations: BTreeMap::new(),
+            allocations: Vec::new(),
             counts: ClassCounts::default(),
         }
     }
@@ -203,26 +217,36 @@ impl BandwidthLedger {
     /// Class of an active call, if present.
     #[must_use]
     pub fn class_of(&self, id: CallId) -> Option<ServiceClass> {
-        self.allocations.get(&id).map(|a| a.profile.class)
+        self.get(id).map(|a| a.profile.class)
     }
 
     /// Service profile of an active call, if present.
     #[must_use]
     pub fn profile_of(&self, id: CallId) -> Option<ServiceProfile> {
-        self.allocations.get(&id).map(|a| a.profile)
+        self.get(id).map(|a| a.profile)
     }
 
     /// Bandwidth currently granted to an active call, if present.
     #[must_use]
     pub fn allocated_to(&self, id: CallId) -> Option<BandwidthUnits> {
-        self.allocations.get(&id).map(|a| a.allocated)
+        self.get(id).map(|a| a.allocated)
+    }
+
+    /// Where `id` sits in the sorted store: `Ok(index)` when it is
+    /// active, `Err(insertion point)` otherwise.
+    fn slot(&self, id: CallId) -> Result<usize, usize> {
+        self.allocations.binary_search_by_key(&id, |&(call, _)| call)
+    }
+
+    fn get(&self, id: CallId) -> Option<&Allocation> {
+        self.slot(id).ok().map(|i| &self.allocations[i].1)
     }
 
     /// Total bandwidth the ledger could still reclaim by degrading every
     /// elastic call to its floor.
     #[must_use]
     pub fn reclaimable(&self) -> BandwidthUnits {
-        self.allocations.values().map(Allocation::slack).sum()
+        self.allocations.iter().map(|(_, a)| a.slack()).sum()
     }
 
     /// Allocates the profile's nominal bandwidth for a call.
@@ -252,11 +276,11 @@ impl BandwidthLedger {
         profile: ServiceProfile,
         grant: BandwidthUnits,
     ) -> Result<(), LedgerError> {
-        self.check_grant(id, profile, grant)?;
+        let at = self.check_grant(id, profile, grant)?;
         if !self.can_fit(grant) {
             return Err(LedgerError::Insufficient { requested: grant, free: self.free() });
         }
-        self.allocations.insert(id, Allocation { profile, allocated: grant });
+        self.allocations.insert(at, (id, Allocation { profile, allocated: grant }));
         self.occupied += grant;
         self.counts.increment(profile.class);
         self.assert_conserved();
@@ -280,32 +304,28 @@ impl BandwidthLedger {
         if needed > self.reclaimable().get() {
             return None;
         }
-        // Working copy of (slack, id) — small per-cell populations make
-        // the unit-by-unit scan cheap and keep the order obviously fair.
-        let mut working: BTreeMap<CallId, Allocation> = self
+        // Working copy of the calls with slack, still in ascending-id
+        // order — small per-cell populations make the unit-by-unit scan
+        // cheap and keep the order obviously fair.
+        let mut working: Vec<(CallId, BandwidthUnits, Allocation)> = self
             .allocations
             .iter()
             .filter(|(_, a)| !a.slack().is_zero())
-            .map(|(&id, &a)| (id, a))
+            .map(|&(id, a)| (id, a.allocated, a))
             .collect();
         while needed > 0 {
-            let (&victim, _) = working
-                .iter()
-                .max_by_key(|(&id, a)| (a.slack(), std::cmp::Reverse(id)))
+            let (_, _, victim) = working
+                .iter_mut()
+                .max_by_key(|(id, _, a)| (a.slack(), std::cmp::Reverse(*id)))
                 .expect("reclaimable() guaranteed enough slack");
-            let entry = working.get_mut(&victim).expect("victim just found");
-            entry.allocated -= BandwidthUnits::new(1);
+            victim.allocated -= BandwidthUnits::new(1);
             needed -= 1;
         }
         Some(
             working
                 .into_iter()
-                .filter(|(id, a)| a.allocated < self.allocations[id].allocated)
-                .map(|(id, a)| Reallocation {
-                    call: id,
-                    from: self.allocations[&id].allocated,
-                    to: a.allocated,
-                })
+                .filter(|(_, from, a)| a.allocated < *from)
+                .map(|(call, from, a)| Reallocation { call, from, to: a.allocated })
                 .collect(),
         )
     }
@@ -316,15 +336,16 @@ impl BandwidthLedger {
     /// # Errors
     ///
     /// [`LedgerError::InvalidSqueeze`] when a squeeze names an unknown
-    /// call, does not shrink its allocation, or dips below its QoS floor.
+    /// call, does not shrink its allocation, dips below its QoS floor, or
+    /// names a call an earlier squeeze in the list already named.
     pub fn apply_squeezes(
         &mut self,
         squeezes: &[Reallocation],
     ) -> Result<BandwidthUnits, LedgerError> {
         let freed = self.squeeze_yield(squeezes)?;
         for s in squeezes {
-            let alloc = self.allocations.get_mut(&s.call).expect("validated above");
-            alloc.allocated = s.to;
+            let at = self.slot(s.call).expect("validated above");
+            self.allocations[at].1.allocated = s.to;
         }
         self.occupied -= freed;
         self.assert_conserved();
@@ -359,13 +380,14 @@ impl BandwidthLedger {
     }
 
     /// Checks that `grant` lies in `profile`'s `[floor, nominal]` band
-    /// and that `id` holds no allocation yet.
+    /// and that `id` holds no allocation yet; returns where `id` goes in
+    /// the sorted store.
     fn check_grant(
         &self,
         id: CallId,
         profile: ServiceProfile,
         grant: BandwidthUnits,
-    ) -> Result<(), LedgerError> {
+    ) -> Result<usize, LedgerError> {
         if grant < profile.rb_cost_min || grant > profile.rb_cost_nominal {
             return Err(LedgerError::GrantOutOfBand {
                 grant,
@@ -373,21 +395,21 @@ impl BandwidthLedger {
                 nominal: profile.rb_cost_nominal,
             });
         }
-        if self.allocations.contains_key(&id) {
-            return Err(LedgerError::AlreadyAllocated(id));
-        }
-        Ok(())
+        self.slot(id).err().ok_or(LedgerError::AlreadyAllocated(id))
     }
 
     /// Validates `squeezes` without applying them and returns the
     /// bandwidth they would free.
     fn squeeze_yield(&self, squeezes: &[Reallocation]) -> Result<BandwidthUnits, LedgerError> {
         let mut freed = BandwidthUnits::ZERO;
-        for s in squeezes {
-            let alloc = self.allocations.get(&s.call).ok_or(LedgerError::InvalidSqueeze(s.call))?;
+        for (i, s) in squeezes.iter().enumerate() {
+            let alloc = self.get(s.call).ok_or(LedgerError::InvalidSqueeze(s.call))?;
+            // A repeat would be checked against the same unchanged
+            // allocation and free its bandwidth twice.
             if s.from != alloc.allocated
                 || s.to >= alloc.allocated
                 || s.to < alloc.profile.rb_cost_min
+                || squeezes[..i].iter().any(|p| p.call == s.call)
             {
                 return Err(LedgerError::InvalidSqueeze(s.call));
             }
@@ -408,34 +430,37 @@ impl BandwidthLedger {
         if free == 0 {
             return Vec::new();
         }
-        let before: BTreeMap<CallId, BandwidthUnits> = self
+        // (store index, allocation before) of every degraded call; no call
+        // joins or leaves below, so the indices stay valid.
+        let before: Vec<(usize, BandwidthUnits)> = self
             .allocations
             .iter()
-            .filter(|(_, a)| a.is_degraded())
-            .map(|(&id, a)| (id, a.allocated))
+            .enumerate()
+            .filter(|(_, (_, a))| a.is_degraded())
+            .map(|(i, (_, a))| (i, a.allocated))
             .collect();
         if before.is_empty() {
             return Vec::new();
         }
         while free > 0 {
-            let Some((&target, _)) = self
+            let Some((_, target)) = self
                 .allocations
-                .iter()
+                .iter_mut()
                 .filter(|(_, a)| a.is_degraded())
-                .max_by_key(|(&id, a)| (a.deficit(), std::cmp::Reverse(id)))
+                .max_by_key(|(id, a)| (a.deficit(), std::cmp::Reverse(*id)))
             else {
                 break;
             };
-            let alloc = self.allocations.get_mut(&target).expect("target just found");
-            alloc.allocated += BandwidthUnits::new(1);
+            target.allocated += BandwidthUnits::new(1);
             self.occupied += BandwidthUnits::new(1);
             free -= 1;
         }
         self.assert_conserved();
         before
             .into_iter()
-            .filter(|(id, from)| self.allocations[id].allocated > *from)
-            .map(|(id, from)| Reallocation { call: id, from, to: self.allocations[&id].allocated })
+            .map(|(i, from)| (self.allocations[i], from))
+            .filter(|((_, a), from)| a.allocated > *from)
+            .map(|((call, a), from)| Reallocation { call, from, to: a.allocated })
             .collect()
     }
 
@@ -449,7 +474,12 @@ impl BandwidthLedger {
     ///
     /// [`LedgerError::UnknownCall`] when `id` holds no allocation.
     pub fn release(&mut self, id: CallId) -> Result<ServiceProfile, LedgerError> {
-        let alloc = self.allocations.remove(&id).ok_or(LedgerError::UnknownCall(id))?;
+        let at = self.slot(id).map_err(|_| LedgerError::UnknownCall(id))?;
+        let (_, alloc) = self.allocations.remove(at);
+        if self.allocations.is_empty() {
+            // Free the buffer: an idle cell keeps no heap memory.
+            self.allocations = Vec::new();
+        }
         self.occupied -= alloc.allocated;
         self.counts.decrement(alloc.profile.class);
         self.assert_conserved();
@@ -459,7 +489,7 @@ impl BandwidthLedger {
     /// Iterates over `(call, allocation)` pairs of active calls in
     /// ascending [`CallId`] order.
     pub fn iter(&self) -> impl Iterator<Item = (CallId, Allocation)> + '_ {
-        self.allocations.iter().map(|(&id, &a)| (id, a))
+        self.allocations.iter().copied()
     }
 
     /// A read-only snapshot for admission controllers.
@@ -468,18 +498,23 @@ impl BandwidthLedger {
         CellSnapshot { capacity: self.capacity, occupied: self.occupied, counts: self.counts }
     }
 
-    /// Debug-build check of the conservation and QoS-floor invariants.
+    /// Debug-build check of the conservation, QoS-floor and order
+    /// invariants.
     fn assert_conserved(&self) {
         debug_assert_eq!(
-            self.allocations.values().map(|a| a.allocated).sum::<BandwidthUnits>(),
+            self.allocations.iter().map(|(_, a)| a.allocated).sum::<BandwidthUnits>(),
             self.occupied,
             "ledger conservation broken: occupied diverged from the allocation sum"
         );
         debug_assert!(self.occupied <= self.capacity, "ledger over capacity");
         debug_assert!(
-            self.allocations.values().all(|a| a.allocated >= a.profile.rb_cost_min
+            self.allocations.iter().all(|(_, a)| a.allocated >= a.profile.rb_cost_min
                 && a.allocated <= a.profile.rb_cost_nominal),
             "an allocation left its [floor, nominal] band"
+        );
+        debug_assert!(
+            self.allocations.windows(2).all(|w| w[0].0 < w[1].0),
+            "the store left strictly ascending id order"
         );
     }
 }
@@ -844,5 +879,52 @@ mod tests {
         assert_eq!(l.allocated_to(CallId(1)), Some(BandwidthUnits::new(10)));
         assert_eq!(l.allocated_to(CallId(2)), Some(BandwidthUnits::new(10)));
         assert_eq!(l.occupied().get(), 20);
+    }
+
+    #[test]
+    fn squeeze_lists_that_repeat_a_call_are_refused() {
+        // Each entry is valid on its own, but together they would free
+        // 3 + 4 BU while the call gives back only 4.
+        let mut l = BandwidthLedger::new(BandwidthUnits::new(15));
+        l.allocate(CallId(1), elastic_video()).unwrap();
+        let repeated = [
+            Reallocation {
+                call: CallId(1),
+                from: BandwidthUnits::new(10),
+                to: BandwidthUnits::new(7),
+            },
+            Reallocation {
+                call: CallId(1),
+                from: BandwidthUnits::new(10),
+                to: BandwidthUnits::new(6),
+            },
+        ];
+        let before = l.clone();
+        assert_eq!(l.apply_squeezes(&repeated), Err(LedgerError::InvalidSqueeze(CallId(1))));
+        assert_eq!(l, before, "a refused squeeze list must not mutate the ledger");
+        assert_eq!(
+            l.admit_with_plan(CallId(2), elastic_video(), BandwidthUnits::new(10), &repeated),
+            Err(LedgerError::InvalidSqueeze(CallId(1)))
+        );
+        assert_eq!(l, before, "a refused plan must not mutate the ledger");
+    }
+
+    #[test]
+    fn an_emptied_ledger_holds_no_buffer() {
+        let mut l = BandwidthLedger::new(BandwidthUnits::new(40));
+        assert_eq!(l.allocations.capacity(), 0);
+        l.allocate(CallId(1), ServiceProfile::paper(ServiceClass::Voice)).unwrap();
+        assert!(l.allocations.capacity() > 0);
+        l.release(CallId(1)).unwrap();
+        assert_eq!(l.allocations.capacity(), 0, "one call came and went");
+
+        let mut l = full_ledger();
+        for i in [4, 1, 10, 7, 2, 9, 3, 6, 5] {
+            l.release(CallId(i)).unwrap();
+            assert!(l.allocations.capacity() > 0, "a call is still active");
+        }
+        l.release(CallId(8)).unwrap();
+        assert_eq!(l.allocations.capacity(), 0, "a full ledger drained to empty");
+        assert_eq!(l, BandwidthLedger::new(BandwidthUnits::new(40)));
     }
 }

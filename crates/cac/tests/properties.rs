@@ -1,9 +1,11 @@
 //! Property-based tests for the CAC substrate invariants.
 
+use std::collections::BTreeMap;
+
 use facs_cac::policies::{CompleteSharing, GuardChannel};
 use facs_cac::{
     AdmissionController, BandwidthLedger, BandwidthUnits, CallId, CallKind, CallRequest,
-    MobilityInfo, ServiceClass, ServiceProfile, Verdict,
+    ClassCounts, MobilityInfo, Reallocation, ServiceClass, ServiceProfile, Verdict,
 };
 use proptest::prelude::*;
 
@@ -47,6 +49,9 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 #[derive(Debug, Clone)]
 enum ElasticOp {
     Allocate(u64, ServiceClass, u8),
+    /// Allocate below nominal: the grant is `floor + k` clamped to the
+    /// band, so degraded calls exist without any squeeze.
+    AllocateAt(u64, ServiceClass, u8, u8),
     Release(u64),
     DegradeToFit(u8),
     Reupgrade,
@@ -56,12 +61,121 @@ fn arb_elastic_ops() -> impl Strategy<Value = Vec<ElasticOp>> {
     prop::collection::vec(
         prop_oneof![
             (0u64..32, arb_class(), 0u8..=10).prop_map(|(id, c, f)| ElasticOp::Allocate(id, c, f)),
+            (0u64..32, arb_class(), 0u8..=10, 0u8..=10)
+                .prop_map(|(id, c, f, k)| ElasticOp::AllocateAt(id, c, f, k)),
             (0u64..32).prop_map(ElasticOp::Release),
             (1u8..=20).prop_map(ElasticOp::DegradeToFit),
             proptest::strategy::Just(ElasticOp::Reupgrade),
         ],
         0..200,
     )
+}
+
+/// Elastic profile at the class's paper demand with a floor of
+/// `floor_tenths / 10` of nominal.
+fn elastic(class: ServiceClass, floor_tenths: u8) -> ServiceProfile {
+    ServiceProfile::elastic(class, class.demand(), f64::from(floor_tenths) / 10.0, 60.0)
+}
+
+/// A reference ledger for `elastic_ledger_matches_a_reference_model`:
+/// one `BTreeMap` from call id to `(profile, allocated BU)`, with the
+/// fair-share rules written out plainly. Both unit-by-unit walks scan
+/// the map in ascending id and keep the first strict maximum, which is
+/// the lowest-id tie-break.
+struct ReferenceLedger {
+    capacity: u32,
+    calls: BTreeMap<u64, (ServiceProfile, u32)>,
+}
+
+impl ReferenceLedger {
+    fn occupied(&self) -> u32 {
+        self.calls.values().map(|&(_, bu)| bu).sum()
+    }
+
+    fn free(&self) -> u32 {
+        self.capacity - self.occupied()
+    }
+
+    fn counts(&self) -> ClassCounts {
+        let mut counts = ClassCounts::default();
+        for (profile, _) in self.calls.values() {
+            match profile.class {
+                ServiceClass::Text => counts.text += 1,
+                ServiceClass::Voice => counts.voice += 1,
+                ServiceClass::Video => counts.video += 1,
+            }
+        }
+        counts
+    }
+
+    fn allocate(&mut self, id: u64, profile: ServiceProfile, grant: u32) -> bool {
+        if self.calls.contains_key(&id) || grant > self.free() {
+            return false;
+        }
+        self.calls.insert(id, (profile, grant));
+        true
+    }
+
+    /// The first id, in ascending order, whose `score` is strictly the
+    /// largest and positive.
+    fn first_max(bu: &BTreeMap<u64, u32>, score: impl Fn(u64, u32) -> u32) -> Option<u64> {
+        let mut best: Option<(u64, u32)> = None;
+        for (&id, &now) in bu {
+            let s = score(id, now);
+            if s > 0 && best.map_or(true, |(_, b)| s > b) {
+                best = Some((id, s));
+            }
+        }
+        best.map(|(id, _)| id)
+    }
+
+    fn allocations(&self) -> BTreeMap<u64, u32> {
+        self.calls.iter().map(|(&id, &(_, bu))| (id, bu)).collect()
+    }
+
+    /// `(call, from, to)` in ascending id for every call whose
+    /// allocation differs between `before` and `after`.
+    fn changes(before: &BTreeMap<u64, u32>, after: &BTreeMap<u64, u32>) -> Vec<(u64, u32, u32)> {
+        before
+            .iter()
+            .filter(|&(id, from)| after[id] != *from)
+            .map(|(&id, &from)| (id, from, after[&id]))
+            .collect()
+    }
+
+    fn squeezes(&self, demand: u32) -> Option<Vec<(u64, u32, u32)>> {
+        let needed = demand.saturating_sub(self.free());
+        let slack: u32 = self.calls.values().map(|(p, bu)| bu - p.rb_cost_min.get()).sum();
+        if needed > slack {
+            return None;
+        }
+        let before = self.allocations();
+        let mut now = before.clone();
+        for _ in 0..needed {
+            let floor = |id: u64| self.calls[&id].0.rb_cost_min.get();
+            let victim = Self::first_max(&now, |id, bu| bu - floor(id)).expect("slack covers it");
+            *now.get_mut(&victim).unwrap() -= 1;
+        }
+        Some(Self::changes(&before, &now))
+    }
+
+    fn reupgrade(&mut self) -> Vec<(u64, u32, u32)> {
+        let before = self.allocations();
+        let mut now = before.clone();
+        for _ in 0..self.free() {
+            let nominal = |id: u64| self.calls[&id].0.rb_cost_nominal.get();
+            let Some(target) = Self::first_max(&now, |id, bu| nominal(id) - bu) else { break };
+            *now.get_mut(&target).unwrap() += 1;
+        }
+        for (id, bu) in &now {
+            self.calls.get_mut(id).unwrap().1 = *bu;
+        }
+        Self::changes(&before, &now)
+    }
+}
+
+fn triples(list: &[Reallocation]) -> Vec<(u64, u32, u32)> {
+    list.iter().map(|r| (r.call.0, r.from.get(), r.to.get())).collect()
 }
 
 proptest! {
@@ -110,13 +224,12 @@ proptest! {
         for op in ops {
             match op {
                 ElasticOp::Allocate(id, class, floor_tenths) => {
-                    let profile = ServiceProfile::elastic(
-                        class,
-                        class.demand(),
-                        f64::from(floor_tenths) / 10.0,
-                        60.0,
-                    );
-                    let _ = ledger.allocate(CallId(id), profile);
+                    let _ = ledger.allocate(CallId(id), elastic(class, floor_tenths));
+                }
+                ElasticOp::AllocateAt(id, class, floor_tenths, k) => {
+                    let profile = elastic(class, floor_tenths);
+                    let grant = profile.rb_cost_min + BandwidthUnits::new(u32::from(k));
+                    let _ = ledger.allocate_at(CallId(id), profile, grant.min(profile.rb_cost_nominal));
                 }
                 ElasticOp::Release(id) => {
                     let _ = ledger.release(CallId(id));
@@ -154,6 +267,68 @@ proptest! {
         ledger.reupgrade_on_release();
         if !ledger.free().is_zero() {
             prop_assert!(ledger.iter().all(|(_, a)| !a.is_degraded()));
+        }
+    }
+
+    /// The ledger agrees with the `BTreeMap` reference after every
+    /// operation: the same calls and allocations in ascending id order,
+    /// the same squeeze and re-upgrade lists (so the same lowest-id
+    /// tie-breaks), the same `occupied` and the same per-class counts.
+    #[test]
+    fn elastic_ledger_matches_a_reference_model(
+        ops in arb_elastic_ops(),
+        capacity in 10u32..100,
+    ) {
+        let mut ledger = BandwidthLedger::new(BandwidthUnits::new(capacity));
+        let mut reference = ReferenceLedger { capacity, calls: BTreeMap::new() };
+        for op in ops {
+            match op {
+                ElasticOp::Allocate(id, class, floor_tenths) => {
+                    let profile = elastic(class, floor_tenths);
+                    let ok = ledger.allocate(CallId(id), profile).is_ok();
+                    let expected = reference.allocate(id, profile, profile.rb_cost_nominal.get());
+                    prop_assert_eq!(ok, expected, "allocate({})", id);
+                }
+                ElasticOp::AllocateAt(id, class, floor_tenths, k) => {
+                    let profile = elastic(class, floor_tenths);
+                    let grant = (profile.rb_cost_min.get() + u32::from(k))
+                        .min(profile.rb_cost_nominal.get());
+                    let ok =
+                        ledger.allocate_at(CallId(id), profile, BandwidthUnits::new(grant)).is_ok();
+                    prop_assert_eq!(ok, reference.allocate(id, profile, grant), "allocate_at({})", id);
+                }
+                ElasticOp::Release(id) => {
+                    let ok = ledger.release(CallId(id)).is_ok();
+                    prop_assert_eq!(ok, reference.calls.remove(&id).is_some(), "release({})", id);
+                }
+                ElasticOp::DegradeToFit(demand) => {
+                    let planned = ledger.degradation_squeezes(BandwidthUnits::new(u32::from(demand)));
+                    let expected = reference.squeezes(u32::from(demand));
+                    prop_assert_eq!(planned.as_deref().map(triples), expected.clone());
+                    if let (Some(squeezes), Some(expected)) = (planned, expected) {
+                        let freed: u32 = expected.iter().map(|&(_, from, to)| from - to).sum();
+                        prop_assert_eq!(
+                            ledger.apply_squeezes(&squeezes),
+                            Ok(BandwidthUnits::new(freed))
+                        );
+                        for (id, _, to) in expected {
+                            reference.calls.get_mut(&id).unwrap().1 = to;
+                        }
+                    }
+                }
+                ElasticOp::Reupgrade => {
+                    let ups = ledger.reupgrade_on_release();
+                    prop_assert_eq!(triples(&ups), reference.reupgrade());
+                }
+            }
+            let live: Vec<(u64, ServiceProfile, u32)> =
+                ledger.iter().map(|(id, a)| (id.0, a.profile, a.allocated.get())).collect();
+            let expected: Vec<(u64, ServiceProfile, u32)> =
+                reference.calls.iter().map(|(&id, &(p, bu))| (id, p, bu)).collect();
+            prop_assert_eq!(live, expected);
+            prop_assert_eq!(ledger.occupied().get(), reference.occupied());
+            prop_assert_eq!(ledger.counts(), reference.counts());
+            prop_assert_eq!(ledger.active_calls(), reference.calls.len());
         }
     }
 

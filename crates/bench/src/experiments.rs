@@ -468,8 +468,7 @@ pub fn forecast_accuracy(scenario_name: &str, horizons: &[u32]) -> Vec<MaeRow> {
     let grid = config.grid();
     let controllers = facs_builder(FacsConfig::compiled())(&grid);
     let mut sim = Simulation::new(grid, config.sim_config(config.seed), controllers);
-    let workload = config.generate_workload(config.seed);
-    let series = sim.run_with(workload, CellLoadSeries::new());
+    let series = sim.run_with(config.run_input(config.seed), CellLoadSeries::new());
     let capacity = f64::from(config.capacity_bu);
     let cells: Vec<_> = series.cells().collect();
 
@@ -712,19 +711,19 @@ pub struct PlanetReport {
     pub wall: std::time::Duration,
 }
 
-/// Runs a planet-scale scenario through the streamed path with the
-/// hierarchical rollup sink attached (`region_cells` consecutive cell
-/// ids per region).
+/// Runs a planet-scale scenario (streamed, as every default-built
+/// scenario is) with the hierarchical rollup sink attached
+/// (`region_cells` consecutive cell ids per region).
 #[must_use]
 pub fn planet_run(config: &ScenarioConfig, region_cells: u32) -> PlanetReport {
     let build = facs_builder(FacsConfig::compiled());
     let grid = config.grid();
     let controllers = build(&grid);
     let mut sim = Simulation::new(grid, config.sim_config(config.seed), controllers);
-    let stream = config.stream_workload(config.seed);
+    let input = config.run_input(config.seed);
     let start = std::time::Instant::now();
     let (metrics, rollup) =
-        sim.run_with(stream, (Metrics::new(), facs_cellsim::RegionRollupSink::new(region_cells)));
+        sim.run_with(input, (Metrics::new(), facs_cellsim::RegionRollupSink::new(region_cells)));
     PlanetReport { metrics, rollup, wall: start.elapsed() }
 }
 

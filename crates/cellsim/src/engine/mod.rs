@@ -1292,10 +1292,11 @@ mod tests {
 
     #[test]
     fn mobility_is_a_one_byte_tag_and_user_spec_stays_small() {
-        // Every spec, in-call user and migrant carries a `MobilityKind`,
-        // and an eager `Vec<UserSpec>` input holds one spec per user for
-        // the whole run: eager input memory and the planet memory budget
-        // (25 % of users × `size_of::<UserSpec>()`) scale with the spec.
+        // Every spec, in-call user and migrant carries a `MobilityKind`;
+        // a streamed input holds up to two chunks of specs and an eager
+        // `Vec<UserSpec>` one spec per user for the whole run, so input
+        // memory and the planet memory budget (25 % of users ×
+        // `size_of::<UserSpec>()`) scale with the spec.
         assert_eq!(std::mem::size_of::<MobilityKind>(), 1);
         let spec = std::mem::size_of::<UserSpec>();
         assert!(spec <= 88, "UserSpec grew to {spec} bytes");

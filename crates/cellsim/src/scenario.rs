@@ -90,14 +90,15 @@ pub struct ScenarioConfig {
     /// Number of independent replications to average over.
     pub replications: u32,
     /// Synthesize the workload through the chunked
-    /// [`WorkloadStream`] instead of materializing every
-    /// [`UserSpec`] up front as one slab (see
-    /// [`ScenarioConfig::run_input`]). It selects only how specs are
-    /// synthesized: either input reaches the kernel through the same
-    /// producer thread and arrival path, and results are bit-identical;
-    /// streaming keeps peak memory at O(active calls + two chunks) for
-    /// planet-scale runs and moves synthesis onto the producer thread,
-    /// alongside the shard workers.
+    /// [`WorkloadStream`] (the default, `true`) or, when `false`,
+    /// materialize every [`UserSpec`] up front and hand the kernel one
+    /// chunk holding the whole population (see
+    /// [`ScenarioConfig::run_input`]). It selects only how many specs
+    /// sit in memory: either input reaches the kernel through the same
+    /// producer thread and arrival path, and results are bit-identical.
+    /// Streaming keeps the input at 8 B of arrival instant per user
+    /// plus at most two [`ScenarioConfig::STREAM_CHUNK`]-user chunks;
+    /// the eager input keeps every spec for the whole run.
     pub streamed: bool,
 }
 
@@ -123,7 +124,7 @@ impl Default for ScenarioConfig {
             workers: 0,
             seed: 2007,
             replications: 3,
-            streamed: false,
+            streamed: true,
         }
     }
 }
@@ -205,9 +206,10 @@ impl ScenarioConfig {
     pub const STREAM_CHUNK: usize = 8192;
 
     /// The workload for seed `seed` as the kernel consumes it — the one
-    /// place [`ScenarioConfig::streamed`] is read: a chunked
-    /// [`WorkloadStream`] when set, the eagerly generated specs
-    /// otherwise. Either input gives bit-identical results.
+    /// place [`ScenarioConfig::streamed`] is read and the one way every
+    /// runner in the suite builds its input: a chunked
+    /// [`WorkloadStream`] by default, the eagerly generated specs when
+    /// `streamed` is `false`. Either input gives bit-identical results.
     #[must_use]
     pub fn run_input(&self, seed: u64) -> RunInput {
         if self.streamed {

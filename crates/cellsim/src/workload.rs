@@ -224,10 +224,12 @@ impl Workload {
     /// drawn from `holding`. All randomness derives from `seed` alone,
     /// so competing controllers face byte-identical traffic.
     ///
-    /// This is the eager path: it drains a [`WorkloadStream`] in a single
-    /// chunk, so eager and streamed synthesis are bit-identical by
-    /// construction — they run the same generator code on the same
-    /// random stream.
+    /// This is the eager path; a run takes it only when
+    /// [`ScenarioConfig::streamed`] is `false`. It drains a
+    /// [`WorkloadStream`] in a single chunk, so eager and streamed
+    /// synthesis are bit-identical by construction — they run the same
+    /// generator code on the same random stream — and the whole
+    /// population's specs sit in memory at once.
     #[must_use]
     pub fn generate(
         &self,
@@ -481,9 +483,10 @@ impl WorkloadStream {
     }
 
     /// Returns a drained chunk's buffer to the bounded pool so the next
-    /// chunk reuses it instead of reallocating.
+    /// chunk reuses it instead of reallocating. Once the stream is
+    /// exhausted no chunk follows, so the buffer is dropped instead.
     pub fn recycle(&mut self, chunk: WorkloadChunk) {
-        if self.pool.len() < CHUNK_POOL_CAP {
+        if !self.is_exhausted() && self.pool.len() < CHUNK_POOL_CAP {
             self.pool.push(chunk.specs);
         }
     }
@@ -630,7 +633,6 @@ pub fn planet_scale(requests: usize) -> CatalogEntry {
             shards: 8,
             workers: 0,
             replications: 1,
-            streamed: true,
             ..ScenarioConfig::default()
         },
     }
@@ -712,6 +714,29 @@ mod tests {
             assert!(spec.start.speed_kmh >= 60.0 && spec.start.speed_kmh <= 120.0);
             assert!(matches!(spec.mobility, MobilityKind::StraightLine));
         }
+    }
+
+    #[test]
+    fn a_drained_stream_keeps_no_recycled_buffer() {
+        let config = ScenarioConfig { requests: 10, ..ScenarioConfig::default() };
+        let mut stream = config.workload().stream(
+            &config.grid(),
+            config.requests,
+            config.window_s,
+            HoldingTimes::new(config.holding_mean_s),
+            3,
+            4,
+        );
+        let mut chunks = Vec::new();
+        while let Some(chunk) = stream.next_chunk() {
+            chunks.push(chunk);
+        }
+        assert_eq!(chunks.len(), 3);
+        for chunk in chunks {
+            stream.recycle(chunk);
+        }
+        assert!(stream.pool.is_empty(), "a drained stream pinned {} buffers", stream.pool.len());
+        assert_eq!(stream.pool.capacity(), 0);
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! * [`geometry`] — hexagonal cell grid, planar points, locating users;
 //! * [`mobility`] — the heading-diffusion walker and straight-line models
 //!   plus the GPS observation (`(S, A, D)` triple) FLC1 consumes;
-//! * [`traffic`] — traffic mix, Poisson arrival instants, holding times;
+//! * [`traffic`] — traffic mix and holding times;
 //! * [`events`] — the shard-independent, content-ordered event queue;
 //! * [`engine`] — the sharded deterministic simulation kernel (cells,
 //!   users, handoffs, epoch barriers);
-//! * [`workload`] — declarative workload descriptions and the named
+//! * [`workload`] — declarative workload descriptions, arrival patterns
+//!   (replayed in sorted order in bounded memory) and the named
 //!   scenario catalog (hotspot, flash crowd, rush hour, …);
 //! * [`fuzz`] — seeded sampling of arbitrary valid workloads with
 //!   shrink-on-failure to a minimal reproducing case;

@@ -96,8 +96,9 @@ pub struct ScenarioConfig {
     /// [`ScenarioConfig::run_input`]). It selects only how many specs
     /// sit in memory: either input reaches the kernel through the same
     /// producer thread and arrival path, and results are bit-identical.
-    /// Streaming keeps the input at 8 B of arrival instant per user
-    /// plus at most two [`ScenarioConfig::STREAM_CHUNK`]-user chunks;
+    /// Streaming keeps the input at about one eighth of the users' 8 B
+    /// arrival instants plus at most two
+    /// [`ScenarioConfig::STREAM_CHUNK`]-user chunks;
     /// the eager input keeps every spec for the whole run.
     pub streamed: bool,
 }

@@ -1,4 +1,5 @@
-//! Traffic generation: class mix, Poisson arrival instants, holding times.
+//! Traffic generation: class mix and holding times. Arrival instants
+//! come from [`crate::workload::ArrivalPattern`].
 
 use facs_cac::ServiceClass;
 use serde::{Deserialize, Serialize};
@@ -70,18 +71,6 @@ impl Default for TrafficMix {
     }
 }
 
-/// Generates exactly `count` arrival instants (seconds, ascending) of a
-/// conditioned Poisson process: given `count` arrivals in
-/// `[0, window_s]`, the instants are i.i.d. uniform — so we sample
-/// uniforms and sort.
-#[must_use]
-pub(crate) fn arrival_times(count: usize, window_s: f64, rng: &mut SimRng) -> Vec<f64> {
-    let mut times: Vec<f64> =
-        (0..count).map(|_| rng.uniform_range(0.0, window_s.max(f64::MIN_POSITIVE))).collect();
-    times.sort_by(f64::total_cmp);
-    times
-}
-
 /// Exponentially distributed call holding times.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HoldingTimes {
@@ -151,15 +140,6 @@ mod tests {
     #[should_panic(expected = "all-zero traffic mix")]
     fn rejects_zero_mix() {
         let _ = TrafficMix::new(0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn arrival_times_are_sorted_in_window() {
-        let mut rng = SimRng::seed_from_u64(8);
-        let times = arrival_times(500, 100.0, &mut rng);
-        assert_eq!(times.len(), 500);
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        assert!(times.iter().all(|&t| (0.0..100.0).contains(&t)));
     }
 
     #[test]

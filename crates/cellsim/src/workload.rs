@@ -13,6 +13,8 @@
 //! service-class mixes (cf. arXiv:1412.3630, arXiv:1004.4444) and
 //! highway-corridor mobility.
 
+use std::collections::VecDeque;
+
 use facs_cac::{ServiceProfile, ServiceProfileSet};
 use serde::{Deserialize, Serialize};
 
@@ -21,7 +23,7 @@ use crate::geometry::{HexGrid, Point};
 use crate::mobility::{MobileState, Walker};
 use crate::rng::SimRng;
 use crate::scenario::ScenarioConfig;
-use crate::traffic::{arrival_times, HoldingTimes, TrafficMix};
+use crate::traffic::{HoldingTimes, TrafficMix};
 
 /// How user speed is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -138,38 +140,228 @@ pub enum ArrivalPattern {
 }
 
 impl ArrivalPattern {
-    /// Draws `count` arrival instants in `[0, window_s)`, ascending.
+    /// Draws `count` arrival instants in `[0, window_s)`, ascending: the
+    /// collect-and-sort reference for the streamed replay, which yields
+    /// the same instants in bounded memory.
     #[must_use]
     pub fn sample_times(&self, count: usize, window_s: f64, rng: &mut SimRng) -> Vec<f64> {
+        self.check();
         let window = window_s.max(f64::MIN_POSITIVE);
-        let mut times: Vec<f64> = match self {
-            // Delegate to the paper's process so the baseline random
-            // stream is unchanged.
-            ArrivalPattern::Uniform => return arrival_times(count, window_s, rng),
-            ArrivalPattern::Burst { center, width, weight } => (0..count)
-                .map(|_| {
-                    if rng.chance(*weight) {
-                        let lo = (center - width / 2.0).max(0.0) * window;
-                        let hi = ((center + width / 2.0).min(1.0) * window).max(lo + 1e-9);
-                        rng.uniform_range(lo, hi)
-                    } else {
-                        rng.uniform_range(0.0, window)
-                    }
-                })
-                .collect(),
-            ArrivalPattern::Stages(rates) => {
-                assert!(!rates.is_empty(), "empty arrival stages");
-                let stage_len = window / rates.len() as f64;
-                (0..count)
-                    .map(|_| {
-                        let stage = rng.weighted_index(rates);
-                        stage as f64 * stage_len + rng.uniform_range(0.0, stage_len)
-                    })
-                    .collect()
-            }
-        };
-        times.sort_by(f64::total_cmp);
+        let mut times: Vec<f64> = (0..count).map(|_| self.draw(window, rng)).collect();
+        // Instants that `total_cmp` calls equal have identical bits, so
+        // an unstable sort gives the stable sort's result, without its
+        // scratch buffer.
+        times.sort_unstable_by(f64::total_cmp);
         times
+    }
+
+    /// The validation that needs no draw.
+    fn check(&self) {
+        if let ArrivalPattern::Stages(rates) = self {
+            assert!(!rates.is_empty(), "empty arrival stages");
+        }
+    }
+
+    /// Draws one arrival instant: the pattern's one definition of an
+    /// arrival, shared by [`ArrivalPattern::sample_times`] and the
+    /// replay. `window` is already clamped positive. Each call consumes
+    /// a fixed number of draws — one for `Uniform`, two otherwise — so
+    /// a clone of `rng` replays the same instants.
+    #[inline(always)]
+    fn draw(&self, window: f64, rng: &mut SimRng) -> f64 {
+        match self {
+            // Conditioned Poisson: given `n` arrivals in the window, the
+            // instants are i.i.d. uniform.
+            ArrivalPattern::Uniform => rng.uniform_range(0.0, window),
+            ArrivalPattern::Burst { center, width, weight } => {
+                if rng.chance(*weight) {
+                    let lo = (center - width / 2.0).max(0.0) * window;
+                    let hi = ((center + width / 2.0).min(1.0) * window).max(lo + 1e-9);
+                    rng.uniform_range(lo, hi)
+                } else {
+                    rng.uniform_range(0.0, window)
+                }
+            }
+            ArrivalPattern::Stages(rates) => {
+                let stage_len = window / rates.len() as f64;
+                let stage = rng.weighted_index(rates);
+                stage as f64 * stage_len + rng.uniform_range(0.0, stage_len)
+            }
+        }
+    }
+}
+
+/// How many value slices [`ArrivalReplay`] splits the arrival instants
+/// into; each slice costs one pass over every draw.
+const ARRIVAL_SLICES: usize = 8;
+
+/// The fewest instants worth a slice of their own: a stream of at most
+/// this many arrivals replays in one pass.
+const MIN_SLICE_LEN: usize = 4096;
+
+/// Draws the slice edges are taken from (the quantiles of a pilot
+/// sample, so each slice holds about `1 / ARRIVAL_SLICES` of them).
+const PILOT_DRAWS: usize = 16_384;
+
+/// Draws a pass filters per block before handing the kept ones over.
+const FILTER_BLOCK: usize = 256;
+
+/// `f64::total_cmp`'s order as an integer: `a.total_cmp(&b)` equals
+/// `order_key(a).cmp(&order_key(b))`. The map is its own inverse on the
+/// bits, so [`from_order_key`] recovers the instant exactly.
+fn order_key(t: f64) -> i64 {
+    let bits = t.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The instant whose [`order_key`] is `key`.
+fn from_order_key(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// A workload's arrival instants, ascending, in bounded memory.
+///
+/// The instants are `count` i.i.d. draws that a global sort would put in
+/// order. Instead, their `total_cmp` order splits into up to
+/// [`ARRIVAL_SLICES`] consecutive value slices, with edges at a pilot
+/// sample's quantiles. A slice's pass regenerates all `count` draws from
+/// a clone of the post-seed RNG, keeps the draws inside the slice and
+/// sorts their [`order_key`]s. The slices partition that order, so
+/// concatenated they are the full sort bit for bit. The first pass runs
+/// whole when the stream starts, and the RNG it leaves behind is the
+/// state user synthesis continues from. Each later pass is paced over
+/// the chunks that drain the slice before it, its keys queueing behind
+/// that slice's remainder, so about one slice is held at a time.
+#[derive(Debug)]
+struct ArrivalReplay {
+    pattern: ArrivalPattern,
+    window: f64,
+    count: usize,
+    /// The post-seed RNG state every pass starts from.
+    origin: SimRng,
+    /// The lower `order_key` of each slice, strictly ascending from
+    /// `i64::MIN`; the last slice runs to `i64::MAX`. Empty until
+    /// [`ArrivalReplay::start`].
+    lower: Vec<i64>,
+    /// The current slice's unconsumed instants, sorted, followed by the
+    /// instants the running pass has kept so far, all as order keys.
+    ready: VecDeque<i64>,
+    /// Instants of the current slice still at the front of `ready`.
+    current: usize,
+    /// Instants taken from the current slice.
+    taken: usize,
+    /// The slice the running pass collects (`lower.len()` once every
+    /// pass has run), its RNG and the draws it has made.
+    filling: usize,
+    pass: SimRng,
+    drawn: usize,
+}
+
+impl ArrivalReplay {
+    fn new(pattern: &ArrivalPattern, count: usize, window_s: f64, origin: &SimRng) -> Self {
+        pattern.check();
+        Self {
+            pattern: pattern.clone(),
+            window: window_s.max(f64::MIN_POSITIVE),
+            count,
+            origin: origin.clone(),
+            lower: Vec::new(),
+            ready: VecDeque::new(),
+            current: 0,
+            taken: 0,
+            filling: 0,
+            pass: origin.clone(),
+            drawn: 0,
+        }
+    }
+
+    /// Sets the slice edges, runs the first slice's pass and returns the
+    /// RNG state after all `count` arrival draws.
+    fn start(&mut self) -> SimRng {
+        let slices = self.count.div_ceil(MIN_SLICE_LEN).clamp(1, ARRIVAL_SLICES);
+        self.lower = vec![i64::MIN];
+        if slices > 1 {
+            let mut rng = self.origin.clone();
+            let mut pilot: Vec<i64> = (0..self.count.min(PILOT_DRAWS))
+                .map(|_| order_key(self.pattern.draw(self.window, &mut rng)))
+                .collect();
+            pilot.sort_unstable();
+            for s in 1..slices {
+                let edge = pilot[s * pilot.len() / slices];
+                if edge > self.lower[self.lower.len() - 1] {
+                    self.lower.push(edge);
+                }
+            }
+        }
+        // A slice's share strays from `1 / slices` by the pilot's ~2 %
+        // sampling error; past this margin `fill` grows the buffer in
+        // sixteenths.
+        let slice = self.count.div_ceil(slices);
+        self.ready.reserve_exact(self.count.min(slice + slice / 16 + FILTER_BLOCK));
+        self.fill(self.count);
+        let rng = self.pass.clone();
+        self.next_slice();
+        rng
+    }
+
+    /// The next instant in ascending order.
+    fn next(&mut self) -> f64 {
+        while self.taken == self.current {
+            self.next_slice();
+        }
+        self.taken += 1;
+        from_order_key(self.ready.pop_front().expect("the current slice has instants left"))
+    }
+
+    /// Finishes the running pass, sorts its slice into place and starts
+    /// the pass after it.
+    fn next_slice(&mut self) {
+        assert!(self.filling < self.lower.len(), "arrival replay overrun");
+        self.fill(self.count - self.drawn);
+        self.ready.make_contiguous().sort_unstable();
+        self.current = self.ready.len();
+        self.taken = 0;
+        self.filling += 1;
+        self.pass = self.origin.clone();
+        self.drawn = 0;
+    }
+
+    /// Advances the running pass in step with the current slice's drain,
+    /// so the pass completes as the slice empties.
+    fn pace(&mut self) {
+        if self.filling < self.lower.len() {
+            let due = (self.count * self.taken).div_ceil(self.current);
+            self.fill(due.saturating_sub(self.drawn));
+        }
+    }
+
+    /// Makes `draws` more draws of the running pass and queues the ones
+    /// inside its slice.
+    fn fill(&mut self, draws: usize) {
+        let lo = self.lower[self.filling];
+        let hi = self.lower.get(self.filling + 1).map_or(i64::MAX, |next| next - 1);
+        let span = hi.wrapping_sub(lo) as u64;
+        let (pattern, window) = (&self.pattern, self.window);
+        let mut rng = self.pass.clone();
+        let mut block = [0; FILTER_BLOCK];
+        let mut left = draws;
+        while left > 0 {
+            let len = left.min(FILTER_BLOCK);
+            let mut kept = 0;
+            for _ in 0..len {
+                let key = order_key(pattern.draw(window, &mut rng));
+                block[kept] = key;
+                kept += usize::from(key.wrapping_sub(lo) as u64 <= span);
+            }
+            if self.ready.capacity() - self.ready.len() < kept {
+                // Grow by a sixteenth, not the doubling `extend` would do.
+                self.ready.reserve_exact(kept.max(self.ready.capacity() / 16));
+            }
+            self.ready.extend(&block[..kept]);
+            left -= len;
+        }
+        self.pass = rng;
+        self.drawn += draws;
     }
 }
 
@@ -247,11 +439,12 @@ impl Workload {
     }
 
     /// Opens a resumable streaming generator over the same random stream
-    /// as [`Workload::generate`]: arrival instants are sampled up front
-    /// (8 bytes per user — they need a global sort), then user attributes
-    /// are synthesized lazily in arrival order, `chunk_size` users at a
-    /// time. Peak residency is one chunk plus the arrival-time vector
-    /// instead of `count` full [`UserSpec`]s.
+    /// as [`Workload::generate`]: users are synthesized lazily in arrival
+    /// order, `chunk_size` at a time. This call only validates and
+    /// clones; the first [`WorkloadStream::next_chunk`] starts the
+    /// arrival replay, which sorts the instants a value slice at a time,
+    /// about `count / 8` instants held at once. Peak residency is one
+    /// chunk plus that slice instead of `count` full [`UserSpec`]s.
     #[must_use]
     pub fn stream(
         &self,
@@ -262,8 +455,8 @@ impl Workload {
         seed: u64,
         chunk_size: usize,
     ) -> WorkloadStream {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let arrival_times = self.arrivals.sample_times(count, window_s, &mut rng);
+        let rng = SimRng::seed_from_u64(seed);
+        let arrivals = ArrivalReplay::new(&self.arrivals, count, window_s, &rng);
         // The corridor spans the grid's full extent plus one cell radius.
         let corridor_reach = (f64::from(grid.radius()) * 3f64.sqrt() + 1.0) * grid.cell_radius_km();
         WorkloadStream {
@@ -272,8 +465,7 @@ impl Workload {
             holding,
             corridor_reach,
             rng,
-            count: arrival_times.len(),
-            arrival_times,
+            arrivals,
             next: 0,
             chunk_size: chunk_size.max(1),
             pool: Vec::new(),
@@ -403,21 +595,23 @@ pub struct WorkloadChunk {
 
 /// A resumable, chunked generator over a [`Workload`]'s user population.
 ///
-/// Produced by [`Workload::stream`]. The generator holds the exact
-/// post-arrival-sampling RNG state of the eager path and replays the
-/// same sequential draw stream, so the specs it yields are bit-identical
-/// to `Workload::generate` regardless of where chunk boundaries fall.
-/// Return drained chunk buffers with [`WorkloadStream::recycle`] to keep
-/// allocation flat.
+/// Produced by [`Workload::stream`]. The generator replays the arrival
+/// instants in ascending order and continues user synthesis from the
+/// RNG state after every arrival draw, so the specs it yields are
+/// bit-identical to `Workload::generate` regardless of where chunk
+/// boundaries fall. The kernel frees each drained chunk; a caller that
+/// drains the stream itself may hand chunks back with
+/// [`WorkloadStream::recycle`] to reuse their buffers.
 #[derive(Debug)]
 pub struct WorkloadStream {
     workload: Workload,
     grid: HexGrid,
     holding: HoldingTimes,
     corridor_reach: f64,
+    /// The post-seed state until the first chunk, then the state after
+    /// every arrival draw, which user synthesis continues from.
     rng: SimRng,
-    arrival_times: Vec<f64>,
-    count: usize,
+    arrivals: ArrivalReplay,
     next: usize,
     chunk_size: usize,
     pool: Vec<Vec<UserSpec>>,
@@ -430,7 +624,7 @@ impl WorkloadStream {
     /// Total number of users this stream will produce.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.count
+        self.arrivals.count
     }
 
     /// Number of users already produced (== the next chunk's first id).
@@ -442,7 +636,7 @@ impl WorkloadStream {
     /// True once every user has been produced.
     #[must_use]
     pub fn is_exhausted(&self) -> bool {
-        self.next >= self.count
+        self.next >= self.arrivals.count
     }
 
     /// Configured chunk size (users per [`WorkloadStream::next_chunk`]).
@@ -456,14 +650,17 @@ impl WorkloadStream {
         if self.is_exhausted() {
             return None;
         }
+        if self.next == 0 {
+            self.rng = self.arrivals.start();
+        }
         let first_user = self.next as u64;
-        let end = (self.next + self.chunk_size).min(self.count);
+        let end = (self.next + self.chunk_size).min(self.arrivals.count);
         let mut specs = self.pool.pop().unwrap_or_default();
         specs.clear();
         specs.reserve(end - self.next);
-        for i in self.next..end {
+        for _ in self.next..end {
             let spec = self.workload.user_spec(
-                self.arrival_times[i],
+                self.arrivals.next(),
                 &self.grid,
                 self.corridor_reach,
                 self.holding,
@@ -473,11 +670,13 @@ impl WorkloadStream {
         }
         self.next = end;
         if self.is_exhausted() {
-            // The stream is drained: drop the arrival instants and any
+            // The stream is drained: drop the last slice's buffer and any
             // pooled buffers so a long tail of in-flight calls does not
             // pin the synthesis bookkeeping.
-            self.arrival_times = Vec::new();
+            self.arrivals.ready = VecDeque::new();
             self.pool = Vec::new();
+        } else {
+            self.arrivals.pace();
         }
         Some(WorkloadChunk { first_user, specs })
     }
@@ -664,6 +863,15 @@ mod tests {
     }
 
     #[test]
+    fn arrival_times_are_sorted_in_window() {
+        let mut rng = SimRng::seed_from_u64(8);
+        let times = ArrivalPattern::Uniform.sample_times(500, 100.0, &mut rng);
+        assert_eq!(times.len(), 500);
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        assert!(times.iter().all(|&t| (0.0..100.0).contains(&t)));
+    }
+
+    #[test]
     fn burst_concentrates_arrivals() {
         let mut rng = SimRng::seed_from_u64(1);
         let pattern = ArrivalPattern::Burst { center: 0.5, width: 0.1, weight: 0.8 };
@@ -737,6 +945,108 @@ mod tests {
         }
         assert!(stream.pool.is_empty(), "a drained stream pinned {} buffers", stream.pool.len());
         assert_eq!(stream.pool.capacity(), 0);
+    }
+
+    /// Drains an arrival replay the way [`WorkloadStream::next_chunk`]
+    /// does, pacing after every `chunk` instants. Returns the instants,
+    /// the RNG user synthesis would continue from and the most instants
+    /// the replay's buffer had room for at once.
+    fn drain_replay(
+        pattern: &ArrivalPattern,
+        count: usize,
+        window_s: f64,
+        seed: u64,
+        chunk: usize,
+    ) -> (Vec<f64>, SimRng, usize) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut replay = ArrivalReplay::new(pattern, count, window_s, &rng);
+        let mut times = Vec::with_capacity(count);
+        let mut held = 0;
+        if count > 0 {
+            rng = replay.start();
+        }
+        while times.len() < count {
+            for _ in 0..chunk.min(count - times.len()) {
+                times.push(replay.next());
+            }
+            held = held.max(replay.ready.capacity());
+            replay.pace();
+        }
+        (times, rng, held)
+    }
+
+    #[test]
+    fn arrival_replay_equals_the_full_sort_bit_for_bit() {
+        let patterns = [
+            ArrivalPattern::Uniform,
+            ArrivalPattern::Burst { center: 0.5, width: 0.1, weight: 0.8 },
+            // At a 1e7 s window the burst starts at 4.2e6 s, where the
+            // 1e-9 s floor width is one ulp, so every burst draw is one
+            // of two instants: 45 % of the arrivals share one value,
+            // several slices' worth.
+            ArrivalPattern::Burst { center: 0.42, width: 0.0, weight: 0.9 },
+            ArrivalPattern::Stages(vec![0.0, 1.0, 0.0, 3.0, 0.0]),
+            ArrivalPattern::Stages(vec![2.0]),
+        ];
+        let counts = [0, 1, 2, MIN_SLICE_LEN, MIN_SLICE_LEN + 1, 100_000];
+        for (p, pattern) in patterns.iter().enumerate() {
+            let two_values = p == 2;
+            let windows =
+                if two_values { [1e7, f64::MIN_POSITIVE] } else { [600.0, f64::MIN_POSITIVE] };
+            for window_s in windows {
+                for count in counts {
+                    let seed = 17 + count as u64;
+                    let mut expected_rng = SimRng::seed_from_u64(seed);
+                    let expected = pattern.sample_times(count, window_s, &mut expected_rng);
+                    let chunk = if count > 1_000 { 8192 } else { 1 };
+                    let (times, mut rng, held) =
+                        drain_replay(pattern, count, window_s, seed, chunk);
+                    let case = format!("{pattern:?}, {count} arrivals in {window_s} s");
+                    assert!(
+                        times.iter().map(|t| t.to_bits()).eq(expected.iter().map(|t| t.to_bits())),
+                        "{case}: the replay differs from the sort"
+                    );
+                    assert_eq!(
+                        rng.uniform().to_bits(),
+                        expected_rng.uniform().to_bits(),
+                        "{case}: synthesis would continue from another RNG state"
+                    );
+                    if count == 100_000 && !two_values {
+                        assert!(
+                            held <= count / ARRIVAL_SLICES * 5 / 4,
+                            "{case}: the replay held {held} instants at once"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generate_equals_the_chunked_drain() {
+        let config = ScenarioConfig {
+            requests: 5 * MIN_SLICE_LEN - 9,
+            grid_radius: 2,
+            spawn: SpawnSpec::AnyCell,
+            ..ScenarioConfig::default()
+        };
+        let (grid, holding) = (config.grid(), HoldingTimes::new(config.holding_mean_s));
+        let workload = config.workload();
+        let eager: Vec<String> = workload
+            .generate(&grid, config.requests, config.window_s, holding, 4)
+            .iter()
+            .map(|spec| format!("{spec:?}"))
+            .collect();
+        for chunk_size in [1, 7, 8192] {
+            let mut stream =
+                workload.stream(&grid, config.requests, config.window_s, holding, 4, chunk_size);
+            let mut drained = Vec::with_capacity(config.requests);
+            while let Some(chunk) = stream.next_chunk() {
+                assert_eq!(chunk.first_user, drained.len() as u64);
+                drained.extend(chunk.specs.iter().map(|spec| format!("{spec:?}")));
+            }
+            assert!(drained == eager, "chunk size {chunk_size} changed the specs");
+        }
     }
 
     #[test]

@@ -74,14 +74,14 @@ pub fn scc_builder(config: SccConfig) -> impl Fn(&HexGrid) -> Vec<BoxedControlle
 /// The shared single-BS scenario skeleton of figures 7–9 (paper §4
 /// parameters; calibration documented in EXPERIMENTS.md).
 #[must_use]
-pub fn base_scenario(requests: usize) -> ScenarioConfig {
+fn base_scenario(requests: usize) -> ScenarioConfig {
     ScenarioConfig { requests, replications: 3, ..Default::default() }
 }
 
 /// The multi-cell scenario of figure 10: a 7-cell cluster with `n`
 /// requests per cell, users spawning everywhere.
 #[must_use]
-pub fn fig10_scenario(requests_per_cell: usize) -> ScenarioConfig {
+fn fig10_scenario(requests_per_cell: usize) -> ScenarioConfig {
     ScenarioConfig {
         requests: requests_per_cell * 7,
         grid_radius: 1,

@@ -2,7 +2,7 @@
 //!
 //! The [`experiments`] module maps every figure and
 //! table of the paper onto a runnable experiment; the `experiments` binary
-//! and the Criterion benches are thin wrappers over it.
+//! is a thin wrapper over it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -233,8 +233,8 @@ impl Simulation {
     ///
     /// Panics unless `controllers.len() == grid.len()` — the pairing is a
     /// construction-time contract, not runtime data — and unless the
-    /// movement cadence is finite and positive (it is the kernel's epoch
-    /// length).
+    /// movement cadence is finite, non-negative and rounds to at least
+    /// one microsecond (it is the kernel's epoch length).
     #[must_use]
     pub fn new(grid: HexGrid, config: SimulationConfig, controllers: Vec<BoxedController>) -> Self {
         assert_eq!(
@@ -245,8 +245,8 @@ impl Simulation {
             controllers.len()
         );
         assert!(
-            config.movement_tick_s.is_finite() && config.movement_tick_s > 0.0,
-            "bad movement tick {}",
+            SimDuration::from_secs_f64(config.movement_tick_s).as_micros() > 0,
+            "movement tick {} s rounds to zero microseconds",
             config.movement_tick_s
         );
         let cells = controllers
@@ -305,7 +305,6 @@ impl Simulation {
             }
         }
         let tick = SimDuration::from_secs_f64(self.config.movement_tick_s);
-        assert!(tick.as_micros() > 0, "movement tick rounds to zero microseconds");
         let horizon = SimTime::from_secs_f64(self.config.max_time_s);
 
         // Partition cells round-robin: shard s owns ids s, s+n, s+2n, …
@@ -1288,6 +1287,13 @@ mod tests {
     fn controller_count_mismatch_panics() {
         let grid = HexGrid::new(1, 1.0);
         let _ = Simulation::new(grid, SimulationConfig::default(), controllers(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "rounds to zero microseconds")]
+    fn sub_microsecond_movement_tick_panics_at_construction() {
+        let config = SimulationConfig { movement_tick_s: 4e-7, ..Default::default() };
+        let _ = Simulation::new(HexGrid::single_cell(1.0), config, controllers(1));
     }
 
     #[test]

@@ -232,9 +232,10 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics unless `controllers.len() == grid.len()` — the pairing is a
-    /// construction-time contract, not runtime data — and unless the
+    /// construction-time contract, not runtime data — unless the
     /// movement cadence is finite, non-negative and rounds to at least
-    /// one microsecond (it is the kernel's epoch length).
+    /// one microsecond (it is the kernel's epoch length), and unless the
+    /// horizon `max_time_s` is finite and non-negative.
     #[must_use]
     pub fn new(grid: HexGrid, config: SimulationConfig, controllers: Vec<BoxedController>) -> Self {
         assert_eq!(
@@ -248,6 +249,11 @@ impl Simulation {
             SimDuration::from_secs_f64(config.movement_tick_s).as_micros() > 0,
             "movement tick {} s rounds to zero microseconds",
             config.movement_tick_s
+        );
+        assert!(
+            config.max_time_s.is_finite() && config.max_time_s >= 0.0,
+            "horizon {} s is not a finite, non-negative time",
+            config.max_time_s
         );
         let cells = controllers
             .into_iter()
@@ -1294,6 +1300,24 @@ mod tests {
     fn sub_microsecond_movement_tick_panics_at_construction() {
         let config = SimulationConfig { movement_tick_s: 4e-7, ..Default::default() };
         let _ = Simulation::new(HexGrid::single_cell(1.0), config, controllers(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a finite, non-negative time")]
+    fn negative_horizon_panics_at_construction() {
+        let config = SimulationConfig { max_time_s: -1.0, ..Default::default() };
+        let _ = Simulation::new(HexGrid::single_cell(1.0), config, controllers(1));
+    }
+
+    #[test]
+    fn non_finite_horizons_panic_at_construction() {
+        for max_time_s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let config = SimulationConfig { max_time_s, ..Default::default() };
+            let built = panic::catch_unwind(|| {
+                Simulation::new(HexGrid::single_cell(1.0), config, controllers(1))
+            });
+            assert!(built.is_err(), "horizon {max_time_s} s was accepted");
+        }
     }
 
     #[test]

@@ -84,10 +84,53 @@ impl CellUnit {
     }
 }
 
+/// How far inside its cell's hexagon, in km, a user must stay for its
+/// steps to be deferred. Position rounding stays orders of magnitude
+/// below this (see [`MAX_SLACK`]), and a point inside the hexagon by
+/// more than it hex-rounds into that cell, so there `locate` returns
+/// the serving cell and `out_of_coverage` is `false`.
+const EDGE_EPSILON_KM: f64 = 1e-6;
+
+/// The most steps a user may owe at once. Each applied step may round
+/// the position by up to an ulp of its coordinates (~1e-13 km at
+/// 600 km from the origin); 2¹⁶ of them add up to less than
+/// [`EDGE_EPSILON_KM`] for coordinates below ~10⁵ km. Realistic users
+/// never reach it (a 4 km/h pedestrian on a 0.5 s tick covers 1 km in
+/// 1,800 steps), so it costs nothing.
+const MAX_SLACK: u32 = 1 << 16;
+
+/// The number of steps of at most `len_km` each that stay strictly
+/// inside a hexagon from a point `margin_km` inside it, with
+/// [`EDGE_EPSILON_KM`] to spare. A user that never moves never needs a
+/// step; one outside the hexagon, or whose step length is not a number,
+/// needs every step.
+fn step_slack(margin_km: f64, len_km: f64) -> u32 {
+    if len_km == 0.0 {
+        return u32::MAX;
+    }
+    // `as` saturates: a negative or NaN quotient gives 0.
+    let steps = ((margin_km - EDGE_EPSILON_KM) / len_km.abs()).floor() as u32;
+    steps.min(MAX_SLACK)
+}
+
+/// What a movement barrier does to an in-call user besides stepping it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Motion {
+    /// Left the coverage area.
+    Exit,
+    /// Crossed into another cell.
+    Cross(CellId),
+}
+
 /// A user with an active call, registered with the shard owning the
 /// serving cell. The record travels whole (including the private RNG
 /// stream, so its position is preserved) when the call hands off to a
 /// cell on another shard.
+///
+/// Movement steps are applied lazily: a barrier only counts a step as
+/// `owed` while the user provably cannot have left its cell, and the
+/// owed steps run in order, on the same state and stream, once it
+/// could have (see [`advance`](Self::advance)).
 struct ActiveUser {
     user: UserId,
     state: MobileState,
@@ -98,6 +141,52 @@ struct ActiveUser {
     call: CallId,
     end_time: SimTime,
     generation: u32,
+    /// Barriers passed whose step is not yet applied to `state`.
+    owed: u32,
+    /// How many steps from `state` stay strictly inside the serving
+    /// cell's hexagon.
+    slack: u32,
+}
+
+impl ActiveUser {
+    /// Recomputes `slack` from the user's current, fully stepped state
+    /// against its serving cell. One step moves a terminal at most
+    /// `speed_kmh · dt_s / 3600` km (the [`MobilityModel`] contract).
+    fn rearm(&mut self, grid: &HexGrid, dt_s: f64) {
+        debug_assert_eq!(self.owed, 0, "slack computed from a stale position");
+        let margin_km = grid.interior_margin(self.cell, self.state.position);
+        self.slack = step_slack(margin_km, self.state.speed_kmh * dt_s / 3600.0);
+    }
+
+    /// Applies every owed step, in order.
+    fn catch_up(&mut self, dt_s: f64) {
+        for _ in 0..self.owed {
+            self.mobility.step(&mut self.state, dt_s, &mut self.rng);
+        }
+        self.owed = 0;
+    }
+
+    /// One movement barrier: the user owes one more step. While the
+    /// owed steps all fit in the slack the user is still home and
+    /// nothing is computed. Otherwise the owed steps are applied and the
+    /// position checked exactly as an eager step would be; a user still
+    /// home gets a fresh slack.
+    fn advance(&mut self, grid: &HexGrid, dt_s: f64) -> Option<Motion> {
+        self.owed = self.owed.saturating_add(1);
+        if self.owed <= self.slack {
+            return None;
+        }
+        self.catch_up(dt_s);
+        if grid.out_of_coverage(self.state.position) {
+            return Some(Motion::Exit);
+        }
+        let here = grid.locate(self.state.position);
+        if here != self.cell {
+            return Some(Motion::Cross(here));
+        }
+        self.rearm(grid, dt_s);
+        None
+    }
 }
 
 /// Arena of in-call users: a slab of slots with a free list. Call-end
@@ -417,8 +506,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         };
         self.sink.on_decision(now, cell_id, &record);
         if granted.is_some() {
-            let end_time = now + SimDuration::from_secs_f64(spec.holding_s);
-            let slot = self.active.insert(ActiveUser {
+            self.enroll(ActiveUser {
                 user,
                 state: start,
                 mobility: spec.mobility,
@@ -426,15 +514,21 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
                 rng: user_rng(self.config.seed, user.0),
                 cell: cell_id,
                 call,
-                end_time,
+                end_time: now + SimDuration::from_secs_f64(spec.holding_s),
                 generation: 0,
+                owed: 0,
+                slack: 0,
             });
-            self.queue.schedule_tagged(
-                end_time,
-                EngineEvent::CallEnd { user, generation: 0 },
-                slot,
-            );
         }
+    }
+
+    /// Registers an admitted call at its serving cell: arms its movement
+    /// slack there, gives it an arena slot and schedules its end.
+    fn enroll(&mut self, mut record: ActiveUser) {
+        record.rearm(self.grid, self.config.movement_tick_s);
+        let (end_time, user, generation) = (record.end_time, record.user, record.generation);
+        let slot = self.active.insert(record);
+        self.queue.schedule_tagged(end_time, EngineEvent::CallEnd { user, generation }, slot);
     }
 
     fn handle_call_end(&mut self, now: SimTime, user: UserId, generation: u32, slot: u32) {
@@ -454,15 +548,12 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
     }
 
     /// Barrier phase 1: advances every in-call user by one movement tick
-    /// (each on its own RNG stream), handles coverage exits locally, and
+    /// (each on its own RNG stream, applied lazily by
+    /// [`ActiveUser::advance`]), handles coverage exits locally, and
     /// returns the calls that crossed into another cell as migrants
     /// routed to `(target shard, migrant)`. The old cell's bandwidth is
     /// released here, before any admission anywhere is attempted.
     pub(crate) fn run_movement(&mut self, now: SimTime) -> Vec<(usize, Migrant)> {
-        enum Motion {
-            Exit,
-            Cross(CellId),
-        }
         let dt = self.config.movement_tick_s;
         // Arena slots carry no deterministic order, so walk the live
         // users by user id: every step, RNG draw, and sink call below
@@ -473,17 +564,9 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         let mut actions: Vec<(u32, Motion)> = Vec::new();
         for &(_, slot) in &movers {
             let user = self.active.slots[slot as usize].as_mut().expect("live slot vanished");
-            let mut state = user.state;
-            user.mobility.step(&mut state, dt, &mut user.rng);
-            user.state = state;
             self.sink.on_mobility_step(now, user.cell);
-            if self.grid.out_of_coverage(state.position) {
-                actions.push((slot, Motion::Exit));
-            } else {
-                let here = self.grid.locate(state.position);
-                if here != user.cell {
-                    actions.push((slot, Motion::Cross(here)));
-                }
+            if let Some(motion) = user.advance(self.grid, dt) {
+                actions.push((slot, motion));
             }
         }
         self.movers = movers;
@@ -539,7 +622,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             };
             self.sink.on_decision(now, m.to, &record);
             if granted.is_some() {
-                let slot = self.active.insert(ActiveUser {
+                self.enroll(ActiveUser {
                     user: m.user,
                     state: m.state,
                     mobility: m.mobility,
@@ -549,12 +632,9 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
                     call: m.call,
                     end_time: m.end_time,
                     generation: m.generation,
+                    owed: 0,
+                    slack: 0,
                 });
-                self.queue.schedule_tagged(
-                    m.end_time,
-                    EngineEvent::CallEnd { user: m.user, generation: m.generation },
-                    slot,
-                );
             }
             // Denied: the call is dropped mid-handoff; bandwidth was
             // already freed at the source cell.
@@ -622,8 +702,24 @@ mod tests {
             call: CallId(user),
             end_time: SimTime::ZERO,
             generation: 0,
+            owed: 0,
+            slack: 0,
         }
     }
+
+    /// The eager reference for [`ActiveUser::advance`]: one step and
+    /// one coverage and `locate` check at every barrier.
+    fn eager_barrier(user: &mut ActiveUser, grid: &HexGrid, dt_s: f64) -> Option<Motion> {
+        user.mobility.step(&mut user.state, dt_s, &mut user.rng);
+        if grid.out_of_coverage(user.state.position) {
+            return Some(Motion::Exit);
+        }
+        let here = grid.locate(user.state.position);
+        (here != user.cell).then_some(Motion::Cross(here))
+    }
+
+    /// Barriers the lazy-vs-eager property follows one user through.
+    const BARRIERS: u32 = 600;
 
     /// The order `update_order` replaces: every live pair, sorted.
     fn collect_and_sort(arena: &ActiveArena) -> Vec<(u64, u32)> {
@@ -707,6 +803,90 @@ mod tests {
             arena.update_order(&mut order);
             prop_assert_eq!(&order, &collect_and_sort(&arena));
             prop_assert!(arena.joined.is_empty());
+        }
+
+        /// Deferred stepping is the eager stepper, bit for bit: the first
+        /// barrier at which a user exits or crosses, the cell it crosses
+        /// into, its state there and the next draw of its RNG stream all
+        /// match (and, for a user that stays home, its state and stream
+        /// after the last barrier). Starts sit at or just inside a vertex
+        /// or an edge, in or beyond the outer ring, anywhere in a cell, or
+        /// a whole number of steps from an edge on a course straight at
+        /// it: there the last deferrable step lands on the edge up to
+        /// rounding, which is what the edge epsilon is for.
+        #[test]
+        fn deferred_steps_equal_eager_steps_bit_for_bit(
+            grid in (0u32..=3, 0.5f64..=10.0),
+            motion in (
+                prop::sample::select(vec![0.5, 1.0, 5.0, 15.0]),
+                0u8..8,
+                0.0f64..=250.0,
+                any::<bool>(),
+                -180.0f64..180.0,
+            ),
+            start in (0u8..5, any::<u64>(), 0u32..6, 0.0f64..1.0, 0.0f64..1.0),
+            seed in any::<u64>(),
+        ) {
+            let ((rings, cell_radius_km), (tick_s, still, speed, walker, heading)) = (grid, motion);
+            let (kind, cell_pick, side, depth, along) = start;
+            let grid = HexGrid::new(rings, cell_radius_km);
+            let speed_kmh = if still == 0 { 0.0 } else { speed };
+            let len_km = speed_kmh * tick_s / 3600.0;
+            let inradius = 3f64.sqrt() / 2.0 * cell_radius_km;
+            let normal = 60.0 * f64::from(side);
+            let cell_count = grid.len() as u64;
+            let center = grid.center_of(CellId((cell_pick % cell_count) as u32));
+            // How far in from a vertex or edge: often exactly on it,
+            // mostly within a small fraction of the cell.
+            let inset = 0.2 * cell_radius_km * depth.powi(6);
+            let starts: Vec<(Point, f64)> = match kind {
+                0 => vec![(center.step(normal + 30.0, cell_radius_km - inset), heading)],
+                1 => {
+                    let on_edge = center.step(normal, inradius - inset);
+                    vec![(on_edge.step(normal + 90.0, (along - 0.5) * cell_radius_km), heading)]
+                }
+                2 => (1..=40)
+                    .map(|k| (center.step(normal, inradius - f64::from(k) * len_km), normal))
+                    .collect(),
+                3 => {
+                    let outer_first =
+                        u64::from(3 * rings * rings.saturating_sub(1) + 1).min(cell_count - 1);
+                    let outer = outer_first + cell_pick % (cell_count - outer_first);
+                    let c = grid.center_of(CellId(outer as u32));
+                    vec![(c.step(heading, cell_radius_km * (0.8 + 1.4 * depth)), normal)]
+                }
+                _ => vec![(center.step(heading, inradius * depth), normal + 180.0 * along)],
+            };
+            for (user, (position, heading)) in (1..).zip(starts) {
+                // An off-map arrival is denied at dispatch, so it never moves.
+                if grid.out_of_coverage(position) {
+                    continue;
+                }
+                let make = || ActiveUser {
+                    state: MobileState::new(position, heading, speed_kmh),
+                    mobility: if walker { MobilityKind::Walker } else { MobilityKind::StraightLine },
+                    rng: user_rng(seed, user),
+                    cell: grid.locate(position),
+                    ..record(user)
+                };
+                let (mut lazy, mut eager) = (make(), make());
+                lazy.rearm(&grid, tick_s);
+                for barrier in 1..=BARRIERS {
+                    let deferred = lazy.advance(&grid, tick_s);
+                    let stepped = eager_barrier(&mut eager, &grid, tick_s);
+                    prop_assert_eq!(deferred, stepped, "user {} at barrier {}", user, barrier);
+                    if stepped.is_some() {
+                        break;
+                    }
+                }
+                lazy.catch_up(tick_s);
+                let bits = |u: &mut ActiveUser| {
+                    let s = u.state;
+                    let next = u.rng.uniform();
+                    [s.position.x, s.position.y, s.heading_deg, s.speed_kmh, next].map(f64::to_bits)
+                };
+                prop_assert_eq!(bits(&mut lazy), bits(&mut eager), "user {}", user);
+            }
         }
     }
 }

@@ -265,6 +265,29 @@ impl HexGrid {
         best
     }
 
+    /// Distance in km from `point` to the nearest edge of cell `id`'s
+    /// hexagon: positive inside, zero on an edge, negative outside.
+    ///
+    /// The pointy-top hexagon's edges face its neighbors, at 0°, 60° and
+    /// 120° (and the opposite bearings), each one inradius `√3/2 · R`
+    /// from the center. With `d = point − center` the margin is
+    /// `√3/2 · R − max |d · nᵢ|` over those three unit normals `nᵢ`.
+    /// Inside the hexagon that is the exact distance to its boundary;
+    /// outside it is minus the largest overshoot past an edge line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a cell of this grid.
+    #[must_use]
+    pub(crate) fn interior_margin(&self, id: CellId, point: Point) -> f64 {
+        let center = self.center_of(id);
+        let (dx, dy) = (point.x - center.x, point.y - center.y);
+        let half_sqrt3 = 3f64.sqrt() / 2.0;
+        let along_60 = 0.5 * dx + half_sqrt3 * dy;
+        let along_120 = half_sqrt3 * dy - 0.5 * dx;
+        half_sqrt3 * self.cell_radius_km - dx.abs().max(along_60.abs()).max(along_120.abs())
+    }
+
     /// Rounds fractional axial coordinates to the containing hex (the
     /// standard cube-rounding construction).
     fn axial_round(fq: f64, fr: f64) -> HexCoord {
@@ -443,6 +466,31 @@ mod tests {
         let g = HexGrid::new(1, 1.0);
         assert!(!g.out_of_coverage(Point::new(0.0, 0.0)));
         assert!(g.out_of_coverage(Point::new(50.0, 50.0)));
+    }
+
+    #[test]
+    fn interior_margin_is_the_distance_to_the_nearest_edge() {
+        let radius_km = 1.7;
+        let g = HexGrid::new(2, radius_km);
+        let inradius = 3f64.sqrt() / 2.0 * radius_km;
+        for id in g.cell_ids() {
+            let c = g.center_of(id);
+            assert!((g.interior_margin(id, c) - inradius).abs() < 1e-12);
+            for k in 0..6 {
+                let normal = 60.0 * f64::from(k);
+                // Vertices sit between the edge normals, one circumradius out.
+                let vertex = c.step(normal + 30.0, radius_km);
+                assert!(g.interior_margin(id, vertex).abs() < 1e-12, "vertex {k} of {id}");
+                let midpoint = c.step(normal, inradius);
+                assert!(g.interior_margin(id, midpoint).abs() < 1e-12, "edge {k} of {id}");
+                // Halfway from the center to an edge midpoint.
+                let inside = c.step(normal, inradius / 2.0);
+                assert!((g.interior_margin(id, inside) - inradius / 2.0).abs() < 1e-12);
+                let outside = c.step(normal, inradius + 0.25);
+                assert!((g.interior_margin(id, outside) + 0.25).abs() < 1e-12);
+                assert!(g.interior_margin(id, c.step(normal + 30.0, radius_km * 1.01)) < 0.0);
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,16 @@ impl MobileState {
 /// A mobility model advances a terminal's kinematic state through time.
 ///
 /// Implementations must be deterministic given the `SimRng` stream.
+///
+/// One step moves a terminal at most `speed_kmh · dt_s / 3600` km from
+/// where it was (up to the rounding of the position update), with
+/// `speed_kmh` read before the step; neither model here changes the
+/// speed. The kernel relies on this bound: a user whose position is
+/// more than `k` such steps inside its cell's hexagon cannot leave the
+/// cell in its next `k` steps, so those steps are applied only when the
+/// user could have reached an edge (DESIGN.md, "Deferred movement
+/// steps"). Both [`Walker`] and [`StraightLine`] move exactly that far
+/// along their heading.
 pub trait MobilityModel: Send {
     /// Advances `state` by `dt_s` seconds.
     fn step(&mut self, state: &mut MobileState, dt_s: f64, rng: &mut SimRng);
@@ -134,6 +144,7 @@ impl MobilityModel for StraightLine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(12345)
@@ -210,6 +221,41 @@ mod tests {
         // 100 s at 60 km/h = 5/3 km along the 30° ray.
         let expected = Point::ORIGIN.step(30.0, 60.0 * 100.0 / 3600.0);
         assert!(state.position.distance_to(expected) < 1e-9);
+    }
+
+    proptest! {
+        /// The step bound the kernel defers movement on: one step moves
+        /// a terminal at most `speed_kmh · dt_s / 3600` km, up to the
+        /// rounding of the position update.
+        #[test]
+        fn one_step_moves_at_most_speed_times_tick(
+            at in (-700.0f64..700.0, -700.0f64..700.0),
+            heading in -180.0f64..180.0,
+            speed_kmh in 0.0f64..=300.0,
+            dt_s in prop_oneof![
+                prop::sample::select(vec![0.5, 1.0, 5.0, 15.0]),
+                1e-6f64..120.0,
+            ],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let models: [&mut dyn MobilityModel; 2] = [&mut Walker, &mut StraightLine];
+            for model in models {
+                let mut state = MobileState::new(Point::new(at.0, at.1), heading, speed_kmh);
+                for _ in 0..8 {
+                    let (from, len_km) = (state.position, state.speed_kmh * dt_s / 3600.0);
+                    model.step(&mut state, dt_s, &mut rng);
+                    let rounding = 4.0 * f64::EPSILON * (from.x.abs() + from.y.abs() + len_km);
+                    let moved = from.distance_to(state.position);
+                    prop_assert!(
+                        moved <= len_km + rounding,
+                        "{} moved {moved} km, bound {len_km} km",
+                        model.name()
+                    );
+                    prop_assert_eq!(state.speed_kmh.to_bits(), speed_kmh.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,7 +81,11 @@ impl SimRng {
     }
 
     /// Standard-normal draw via Box–Muller (one value per call; the spare
-    /// is discarded for simplicity — throughput is not a concern here).
+    /// is discarded). Every [`Walker`](crate::mobility::Walker) step the
+    /// kernel applies makes one such draw, so its `ln`, `sqrt` and `cos`
+    /// are a large share of a movement-heavy run's time. Changing the
+    /// sampler changes every user's stream, and with it every golden
+    /// digest.
     #[must_use]
     pub fn standard_normal(&mut self) -> f64 {
         let u1: f64 = 1.0 - self.uniform();

@@ -3,7 +3,7 @@
 //! The world — cells with ledgers and admission controllers, in-call
 //! users, pending arrivals — is partitioned into **cell-group shards**
 //! (cell `i` belongs to shard `i % shards`). Each shard runs an
-//! independent discrete-event loop over its own [`EngineQueue`] and the
+//! independent discrete-event loop over its own [`EngineQueue`]s and the
 //! shards only interact at **epoch barriers** spaced one movement tick
 //! apart, where calls that crossed into a cell owned by another shard
 //! are exchanged as migrants.
@@ -15,11 +15,11 @@
 //!    — the only cross-cell interaction — can occur *only* at movement
 //!    ticks, so a shard can safely simulate a whole epoch without
 //!    looking at any other shard.
-//! 2. **Shard-independent event order.** Call-ends pop from the
-//!    [`EngineQueue`] by `(time, user, generation)` and arrivals from a
-//!    FIFO by `(time, user)`, call-ends first at equal instants —
-//!    content, not insertion order — so each *cell* sees the same event
-//!    sequence no matter which shard hosts it.
+//! 2. **Shard-independent event order.** Call-ends and movement wakes
+//!    pop from a shard's two [`EngineQueue`]s by `(time, user,
+//!    generation)` and arrivals from a FIFO by `(time, user)`, call-ends
+//!    first at equal instants — content, not insertion order — so each
+//!    *cell* sees the same event sequence no matter which shard hosts it.
 //! 3. **Per-user RNG streams.** Every user draws mobility noise from a
 //!    private stream seeded by `(simulation seed, user id)`; the stream
 //!    state travels with the call on migration. No draw ever depends on
@@ -36,8 +36,9 @@
 //! SCC controllers share a cross-cell shadow board; with more than one
 //! shard their board updates would interleave nondeterministically, so
 //! controllers declare locality via
-//! [`AdmissionController::is_cell_local`] and the kernel **panics**
-//! rather than run a shared-state policy on multiple shards.
+//! [`AdmissionController::is_cell_local`] and [`Simulation::new`]
+//! **panics** rather than build a shared-state policy onto multiple
+//! shards.
 //!
 //! [`EngineQueue`]: crate::events::EngineQueue
 
@@ -234,8 +235,11 @@ impl Simulation {
     /// Panics unless `controllers.len() == grid.len()` — the pairing is a
     /// construction-time contract, not runtime data — unless the
     /// movement cadence is finite, non-negative and rounds to at least
-    /// one microsecond (it is the kernel's epoch length), and unless the
-    /// horizon `max_time_s` is finite and non-negative.
+    /// one microsecond (it is the kernel's epoch length), unless the
+    /// horizon `max_time_s` is finite and non-negative, and unless every
+    /// controller is cell-local whenever the shard count, clamped to the
+    /// cell count, exceeds one: a shared-state policy (SCC's shadow
+    /// board) on concurrent shards would be silently nondeterministic.
     #[must_use]
     pub fn new(grid: HexGrid, config: SimulationConfig, controllers: Vec<BoxedController>) -> Self {
         assert_eq!(
@@ -255,6 +259,16 @@ impl Simulation {
             "horizon {} s is not a finite, non-negative time",
             config.max_time_s
         );
+        let shards = config.shards.clamp(1, grid.len().max(1));
+        if shards > 1 {
+            if let Some(controller) = controllers.iter().find(|c| !c.is_cell_local()) {
+                panic!(
+                    "controller `{}` shares cross-cell state and cannot run on {shards} shards \
+                     without losing bit-reproducibility; use shards = 1",
+                    controller.name(),
+                );
+            }
+        }
         let cells = controllers
             .into_iter()
             .enumerate()
@@ -268,7 +282,7 @@ impl Simulation {
                 )
             })
             .collect();
-        Self { grid, cells, clock: SimTime::ZERO, config }
+        Self { grid, cells, clock: SimTime::ZERO, config: SimulationConfig { shards, ..config } }
     }
 
     /// Runs the workload to completion and returns the collected metrics.
@@ -296,20 +310,7 @@ impl Simulation {
     /// and a `Vec` is sent as a single chunk. The kernel consumes the same
     /// chunks in the same order as if it had produced them itself.
     pub fn run_with<S: MetricsSink>(&mut self, workload: impl Into<RunInput>, mut sink: S) -> S {
-        let shard_count = self.config.shards.clamp(1, self.cells.len().max(1));
-        if shard_count > 1 {
-            // Bit-identity only holds for cell-local controllers; a
-            // shared-state policy (SCC's shadow board) on concurrent
-            // shards would be silently nondeterministic, so refuse it.
-            if let Some(cell) = self.cells.iter().find(|c| !c.controller.is_cell_local()) {
-                panic!(
-                    "controller `{}` shares cross-cell state and cannot run on {} shards \
-                     without losing bit-reproducibility; use shards = 1",
-                    cell.controller.name(),
-                    shard_count
-                );
-            }
-        }
+        let shard_count = self.config.shards;
         let tick = SimDuration::from_secs_f64(self.config.movement_tick_s);
         let horizon = SimTime::from_secs_f64(self.config.max_time_s);
 
@@ -1274,10 +1275,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "shares cross-cell state")]
     fn shared_state_controller_refuses_multiple_shards() {
-        let grid = HexGrid::new(1, 1.0);
         let config = SimulationConfig { shards: 2, ..Default::default() };
-        let mut sim = Simulation::new(grid, config, shared_controllers(7));
-        let _ = sim.run(vec![stationary_spec(1.0, ServiceClass::Voice, 10.0)]);
+        let _ = Simulation::new(HexGrid::new(1, 1.0), config, shared_controllers(7));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! One shard of the simulation world: a group of cells (ledger +
 //! controller each), the users whose calls those cells currently serve,
-//! and a private event queue.
+//! and two private queues, one of call-ends and one of movement wakes.
 //!
 //! A shard processes an entire epoch — all cell-local events up to the
 //! next movement barrier — without communicating; cross-shard traffic
@@ -15,7 +15,7 @@ use facs_cac::{
     ServiceProfile,
 };
 
-use crate::events::{EngineEvent, EngineQueue, UserId};
+use crate::events::{EngineQueue, QueueEntry, UserId};
 use crate::geometry::{HexGrid, Point};
 use crate::metrics::{DecisionRecord, MetricsSink};
 use crate::mobility::{MobileState, MobilityModel};
@@ -91,7 +91,7 @@ impl CellUnit {
 /// the serving cell and `out_of_coverage` is `false`.
 const EDGE_EPSILON_KM: f64 = 1e-6;
 
-/// The most steps a user may owe at once. Each applied step may round
+/// The most steps one wake may defer. Each applied step may round
 /// the position by up to an ulp of its coordinates (~1e-13 km at
 /// 600 km from the origin); 2¹⁶ of them add up to less than
 /// [`EDGE_EPSILON_KM`] for coordinates below ~10⁵ km. Realistic users
@@ -101,16 +101,16 @@ const MAX_SLACK: u32 = 1 << 16;
 
 /// The number of steps of at most `len_km` each that stay strictly
 /// inside a hexagon from a point `margin_km` inside it, with
-/// [`EDGE_EPSILON_KM`] to spare. A user that never moves never needs a
-/// step; one outside the hexagon, or whose step length is not a number,
-/// needs every step.
-fn step_slack(margin_km: f64, len_km: f64) -> u32 {
+/// [`EDGE_EPSILON_KM`] to spare; `None` for a user that never moves,
+/// which never needs a step. One outside the hexagon, or whose step
+/// length is not a number, needs every step.
+fn step_slack(margin_km: f64, len_km: f64) -> Option<u32> {
     if len_km == 0.0 {
-        return u32::MAX;
+        return None;
     }
     // `as` saturates: a negative or NaN quotient gives 0.
     let steps = ((margin_km - EDGE_EPSILON_KM) / len_km.abs()).floor() as u32;
-    steps.min(MAX_SLACK)
+    Some(steps.min(MAX_SLACK))
 }
 
 /// What a movement barrier does to an in-call user besides stepping it.
@@ -127,10 +127,10 @@ enum Motion {
 /// stream, so its position is preserved) when the call hands off to a
 /// cell on another shard.
 ///
-/// Movement steps are applied lazily: a barrier only counts a step as
-/// `owed` while the user provably cannot have left its cell, and the
-/// owed steps run in order, on the same state and stream, once it
-/// could have (see [`advance`](Self::advance)).
+/// Movement steps are applied lazily: while the user provably cannot
+/// have left its cell no barrier touches it, and the deferred steps run
+/// in order, on the same state and stream, at its wake, the first
+/// barrier where it could have (see [`wake`](Self::wake)).
 struct ActiveUser {
     user: UserId,
     state: MobileState,
@@ -141,127 +141,70 @@ struct ActiveUser {
     call: CallId,
     end_time: SimTime,
     generation: u32,
-    /// Barriers passed whose step is not yet applied to `state`.
-    owed: u32,
-    /// How many steps from `state` stay strictly inside the serving
-    /// cell's hexagon.
-    slack: u32,
+    /// The barrier whose step `state` last includes.
+    stepped_to: u64,
 }
 
 impl ActiveUser {
-    /// Recomputes `slack` from the user's current, fully stepped state
-    /// against its serving cell. One step moves a terminal at most
-    /// `speed_kmh · dt_s / 3600` km (the [`MobilityModel`] contract).
-    fn rearm(&mut self, grid: &HexGrid, dt_s: f64) {
-        debug_assert_eq!(self.owed, 0, "slack computed from a stale position");
+    /// The user's wake: the barrier after its slack, the number of steps
+    /// from `state` that stay strictly inside the serving cell's hexagon,
+    /// runs out. `None` for a user that never moves. One step moves a
+    /// terminal at most `speed_kmh · dt_s / 3600` km (the
+    /// [`MobilityModel`] contract).
+    fn wake_barrier(&self, grid: &HexGrid, dt_s: f64) -> Option<u64> {
         let margin_km = grid.interior_margin(self.cell, self.state.position);
-        self.slack = step_slack(margin_km, self.state.speed_kmh * dt_s / 3600.0);
+        let slack = step_slack(margin_km, self.state.speed_kmh * dt_s / 3600.0)?;
+        Some(self.stepped_to + u64::from(slack) + 1)
     }
 
-    /// Applies every owed step, in order.
-    fn catch_up(&mut self, dt_s: f64) {
-        for _ in 0..self.owed {
+    /// Wakes the user at `barrier`: applies the steps of every barrier
+    /// since `stepped_to`, in order, and checks the position exactly as
+    /// an eager step would.
+    fn wake(&mut self, barrier: u64, grid: &HexGrid, dt_s: f64) -> Option<Motion> {
+        for _ in self.stepped_to..barrier {
             self.mobility.step(&mut self.state, dt_s, &mut self.rng);
         }
-        self.owed = 0;
-    }
-
-    /// One movement barrier: the user owes one more step. While the
-    /// owed steps all fit in the slack the user is still home and
-    /// nothing is computed. Otherwise the owed steps are applied and the
-    /// position checked exactly as an eager step would be; a user still
-    /// home gets a fresh slack.
-    fn advance(&mut self, grid: &HexGrid, dt_s: f64) -> Option<Motion> {
-        self.owed = self.owed.saturating_add(1);
-        if self.owed <= self.slack {
-            return None;
-        }
-        self.catch_up(dt_s);
+        self.stepped_to = barrier;
         if grid.out_of_coverage(self.state.position) {
             return Some(Motion::Exit);
         }
         let here = grid.locate(self.state.position);
-        if here != self.cell {
-            return Some(Motion::Cross(here));
-        }
-        self.rearm(grid, dt_s);
-        None
+        (here != self.cell).then_some(Motion::Cross(here))
     }
 }
 
-/// Arena of in-call users: a slab of slots with a free list. Call-end
-/// events carry their slot as the queue tag, so dispatch is a direct
+/// Arena of in-call users: a slab of slots with a free list. Call-ends
+/// and wakes carry their slot as the queue tag, so dispatch is a direct
 /// index instead of a map lookup; a slot reused by a later call is
 /// caught by the `(user, generation)` check every call-end performs
-/// anyway (the event is then stale, exactly as under the map).
+/// anyway (the call-end is then stale, exactly as under a map).
 ///
-/// Slot numbers are *never* part of simulation semantics — the movement
-/// phase iterates a `(user, slot)` list kept in ascending user order (see
-/// [`update_order`](Self::update_order)) — so the free-list order (which
-/// differs across shard layouts) cannot leak into results.
+/// Slot numbers are *never* part of simulation semantics — both queues
+/// pop in `(time, user, generation)` order, and the slot only rides
+/// along — so the free-list order (which differs across shard layouts)
+/// cannot leak into results.
 #[derive(Default)]
 struct ActiveArena {
     slots: Vec<Option<ActiveUser>>,
     free: Vec<u32>,
     live: usize,
-    /// `(user, slot)` of every insert since the last `update_order`.
-    joined: Vec<(u64, u32)>,
 }
 
 impl ActiveArena {
     fn insert(&mut self, record: ActiveUser) -> u32 {
         self.live += 1;
-        let user = record.user.0;
-        let slot = if let Some(slot) = self.free.pop() {
+        if let Some(slot) = self.free.pop() {
             self.slots[slot as usize] = Some(record);
             slot
         } else {
             let slot = u32::try_from(self.slots.len()).expect("more than u32::MAX active calls");
             self.slots.push(Some(record));
             slot
-        };
-        self.joined.push((user, slot));
-        slot
+        }
     }
 
     fn get(&self, slot: u32) -> Option<&ActiveUser> {
         self.slots.get(slot as usize).and_then(Option::as_ref)
-    }
-
-    /// `true` when `slot` holds `user`.
-    fn holds(&self, (user, slot): (u64, u32)) -> bool {
-        self.get(slot).is_some_and(|u| u.user.0 == user)
-    }
-
-    /// Brings `order` — every live `(user, slot)` in ascending user
-    /// order as of the previous call — up to date: drops every pair
-    /// whose slot no longer holds that user, sorts the live pairs
-    /// inserted since, and merges them in. Each user is live in at most
-    /// one slot, so the result is exactly the arena's pairs sorted,
-    /// without collecting or sorting every slot.
-    fn update_order(&mut self, order: &mut Vec<(u64, u32)>) {
-        order.retain(|&pair| self.holds(pair));
-        let mut joined = std::mem::take(&mut self.joined);
-        joined.retain(|&pair| self.holds(pair));
-        joined.sort_unstable();
-        // Merge from the back, so each kept pair moves at most once.
-        let mut kept = order.len();
-        order.resize(kept + joined.len(), (0, 0));
-        for at in (0..order.len()).rev() {
-            let Some(&next) = joined.last() else { break };
-            if kept > 0 && order[kept - 1] > next {
-                kept -= 1;
-                order[at] = order[kept];
-            } else {
-                order[at] = next;
-                joined.pop();
-            }
-        }
-        // A same-shard handoff can take back the slot its own departure
-        // just freed (the free list is LIFO): that pair is both kept and
-        // joined.
-        order.dedup();
-        self.joined = joined;
     }
 
     fn remove(&mut self, slot: u32) -> ActiveUser {
@@ -319,15 +262,17 @@ pub(crate) struct Shard<'a, S> {
     config: SimulationConfig,
     /// The owned cells, ascending id (ids ≡ `index` mod `shard_count`).
     pub(crate) cells: Vec<CellUnit>,
-    /// Call-ends only; arrivals never touch the queue.
+    /// The movement tick in microseconds: barrier `b` is at `b · tick_us`.
+    tick_us: u64,
+    /// Call-ends, stale ones (of calls that handed off since) included.
     queue: EngineQueue,
+    /// One wake per in-call user whose slack runs out before its call
+    /// ends, at that barrier; a user without one is never stepped.
+    wakes: EngineQueue,
     /// Arrivals delivered by the feeder one epoch window at a time, the
     /// home cell already located.
     pending: VecDeque<PendingArrival>,
     active: ActiveArena,
-    /// Every in-call `(user, slot)` in ascending user order, kept from
-    /// epoch to epoch by [`ActiveArena::update_order`].
-    movers: Vec<(u64, u32)>,
     pub(crate) sink: S,
 }
 
@@ -346,10 +291,11 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             grid,
             config,
             cells,
+            tick_us: SimDuration::from_secs_f64(config.movement_tick_s).as_micros(),
             queue: EngineQueue::new(),
+            wakes: EngineQueue::new(),
             pending: VecDeque::new(),
             active: ActiveArena::default(),
-            movers: Vec::new(),
             sink,
         }
     }
@@ -370,9 +316,15 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         std::mem::swap(&mut self.pending, delivered);
     }
 
-    /// `true` when the shard has nothing left to do.
+    /// `true` when the shard has nothing left to do. A pending wake
+    /// always has its user in a call.
     pub(crate) fn idle(&self) -> bool {
         self.pending.is_empty() && self.queue.is_empty() && self.active.is_empty()
+    }
+
+    /// The index of the first movement barrier at or after `now`.
+    fn barrier_index(&self, now: SimTime) -> u64 {
+        now.as_micros().div_ceil(self.tick_us)
     }
 
     fn cell_mut(&mut self, id: CellId) -> &mut CellUnit {
@@ -463,10 +415,8 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         loop {
             let next_arrival = self.pending.front().map(|p| SimTime::from_micros(p.time_us));
             let bound = next_arrival.map_or(limit, |t| t.min(limit));
-            while let Some((now, EngineEvent::CallEnd { user, generation }, tag)) =
-                self.queue.pop_within(bound)
-            {
-                self.handle_call_end(now, user, generation, tag);
+            while let Some(end) = self.queue.pop_within(bound) {
+                self.handle_call_end(end);
             }
             match next_arrival {
                 Some(now) if now <= limit => {
@@ -516,60 +466,78 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
                 call,
                 end_time: now + SimDuration::from_secs_f64(spec.holding_s),
                 generation: 0,
-                owed: 0,
-                slack: 0,
+                // The first step is at the barrier ending this epoch.
+                stepped_to: self.barrier_index(now).max(1) - 1,
             });
         }
     }
 
-    /// Registers an admitted call at its serving cell: arms its movement
-    /// slack there, gives it an arena slot and schedules its end.
-    fn enroll(&mut self, mut record: ActiveUser) {
-        record.rearm(self.grid, self.config.movement_tick_s);
-        let (end_time, user, generation) = (record.end_time, record.user, record.generation);
+    /// Registers an admitted call at its serving cell: gives it an arena
+    /// slot, schedules its end and arms its wake.
+    fn enroll(&mut self, record: ActiveUser) {
+        let (time, user, generation) = (record.end_time, record.user, record.generation);
         let slot = self.active.insert(record);
-        self.queue.schedule_tagged(end_time, EngineEvent::CallEnd { user, generation }, slot);
+        self.queue.schedule(QueueEntry { time, user, generation, tag: slot });
+        self.arm(slot);
     }
 
-    fn handle_call_end(&mut self, now: SimTime, user: UserId, generation: u32, slot: u32) {
-        // Stale end events — the call handed off (possibly to another
+    /// Files the wake of the user in `slot`, computed against its serving
+    /// cell from its fully stepped state, if that barrier comes before
+    /// the call ends. A call that ends first is never stepped, so every
+    /// filed wake finds its user still in the call.
+    fn arm(&mut self, slot: u32) {
+        let user = self.active.get(slot).expect("armed an empty arena slot");
+        let Some(barrier) = user.wake_barrier(self.grid, self.config.movement_tick_s) else {
+            return;
+        };
+        let time = SimTime::from_micros(barrier.saturating_mul(self.tick_us));
+        if time < user.end_time {
+            let (user, generation) = (user.user, user.generation);
+            self.wakes.schedule(QueueEntry { time, user, generation, tag: slot });
+        }
+    }
+
+    fn handle_call_end(&mut self, end: QueueEntry) {
+        // Stale call-ends — the call handed off (possibly to another
         // shard) after this was scheduled, or was dropped/exited — carry
         // an outdated generation or reference an absent user. The slot
         // may since have been reused by an unrelated call; the
         // `(user, generation)` check rejects that case identically.
-        let Some(active) = self.active.get(slot) else { return };
-        if active.user != user || active.generation != generation {
+        let Some(active) = self.active.get(end.tag) else { return };
+        if active.user != end.user || active.generation != end.generation {
             return;
         }
         let (cell, call) = (active.cell, active.call);
-        self.release(now, cell, call);
-        let _ = self.active.remove(slot);
-        self.sink.on_completion(now, cell, user);
+        self.release(end.time, cell, call);
+        let _ = self.active.remove(end.tag);
+        self.sink.on_completion(end.time, cell, end.user);
     }
 
     /// Barrier phase 1: advances every in-call user by one movement tick
-    /// (each on its own RNG stream, applied lazily by
-    /// [`ActiveUser::advance`]), handles coverage exits locally, and
-    /// returns the calls that crossed into another cell as migrants
-    /// routed to `(target shard, migrant)`. The old cell's bandwidth is
-    /// released here, before any admission anywhere is attempted.
+    /// (each on its own RNG stream). Only the users whose wake is this
+    /// barrier are computed: each catches up its deferred steps
+    /// ([`ActiveUser::wake`]) and, still home, is re-armed. Coverage
+    /// exits are handled locally, and the calls that crossed into another
+    /// cell are returned as migrants routed to `(target shard, migrant)`.
+    /// The old cell's bandwidth is released here, before any admission
+    /// anywhere is attempted.
     pub(crate) fn run_movement(&mut self, now: SimTime) -> Vec<(usize, Migrant)> {
         let dt = self.config.movement_tick_s;
-        // Arena slots carry no deterministic order, so walk the live
-        // users by user id: every step, RNG draw, and sink call below
-        // then happens in exactly the order the old ascending-id map
-        // iteration produced, on any shard layout.
-        let mut movers = std::mem::take(&mut self.movers);
-        self.active.update_order(&mut movers);
+        let barrier = self.barrier_index(now);
+        self.sink.on_mobility_steps(now, self.active.len() as u64);
+        // Wakes pop by user id at equal times, so every step, RNG draw
+        // and check below happens in ascending user order, on any shard
+        // layout.
         let mut actions: Vec<(u32, Motion)> = Vec::new();
-        for &(_, slot) in &movers {
-            let user = self.active.slots[slot as usize].as_mut().expect("live slot vanished");
-            self.sink.on_mobility_step(now, user.cell);
-            if let Some(motion) = user.advance(self.grid, dt) {
-                actions.push((slot, motion));
+        while let Some(due) = self.wakes.pop_within(now) {
+            debug_assert_eq!(due.time, now, "a wake missed its barrier");
+            let user = self.active.slots[due.tag as usize].as_mut().expect("woke an empty slot");
+            debug_assert_eq!((user.user, user.generation), (due.user, due.generation));
+            match user.wake(barrier, self.grid, dt) {
+                Some(motion) => actions.push((due.tag, motion)),
+                None => self.arm(due.tag),
             }
         }
-        self.movers = movers;
         let mut out = Vec::new();
         // Still ascending user order: each cell sees its departures in
         // the same order a single-shard run would apply.
@@ -632,8 +600,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
                     call: m.call,
                     end_time: m.end_time,
                     generation: m.generation,
-                    owed: 0,
-                    slack: 0,
+                    stepped_to: self.barrier_index(now),
                 });
             }
             // Denied: the call is dropped mid-handoff; bandwidth was
@@ -688,6 +655,8 @@ pub(crate) fn sort_migrants(migrants: &mut [Migrant]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
+    use facs_cac::policies::CompleteSharing;
     use facs_cac::ServiceClass;
     use proptest::prelude::*;
 
@@ -702,13 +671,12 @@ mod tests {
             call: CallId(user),
             end_time: SimTime::ZERO,
             generation: 0,
-            owed: 0,
-            slack: 0,
+            stepped_to: 0,
         }
     }
 
-    /// The eager reference for [`ActiveUser::advance`]: one step and
-    /// one coverage and `locate` check at every barrier.
+    /// The eager reference for [`ActiveUser::wake`]: one step and one
+    /// coverage and `locate` check at every barrier.
     fn eager_barrier(user: &mut ActiveUser, grid: &HexGrid, dt_s: f64) -> Option<Motion> {
         user.mobility.step(&mut user.state, dt_s, &mut user.rng);
         if grid.out_of_coverage(user.state.position) {
@@ -719,101 +687,22 @@ mod tests {
     }
 
     /// Barriers the lazy-vs-eager property follows one user through.
-    const BARRIERS: u32 = 600;
-
-    /// The order `update_order` replaces: every live pair, sorted.
-    fn collect_and_sort(arena: &ActiveArena) -> Vec<(u64, u32)> {
-        let mut pairs: Vec<(u64, u32)> = arena
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, u)| u.as_ref().map(|u| (u.user.0, slot as u32)))
-            .collect();
-        pairs.sort_unstable();
-        pairs
-    }
+    const BARRIERS: u64 = 600;
 
     proptest! {
-        /// The kept mover order equals collect-and-sort after every
-        /// epoch, through arrivals and inbound migrants (fresh users),
-        /// call-ends, exits and cross-shard departures (removals), and
-        /// same-shard handoffs that take back the freed slot or another.
-        #[test]
-        fn kept_mover_order_equals_collect_and_sort(
-            ops in prop::collection::vec((0u8..7, any::<u64>()), 0..400),
-        ) {
-            let mut arena = ActiveArena::default();
-            let mut order = Vec::new();
-            let mut next_user = 0u64;
-            let live_slot = |arena: &ActiveArena, pick: u64| {
-                let live: Vec<u32> = (0..arena.slots.len() as u32)
-                    .filter(|&s| arena.get(s).is_some())
-                    .collect();
-                (!live.is_empty()).then(|| live[pick as usize % live.len()])
-            };
-            for (op, pick) in ops {
-                match op {
-                    // Arrival or inbound migrant: a user id never seen
-                    // before, ascending or far above the others.
-                    0 | 1 => {
-                        next_user += 1 + pick % 5;
-                        let user = if op == 0 { next_user } else { next_user + (1 << 40) };
-                        arena.insert(record(user));
-                    }
-                    // Call-end, exit or cross-shard departure.
-                    2 => {
-                        if let Some(slot) = live_slot(&arena, pick) {
-                            arena.remove(slot);
-                        }
-                    }
-                    // Same-shard handoff into the slot it just freed.
-                    3 => {
-                        if let Some(slot) = live_slot(&arena, pick) {
-                            let user = arena.remove(slot);
-                            prop_assert_eq!(arena.insert(user), slot);
-                        }
-                    }
-                    // Two same-shard handoffs that swap slots.
-                    4 => {
-                        let a = live_slot(&arena, pick);
-                        let b = live_slot(&arena, pick.rotate_left(17));
-                        if let (Some(a), Some(b)) = (a, b) {
-                            if a != b {
-                                let (ua, ub) = (arena.remove(a), arena.remove(b));
-                                prop_assert_eq!(arena.insert(ua), b);
-                                prop_assert_eq!(arena.insert(ub), a);
-                            }
-                        }
-                    }
-                    // A departure whose slot a newcomer takes.
-                    5 => {
-                        if let Some(slot) = live_slot(&arena, pick) {
-                            arena.remove(slot);
-                            next_user += 1;
-                            prop_assert_eq!(arena.insert(record(next_user)), slot);
-                        }
-                    }
-                    // Epoch barrier: the movement phase's view.
-                    _ => {
-                        arena.update_order(&mut order);
-                        prop_assert_eq!(&order, &collect_and_sort(&arena));
-                    }
-                }
-            }
-            arena.update_order(&mut order);
-            prop_assert_eq!(&order, &collect_and_sort(&arena));
-            prop_assert!(arena.joined.is_empty());
-        }
-
-        /// Deferred stepping is the eager stepper, bit for bit: the first
-        /// barrier at which a user exits or crosses, the cell it crosses
-        /// into, its state there and the next draw of its RNG stream all
-        /// match (and, for a user that stays home, its state and stream
-        /// after the last barrier). Starts sit at or just inside a vertex
-        /// or an edge, in or beyond the outer ring, anywhere in a cell, or
-        /// a whole number of steps from an edge on a course straight at
-        /// it: there the last deferrable step lands on the edge up to
-        /// rounding, which is what the edge epsilon is for.
+        /// Deferred stepping is the eager stepper, bit for bit. A user
+        /// woken only at its wakes, and one woken early at a random
+        /// barrier up to each due wake and re-armed there, both match it:
+        /// the eager stepper reports no motion before a wake, and the
+        /// first barrier at which a user exits or crosses, the cell it
+        /// crosses into, its state there and the next draw of its RNG
+        /// stream all match (and, for a user that stays home, its state
+        /// and stream after the last barrier). Starts sit at or just
+        /// inside a vertex or an edge, in or beyond the outer ring,
+        /// anywhere in a cell, or a whole number of steps from an edge on
+        /// a course straight at it: there the last deferrable step lands
+        /// on the edge up to rounding, which is what the edge epsilon is
+        /// for.
         #[test]
         fn deferred_steps_equal_eager_steps_bit_for_bit(
             grid in (0u32..=3, 0.5f64..=10.0),
@@ -869,24 +758,128 @@ mod tests {
                     cell: grid.locate(position),
                     ..record(user)
                 };
-                let (mut lazy, mut eager) = (make(), make());
-                lazy.rearm(&grid, tick_s);
+                let (mut lazy, mut early, mut eager) = (make(), make(), make());
+                // Early wakes fall on a random barrier after the last
+                // one, up to the due wake.
+                let mut picks = user_rng(!seed, user);
+                let mut pick_early = |u: &ActiveUser| {
+                    u.wake_barrier(&grid, tick_s).map(|due| {
+                        let span = (due - u.stepped_to) as usize;
+                        u.stepped_to + 1 + picks.index(span) as u64
+                    })
+                };
+                let mut due = lazy.wake_barrier(&grid, tick_s);
+                let mut early_due = pick_early(&early);
+                let (mut last, mut stepped) = (0, None);
                 for barrier in 1..=BARRIERS {
-                    let deferred = lazy.advance(&grid, tick_s);
-                    let stepped = eager_barrier(&mut eager, &grid, tick_s);
-                    prop_assert_eq!(deferred, stepped, "user {} at barrier {}", user, barrier);
+                    (last, stepped) = (barrier, eager_barrier(&mut eager, &grid, tick_s));
+                    if due == Some(barrier) {
+                        let woken = lazy.wake(barrier, &grid, tick_s);
+                        prop_assert_eq!(woken, stepped, "user {} woken at barrier {}", user, barrier);
+                        due = lazy.wake_barrier(&grid, tick_s);
+                    } else {
+                        prop_assert_eq!(stepped, None, "user {} moved before its wake", user);
+                    }
+                    if early_due == Some(barrier) {
+                        let woken = early.wake(barrier, &grid, tick_s);
+                        prop_assert_eq!(woken, stepped, "user {} woken early at {}", user, barrier);
+                        early_due = pick_early(&early);
+                    }
                     if stepped.is_some() {
                         break;
                     }
                 }
-                lazy.catch_up(tick_s);
+                prop_assert_eq!(lazy.wake(last, &grid, tick_s), stepped, "user {}", user);
+                prop_assert_eq!(early.wake(last, &grid, tick_s), stepped, "user {}", user);
                 let bits = |u: &mut ActiveUser| {
                     let s = u.state;
                     let next = u.rng.uniform();
                     [s.position.x, s.position.y, s.heading_deg, s.speed_kmh, next].map(f64::to_bits)
                 };
-                prop_assert_eq!(bits(&mut lazy), bits(&mut eager), "user {}", user);
+                let expected = bits(&mut eager);
+                prop_assert_eq!(bits(&mut lazy), expected, "user {}", user);
+                prop_assert_eq!(bits(&mut early), expected, "user {} woken early", user);
             }
         }
+    }
+
+    /// Slow walkers on large cells with short calls, whose slack outlasts
+    /// every call, mixed with fast users a few steps from an edge, who
+    /// wake, cross and exit. Mid-epoch and after every barrier the wake
+    /// queue holds no more entries than the shard has calls, and no slow
+    /// call's RNG stream is ever drawn.
+    #[test]
+    fn a_call_whose_slack_outlasts_it_is_never_stepped() {
+        let grid = HexGrid::new(1, 10.0);
+        let config = SimulationConfig { movement_tick_s: 1.0, seed: 11, ..Default::default() };
+        let cells = grid
+            .cell_ids()
+            .map(|id| {
+                let ledger = BandwidthLedger::new(BandwidthUnits::new(10_000));
+                CellUnit::new(id, ledger, Box::new(CompleteSharing::new()), grid.center_of(id))
+            })
+            .collect();
+        let mut shard = Shard::new(0, 1, &grid, config, cells, Metrics::new());
+        let inradius = 3f64.sqrt() / 2.0 * 10.0;
+        let slow = |user: u64| user % 3 != 0;
+        let mut arrivals: VecDeque<PendingArrival> = (0..90u64)
+            .map(|user| {
+                // Every third user is fast: those cover 30 of the 42
+                // (cell, heading) pairs.
+                let k = if slow(user) { user } else { user / 3 };
+                let center = grid.center_of(CellId((k % 7) as u32));
+                let heading = 60.0 * (k % 6) as f64;
+                let (start, mobility, holding_s) = if slow(user) {
+                    // 3 km/h from 6.66 km inside: ~8,000 steps of slack.
+                    let start = MobileState::new(center.step(heading, 2.0), heading, 3.0);
+                    (start, MobilityKind::Walker, 1.5 + (user % 11) as f64)
+                } else {
+                    // 720 km/h straight at an edge 0.3 km away.
+                    let position = center.step(heading, inradius - 0.3);
+                    (MobileState::new(position, heading, 720.0), MobilityKind::StraightLine, 120.0)
+                };
+                let time_us = 370_000 * user;
+                let spec = UserSpec {
+                    arrival_s: time_us as f64 / 1e6,
+                    profile: ServiceProfile::paper(ServiceClass::Text),
+                    start,
+                    mobility,
+                    holding_s,
+                };
+                PendingArrival { time_us, user, cell: grid.locate(start.position), spec }
+            })
+            .collect();
+        let check = |shard: &Shard<'_, Metrics>| {
+            assert!(
+                shard.wakes.len() <= shard.active.len(),
+                "{} wakes for {} calls",
+                shard.wakes.len(),
+                shard.active.len()
+            );
+            for u in shard.active.slots.iter().flatten().filter(|u| slow(u.user.0)) {
+                let next = u.rng.clone().uniform();
+                let fresh = user_rng(config.seed, u.user.0).uniform();
+                assert_eq!(next.to_bits(), fresh.to_bits(), "{} was stepped", u.user);
+            }
+        };
+        for barrier in 1u64.. {
+            let now = SimTime::from_micros(barrier * 1_000_000);
+            let due = arrivals.iter().take_while(|a| a.time_us <= now.as_micros()).count();
+            shard.accept_arrivals(&mut arrivals.drain(..due).collect());
+            shard.run_events(now);
+            check(&shard);
+            let mut migrants: Vec<Migrant> =
+                shard.run_movement(now).into_iter().map(|(_, m)| m).collect();
+            sort_migrants(&mut migrants);
+            shard.run_admissions(now, migrants);
+            check(&shard);
+            if shard.idle() && arrivals.is_empty() {
+                break;
+            }
+        }
+        let metrics = &shard.sink;
+        assert_eq!(metrics.accepted_new, 90);
+        assert!(metrics.handoff_accepted > 0 && metrics.exited_coverage > 0, "{metrics:?}");
+        assert_eq!(metrics.completed + metrics.exited_coverage, 90);
     }
 }

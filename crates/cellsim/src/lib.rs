@@ -71,7 +71,7 @@ pub mod validate;
 pub mod workload;
 
 pub use engine::{MobilityKind, RunInput, Simulation, SimulationConfig, UserSpec};
-pub use events::{EngineEvent, EngineQueue, UserId};
+pub use events::{EngineQueue, QueueEntry, UserId};
 pub use fuzz::{
     case_complexity, complexity, shrink, shrink_candidates, ControllerSlot, FuzzCase,
     WorkloadFuzzer,

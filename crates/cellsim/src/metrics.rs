@@ -2,7 +2,7 @@
 //! and the streaming [`MetricsSink`] interface the sharded kernel feeds.
 //!
 //! The engine does not know what it is measuring: every observable event
-//! (admission decision, completion, coverage exit, mobility step, epoch
+//! (admission decision, completion, coverage exit, movement barrier, epoch
 //! occupancy sample, final per-cell utilization integral) is pushed into
 //! a [`MetricsSink`]. [`Metrics`] — the paper's counters — is one sink;
 //! [`CellLoadSeries`] records a per-cell occupancy time series; a tuple
@@ -132,9 +132,12 @@ pub trait MetricsSink: Send {
         let _ = (now, cell, user);
     }
 
-    /// One mobility step was applied to an in-call user served by `cell`.
-    fn on_mobility_step(&mut self, now: SimTime, cell: CellId) {
-        let _ = (now, cell);
+    /// The movement barrier at `now` stepped `steps` in-call users, one
+    /// step each. A step counts at its barrier even where the kernel
+    /// defers computing it to the user's wake (DESIGN.md, "Deferred
+    /// movement steps").
+    fn on_mobility_steps(&mut self, now: SimTime, steps: u64) {
+        let _ = (now, steps);
     }
 
     /// Epoch-barrier occupancy sample of `cell`.
@@ -187,9 +190,9 @@ impl<A: MetricsSink, B: MetricsSink> MetricsSink for (A, B) {
         self.1.on_exit(now, cell, user);
     }
 
-    fn on_mobility_step(&mut self, now: SimTime, cell: CellId) {
-        self.0.on_mobility_step(now, cell);
-        self.1.on_mobility_step(now, cell);
+    fn on_mobility_steps(&mut self, now: SimTime, steps: u64) {
+        self.0.on_mobility_steps(now, steps);
+        self.1.on_mobility_steps(now, steps);
     }
 
     fn on_cell_sample(&mut self, now: SimTime, cell: CellId, occupied: u32, capacity: u32) {
@@ -245,8 +248,8 @@ pub struct Metrics {
     pub completed: u64,
     /// Calls ended by the terminal leaving the coverage area.
     pub exited_coverage: u64,
-    /// Mobility steps applied to in-call users (one per active user per
-    /// movement epoch).
+    /// Mobility steps of in-call users: one per in-call user per
+    /// movement barrier, whether computed there or at the user's wake.
     pub mobility_steps: u64,
     /// Admissions granted below their nominal bandwidth (degraded entry).
     pub degraded_admissions: u64,
@@ -430,8 +433,8 @@ impl MetricsSink for Metrics {
         self.record_exit();
     }
 
-    fn on_mobility_step(&mut self, _now: SimTime, _cell: CellId) {
-        self.mobility_steps += 1;
+    fn on_mobility_steps(&mut self, _now: SimTime, steps: u64) {
+        self.mobility_steps += steps;
     }
 
     fn on_cell_utilization(&mut self, _cell: CellId, occupied_bu_s: f64, capacity_bu_s: f64) {

@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 use facs_cac::policies::GuardChannel;
 use facs_cac::{BandwidthUnits, BoxedController};
 use facs_cellsim::erlang::erlang_b;
-use facs_cellsim::events::{EngineEvent, EngineQueue, UserId};
+use facs_cellsim::events::{EngineQueue, QueueEntry, UserId};
 use facs_cellsim::geometry::{HexCoord, HexGrid, Point};
 use facs_cellsim::mobility::{MobileState, MobilityModel, Walker};
 use facs_cellsim::rng::SimRng;
@@ -14,16 +14,14 @@ use facs_cellsim::time::SimTime;
 use facs_cellsim::{HoldingTimes, Simulation, SimulationConfig, TraceDigest, Workload};
 use proptest::prelude::*;
 
-/// Reference priority queue over the same content keys the engine
-/// queue orders by.
+/// Reference priority queue over the content keys the engine queue
+/// orders by, written out here so the model cannot drift from the
+/// production ordering contract (time, then user, then generation).
 type ModelHeap = BinaryHeap<Reverse<(SimTime, (u64, u32))>>;
 
-/// The engine queue's content-defined tie-break key, recomputed here
-/// so the reference model cannot drift from the production ordering
-/// contract (user, then generation).
-fn engine_key(event: EngineEvent) -> (u64, u32) {
-    let EngineEvent::CallEnd { user, generation } = event;
-    (user.0, generation)
+/// The `(time, (user, generation))` key of a popped entry.
+fn engine_key(entry: QueueEntry) -> (SimTime, (u64, u32)) {
+    (entry.time, (entry.user.0, entry.generation))
 }
 
 proptest! {
@@ -164,9 +162,9 @@ proptest! {
                 // Ordinary near-term event.
                 _ => SimTime::from_micros(raw_us),
             };
-            let event = EngineEvent::CallEnd { user: UserId(user), generation: (user % 3) as u32 };
-            queue.schedule(time, event);
-            model.push(Reverse((time, engine_key(event))));
+            let entry = QueueEntry { time, user: UserId(user), generation: (user % 3) as u32, tag: 0 };
+            queue.schedule(entry);
+            model.push(Reverse(engine_key(entry)));
         };
         for (i, &(shape, raw)) in first.iter().enumerate() {
             push(&mut queue, &mut model, shape, raw, i as u64);
@@ -174,9 +172,9 @@ proptest! {
         // Drain part of the schedule, then keep scheduling: later pushes
         // can land before entries already popped.
         for _ in 0..drained.min(first.len()) {
-            let (time, event, _) = queue.pop_within(SimTime::from_micros(u64::MAX)).unwrap();
+            let entry = queue.pop_within(SimTime::from_micros(u64::MAX)).unwrap();
             let Reverse(expected) = model.pop().unwrap();
-            prop_assert_eq!((time, engine_key(event)), expected);
+            prop_assert_eq!(engine_key(entry), expected);
         }
         for (i, &(shape, raw)) in second.iter().enumerate() {
             push(&mut queue, &mut model, shape, raw, (first.len() + i) as u64);
@@ -184,18 +182,18 @@ proptest! {
         // Bounded drain: pop_within must stop exactly where the model's
         // next entry crosses the limit...
         let limit = SimTime::from_micros(limit_us);
-        while let Some((time, event, _)) = queue.pop_within(limit) {
-            prop_assert!(time <= limit);
+        while let Some(entry) = queue.pop_within(limit) {
+            prop_assert!(entry.time <= limit);
             let Reverse(expected) = model.pop().unwrap();
-            prop_assert_eq!((time, engine_key(event)), expected);
+            prop_assert_eq!(engine_key(entry), expected);
         }
         if let Some(Reverse((next, _))) = model.peek() {
             prop_assert!(*next > limit, "pop_within({limit}) stopped early of {next}");
         }
         // ...and the unbounded drain must finish the identical sequence.
-        while let Some((time, event, _)) = queue.pop_within(SimTime::from_micros(u64::MAX)) {
+        while let Some(entry) = queue.pop_within(SimTime::from_micros(u64::MAX)) {
             let Reverse(expected) = model.pop().unwrap();
-            prop_assert_eq!((time, engine_key(event)), expected);
+            prop_assert_eq!(engine_key(entry), expected);
         }
         prop_assert!(model.is_empty());
         prop_assert!(queue.is_empty());

@@ -242,27 +242,41 @@ impl HexGrid {
     /// partition is exactly "nearest center".
     ///
     /// Runs in O(1) via the inverse pixel→axial transform plus cube
-    /// rounding; only points that round outside the finite grid (i.e.
-    /// beyond the outer ring) fall back to a scan over the cells.
+    /// rounding; only points that round outside the finite grid fall
+    /// back to a scan over the outer ring, O(6R) for `R` rings. That scan
+    /// is exact: every inner cell has all six neighbors in the grid, so
+    /// the points nearest to an inner center are that cell's own
+    /// hexagon, and a point that rounds outside the grid lies in no
+    /// hexagon of the grid. Its nearest center is therefore on the outer
+    /// ring, and the ascending-id scan resolves ties to the lowest id.
     #[must_use]
     pub fn locate(&self, point: Point) -> CellId {
+        self.rounded(point).unwrap_or_else(|| self.nearest_on_outer_ring(point).0)
+    }
+
+    /// The grid cell `point` hex-rounds into, if it rounds into the grid.
+    fn rounded(&self, point: Point) -> Option<CellId> {
         let size = self.cell_radius_km;
         let fq = (3f64.sqrt() / 3.0 * point.x - point.y / 3.0) / size;
         let fr = (2.0 / 3.0 * point.y) / size;
-        if let Some(id) = self.cell_at(Self::axial_round(fq, fr)) {
-            return id;
-        }
-        // Outside the modelled honeycomb: nearest center by scan.
-        let mut best = CellId(0);
+        self.cell_at(Self::axial_round(fq, fr))
+    }
+
+    /// The outer-ring cell nearest to `point` and its distance in km,
+    /// lowest id on a tie. `new` assigns ids ring by ring, so the outer
+    /// ring is the last `6R` ids (the whole grid when `R = 0`).
+    fn nearest_on_outer_ring(&self, point: Point) -> (CellId, f64) {
+        let first = if self.radius == 0 { 0 } else { self.len() - 6 * self.radius as usize };
+        let mut best = CellId(first as u32);
         let mut best_d = f64::INFINITY;
-        for id in self.cell_ids() {
+        for id in (first..self.len()).map(|i| CellId(i as u32)) {
             let d = self.center_of(id).distance_to(point);
             if d < best_d {
                 best_d = d;
                 best = id;
             }
         }
-        best
+        (best, best_d)
     }
 
     /// Distance in km from `point` to the nearest edge of cell `id`'s
@@ -313,15 +327,11 @@ impl HexGrid {
         // Fast path: a point that hex-rounds into a modelled cell lies
         // inside that hexagon, hence within one cell radius of its
         // center — it cannot be out of coverage. Only points beyond the
-        // outer ring pay the nearest-center scan.
-        let size = self.cell_radius_km;
-        let fq = (3f64.sqrt() / 3.0 * point.x - point.y / 3.0) / size;
-        let fr = (2.0 / 3.0 * point.y) / size;
-        if self.cell_at(Self::axial_round(fq, fr)).is_some() {
+        // outer ring pay the outer-ring scan (see `locate`), once.
+        if self.rounded(point).is_some() {
             return false;
         }
-        let nearest = self.locate(point);
-        self.center_of(nearest).distance_to(point) > 2.0 * size
+        self.nearest_on_outer_ring(point).1 > 2.0 * self.cell_radius_km
     }
 }
 

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use facs_cac::policies::GuardChannel;
-use facs_cac::{BandwidthUnits, BoxedController};
+use facs_cac::{BandwidthUnits, BoxedController, CellId};
 use facs_cellsim::erlang::erlang_b;
 use facs_cellsim::events::{EngineQueue, QueueEntry, UserId};
 use facs_cellsim::geometry::{HexCoord, HexGrid, Point};
@@ -61,6 +61,49 @@ proptest! {
         for id in grid.cell_ids() {
             let d = grid.center_of(id).distance_to(p);
             prop_assert!(d_located <= d + 1e-12, "{id} closer than {located}");
+        }
+    }
+
+    /// Off the honeycomb, `locate` scans only the outer ring; it must
+    /// still return exactly the nearest center over *every* cell, lowest
+    /// id on a tie, and `out_of_coverage` must read that center's
+    /// distance. Grids of 0–8 rings and one 182-ring grid; points in an
+    /// annulus of 0.7–3 times the grid's reach, on the vertices and edge
+    /// midpoints of outer cells, and those points moved by up to 1e-9 km;
+    /// plus the 1-ring tie points, where two outer centers are bitwise
+    /// equidistant.
+    #[test]
+    fn off_grid_locate_equals_a_full_scan(
+        rings in prop::sample::select(vec![0u32, 1, 2, 3, 4, 5, 6, 7, 8, 182]),
+        size_km in 0.5_f64..10.0,
+        points in prop::collection::vec(
+            (0u8..3, 0.0_f64..1.0, 0.0_f64..1.0, 0u32..12, -1e-9_f64..1e-9, -1e-9_f64..1e-9),
+            1..16,
+        ),
+    ) {
+        let grid = HexGrid::new(rings, size_km);
+        let reach = reach_km(&grid);
+        let outer = if rings == 0 { 0 } else { grid.len() - 6 * rings as usize };
+        for (kind, u, v, k, jx, jy) in points {
+            let p = if kind == 0 {
+                Point::ORIGIN.step(360.0 * v, reach * (0.7 + 2.3 * u))
+            } else {
+                let id = CellId((outer + (u * (grid.len() - outer) as f64) as usize) as u32);
+                let center = grid.center_of(id);
+                // Even k: a vertex, one circumradius out between two edge
+                // normals; odd k: an edge midpoint, one inradius out.
+                let p = if k % 2 == 0 {
+                    center.step(30.0 * f64::from(k) + 30.0, size_km)
+                } else {
+                    center.step(30.0 * f64::from(k) - 30.0, 3f64.sqrt() / 2.0 * size_km)
+                };
+                if kind == 1 { p } else { Point::new(p.x + jx, p.y + jy) }
+            };
+            check_locate_against_full_scan(&grid, p)?;
+        }
+        let ties = HexGrid::new(1, 1.0);
+        for y in [5.0, -5.0] {
+            check_locate_against_full_scan(&ties, Point::new(0.0, y))?;
         }
     }
 
@@ -228,6 +271,43 @@ proptest! {
             prop_assert_eq!(s, &format!("{e:?}"), "spec {i} diverged at chunk size {chunk}");
         }
     }
+}
+
+/// The nearest center by a scan over every cell, lowest id on a tie,
+/// and its distance in km.
+fn nearest_by_full_scan(grid: &HexGrid, p: Point) -> (CellId, f64) {
+    let mut best = (CellId(0), f64::INFINITY);
+    for id in grid.cell_ids() {
+        let d = grid.center_of(id).distance_to(p);
+        if d < best.1 {
+            best = (id, d);
+        }
+    }
+    best
+}
+
+/// A bound on the distance from the origin to any point of the grid's
+/// hexagons: the corner centers' `√3 · R` cell radii plus one more.
+fn reach_km(grid: &HexGrid) -> f64 {
+    (3f64.sqrt() * f64::from(grid.radius()) + 1.0) * grid.cell_radius_km()
+}
+
+/// Checks `locate` and `out_of_coverage` at `p` against the full scan.
+/// A point beyond the grid's reach lies in none of its hexagons, so it
+/// takes the off-grid path and must match the scan's `CellId` exactly.
+/// Nearer in, hex rounding may settle a near-tie between two cells
+/// either way, so there only the distance must match.
+fn check_locate_against_full_scan(grid: &HexGrid, p: Point) -> Result<(), TestCaseError> {
+    let (nearest, d) = nearest_by_full_scan(grid, p);
+    let located = grid.locate(p);
+    if p.distance_to(Point::ORIGIN) > reach_km(grid) {
+        prop_assert_eq!(located, nearest, "off-grid point {:?}", p);
+    } else if located != nearest {
+        let d_located = grid.center_of(located).distance_to(p);
+        prop_assert!((d_located - d).abs() < 1e-9, "{located} vs {nearest} at {p:?}");
+    }
+    prop_assert_eq!(grid.out_of_coverage(p), d > 2.0 * grid.cell_radius_km(), "at {:?}", p);
+    Ok(())
 }
 
 /// Builds one guard-channel controller per cell — simple, deterministic,

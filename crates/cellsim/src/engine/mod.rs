@@ -2,11 +2,11 @@
 //!
 //! The world — cells with ledgers and admission controllers, in-call
 //! users, pending arrivals — is partitioned into **cell-group shards**
-//! (cell `i` belongs to shard `i % shards`). Each shard runs an
-//! independent discrete-event loop over its own [`EngineQueue`]s and the
-//! shards only interact at **epoch barriers** spaced one movement tick
-//! apart, where calls that crossed into a cell owned by another shard
-//! are exchanged as migrants.
+//! (cell `i` belongs to shard `i % shards`, from construction on). Each
+//! shard runs an independent discrete-event loop over its own
+//! [`EngineQueue`]s and the shards only interact at **epoch barriers**
+//! spaced one movement tick apart, where calls that crossed into a cell
+//! owned by another shard are exchanged as migrants.
 //!
 //! ## Why multi-shard runs are bit-identical to single-shard runs
 //!
@@ -44,11 +44,12 @@
 
 mod shard;
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::panic;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, PoisonError};
 
 use facs_cac::{
     AdmissionController, BandwidthLedger, BandwidthUnits, BoxedController, CellId, ServiceProfile,
@@ -204,15 +205,17 @@ impl From<Vec<UserSpec>> for RunInput {
 }
 
 /// The simulator: owns the grid and the cells (ledger + controller
-/// each); each run partitions them into shards, drives the epoch loop,
-/// and reassembles the world.
+/// each), built into their shards once, at construction; each run lends
+/// every shard its cells, drives the epoch loop, folds the shards' sinks
+/// and flushes the cells' utilization in id order.
 ///
 /// Build with [`Simulation::new`], then [`Simulation::run`] a workload
 /// (or [`Simulation::run_with`] to stream events into a custom
 /// [`MetricsSink`]).
 pub struct Simulation {
     grid: HexGrid,
-    cells: Vec<CellUnit>,
+    /// Shard `s`'s cells, ids `s, s + N, s + 2N, …` for `N` shards.
+    cells: Vec<Vec<CellUnit>>,
     clock: SimTime,
     config: SimulationConfig,
 }
@@ -220,7 +223,7 @@ pub struct Simulation {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("cells", &self.cells.len())
+            .field("cells", &self.grid.len())
             .field("clock", &self.clock)
             .field("shards", &self.config.shards)
             .finish()
@@ -269,19 +272,12 @@ impl Simulation {
                 );
             }
         }
-        let cells = controllers
-            .into_iter()
-            .enumerate()
-            .map(|(i, controller)| {
-                let id = CellId(i as u32);
-                CellUnit::new(
-                    id,
-                    BandwidthLedger::new(config.capacity),
-                    controller,
-                    grid.center_of(id),
-                )
-            })
-            .collect();
+        let mut cells: Vec<Vec<CellUnit>> =
+            (0..shards).map(|s| Vec::with_capacity((grid.len() - s).div_ceil(shards))).collect();
+        for (id, controller) in controllers.into_iter().enumerate() {
+            cells[id % shards]
+                .push(CellUnit::new(BandwidthLedger::new(config.capacity), controller));
+        }
         Self { grid, cells, clock: SimTime::ZERO, config: SimulationConfig { shards, ..config } }
     }
 
@@ -314,17 +310,15 @@ impl Simulation {
         let tick = SimDuration::from_secs_f64(self.config.movement_tick_s);
         let horizon = SimTime::from_secs_f64(self.config.max_time_s);
 
-        // Partition cells round-robin: shard s owns ids s, s+n, s+2n, …
-        let mut per_shard: Vec<Vec<CellUnit>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for cell in std::mem::take(&mut self.cells) {
-            per_shard[cell.id.0 as usize % shard_count].push(cell);
-        }
         let grid = &self.grid;
         let config = self.config;
-        let mut shards: Vec<Shard<'_, S>> = per_shard
-            .into_iter()
+        let mut shards: Vec<Shard<'_, S>> = self
+            .cells
+            .iter_mut()
             .enumerate()
-            .map(|(i, cells)| Shard::new(i, shard_count, grid, config, cells, sink.fork()))
+            .map(|(i, cells)| {
+                Shard::new(i, shard_count, grid, config, std::mem::take(cells), sink.fork())
+            })
             .collect();
 
         let workers = resolve_workers(self.config.workers, shard_count);
@@ -347,18 +341,18 @@ impl Simulation {
             epochs
         });
 
-        // Reassemble: fold shard sinks in shard order, collect cells back
-        // into id order and flush each cell's utilization integral.
+        // Fold shard sinks in shard order, take the cells back, and
+        // flush each cell's utilization integral in id order.
         let final_time =
             if epochs == 0 { SimTime::ZERO } else { barrier_time(tick, epochs).min(horizon) };
-        for shard in shards {
+        for (cells, shard) in self.cells.iter_mut().zip(shards) {
             sink.absorb(shard.sink);
-            self.cells.extend(shard.cells);
+            *cells = shard.cells;
         }
-        self.cells.sort_by_key(|c| c.id.0);
-        for cell in &mut self.cells {
+        for id in 0..self.grid.len() {
+            let cell = &mut self.cells[id % shard_count][id / shard_count];
             let (occupied_bu_s, capacity_bu_s) = cell.finish(final_time);
-            sink.on_cell_utilization(cell.id, occupied_bu_s, capacity_bu_s);
+            sink.on_cell_utilization(CellId(id as u32), occupied_bu_s, capacity_bu_s);
         }
         self.clock = final_time;
         sink
@@ -507,7 +501,7 @@ fn dispatch_order(mut specs: Vec<UserSpec>) -> Vec<UserSpec> {
 /// shards within the phase, is invisible to the shard. Mailbox pushes
 /// from concurrently-running shards can interleave arbitrarily — the
 /// inbox is sorted into global user order before any admission — and
-/// sinks are folded in shard order at reassembly, so every float and
+/// sinks are folded in shard order after the run, so every float and
 /// every RNG draw happens in the same order on any worker count.
 ///
 /// ## Feeding arrivals alongside shard work
@@ -553,6 +547,12 @@ fn dispatch_order(mut specs: Vec<UserSpec>) -> Vec<UserSpec> {
 /// always match. The phase counters are reset by the barrier leader one
 /// full barrier before their next use, which orders the reset before
 /// every subsequent `fetch_add`.
+///
+/// A panic in a phase is caught, kept (the first only) and re-raised once
+/// the pool has joined; unwinding out of one worker would strand the
+/// others at a barrier. It raises that phase's flag, which every worker
+/// reads behind the barrier ending the phase, so all leave together. One
+/// flag for both phases would race as a single `more_input` would.
 fn drive<S: MetricsSink>(
     shards: &mut [Shard<'_, S>],
     tick: SimDuration,
@@ -583,6 +583,14 @@ fn drive<S: MetricsSink>(
         (i < tasks).then_some(i)
     };
     let parity = |epoch: u64| (epoch % 2) as usize;
+    let (failed_a, failed_b) = (AtomicBool::new(false), AtomicBool::new(false));
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let guarded = |failed: &AtomicBool, phase: &dyn Fn()| {
+        if let Err(cause) = panic::catch_unwind(AssertUnwindSafe(phase)) {
+            panicked.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(cause);
+            failed.store(true, Ordering::SeqCst);
+        }
+    };
 
     let work = || {
         let mut epoch: u64 = 0;
@@ -596,6 +604,7 @@ fn drive<S: MetricsSink>(
             let all_idle = idle.iter().all(|flag| flag.load(Ordering::SeqCst));
             if (all_idle && !more_input[parity(epoch + 1)].load(Ordering::SeqCst))
                 || barrier_time(tick, epoch) >= horizon
+                || failed_b.load(Ordering::SeqCst)
             {
                 break;
             }
@@ -605,59 +614,67 @@ fn drive<S: MetricsSink>(
             let (current, next) = (parity(epoch), parity(epoch + 1));
             // Phase A: the next epoch's window, then each shard's
             // arrivals and call-ends for this window, then movement.
-            while let Some(task) = claim(&next_a, shard_count + 1) {
-                let Some(i) = task.checked_sub(1) else {
-                    let mut feeder = feeder.lock().expect("feeder poisoned");
-                    let delivered =
-                        feeder.refill(&arrivals[next], barrier_time(tick, epoch + 1).min(horizon));
-                    more_input[next].store(delivered || !feeder.exhausted(), Ordering::SeqCst);
-                    continue;
-                };
-                let mut shard = slots[i].lock().expect("shard slot poisoned");
-                shard.accept_arrivals(
-                    &mut arrivals[current][i].lock().expect("arrival inbox poisoned"),
-                );
-                shard.run_events(limit);
-                if t <= horizon {
-                    for (target, migrant) in shard.run_movement(t) {
-                        mailboxes[target].lock().expect("mailbox poisoned").push(migrant);
+            guarded(&failed_a, &|| {
+                while let Some(task) = claim(&next_a, shard_count + 1) {
+                    let Some(i) = task.checked_sub(1) else {
+                        let mut feeder = feeder.lock().expect("feeder poisoned");
+                        let delivered = feeder
+                            .refill(&arrivals[next], barrier_time(tick, epoch + 1).min(horizon));
+                        more_input[next].store(delivered || !feeder.exhausted(), Ordering::SeqCst);
+                        continue;
+                    };
+                    let mut shard = slots[i].lock().expect("shard slot poisoned");
+                    shard.accept_arrivals(
+                        &mut arrivals[current][i].lock().expect("arrival inbox poisoned"),
+                    );
+                    shard.run_events(limit);
+                    if t <= horizon {
+                        for (target, migrant) in shard.run_movement(t) {
+                            mailboxes[target].lock().expect("mailbox poisoned").push(migrant);
+                        }
                     }
                 }
-            }
+            });
             if sync.wait().is_leader() {
                 // Phase A is over on every worker; the counter's next
                 // use is behind the loop-top barrier, which this reset
                 // happens-before.
                 next_a.store(0, Ordering::Relaxed);
             }
-            if t > horizon {
+            if t > horizon || failed_a.load(Ordering::SeqCst) {
                 break;
             }
             // Phase B: inbound handoffs, then the epoch pulse.
-            while let Some(i) = claim(&next_b, shard_count) {
-                let mut shard = slots[i].lock().expect("shard slot poisoned");
-                let mut inbox =
-                    std::mem::take(&mut *mailboxes[i].lock().expect("mailbox poisoned"));
-                sort_migrants(&mut inbox);
-                shard.run_admissions(t, inbox);
-                shard.sample_cells(t);
-                idle[i].store(shard.idle(), Ordering::SeqCst);
-            }
+            guarded(&failed_b, &|| {
+                while let Some(i) = claim(&next_b, shard_count) {
+                    let mut shard = slots[i].lock().expect("shard slot poisoned");
+                    let mut inbox =
+                        std::mem::take(&mut *mailboxes[i].lock().expect("mailbox poisoned"));
+                    sort_migrants(&mut inbox);
+                    shard.run_admissions(t, inbox);
+                    shard.sample_cells(t);
+                    idle[i].store(shard.idle(), Ordering::SeqCst);
+                }
+            });
         }
         epoch
     };
 
-    if workers == 1 {
-        return work();
+    let epochs = if workers == 1 {
+        work()
+    } else {
+        let epochs: Vec<u64> = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
+        })
+        .expect("shard scope failed");
+        debug_assert!(epochs.iter().all(|&e| e == epochs[0]), "workers disagreed on epoch count");
+        epochs[0]
+    };
+    if let Some(cause) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        panic::resume_unwind(cause);
     }
-    let epochs: Vec<u64> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
-    })
-    .expect("shard scope failed");
-    let first = epochs[0];
-    debug_assert!(epochs.iter().all(|&e| e == first), "workers disagreed on epoch count");
-    first
+    epochs
 }
 
 #[cfg(test)]
@@ -690,7 +707,7 @@ mod tests {
         assert_eq!(metrics.offered_new, 1);
         assert_eq!(metrics.accepted_new, 1);
         assert_eq!(metrics.completed, 1);
-        assert_eq!(sim.cells[0].ledger.occupied(), BandwidthUnits::ZERO, "bandwidth returned");
+        assert_eq!(sim.cells[0][0].ledger.occupied(), BandwidthUnits::ZERO, "bandwidth returned");
     }
 
     #[test]
@@ -919,12 +936,15 @@ mod tests {
             let config = SimulationConfig { movement_tick_s: 1.0, shards, ..Default::default() };
             let mut sim = Simulation::new(HexGrid::new(1, 1.0), config, controllers(7));
             let metrics = sim.run(vec![spec.clone()]);
-            for (id, cell) in sim.cells.iter().enumerate() {
-                assert_eq!(
-                    cell.ledger.occupied(),
-                    BandwidthUnits::ZERO,
-                    "cell {id} leaked bandwidth at {shards} shards"
-                );
+            for (shard, cells) in sim.cells.iter().enumerate() {
+                for (slot, cell) in cells.iter().enumerate() {
+                    let id = slot * sim.cells.len() + shard;
+                    assert_eq!(
+                        cell.ledger.occupied(),
+                        BandwidthUnits::ZERO,
+                        "cell {id} leaked bandwidth at {shards} shards"
+                    );
+                }
             }
             metrics
         };
@@ -1187,6 +1207,41 @@ mod tests {
         assert_eq!(inboxes[0].lock().expect("inbox").len(), 1);
     }
 
+    #[test]
+    fn a_worker_panic_is_re_raised_on_a_pool() {
+        // A negative holding time panics in one shard's arrival dispatch.
+        // The other pool workers must leave the epoch loop with it rather
+        // than wait at the next barrier forever; the run is watched from
+        // another thread, so a deadlock fails the test instead of hanging.
+        for (shards, workers) in [(2, 1), (2, 2), (3, 3)] {
+            let (done, finished) = mpsc::channel::<()>();
+            let run = std::thread::spawn(move || {
+                let _done = done;
+                let config = SimulationConfig {
+                    shards,
+                    workers,
+                    movement_tick_s: 1.0,
+                    ..Default::default()
+                };
+                let mut sim = Simulation::new(HexGrid::new(1, 1.0), config, controllers(7));
+                sim.run(vec![stationary_spec(1.0, ServiceClass::Voice, -1.0)])
+            });
+            let outcome = finished.recv_timeout(std::time::Duration::from_secs(60));
+            assert_eq!(
+                outcome,
+                Err(mpsc::RecvTimeoutError::Disconnected),
+                "{shards} shards / {workers} workers: the run did not return"
+            );
+            let cause = run.join().expect_err("a negative holding time must panic");
+            let message = cause
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.contains("invalid duration -1"), "re-raised {message:?}");
+        }
+    }
+
     /// A zero-width distance range panics inside synthesis; the run must
     /// surface that panic, not hang or end quietly.
     fn producer_panic_run(shards: usize, workers: usize) {
@@ -1214,6 +1269,24 @@ mod tests {
         assert!(resolve_workers(0, 1) == 1);
     }
 
+    /// Every `on_cell_utilization` call of a run, integrals as bits.
+    #[derive(Debug, Default, PartialEq)]
+    struct UtilizationFlush(Vec<(CellId, u64, u64)>);
+
+    impl MetricsSink for UtilizationFlush {
+        fn fork(&self) -> Self {
+            Self::default()
+        }
+
+        fn absorb(&mut self, other: Self) {
+            self.0.extend(other.0);
+        }
+
+        fn on_cell_utilization(&mut self, cell: CellId, occupied_bu_s: f64, capacity_bu_s: f64) {
+            self.0.push((cell, occupied_bu_s.to_bits(), capacity_bu_s.to_bits()));
+        }
+    }
+
     #[test]
     fn cell_series_sink_is_shard_independent() {
         let run = |shards: usize| {
@@ -1221,12 +1294,20 @@ mod tests {
             let config =
                 SimulationConfig { movement_tick_s: 2.0, seed: 9, shards, ..Default::default() };
             let mut sim = Simulation::new(grid, config, controllers(7));
-            sim.run_with(walker_workload(60), (Metrics::new(), CellLoadSeries::new()))
+            let sinks = (Metrics::new(), (CellLoadSeries::new(), UtilizationFlush::default()));
+            sim.run_with(walker_workload(60), sinks)
         };
-        let (m1, s1) = run(1);
-        let (m4, s4) = run(4);
-        assert_eq!(m1, m4);
-        assert_eq!(s1, s4);
+        let (m1, (s1, u1)) = run(1);
+        // 7 shards put one cell on each; 9 is clamped to 7.
+        for shards in [2, 3, 4, 7, 9] {
+            let (m, (s, u)) = run(shards);
+            assert_eq!(m1, m, "{shards} shards");
+            assert_eq!(s1, s, "{shards} shards");
+            assert_eq!(u1, u, "{shards} shards");
+        }
+        let ids: Vec<u32> = u1.0.iter().map(|&(id, _, _)| id.0).collect();
+        assert_eq!(ids, (0..7).collect::<Vec<_>>(), "each cell flushed once, in id order");
+        assert!(u1.0.iter().any(|&(_, occupied, _)| f64::from_bits(occupied) > 0.0));
         assert_eq!(s1.capacity_bu(), 40);
         assert!(s1.cells().count() > 0, "series sampled no cells");
         let csv = s1.to_csv();
@@ -1329,6 +1410,12 @@ mod tests {
         assert_eq!(std::mem::size_of::<MobilityKind>(), 1);
         let spec = std::mem::size_of::<UserSpec>();
         assert!(spec <= 88, "UserSpec grew to {spec} bytes");
+        // A simulation holds one `CellUnit` per cell for its lifetime
+        // (99,919 on the planet grid). Debug builds add the 8-B time of
+        // the last `observe` pulse, which only a `debug_assert!` reads.
+        let pulse_field = if cfg!(debug_assertions) { std::mem::size_of::<f64>() } else { 0 };
+        let cell = std::mem::size_of::<CellUnit>() - pulse_field;
+        assert!(cell <= 80, "CellUnit grew to {cell} bytes in release builds");
     }
 
     #[test]

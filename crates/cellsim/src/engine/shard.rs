@@ -16,7 +16,7 @@ use facs_cac::{
 };
 
 use crate::events::{EngineQueue, QueueEntry, UserId};
-use crate::geometry::{HexGrid, Point};
+use crate::geometry::HexGrid;
 use crate::metrics::{DecisionRecord, MetricsSink};
 use crate::mobility::{MobileState, MobilityModel};
 use crate::rng::SimRng;
@@ -30,12 +30,11 @@ use super::{MobilityKind, SimulationConfig, UserSpec};
 /// only when this cell's occupancy changes (and flushed once at the end
 /// of the run). Because a cell's event sequence is shard-independent,
 /// the exact float-op order of its integral is too — which is what makes
-/// `mean_utilization` bit-identical across shard counts.
+/// `mean_utilization` bit-identical across shard counts. The shard knows
+/// a cell's id from its slot, and `HexGrid::center_of` its center.
 pub(crate) struct CellUnit {
-    pub(crate) id: CellId,
     pub(crate) ledger: BandwidthLedger,
     pub(crate) controller: BoxedController,
-    pub(crate) center: Point,
     occupied_integral_bu_s: f64,
     last_change: SimTime,
     /// Barrier time of the last `observe` pulse delivered to this cell's
@@ -45,23 +44,18 @@ pub(crate) struct CellUnit {
     /// all strictly-later admissions.
     ///
     /// [`AdmissionController::observe`]: facs_cac::AdmissionController::observe
+    #[cfg(debug_assertions)]
     last_observed_s: f64,
 }
 
 impl CellUnit {
-    pub(crate) fn new(
-        id: CellId,
-        ledger: BandwidthLedger,
-        controller: BoxedController,
-        center: Point,
-    ) -> Self {
+    pub(crate) fn new(ledger: BandwidthLedger, controller: BoxedController) -> Self {
         Self {
-            id,
             ledger,
             controller,
-            center,
             occupied_integral_bu_s: 0.0,
             last_change: SimTime::ZERO,
+            #[cfg(debug_assertions)]
             last_observed_s: f64::NEG_INFINITY,
         }
     }
@@ -260,7 +254,8 @@ pub(crate) struct Shard<'a, S> {
     shard_count: usize,
     grid: &'a HexGrid,
     config: SimulationConfig,
-    /// The owned cells, ascending id (ids ≡ `index` mod `shard_count`).
+    /// The owned cells, lent by the simulation for one run: slot `k`
+    /// holds cell `k · shard_count + index`.
     pub(crate) cells: Vec<CellUnit>,
     /// The movement tick in microseconds: barrier `b` is at `b · tick_us`.
     tick_us: u64,
@@ -328,17 +323,8 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
     }
 
     fn cell_mut(&mut self, id: CellId) -> &mut CellUnit {
-        let slot = id.0 as usize / self.shard_count;
-        let cell = &mut self.cells[slot];
-        debug_assert_eq!(cell.id, id, "cell partition arithmetic broke");
-        cell
-    }
-
-    fn cell(&self, id: CellId) -> &CellUnit {
-        let slot = id.0 as usize / self.shard_count;
-        let cell = &self.cells[slot];
-        debug_assert_eq!(cell.id, id, "cell partition arithmetic broke");
-        cell
+        debug_assert_eq!(id.0 as usize % self.shard_count, self.index, "cell on another shard");
+        &mut self.cells[id.0 as usize / self.shard_count]
     }
 
     /// Consults the controller, then applies its plan through
@@ -358,6 +344,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         // Ordering contract (see `AdmissionController::observe`): every
         // admission of an epoch fires before that epoch's observe pulse,
         // so a decide can never run at or before the last pulse time.
+        #[cfg(debug_assertions)]
         debug_assert!(
             now.as_secs_f64() > cell.last_observed_s,
             "decide at t={} not after last observe pulse at t={}",
@@ -434,9 +421,10 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         // Saturated cell or off-map request: denied without building the
         // full request — `fast_reject` is a conservative proof that
         // `decide` could not admit, so the record is identical.
-        let cell = self.cell(cell_id);
+        let grid = self.grid;
+        let cell = self.cell_mut(cell_id);
         if cell.controller.fast_reject(&profile, &cell.ledger)
-            || self.grid.out_of_coverage(start.position)
+            || grid.out_of_coverage(start.position)
         {
             self.sink.on_decision(
                 now,
@@ -445,10 +433,9 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             );
             return;
         }
-        let call = CallId(user.0);
-        let request =
-            CallRequest::new(call, profile.class, CallKind::New, start.observe(cell.center))
-                .with_profile(profile);
+        let (call, center) = (CallId(user.0), grid.center_of(cell_id));
+        let request = CallRequest::new(call, profile.class, CallKind::New, start.observe(center))
+            .with_profile(profile);
         let granted = self.try_admit(now, cell_id, &request);
         let record = match granted {
             Some(allocated) => DecisionRecord::admitted(user, profile, CallKind::New, allocated),
@@ -578,7 +565,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
                 m.call,
                 m.profile.class,
                 CallKind::Handoff,
-                m.state.observe(self.cell(m.to).center),
+                m.state.observe(self.grid.center_of(m.to)),
             )
             .with_profile(m.profile);
             let granted = self.try_admit(now, m.to, &request);
@@ -614,20 +601,23 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
     ///
     /// [`observe`]: facs_cac::AdmissionController::observe
     pub(crate) fn sample_cells(&mut self, now: SimTime) {
-        for cell in &mut self.cells {
+        for (slot, cell) in self.cells.iter_mut().enumerate() {
             // Pulses are strictly increasing per cell (one per epoch
             // barrier); see the `observe` ordering contract.
-            debug_assert!(
-                now.as_secs_f64() > cell.last_observed_s,
-                "observe pulse at t={} not after previous pulse at t={}",
-                now.as_secs_f64(),
-                cell.last_observed_s
-            );
-            cell.last_observed_s = now.as_secs_f64();
+            #[cfg(debug_assertions)]
+            {
+                debug_assert!(
+                    now.as_secs_f64() > cell.last_observed_s,
+                    "observe pulse at t={} not after previous pulse at t={}",
+                    now.as_secs_f64(),
+                    cell.last_observed_s
+                );
+                cell.last_observed_s = now.as_secs_f64();
+            }
             cell.controller.observe(now.as_secs_f64(), &cell.ledger);
             self.sink.on_cell_sample(
                 now,
-                cell.id,
+                CellId((slot * self.shard_count + self.index) as u32),
                 cell.ledger.occupied().get(),
                 cell.ledger.capacity().get(),
             );
@@ -655,6 +645,7 @@ pub(crate) fn sort_migrants(migrants: &mut [Migrant]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Point;
     use crate::metrics::Metrics;
     use facs_cac::policies::CompleteSharing;
     use facs_cac::ServiceClass;
@@ -814,9 +805,9 @@ mod tests {
         let config = SimulationConfig { movement_tick_s: 1.0, seed: 11, ..Default::default() };
         let cells = grid
             .cell_ids()
-            .map(|id| {
+            .map(|_| {
                 let ledger = BandwidthLedger::new(BandwidthUnits::new(10_000));
-                CellUnit::new(id, ledger, Box::new(CompleteSharing::new()), grid.center_of(id))
+                CellUnit::new(ledger, Box::new(CompleteSharing::new()))
             })
             .collect();
         let mut shard = Shard::new(0, 1, &grid, config, cells, Metrics::new());

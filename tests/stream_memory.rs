@@ -1,5 +1,6 @@
-//! Input memory of a default-built run: streaming keeps the population
-//! out of the heap, and a finished run gives back everything it took.
+//! Memory of a default-built run: streaming keeps the population out of
+//! the heap, the cells are paid for once, and a finished run gives back
+//! everything it took.
 //!
 //! A counting global allocator tracks live and peak heap bytes for the
 //! whole process, so everything runs inside one `#[test]`.
@@ -85,8 +86,8 @@ struct RunHeap {
     left_over: isize,
 }
 
-fn measure(requests: usize) -> RunHeap {
-    let config = stress_grid(requests);
+fn measure(config: &ScenarioConfig) -> RunHeap {
+    let requests = config.requests;
     let prototype = FacsController::with_config(FacsConfig::compiled()).expect("FACS builds");
     let before = LIVE.load(Ordering::SeqCst);
     PEAK.store(before, Ordering::SeqCst);
@@ -112,10 +113,14 @@ fn streamed_input_memory_is_bounded_and_returned() {
     const USERS: usize = 2 * ScenarioConfig::STREAM_CHUNK;
     // Lazy statics, thread-locals and the thread machinery are allocated
     // once per process; the warm-up pays for them.
-    measure(USERS);
-    let small = measure(USERS);
-    let large = measure(4 * USERS);
-    for run in [&small, &large] {
+    measure(&stress_grid(USERS));
+    let small = measure(&stress_grid(USERS));
+    let large = measure(&stress_grid(4 * USERS));
+    // The same 2,000 users on 1,261 and 4,921 cells (20 and 40 rings),
+    // in 8 shards on one worker.
+    let on_rings = |grid_radius| ScenarioConfig { grid_radius, shards: 8, ..stress_grid(2_000) };
+    let (few_cells, many_cells) = (measure(&on_rings(20)), measure(&on_rings(40)));
+    for run in [&small, &large, &few_cells, &many_cells] {
         assert_eq!(run.left_over, 0, "a finished run kept {} heap bytes", run.left_over);
     }
     // The arrival replay holds about one eighth of the instants at once,
@@ -128,5 +133,18 @@ fn streamed_input_memory_is_bounded_and_returned() {
         "peak heap grew {per_user:.1} B per added user ({} -> {} B)",
         small.peak_above,
         large.peak_above
+    );
+    // Each cell is built once, into its shard, and a run copies none:
+    // its `CellUnit` (88 B in a debug build), boxed controller and grid
+    // entries, 129 B measured. Partitioning the cells into shards and
+    // gathering them back for the id-order flush on every run held a
+    // second copy at the peak (229 B).
+    let per_cell = many_cells.peak_above.saturating_sub(few_cells.peak_above) as f64
+        / (on_rings(40).grid().len() - on_rings(20).grid().len()) as f64;
+    assert!(
+        per_cell < 160.0,
+        "peak heap grew {per_cell:.1} B per added cell ({} -> {} B)",
+        few_cells.peak_above,
+        many_cells.peak_above
     );
 }

@@ -430,6 +430,10 @@ impl<'g> StreamFeeder<'g> {
         if self.unsent == 0 {
             return false;
         }
+        // Free the drained buffer before waiting: by the time `recv`
+        // returns, the producer may be filling the chunk after `next`,
+        // and three chunk buffers would be live at once.
+        self.chunk = VecDeque::new();
         let Ok(next) = self.chunks.recv() else {
             self.unsent = 0;
             return false;

@@ -9,7 +9,7 @@ use facs_cac::{
 use facs_fuzzy::{BackendKind, FuzzyError, InferenceConfig};
 
 use crate::flc1::Flc1;
-use crate::flc2::{Flc2, CV_UNIVERSE};
+use crate::flc2::{Flc2, COUNTER_UNIVERSE, REQUEST_UNIVERSE};
 
 /// Tunables of the FACS controller.
 ///
@@ -244,61 +244,114 @@ fn scale_counter(cell: &CellSnapshot) -> f64 {
     f64::from(cell.occupied.get()) * f64::from(PAPER_CAPACITY_BU) / capacity
 }
 
-/// A [`ScoreBound`] entry with no proven tail.
-const NO_TAIL: u8 = u8::MAX;
-
-/// Per class, the least occupancy of a 40-BU cell from which the
-/// compiled FLC2 surface proves that no mobility input can admit — the
-/// table behind [`FacsController::fast_reject`].
+/// Per class, the occupancies of a 40-BU cell at which the compiled FLC2
+/// surface settles a request whatever its mobility: the table behind
+/// [`FacsController::fast_reject`] and `decide`'s proven admissions.
 ///
 /// On a 40-BU cell the counter is the occupancy. At a fixed (request,
 /// counter) the surface's multilinear interpolant is piecewise linear
-/// in Cv, so its maximum over Cv ∈ `[0, 1]` sits at one of the Cv
-/// lattice knots. An occupancy is *proven* when that maximum plus any
-/// positive handoff bias is at or below the gate less 1e-9 (float
-/// error; far above the 1e-12 score snap). The table holds the least
-/// occupancy from which *every* fuller one is proven: the whole tail is
-/// checked BU by BU because FLC2 is not monotone in occupancy. The
-/// bound covers every Cv, so FLC1 and the distance scaling play no part
-/// in it. Other capacities claim nothing.
+/// in Cv, so its maximum and its minimum over Cv ∈ `[0, 1]` sit at Cv
+/// lattice knots. Bit `n` of a class's mask is set when occupancy `n`
+/// is *proven*:
+///
+/// * **admit** — every knot scores above the gate plus any negative
+///   handoff bias's magnitude plus 1e-9;
+/// * **reject** — every knot scores at or below the gate less any
+///   positive handoff bias less 1e-9.
+///
+/// The 1e-9 covers float error, far above the 1e-12 score snap. Each
+/// occupancy is proven on its own, because FLC2 is not monotone in
+/// occupancy. The proofs cover every Cv, so FLC1 and the distance
+/// scaling play no part in them. Other capacities claim nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ScoreBound([u8; 3]);
+struct ScoreBound {
+    admits: [u64; 3],
+    rejects: [u64; 3],
+}
 
 impl ScoreBound {
     /// Proves nothing: the exact backend has no lattice to bound over.
-    const NONE: Self = Self([NO_TAIL; 3]);
+    const NONE: Self = Self { admits: [0; 3], rejects: [0; 3] };
 
+    /// Reads the knot scores straight off the surface's rows: at each Cv
+    /// knot the score is a blend of at most four nodes, the (request,
+    /// counter) corners `CompiledSurface::evaluate_crisp` weighs there.
     fn new(flc2: &Flc2, config: &FacsConfig) -> Self {
         let Some(surface) = flc2.surface() else {
             return Self::NONE;
         };
-        let last_knot = (surface.points_per_axis() - 1) as f64;
-        let (lo, hi) = CV_UNIVERSE;
-        let gate = config.threshold - config.handoff_bias.max(0.0) - 1e-9;
-        let mut tails = [NO_TAIL; 3];
+        let points = surface.points_per_axis();
+        let nodes = surface.nodes();
+        // A NaN bias turns every handoff score into NaN, which never
+        // admits.
+        let admit_gate = if config.handoff_bias.is_nan() {
+            f64::INFINITY
+        } else {
+            config.threshold + (-config.handoff_bias).max(0.0) + 1e-9
+        };
+        let reject_gate = config.threshold - config.handoff_bias.max(0.0) - 1e-9;
+        let mut bound = Self::NONE;
         for class in ServiceClass::ALL {
-            let request = class.request_level();
-            let proven = |occupied: u32| {
-                (0..surface.points_per_axis()).all(|i| {
-                    let cv = lo + (hi - lo) * i as f64 / last_knot;
-                    flc2.decision_score(cv, request, f64::from(occupied))
-                        .is_ok_and(|score| score <= gate)
-                })
-            };
-            // The least n0 with every n in n0..=40 proven, if 40 is.
-            if let Some(n0) = (0..=PAPER_CAPACITY_BU).rev().take_while(|&n| proven(n)).last() {
-                tails[class.index()] = n0 as u8;
+            let (request, request_frac) =
+                lattice_cell(REQUEST_UNIVERSE, points, class.request_level());
+            for occupied in 0..=PAPER_CAPACITY_BU {
+                let (counter, counter_frac) =
+                    lattice_cell(COUNTER_UNIVERSE, points, f64::from(occupied));
+                let corners = [
+                    (request * points + counter, (1.0 - request_frac) * (1.0 - counter_frac)),
+                    (request * points + counter + 1, (1.0 - request_frac) * counter_frac),
+                    ((request + 1) * points + counter, request_frac * (1.0 - counter_frac)),
+                    ((request + 1) * points + counter + 1, request_frac * counter_frac),
+                ];
+                let (mut lowest, mut highest) = (f64::INFINITY, f64::NEG_INFINITY);
+                for row in nodes.chunks_exact(points * points) {
+                    let score: f64 = corners
+                        .iter()
+                        .filter(|&&(_, weight)| weight > 0.0)
+                        .map(|&(offset, weight)| weight * row[offset])
+                        .sum();
+                    lowest = lowest.min(score);
+                    highest = highest.max(score);
+                }
+                if lowest > admit_gate {
+                    bound.admits[class.index()] |= 1 << occupied;
+                }
+                if highest <= reject_gate {
+                    bound.rejects[class.index()] |= 1 << occupied;
+                }
             }
         }
-        Self(tails)
+        bound
+    }
+
+    /// `true` when `class` is admitted into `cell` at every Cv.
+    #[inline]
+    fn admits(&self, class: ServiceClass, cell: &BandwidthLedger) -> bool {
+        proven(self.admits[class.index()], cell)
     }
 
     /// `true` when `class` cannot be admitted into `cell` at any Cv.
     #[inline]
     fn rejects(&self, class: ServiceClass, cell: &BandwidthLedger) -> bool {
-        cell.capacity().get() == PAPER_CAPACITY_BU
-            && cell.occupied().get() >= u32::from(self.0[class.index()])
+        proven(self.rejects[class.index()], cell)
     }
+}
+
+/// Whether `mask` holds the occupancy of `cell`, a 40-BU cell.
+#[inline]
+fn proven(mask: u64, cell: &BandwidthLedger) -> bool {
+    cell.capacity().get() == PAPER_CAPACITY_BU
+        && mask.checked_shr(cell.occupied().get()).is_some_and(|rest| rest & 1 != 0)
+}
+
+/// The lattice cell enclosing `x` on an axis over `universe` with
+/// `points` knots, and the fraction into it, as the compiled surface
+/// locates a reading.
+fn lattice_cell(universe: (f64, f64), points: usize, x: f64) -> (usize, f64) {
+    let (lo, hi) = universe;
+    let t = (x.clamp(lo, hi) - lo) / (hi - lo) * (points - 1) as f64;
+    let cell = (t as usize).min(points - 2);
+    (cell, (t - cell as f64).clamp(0.0, 1.0))
 }
 
 impl AdmissionController for FacsController {
@@ -306,23 +359,37 @@ impl AdmissionController for FacsController {
         "FACS"
     }
 
+    /// Pre-screens both ways before running the cascade:
+    ///
+    /// * a request that [`fast_reject`](AdmissionController::fast_reject)
+    ///   proves deniable is denied with the placeholder score −1.0;
+    /// * on the compiled backend, a request whose class the surface
+    ///   admits at every Cv at this occupancy of a 40-BU cell is admitted
+    ///   with the placeholder score +1.0, unless its mobility is
+    ///   non-finite or overflows the distance scaling, which
+    ///   [`evaluate`](FacsController::evaluate) rejects.
+    ///
+    /// Either way the admission outcome is the cascade's; only the plan's
+    /// score differs. Every other request is gated on `evaluate`.
     fn decide(&mut self, request: &CallRequest, cell: &BandwidthLedger) -> AdmissionPlan {
-        // Pre-screen: a request `fast_reject` proves deniable is denied
-        // whatever the cascade says, so skipping the evaluation changes
-        // no outcome — only the plan's score, which reads -1.0. On
-        // saturated and overloaded cells it skips the dominant
-        // per-arrival cost.
         if self.fast_reject(&request.profile, cell) {
             return AdmissionPlan::Reject(Decision::reject(-1.0));
+        }
+        let core = &*self.core;
+        if core.bound.admits(request.class, cell)
+            && scale_mobility(&core.config, &request.mobility).is_finite()
+        {
+            return AdmissionPlan::Admit(Decision::accept(1.0));
         }
         AdmissionPlan::gate(self.evaluate(request, &cell.snapshot()).decision)
     }
 
+    /// Plain FACS never degrades or squeezes, so a profile whose nominal
+    /// cost does not fit is denied for any mobility and kind; on the
+    /// compiled backend, so is one whose class the surface cannot score
+    /// over the gate at this occupancy of a 40-BU cell. `decide` answers
+    /// such a request with the placeholder score −1.0.
     fn fast_reject(&self, profile: &ServiceProfile, cell: &BandwidthLedger) -> bool {
-        // Plain FACS never degrades or squeezes, so a profile whose
-        // nominal cost does not fit is denied for any mobility and kind;
-        // on the compiled backend, so is one whose class the surface
-        // cannot score over the gate at this occupancy (`ScoreBound`).
         !cell.can_fit(profile.rb_cost_nominal) || self.core.bound.rejects(profile.class, cell)
     }
 }
@@ -775,47 +842,128 @@ mod tests {
         assert_eq!(eval.score, -1.0);
     }
 
+    /// Bits `from..=to` of a per-occupancy mask.
+    fn span(from: u32, to: u32) -> u64 {
+        (u64::MAX >> (63 - to)) & (u64::MAX << from)
+    }
+
     #[test]
-    fn compiled_score_bound_pins_the_paper_cell_tails() {
+    fn compiled_score_bound_pins_the_paper_cell_heads_and_tails() {
         let compiled = FacsController::with_config(FacsConfig::compiled()).unwrap();
+        let heads = [17, 17, 17];
+        let tails = [32, 27, 29];
+        let bound = compiled.core.bound;
         assert_eq!(
-            compiled.core.bound,
-            ScoreBound([32, 27, 29]),
-            "text/voice/video tail starts (BU)"
+            bound.admits,
+            heads.map(|head| span(0, head - 1)),
+            "text/voice/video heads end (BU)"
         );
+        assert_eq!(bound.rejects, tails.map(|tail| span(tail, 40)), "text/voice/video tails (BU)");
+        // Against the cascade: a dense sweep of Cv through FLC2, and of
+        // mobility through `evaluate` for new calls and handoffs. Every
+        // proven occupancy goes one way at every input, and one BU past
+        // each head and before each tail, some input goes the other.
         let flc2 = compiled.flc2();
+        let threshold = compiled.config().threshold;
+        let mobilities: Vec<MobilityInfo> = (0..=8)
+            .flat_map(|s| (0..=12).flat_map(move |a| (0..=8).map(move |d| (s, a, d))))
+            .map(|(s, a, d)| {
+                MobilityInfo::new(f64::from(s) * 15.0, f64::from(a) * 15.0, f64::from(d) * 1.25)
+            })
+            .collect();
         for class in ServiceClass::ALL {
-            let start = u32::from(compiled.core.bound.0[class.index()]);
+            let (head, tail) = (heads[class.index()], tails[class.index()]);
+            for occupied in 0..=40 {
+                let scores: Vec<f64> = (0..=320)
+                    .map(|i| {
+                        flc2.decision_score(
+                            f64::from(i) / 320.0,
+                            class.request_level(),
+                            f64::from(occupied),
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                let admitted = |kind| {
+                    mobilities
+                        .iter()
+                        .map(|&m| compiled.evaluate(&req(class, kind, m), &cell(occupied)))
+                        .map(|eval| eval.decision.admits())
+                        .collect::<Vec<_>>()
+                };
+                let (new_calls, handoffs) = (admitted(CallKind::New), admitted(CallKind::Handoff));
+                if occupied < head {
+                    assert!(scores.iter().all(|&s| s > threshold), "{class} at {occupied}");
+                    assert!(new_calls.iter().chain(&handoffs).all(|&a| a), "{class} at {occupied}");
+                }
+                if occupied >= tail {
+                    assert!(scores.iter().all(|&s| s <= threshold), "{class} at {occupied}");
+                    assert!(
+                        !new_calls.iter().chain(&handoffs).any(|&a| a),
+                        "{class} at {occupied}"
+                    );
+                }
+                if occupied == head {
+                    assert!(scores.iter().any(|&s| s <= threshold), "{class} head at {occupied}");
+                }
+                if occupied + 1 == tail {
+                    assert!(scores.iter().any(|&s| s > threshold), "{class} tail at {occupied}");
+                }
+            }
             let profile = ServiceProfile::paper(class);
-            assert!(compiled.fast_reject(&profile, &ledger(start)), "{class} at {start}");
-            assert!(
-                !compiled.fast_reject(&profile, &ledger(start - 1)),
-                "{class} at {}",
-                start - 1
-            );
-            // Tightness: one BU below the tail start some Cv knot scores
-            // over the gate, so the table is the least the proof allows.
-            let best = (0..=32)
-                .map(|i| {
-                    flc2.decision_score(
-                        f64::from(i) / 32.0,
-                        class.request_level(),
-                        f64::from(start - 1),
-                    )
-                    .unwrap()
-                })
-                .fold(f64::NEG_INFINITY, f64::max);
-            assert!(best > compiled.config().threshold, "{class} at {}: best {best}", start - 1);
+            assert!(compiled.fast_reject(&profile, &ledger(tail)), "{class} at {tail}");
+            assert!(!compiled.fast_reject(&profile, &ledger(tail - 1)), "{class} at {}", tail - 1);
         }
-        // Other capacities claim only what does not fit.
+        // Other capacities claim only what does not fit, and prove no
+        // admission.
         let mut big = BandwidthLedger::new(BandwidthUnits::new(80));
         let filler = ServiceProfile::fixed(ServiceClass::Text, BandwidthUnits::new(72));
         big.allocate(CallId(999), filler).unwrap();
+        let empty_big = BandwidthLedger::new(BandwidthUnits::new(80));
         for class in ServiceClass::ALL {
             let profile = ServiceProfile::paper(class);
             let unfit = !big.can_fit(profile.rb_cost_nominal);
             assert_eq!(compiled.fast_reject(&profile, &big), unfit, "{class} at 72/80");
+            assert!(!bound.admits(class, &empty_big), "{class} at 0/80");
         }
+    }
+
+    #[test]
+    fn compiled_decide_matches_evaluate() {
+        let mut compiled = FacsController::with_config(FacsConfig::compiled()).unwrap();
+        let mobilities = [
+            MobilityInfo::new(60.0, 0.0, 2.0),
+            MobilityInfo::new(45.0, 30.0, 5.0),
+            MobilityInfo::new(5.0, 170.0, 9.0),
+            MobilityInfo { speed_kmh: f64::NAN, angle_deg: 0.0, distance_km: 1.0 },
+            MobilityInfo { speed_kmh: 30.0, angle_deg: 0.0, distance_km: f64::INFINITY },
+            // Finite, but the distance scaling overflows to infinity.
+            MobilityInfo::new(30.0, 0.0, f64::MAX),
+        ];
+        let mut proven = 0;
+        for occupied in 0..=40 {
+            let l = ledger(occupied);
+            for class in ServiceClass::ALL {
+                for kind in [CallKind::New, CallKind::Handoff] {
+                    for mobility in mobilities {
+                        let r = req(class, kind, mobility);
+                        let eval = compiled.evaluate(&r, &l.snapshot());
+                        let plan = compiled.decide(&r, &l);
+                        let fits = l.can_fit(r.demand());
+                        assert_eq!(
+                            plan.admits(),
+                            fits && eval.decision.admits(),
+                            "{class} {kind:?} {mobility:?} at {occupied}"
+                        );
+                        if plan.admits() && plan.decision().score() != eval.score {
+                            assert_eq!(plan.decision().score(), 1.0, "the placeholder score");
+                            proven += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(proven > 0, "no admission was proven");
     }
 
     #[test]
@@ -843,19 +991,35 @@ mod tests {
     }
 
     #[test]
-    fn score_bound_is_empty_when_the_gate_is_out_of_reach() {
-        // A gate below every score proves nothing.
-        let lax =
-            FacsController::with_config(FacsConfig { threshold: -1.5, ..FacsConfig::compiled() })
-                .unwrap();
-        assert_eq!(lax.core.bound, ScoreBound::NONE);
-        // A handoff bias raises every bound by itself.
-        let biased =
-            FacsController::with_config(FacsConfig { handoff_bias: 0.3, ..FacsConfig::compiled() })
-                .unwrap();
-        let plain = FacsController::with_config(FacsConfig::compiled()).unwrap();
+    fn score_bound_follows_the_gate_and_the_handoff_bias() {
+        let bound = |config: FacsConfig| {
+            FacsController::with_config(FacsConfig { backend: BackendKind::compiled(), ..config })
+                .unwrap()
+                .core
+                .bound
+        };
+        let every = span(0, 40);
+        // A gate below every score proves every admission and no
+        // rejection; a gate above every score proves the reverse.
+        let lax = bound(FacsConfig { threshold: -1.5, ..FacsConfig::default() });
+        assert_eq!(lax, ScoreBound { admits: [every; 3], rejects: [0; 3] });
+        let strict = bound(FacsConfig { threshold: 1.5, ..FacsConfig::default() });
+        assert_eq!(strict, ScoreBound { admits: [0; 3], rejects: [every; 3] });
+        let plain = bound(FacsConfig::default());
+        // A positive handoff bias shrinks every tail, a negative one
+        // every head, and a NaN one proves no admission.
+        let raised = bound(FacsConfig { handoff_bias: 0.3, ..FacsConfig::default() });
+        let lowered = bound(FacsConfig { handoff_bias: -0.3, ..FacsConfig::default() });
+        let unknown = bound(FacsConfig { handoff_bias: f64::NAN, ..FacsConfig::default() });
         for class in ServiceClass::ALL {
-            assert!(biased.core.bound.0[class.index()] >= plain.core.bound.0[class.index()]);
+            let i = class.index();
+            assert_eq!(raised.rejects[i] & !plain.rejects[i], 0, "{class}");
+            assert!(raised.rejects[i].count_ones() < plain.rejects[i].count_ones(), "{class}");
+            assert_eq!(raised.admits[i], plain.admits[i], "{class}");
+            assert_eq!(lowered.admits[i] & !plain.admits[i], 0, "{class}");
+            assert!(lowered.admits[i].count_ones() < plain.admits[i].count_ones(), "{class}");
+            assert_eq!(lowered.rejects[i], plain.rejects[i], "{class}");
+            assert_eq!(unknown.admits[i], 0, "{class}");
         }
     }
 

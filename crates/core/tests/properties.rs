@@ -162,6 +162,46 @@ proptest! {
         }
     }
 
+    /// Plain FACS's `decide` admits exactly what the cascade admits and
+    /// the cell fits, so both of its pre-screens are sound: the
+    /// `fast_reject` denial and the proven admission that skips FLC1 and
+    /// FLC2. The inputs are those of the `fast_reject` property plus
+    /// finite distances whose scaling overflows (the cell radius runs
+    /// down to 1e-300 km), on both backends.
+    #[test]
+    fn decide_admits_exactly_when_the_cascade_does(
+        class in arb_class(),
+        kind in prop::sample::select(vec![CallKind::New, CallKind::Handoff]),
+        cell in arb_cell(),
+        mobility in prop_oneof![
+            arb_mobility(),
+            (0.0_f64..120.0, 1e307_f64..=f64::MAX)
+                .prop_map(|(speed, distance)| MobilityInfo::new(speed, 0.0, distance)),
+        ],
+        cell_radius_km in prop::sample::select(vec![10.0, 2.0, 1e-300]),
+        handoff_bias in -0.2_f64..=0.5,
+        threshold in -0.5_f64..=0.6,
+        compiled in any::<bool>(),
+    ) {
+        let backend = if compiled { BackendKind::compiled() } else { BackendKind::Exact };
+        let config =
+            FacsConfig { threshold, handoff_bias, cell_radius_km, backend, ..FacsConfig::default() };
+        let (capacity, occupied) = cell;
+        let cell = filled(capacity, occupied);
+        let request = CallRequest::new(CallId(0), class, kind, mobility);
+        let fits = cell.can_fit(request.demand());
+        let mut facs = FacsController::with_config(config).unwrap();
+        let eval = facs.evaluate(&request, &cell.snapshot());
+        let plan = facs.decide(&request, &cell);
+        prop_assert_eq!(
+            plan.admits(),
+            fits && eval.decision.admits(),
+            "decide {:?} against the cascade's {:?}",
+            plan,
+            eval
+        );
+    }
+
     /// FLC1's correction value is always inside [0, 1] for any observation
     /// — including out-of-universe readings (clamped).
     #[test]

@@ -402,7 +402,9 @@ impl CompiledSurface {
             }
             let x = value.clamp(axis.min, axis.max);
             let t = (x - axis.min) / (axis.max - axis.min) * (axis.points - 1) as f64;
-            let cell = (t.floor() as usize).min(axis.points - 2);
+            // `t >= +0.0` after the clamp, so truncation is the floor;
+            // `f64::floor` is a libcall on targets without SSE4.1.
+            let cell = (t as usize).min(axis.points - 2);
             frac[d] = (t - cell as f64).clamp(0.0, 1.0);
             base += cell * self.strides[d];
         }
@@ -554,7 +556,8 @@ mod tests {
 
     /// The dimension-generic lookup: arity check, per-axis locate, then
     /// the `2^dims` corner walk, all over the runtime axis count. The
-    /// fixed-size walk must answer exactly as this does.
+    /// fixed-size walk must answer exactly as this does. It locates with
+    /// `floor`, so the comparison also pins `locate`'s truncating cast.
     fn reference_walk(surface: &CompiledSurface, readings: &[f64]) -> Result<f64> {
         let dims = surface.axes.len();
         if readings.len() < dims {

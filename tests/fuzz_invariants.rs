@@ -1,9 +1,10 @@
 //! The validate subsystem, end to end: trace digests must be stable
 //! across shard/thread counts and sensitive to single flipped
 //! admissions; every catalog scenario and fuzzed workload must uphold
-//! the kernel's conservation invariants; the FACS `fast_reject`
-//! pre-screen must leave every digest unchanged; and the fuzzer's
-//! shrinker must hand back a strictly smaller failing workload.
+//! the kernel's conservation invariants; the FACS pre-screens (the
+//! `fast_reject` denial and plain FACS's proven admission) must leave
+//! every digest unchanged; and the fuzzer's shrinker must hand back a
+//! strictly smaller failing workload.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,19 +100,39 @@ impl AdmissionController for DenyOne {
 /// The FACS controllers whose `decide` is the cascade behind a
 /// `fast_reject` pre-screen.
 trait Cascade: AdmissionController + Clone + 'static {
+    /// Whether `decide` also proves admissions without the cascade.
+    const PROVES_ADMISSIONS: bool;
+
     fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation;
 }
 
 impl Cascade for FacsController {
+    const PROVES_ADMISSIONS: bool = true;
+
     fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
         FacsController::evaluate(self, request, cell)
     }
 }
 
 impl Cascade for PredictiveFacsController {
+    // Its gate may read a forecast above the live occupancy, where
+    // plain FACS's proof does not reach.
+    const PROVES_ADMISSIONS: bool = false;
+
     fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
         PredictiveFacsController::evaluate(self, request, cell)
     }
+}
+
+/// How often the inner pre-screens settled a request that fits.
+#[derive(Default)]
+struct Claims {
+    /// `fast_reject` denials: the score-bound claims.
+    rejects: AtomicU64,
+    /// Admissions whose plan score is not the cascade's: the proven
+    /// admissions, whose score is a placeholder. A proof whose cascade
+    /// score happens to equal it goes uncounted.
+    admits: AtomicU64,
 }
 
 /// Forwards every method to `inner` except the pre-screen. `fast_reject`
@@ -119,12 +140,12 @@ impl Cascade for PredictiveFacsController {
 /// `decide` still runs the inner one for its side effects (predictive
 /// FACS counts handoffs there), but answers with the bare cascade: the
 /// gated score where the nominal cost fits, whatever the inner
-/// pre-screen said. It counts the requests the inner pre-screen denies
-/// on a cell that still fits them (the score-bound claims), so the test
-/// can tell the bound was exercised.
+/// pre-screens said. It counts the requests the inner pre-screens settle
+/// on a cell that still fits them, so the test can tell both were
+/// exercised.
 struct NoPreScreen<C> {
     inner: C,
-    bound_claims: Arc<AtomicU64>,
+    claims: Arc<Claims>,
 }
 
 impl<C: Cascade> AdmissionController for NoPreScreen<C> {
@@ -138,9 +159,13 @@ impl<C: Cascade> AdmissionController for NoPreScreen<C> {
             return screened;
         }
         if self.inner.fast_reject(&request.profile, cell) {
-            self.bound_claims.fetch_add(1, Ordering::Relaxed);
+            self.claims.rejects.fetch_add(1, Ordering::Relaxed);
         }
-        AdmissionPlan::gate(self.inner.evaluate(request, &cell.snapshot()).decision)
+        let eval = self.inner.evaluate(request, &cell.snapshot());
+        if screened.admits() && screened.decision().score() != eval.score {
+            self.claims.admits.fetch_add(1, Ordering::Relaxed);
+        }
+        AdmissionPlan::gate(eval.decision)
     }
 
     fn fast_reject(&self, _profile: &ServiceProfile, _cell: &BandwidthLedger) -> bool {
@@ -165,14 +190,15 @@ impl<C: Cascade> AdmissionController for NoPreScreen<C> {
 }
 
 /// Asserts that `prototype` (cloned per cell) digests identically with
-/// its pre-screen and with [`NoPreScreen`] on every scenario, and that
-/// the score bound fired somewhere.
+/// its pre-screens and with [`NoPreScreen`] on every scenario, that the
+/// score bound denied somewhere, and that admissions were proven
+/// somewhere exactly when the controller proves them.
 fn assert_pre_screen_is_invisible<C: Cascade>(
     family: &str,
     prototype: &C,
     scenarios: &[(String, ScenarioConfig)],
 ) {
-    let bound_claims = Arc::new(AtomicU64::new(0));
+    let claims = Arc::new(Claims::default());
     for (name, config) in scenarios {
         let digest = |controllers: Vec<BoxedController>| {
             let seed = config.replication_seeds().next().expect("one replication");
@@ -186,21 +212,23 @@ fn assert_pre_screen_is_invisible<C: Cascade>(
             (0..cells)
                 .map(|_| {
                     let inner = prototype.clone();
-                    let bound_claims = Arc::clone(&bound_claims);
-                    Box::new(NoPreScreen { inner, bound_claims }) as BoxedController
+                    let claims = Arc::clone(&claims);
+                    Box::new(NoPreScreen { inner, claims }) as BoxedController
                 })
                 .collect(),
         );
         assert_eq!(screened, unscreened, "{family} on {name}: the pre-screen moved the digest");
     }
-    assert!(bound_claims.load(Ordering::Relaxed) > 0, "{family}: the score bound never fired");
+    assert!(claims.rejects.load(Ordering::Relaxed) > 0, "{family}: the score bound never fired");
+    let admits = claims.admits.load(Ordering::Relaxed);
+    assert_eq!(admits > 0, C::PROVES_ADMISSIONS, "{family}: {admits} proven admissions");
 }
 
-/// The FACS score-bound pre-screen changes no observable event: on every
+/// The FACS score-bound pre-screens change no observable event: on every
 /// catalog scenario and 50 fuzzed workloads (capacities 10–80 BU, so
 /// cells the bound covers and cells it does not), compiled FACS and
-/// compiled predictive FACS digest identically with the pre-screen and
-/// without it.
+/// compiled predictive FACS digest identically with the pre-screens and
+/// without them.
 #[test]
 fn fast_reject_pre_screen_leaves_every_digest_unchanged() {
     let fuzzer = WorkloadFuzzer::new(0xFA57);

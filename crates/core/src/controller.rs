@@ -9,7 +9,7 @@ use facs_cac::{
 use facs_fuzzy::{BackendKind, FuzzyError, InferenceConfig};
 
 use crate::flc1::Flc1;
-use crate::flc2::{Flc2, COUNTER_UNIVERSE, REQUEST_UNIVERSE};
+use crate::flc2::Flc2;
 
 /// Tunables of the FACS controller.
 ///
@@ -251,18 +251,24 @@ fn scale_counter(cell: &CellSnapshot) -> f64 {
 /// On a 40-BU cell the counter is the occupancy. At a fixed (request,
 /// counter) the surface's multilinear interpolant is piecewise linear
 /// in Cv, so its maximum and its minimum over Cv ∈ `[0, 1]` sit at Cv
-/// lattice knots. Bit `n` of a class's mask is set when occupancy `n`
-/// is *proven*:
+/// lattice knots ([`CompiledSurface::first_axis_extremes`]). Bit `n` of
+/// a class's mask is set when occupancy `n` is *proven*:
 ///
 /// * **admit** — every knot scores above the gate plus any negative
 ///   handoff bias's magnitude plus 1e-9;
 /// * **reject** — every knot scores at or below the gate less any
-///   positive handoff bias less 1e-9.
+///   positive handoff bias less 1e-9, and so does every knot at every
+///   higher occupancy up to 40.
 ///
-/// The 1e-9 covers float error, far above the 1e-12 score snap. Each
-/// occupancy is proven on its own, because FLC2 is not monotone in
-/// occupancy. The proofs cover every Cv, so FLC1 and the distance
-/// scaling play no part in them. Other capacities claim nothing.
+/// The 1e-9 covers float error, far above the 1e-12 score snap. FLC2 is
+/// not monotone in occupancy, so admissions are proven one occupancy at
+/// a time; rejections are kept as a tail ending at 40 because
+/// predictive FACS forwards to [`FacsController::fast_reject`] and then
+/// gates at an occupancy at or above the live one. The proofs cover
+/// every Cv, so FLC1 and the distance scaling play no part in them.
+/// Other capacities claim nothing.
+///
+/// [`CompiledSurface::first_axis_extremes`]: facs_fuzzy::CompiledSurface::first_axis_extremes
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ScoreBound {
     admits: [u64; 3],
@@ -273,15 +279,12 @@ impl ScoreBound {
     /// Proves nothing: the exact backend has no lattice to bound over.
     const NONE: Self = Self { admits: [0; 3], rejects: [0; 3] };
 
-    /// Reads the knot scores straight off the surface's rows: at each Cv
-    /// knot the score is a blend of at most four nodes, the (request,
-    /// counter) corners `CompiledSurface::evaluate_crisp` weighs there.
+    /// Reads the knot extremes off the surface once per (class,
+    /// occupancy), without running `decision_score`.
     fn new(flc2: &Flc2, config: &FacsConfig) -> Self {
         let Some(surface) = flc2.surface() else {
             return Self::NONE;
         };
-        let points = surface.points_per_axis();
-        let nodes = surface.nodes();
         // A NaN bias turns every handoff score into NaN, which never
         // admits.
         let admit_gate = if config.handoff_bias.is_nan() {
@@ -292,32 +295,19 @@ impl ScoreBound {
         let reject_gate = config.threshold - config.handoff_bias.max(0.0) - 1e-9;
         let mut bound = Self::NONE;
         for class in ServiceClass::ALL {
-            let (request, request_frac) =
-                lattice_cell(REQUEST_UNIVERSE, points, class.request_level());
-            for occupied in 0..=PAPER_CAPACITY_BU {
-                let (counter, counter_frac) =
-                    lattice_cell(COUNTER_UNIVERSE, points, f64::from(occupied));
-                let corners = [
-                    (request * points + counter, (1.0 - request_frac) * (1.0 - counter_frac)),
-                    (request * points + counter + 1, (1.0 - request_frac) * counter_frac),
-                    ((request + 1) * points + counter, request_frac * (1.0 - counter_frac)),
-                    ((request + 1) * points + counter + 1, request_frac * counter_frac),
-                ];
-                let (mut lowest, mut highest) = (f64::INFINITY, f64::NEG_INFINITY);
-                for row in nodes.chunks_exact(points * points) {
-                    let score: f64 = corners
-                        .iter()
-                        .filter(|&&(_, weight)| weight > 0.0)
-                        .map(|&(offset, weight)| weight * row[offset])
-                        .sum();
-                    lowest = lowest.min(score);
-                    highest = highest.max(score);
-                }
+            let (admits, rejects) =
+                (&mut bound.admits[class.index()], &mut bound.rejects[class.index()]);
+            let mut tail_unbroken = true;
+            for occupied in (0..=PAPER_CAPACITY_BU).rev() {
+                let (lowest, highest) = surface
+                    .first_axis_extremes(&[class.request_level(), f64::from(occupied)])
+                    .expect("finite readings on FLC2's three axes");
                 if lowest > admit_gate {
-                    bound.admits[class.index()] |= 1 << occupied;
+                    *admits |= 1 << occupied;
                 }
-                if highest <= reject_gate {
-                    bound.rejects[class.index()] |= 1 << occupied;
+                tail_unbroken &= highest <= reject_gate;
+                if tail_unbroken {
+                    *rejects |= 1 << occupied;
                 }
             }
         }
@@ -330,7 +320,8 @@ impl ScoreBound {
         proven(self.admits[class.index()], cell)
     }
 
-    /// `true` when `class` cannot be admitted into `cell` at any Cv.
+    /// `true` when `class` cannot be admitted into `cell` at any Cv, at
+    /// this occupancy or any higher one.
     #[inline]
     fn rejects(&self, class: ServiceClass, cell: &BandwidthLedger) -> bool {
         proven(self.rejects[class.index()], cell)
@@ -342,16 +333,6 @@ impl ScoreBound {
 fn proven(mask: u64, cell: &BandwidthLedger) -> bool {
     cell.capacity().get() == PAPER_CAPACITY_BU
         && mask.checked_shr(cell.occupied().get()).is_some_and(|rest| rest & 1 != 0)
-}
-
-/// The lattice cell enclosing `x` on an axis over `universe` with
-/// `points` knots, and the fraction into it, as the compiled surface
-/// locates a reading.
-fn lattice_cell(universe: (f64, f64), points: usize, x: f64) -> (usize, f64) {
-    let (lo, hi) = universe;
-    let t = (x.clamp(lo, hi) - lo) / (hi - lo) * (points - 1) as f64;
-    let cell = (t as usize).min(points - 2);
-    (cell, (t - cell as f64).clamp(0.0, 1.0))
 }
 
 impl AdmissionController for FacsController {
@@ -387,8 +368,8 @@ impl AdmissionController for FacsController {
     /// Plain FACS never degrades or squeezes, so a profile whose nominal
     /// cost does not fit is denied for any mobility and kind; on the
     /// compiled backend, so is one whose class the surface cannot score
-    /// over the gate at this occupancy of a 40-BU cell. `decide` answers
-    /// such a request with the placeholder score −1.0.
+    /// over the gate at this or any higher occupancy of a 40-BU cell.
+    /// `decide` answers such a request with the placeholder score −1.0.
     fn fast_reject(&self, profile: &ServiceProfile, cell: &BandwidthLedger) -> bool {
         !cell.can_fit(profile.rb_cost_nominal) || self.core.bound.rejects(profile.class, cell)
     }
@@ -1021,6 +1002,42 @@ mod tests {
             assert_eq!(lowered.rejects[i], plain.rejects[i], "{class}");
             assert_eq!(unknown.admits[i], 0, "{class}");
         }
+    }
+
+    #[test]
+    fn reject_masks_are_tails_ending_at_full_occupancy() {
+        // Predictive FACS gates at or above the live occupancy, so a
+        // proven rejection must also hold at every higher occupancy.
+        // Checked against a per-occupancy proof read off the surface,
+        // over a grid of gates and handoff biases. The best knot score
+        // dips between 0 and 20 BU (text and voice bottom out at 10 BU),
+        // so gates near 0.82 prove occupancies there that the tail
+        // must leave out.
+        let mut broken_tails = 0;
+        for threshold in (-20..=36).map(|i| f64::from(i) * 0.025) {
+            for handoff_bias in (-4..=10).map(|i| f64::from(i) * 0.05) {
+                let config = FacsConfig { threshold, handoff_bias, ..FacsConfig::compiled() };
+                let facs = FacsController::with_config(config).unwrap();
+                let surface = facs.flc2().surface().unwrap();
+                let reject_gate = threshold - handoff_bias.max(0.0) - 1e-9;
+                for class in ServiceClass::ALL {
+                    let per_occupancy = (0..=40u32)
+                        .filter(|&n| {
+                            let readings = [class.request_level(), f64::from(n)];
+                            surface.first_axis_extremes(&readings).unwrap().1 <= reject_gate
+                        })
+                        .fold(0u64, |mask, n| mask | 1 << n);
+                    let rejects = facs.core.bound.rejects[class.index()];
+                    let first = rejects.trailing_zeros().min(41);
+                    assert_eq!(rejects, span(first, 40), "{class} at {config:?}");
+                    assert_eq!(rejects & !per_occupancy, 0, "{class} at {config:?}");
+                    let lowest_tail = (0..=41).find(|&n| span(n, 40) & !per_occupancy == 0);
+                    assert_eq!(Some(first), lowest_tail, "{class} at {config:?}");
+                    broken_tails += usize::from(per_occupancy != rejects);
+                }
+            }
+        }
+        assert!(broken_tails > 0, "no gate proves an occupancy below an unproven one");
     }
 
     #[test]

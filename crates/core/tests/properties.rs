@@ -117,36 +117,57 @@ proptest! {
     /// The `fast_reject` pre-screen is sound: whenever it claims a
     /// request is deniable, the cascade denies it or its nominal cost
     /// does not fit (an admitting plan would fail allocation). The
-    /// cascade runs through `evaluate`, which skips the pre-screen
-    /// `decide` consults. Checked for any class, kind, cell size,
-    /// occupancy, mobility, gate and handoff bias, on both backends,
-    /// for plain and for warm predictive FACS (whose forecast may read
-    /// above or below the live occupancy).
+    /// cascade runs through `evaluate`, which skips the pre-screens
+    /// `decide` consults. Plain FACS's `decide` must moreover admit
+    /// exactly what the cascade admits and the cell fits, so its proven
+    /// admission, which skips FLC1 and FLC2, is sound too. Checked for
+    /// any class, kind, cell size, occupancy, mobility (finite distances
+    /// whose scaling overflows included, and slow users far out heading
+    /// away, whose low Cv is the admit proof's worst case), cell radius,
+    /// gate and handoff bias, on both backends, for plain and for warm
+    /// predictive FACS (whose forecast may read above or below the live
+    /// occupancy).
     #[test]
     fn fast_reject_implies_the_cascade_rejects(
         class in arb_class(),
         kind in prop::sample::select(vec![CallKind::New, CallKind::Handoff]),
         cell in arb_cell(),
-        mobility in arb_mobility(),
+        mobility in prop_oneof![
+            arb_mobility(),
+            (0.0_f64..120.0, 1e307_f64..=f64::MAX)
+                .prop_map(|(speed, distance)| MobilityInfo::new(speed, 0.0, distance)),
+            (0.0_f64..10.0, 150.0_f64..=180.0, 8.0_f64..=10.0)
+                .prop_map(|(speed, angle, distance)| MobilityInfo::new(speed, angle, distance)),
+        ],
+        cell_radius_km in prop::sample::select(vec![10.0, 2.0, 1e-300]),
         handoff_bias in -0.2_f64..=0.5,
         threshold in -0.5_f64..=0.6,
         compiled in any::<bool>(),
         history in prop::collection::vec(0.0_f64..=1.0, 4..12),
     ) {
         let backend = if compiled { BackendKind::compiled() } else { BackendKind::Exact };
-        let config = FacsConfig { threshold, handoff_bias, backend, ..FacsConfig::default() };
+        let config =
+            FacsConfig { threshold, handoff_bias, cell_radius_km, backend, ..FacsConfig::default() };
         let (capacity, occupied) = cell;
         let cell = filled(capacity, occupied);
         let request = CallRequest::new(CallId(0), class, kind, mobility);
         let fits = cell.can_fit(request.demand());
-        let plain = FacsController::with_config(config).unwrap();
+        let mut plain = FacsController::with_config(config).unwrap();
+        let eval = plain.evaluate(&request, &cell.snapshot());
         if plain.fast_reject(&request.profile, &cell) {
-            let eval = plain.evaluate(&request, &cell.snapshot());
             prop_assert!(
                 !(fits && eval.decision.admits()),
                 "plain FACS admits a pre-screened call: {eval:?}"
             );
         }
+        let plan = plain.decide(&request, &cell);
+        prop_assert_eq!(
+            plan.admits(),
+            fits && eval.decision.admits(),
+            "decide {:?} against the cascade's {:?}",
+            plan,
+            eval
+        );
         let mut predictive = PredictiveFacsController::ewma(config).unwrap();
         for (i, &fill) in history.iter().enumerate() {
             let held = (fill * f64::from(capacity)).round() as u32;
@@ -160,46 +181,6 @@ proptest! {
                 predictive.forecast_occupancy_bu()
             );
         }
-    }
-
-    /// Plain FACS's `decide` admits exactly what the cascade admits and
-    /// the cell fits, so both of its pre-screens are sound: the
-    /// `fast_reject` denial and the proven admission that skips FLC1 and
-    /// FLC2. The inputs are those of the `fast_reject` property plus
-    /// finite distances whose scaling overflows (the cell radius runs
-    /// down to 1e-300 km), on both backends.
-    #[test]
-    fn decide_admits_exactly_when_the_cascade_does(
-        class in arb_class(),
-        kind in prop::sample::select(vec![CallKind::New, CallKind::Handoff]),
-        cell in arb_cell(),
-        mobility in prop_oneof![
-            arb_mobility(),
-            (0.0_f64..120.0, 1e307_f64..=f64::MAX)
-                .prop_map(|(speed, distance)| MobilityInfo::new(speed, 0.0, distance)),
-        ],
-        cell_radius_km in prop::sample::select(vec![10.0, 2.0, 1e-300]),
-        handoff_bias in -0.2_f64..=0.5,
-        threshold in -0.5_f64..=0.6,
-        compiled in any::<bool>(),
-    ) {
-        let backend = if compiled { BackendKind::compiled() } else { BackendKind::Exact };
-        let config =
-            FacsConfig { threshold, handoff_bias, cell_radius_km, backend, ..FacsConfig::default() };
-        let (capacity, occupied) = cell;
-        let cell = filled(capacity, occupied);
-        let request = CallRequest::new(CallId(0), class, kind, mobility);
-        let fits = cell.can_fit(request.demand());
-        let mut facs = FacsController::with_config(config).unwrap();
-        let eval = facs.evaluate(&request, &cell.snapshot());
-        let plan = facs.decide(&request, &cell);
-        prop_assert_eq!(
-            plan.admits(),
-            fits && eval.decision.admits(),
-            "decide {:?} against the cascade's {:?}",
-            plan,
-            eval
-        );
     }
 
     /// FLC1's correction value is always inside [0, 1] for any observation

@@ -370,6 +370,78 @@ impl CompiledSurface {
         std::ptr::eq(self.nodes(), other.nodes())
     }
 
+    /// The least and greatest knot value along the first axis, with
+    /// every other axis held at `others` (one reading per axis after
+    /// the first, located as [`evaluate_crisp`](InferenceBackend::evaluate_crisp)
+    /// locates it).
+    ///
+    /// The interpolant is linear in the first axis between its knots,
+    /// so these are its extremes over that whole axis: what the surface
+    /// answers at the other readings whatever the first one is.
+    ///
+    /// # Errors
+    ///
+    /// As [`evaluate_crisp`](InferenceBackend::evaluate_crisp): a wrong
+    /// reading count or a non-finite reading.
+    pub fn first_axis_extremes(&self, others: &[f64]) -> Result<(f64, f64)> {
+        match self.axes.len() {
+            1 => self.extremes::<1>(others),
+            2 => self.extremes::<2>(others),
+            3 => self.extremes::<3>(others),
+            4 => self.extremes::<4>(others),
+            5 => self.extremes::<5>(others),
+            6 => self.extremes::<6>(others),
+            7 => self.extremes::<7>(others),
+            8 => self.extremes::<8>(others),
+            dims => unreachable!("a surface has 1..={MAX_SURFACE_DIMS} axes, not {dims}"),
+        }
+    }
+
+    /// [`first_axis_extremes`](Self::first_axis_extremes) on a surface
+    /// of `D` axes: locates the other readings once, with the first
+    /// axis at its lowest knot, then blends the `2^(D-1)` corners of
+    /// every knot's slab.
+    fn extremes<const D: usize>(&self, others: &[f64]) -> Result<(f64, f64)> {
+        if others.len() + 1 != D {
+            return Err(self.arity_error(others.len() + 1));
+        }
+        let mut readings = [self.axes[0].min; D];
+        readings[1..].copy_from_slice(others);
+        // Reading 0 sits on knot 0, so `base` is that knot's corner and
+        // the first axis's fraction is 0.
+        let (base, frac) = self.locate::<D>(&readings)?;
+        // The corners of one knot's slab, with their weights: the same
+        // for every knot.
+        let mut corners = [(0usize, 0.0f64); 1 << (MAX_SURFACE_DIMS - 1)];
+        let mut count = 0;
+        for corner in (0..(1usize << D)).step_by(2) {
+            let mut weight = 1.0;
+            let mut offset = 0usize;
+            for (d, (&f, &stride)) in frac.iter().zip(&self.strides).enumerate().skip(1) {
+                if corner & (1 << d) != 0 {
+                    weight *= f;
+                    offset += stride;
+                } else {
+                    weight *= 1.0 - f;
+                }
+            }
+            if weight > 0.0 {
+                corners[count] = (offset, weight);
+                count += 1;
+            }
+        }
+        let values = self.values.as_slice();
+        let (mut lowest, mut highest) = (f64::INFINITY, f64::NEG_INFINITY);
+        for knot in 0..self.axes[0].points {
+            let slab = &values[base + knot * self.strides[0]..];
+            let value: f64 =
+                corners[..count].iter().map(|&(offset, weight)| weight * slab[offset]).sum();
+            lowest = lowest.min(value);
+            highest = highest.max(value);
+        }
+        Ok((lowest, highest))
+    }
+
     /// The arity error for `given` positional readings, matching the
     /// exact engine's.
     #[cold]
@@ -748,6 +820,41 @@ mod tests {
         assert!(matches!(
             engine.evaluate_crisp(&[0.5, 0.5, 0.5]),
             Err(FuzzyError::UnknownVariable { .. })
+        ));
+    }
+
+    #[test]
+    fn first_axis_extremes_bound_a_sweep_and_are_attained_at_knots() {
+        for (engine, points) in [(ramp_engine(), 9), (three_input_engine(), 7)] {
+            let surface = CompiledSurface::compile(&engine, points).unwrap();
+            let axes = engine.inputs();
+            let (min, max) = (axes[0].min(), axes[0].max());
+            let others: Vec<Vec<f64>> = match axes.len() {
+                1 => vec![vec![]],
+                _ => vec![vec![-1.0, 0.0], vec![-0.37, 2.9], vec![0.5, 5.0], vec![3.0, -2.0]],
+            };
+            for rest in others {
+                let (lowest, highest) = surface.first_axis_extremes(&rest).unwrap();
+                let at = |x: f64| {
+                    let readings: Vec<f64> =
+                        std::iter::once(x).chain(rest.iter().copied()).collect();
+                    surface.evaluate_crisp(&readings).unwrap()
+                };
+                let sweep: Vec<f64> =
+                    (0..=400).map(|i| at(min + (max - min) * f64::from(i) / 400.0)).collect();
+                assert!(sweep.iter().all(|&v| lowest - 1e-9 <= v && v <= highest + 1e-9));
+                let knots: Vec<f64> = (0..points)
+                    .map(|k| at(min + (max - min) * k as f64 / (points - 1) as f64))
+                    .collect();
+                assert!(knots.iter().any(|&v| (v - lowest).abs() < 1e-9), "{rest:?}");
+                assert!(knots.iter().any(|&v| (v - highest).abs() < 1e-9), "{rest:?}");
+            }
+        }
+        let surface = CompiledSurface::compile(&two_input_engine(), 5).unwrap();
+        assert!(matches!(surface.first_axis_extremes(&[]), Err(FuzzyError::MissingInput { .. })));
+        assert!(matches!(
+            surface.first_axis_extremes(&[f64::NAN]),
+            Err(FuzzyError::NonFiniteInput { .. })
         ));
     }
 

@@ -970,10 +970,27 @@ mod tests {
         assert!((g.occupancy_percentile(0.5) - 0.30).abs() < 1e-12);
         assert!((g.occupancy_percentile(0.99) - 1.0).abs() < 1e-12);
 
-        let json = sink.to_json();
-        assert!(json.contains("\"experiment\": \"region-rollup\""));
-        assert!(json.contains("\"cells_per_region\": 4"));
-        assert!(json.contains("\"region\": 1"));
+        let expected = concat!(
+            "{\n  \"experiment\": \"region-rollup\",\n  \"cells_per_region\": 4,\n",
+            "  \"global\": { \"offered_new\": 2, \"accepted_new\": 1, \"blocked_new\": 1, ",
+            "\"handoff_attempts\": 1, \"handoff_dropped\": 1, \"completed\": 1, ",
+            "\"exited_coverage\": 1, \"samples\": 4, \"acceptance_pct\": 50.0000, ",
+            "\"dropping_pct\": 100.0000, \"mean_utilization\": 0.166667, ",
+            "\"occupancy_p50\": 0.3000, \"occupancy_p99\": 1.0000 },\n",
+            "  \"regions\": [\n",
+            "    { \"region\": 0, \"offered_new\": 2, \"accepted_new\": 1, \"blocked_new\": 1, ",
+            "\"handoff_attempts\": 0, \"handoff_dropped\": 0, \"completed\": 1, ",
+            "\"exited_coverage\": 0, \"samples\": 4, \"acceptance_pct\": 50.0000, ",
+            "\"dropping_pct\": 0.0000, \"mean_utilization\": 0.250000, ",
+            "\"occupancy_p50\": 0.3000, \"occupancy_p99\": 1.0000 },\n",
+            "    { \"region\": 1, \"offered_new\": 0, \"accepted_new\": 0, \"blocked_new\": 0, ",
+            "\"handoff_attempts\": 1, \"handoff_dropped\": 1, \"completed\": 0, ",
+            "\"exited_coverage\": 1, \"samples\": 0, \"acceptance_pct\": 100.0000, ",
+            "\"dropping_pct\": 100.0000, \"mean_utilization\": 0.083333, ",
+            "\"occupancy_p50\": 0.0000, \"occupancy_p99\": 0.0000 }\n",
+            "  ]\n}\n",
+        );
+        assert_eq!(sink.to_json(), expected);
     }
 
     #[test]

@@ -85,8 +85,48 @@ fn step_summary(text: &str) {
     }
 }
 
+/// Prints `message` and exits with the usage-error code 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Exits 2 for a flag the binary does not have, or one missing its value.
+fn unknown_argument(flag: &str) -> ! {
+    usage_error(&format!("unknown argument `{flag}` (try --list)"))
+}
+
+/// Parses `flag`'s `value`, exiting 2 with a message when it is not a `T`.
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| usage_error(&format!("invalid {flag} value `{value}`")))
+}
+
+/// [`parse_flag`] for a count, which must also be at least 1.
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(flag: &str, value: &str) -> T {
+    let count = parse_flag(flag, value);
+    if count == T::default() {
+        usage_error(&format!("{flag} must be >= 1"));
+    }
+    count
+}
+
+/// Writes `contents` to `{dir}/{file}`, creating `dir` (set by
+/// `dir_flag`) first, and returns the path. Exits 1 with a message when
+/// either step fails.
+fn write_artifact(dir_flag: &str, dir: &str, file: &str, contents: &str) -> String {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+        eprintln!("cannot create {dir_flag} `{dir}`: {e}");
+        std::process::exit(1);
+    });
+    let path = format!("{dir}/{file}");
+    std::fs::write(&path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    });
+    path
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut exp = "all".to_owned();
     let mut reps: u32 = 3;
     let mut out_dir = "results/catalog".to_owned();
@@ -99,107 +139,32 @@ fn main() {
     let mut workers: usize = 0;
     let mut requests: usize = 10_000_000;
     let mut region_cells: u32 = 1024;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--exp" if i + 1 < args.len() => {
-                exp = args[i + 1].clone();
-                i += 2;
-            }
-            "--reps" if i + 1 < args.len() => {
-                reps = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --reps value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                });
-                if reps == 0 {
-                    eprintln!("--reps must be >= 1");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--out-dir" if i + 1 < args.len() => {
-                out_dir = args[i + 1].clone();
-                i += 2;
-            }
-            "--shards" if i + 1 < args.len() => {
-                shards = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --shards value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                });
-                if shards == 0 {
-                    eprintln!("--shards must be >= 1");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--cases" if i + 1 < args.len() => {
-                cases = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --cases value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                });
-                if cases == 0 {
-                    eprintln!("--cases must be >= 1");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--fuzz-seed" if i + 1 < args.len() => {
-                fuzz_seed = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --fuzz-seed value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--golden-dir" if i + 1 < args.len() => {
-                golden_dir = args[i + 1].clone();
-                i += 2;
-            }
-            "--bless" => {
-                bless = true;
-                i += 1;
-            }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            "--workers" if i + 1 < args.len() => {
-                workers = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --workers value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--requests" if i + 1 < args.len() => {
-                requests = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --requests value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                });
-                if requests == 0 {
-                    eprintln!("--requests must be >= 1");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
-            "--region-cells" if i + 1 < args.len() => {
-                region_cells = args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --region-cells value `{}`", args[i + 1]);
-                    std::process::exit(2);
-                });
-                if region_cells == 0 {
-                    eprintln!("--region-cells must be >= 1");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--bless" => bless = true,
+            "--check" => check = true,
             "--list" => {
                 for e in EXPERIMENTS {
                     println!("{e}");
                 }
                 return;
             }
-            other => {
-                eprintln!("unknown argument `{other}` (try --list)");
-                std::process::exit(2);
+            flag => {
+                let value = args.next().unwrap_or_else(|| unknown_argument(flag));
+                match flag {
+                    "--exp" => exp = value,
+                    "--reps" => reps = parse_count(flag, &value),
+                    "--out-dir" => out_dir = value,
+                    "--shards" => shards = parse_count(flag, &value),
+                    "--cases" => cases = parse_count(flag, &value),
+                    "--fuzz-seed" => fuzz_seed = parse_flag(flag, &value),
+                    "--golden-dir" => golden_dir = value,
+                    "--workers" => workers = parse_flag(flag, &value),
+                    "--requests" => requests = parse_count(flag, &value),
+                    "--region-cells" => region_cells = parse_count(flag, &value),
+                    _ => unknown_argument(flag),
+                }
             }
         }
     }
@@ -370,10 +335,6 @@ fn main() {
             predict_reps
         ));
         if exp == "predict" {
-            std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-                eprintln!("cannot create --out-dir `{out_dir}`: {e}");
-                std::process::exit(1);
-            });
             let mut json = String::from("[\n");
             for (i, row) in rows.iter().enumerate() {
                 if i > 0 {
@@ -392,11 +353,7 @@ fn main() {
                 ));
             }
             json.push_str("\n]\n");
-            let path = format!("{out_dir}/predict-comparison.json");
-            std::fs::write(&path, json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            let path = write_artifact("--out-dir", &out_dir, "predict-comparison.json", &json);
             println!("# wrote {path}");
         }
         println!();
@@ -433,10 +390,6 @@ fn main() {
         println!("== catalog: named scenario sweep (FACS, compiled surfaces) ==");
         println!("scenario,requests,cells,shards,acceptance%,dropping%,utilization,handoffs");
         let results = run_catalog(catalog_reps, shards);
-        std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-            eprintln!("cannot create --out-dir `{out_dir}`: {e}");
-            std::process::exit(1);
-        });
         for result in &results {
             println!(
                 "{},{},{},{},{:.2},{:.2},{:.4},{}",
@@ -449,11 +402,8 @@ fn main() {
                 result.metrics.mean_utilization(),
                 result.metrics.handoff_attempts,
             );
-            let path = format!("{out_dir}/{}.json", result.name);
-            std::fs::write(&path, result.to_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            let file = format!("{}.json", result.name);
+            write_artifact("--out-dir", &out_dir, &file, &result.to_json());
         }
         println!("# wrote {} JSON artifacts to {out_dir}/", results.len());
         println!();
@@ -503,15 +453,8 @@ fn main() {
                 eprintln!("warning: planet run exceeded the streamed-memory budget ({line})");
             }
         }
-        std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
-            eprintln!("cannot create --out-dir `{out_dir}`: {e}");
-            std::process::exit(1);
-        });
-        let path = format!("{out_dir}/planet-rollup.json");
-        std::fs::write(&path, report.rollup.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        let path =
+            write_artifact("--out-dir", &out_dir, "planet-rollup.json", &report.rollup.to_json());
         println!("# wrote hierarchical rollup to {path}");
         println!();
     }
@@ -565,16 +508,9 @@ fn main() {
             }
         }
         if bless {
-            std::fs::create_dir_all(&golden_dir).unwrap_or_else(|e| {
-                eprintln!("cannot create --golden-dir `{golden_dir}`: {e}");
-                std::process::exit(1);
-            });
             for scenario in &fresh {
-                let path = format!("{golden_dir}/{}.json", scenario.scenario);
-                std::fs::write(&path, scenario.to_json()).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                });
+                let file = format!("{}.json", scenario.scenario);
+                write_artifact("--golden-dir", &golden_dir, &file, &scenario.to_json());
             }
             println!("# blessed {} golden files in {golden_dir}/", fresh.len());
         }
@@ -610,8 +546,7 @@ fn main() {
     }
 
     if !ran_any {
-        eprintln!("unknown experiment `{exp}` (try --list)");
-        std::process::exit(2);
+        usage_error(&format!("unknown experiment `{exp}` (try --list)"));
     }
 }
 

@@ -210,37 +210,9 @@ pub trait AdmissionController: Send {
 }
 
 /// Object-safe boxed controller, the form the simulator stores per cell.
+/// Method calls on it reach the controller through the vtable; code
+/// generic over [`AdmissionController`] takes `&mut *boxed`.
 pub type BoxedController = Box<dyn AdmissionController>;
-
-impl AdmissionController for BoxedController {
-    fn name(&self) -> &str {
-        self.as_ref().name()
-    }
-
-    fn decide(&mut self, request: &CallRequest, cell: &BandwidthLedger) -> AdmissionPlan {
-        self.as_mut().decide(request, cell)
-    }
-
-    fn fast_reject(&self, profile: &ServiceProfile, cell: &BandwidthLedger) -> bool {
-        self.as_ref().fast_reject(profile, cell)
-    }
-
-    fn observe(&mut self, now_s: f64, cell: &BandwidthLedger) {
-        self.as_mut().observe(now_s, cell);
-    }
-
-    fn on_admitted(&mut self, request: &CallRequest, cell: &CellSnapshot) {
-        self.as_mut().on_admitted(request, cell);
-    }
-
-    fn on_released(&mut self, call: CallId, class: ServiceClass, cell: &CellSnapshot) {
-        self.as_mut().on_released(call, class, cell);
-    }
-
-    fn is_cell_local(&self) -> bool {
-        self.as_ref().is_cell_local()
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -33,18 +33,6 @@ impl Verdict {
             _ => Verdict::Accept,
         }
     }
-
-    /// The canonical score at the center of this verdict's output term.
-    #[must_use]
-    pub fn canonical_score(self) -> f64 {
-        match self {
-            Verdict::Reject => -1.0,
-            Verdict::WeakReject => -0.5,
-            Verdict::Undecided => 0.0,
-            Verdict::WeakAccept => 0.5,
-            Verdict::Accept => 1.0,
-        }
-    }
 }
 
 impl fmt::Display for Verdict {
@@ -149,19 +137,6 @@ mod tests {
         assert_eq!(Verdict::from_score(0.74), Verdict::WeakAccept);
         assert_eq!(Verdict::from_score(0.75), Verdict::Accept);
         assert_eq!(Verdict::from_score(1.0), Verdict::Accept);
-    }
-
-    #[test]
-    fn verdict_round_trips_through_canonical_score() {
-        for v in [
-            Verdict::Reject,
-            Verdict::WeakReject,
-            Verdict::Undecided,
-            Verdict::WeakAccept,
-            Verdict::Accept,
-        ] {
-            assert_eq!(Verdict::from_score(v.canonical_score()), v);
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::traffic::{CallId, ClassCounts, ServiceClass, ServiceProfile};
+use crate::traffic::{CallId, ClassCounts, ServiceProfile};
 use crate::units::BandwidthUnits;
 
 /// Errors from ledger operations.
@@ -212,12 +212,6 @@ impl BandwidthLedger {
     #[must_use]
     pub fn can_fit(&self, demand: BandwidthUnits) -> bool {
         demand <= self.free()
-    }
-
-    /// Class of an active call, if present.
-    #[must_use]
-    pub fn class_of(&self, id: CallId) -> Option<ServiceClass> {
-        self.get(id).map(|a| a.profile.class)
     }
 
     /// Service profile of an active call, if present.
@@ -574,6 +568,7 @@ impl CellSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::ServiceClass;
 
     fn full_ledger() -> BandwidthLedger {
         // 40 BU: 2 video (20) + 3 voice (15) + 5 text (5) = 40.
@@ -702,9 +697,8 @@ mod tests {
     #[test]
     fn class_of_lookup() {
         let l = full_ledger();
-        assert_eq!(l.class_of(CallId(1)), Some(ServiceClass::Video));
+        assert_eq!(l.profile_of(CallId(1)).unwrap().class, ServiceClass::Video);
         assert_eq!(l.profile_of(CallId(1)).unwrap().rb_cost_nominal.get(), 10);
-        assert_eq!(l.class_of(CallId(99)), None);
         assert_eq!(l.profile_of(CallId(99)), None);
     }
 

@@ -41,6 +41,7 @@
 //! shards.
 //!
 //! [`EngineQueue`]: crate::events::EngineQueue
+//! [`AdmissionController::is_cell_local`]: facs_cac::AdmissionController::is_cell_local
 
 mod shard;
 
@@ -51,9 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Barrier, Mutex, PoisonError};
 
-use facs_cac::{
-    AdmissionController, BandwidthLedger, BandwidthUnits, BoxedController, CellId, ServiceProfile,
-};
+use facs_cac::{BandwidthLedger, BandwidthUnits, BoxedController, CellId, ServiceProfile};
 
 use crate::geometry::HexGrid;
 use crate::metrics::{Metrics, MetricsSink};

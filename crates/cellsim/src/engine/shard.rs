@@ -358,7 +358,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         // Integrate only on the admit arms: an extra split point on a
         // rejection would reorder the occupancy-integral summation.
         cell.integrate_to(now);
-        let admission = plan.apply(request, &mut cell.ledger, &mut cell.controller)?;
+        let admission = plan.apply(request, &mut cell.ledger, &mut *cell.controller)?;
         for (call, to, floor) in admission.squeezed {
             self.sink.on_reallocation(now, cell_id, UserId(call.0), to, floor);
         }

@@ -29,19 +29,6 @@ pub fn erlang_b(servers: u32, erlangs: f64) -> f64 {
     b
 }
 
-/// Offered load (in Erlangs) of `arrival_rate_per_s` arrivals holding for
-/// `mean_holding_s` seconds each.
-#[must_use]
-pub fn offered_erlangs(arrival_rate_per_s: f64, mean_holding_s: f64) -> f64 {
-    arrival_rate_per_s * mean_holding_s
-}
-
-/// Expected carried load: offered × (1 − blocking).
-#[must_use]
-pub fn carried_erlangs(servers: u32, erlangs: f64) -> f64 {
-    erlangs * (1.0 - erlang_b(servers, erlangs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,12 +75,7 @@ mod tests {
         // As load -> infinity, blocking -> 1 and carried -> servers.
         let b = erlang_b(4, 1e6);
         assert!(b > 0.999_99);
-        assert!((carried_erlangs(4, 1e6) - 4.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn offered_load_arithmetic() {
-        assert_eq!(offered_erlangs(0.5, 60.0), 30.0);
+        assert!((1e6 * (1.0 - b) - 4.0).abs() < 0.01);
     }
 
     #[test]

@@ -302,16 +302,6 @@ impl Metrics {
         }
     }
 
-    /// Records a call that completed its holding time.
-    pub fn record_completion(&mut self) {
-        self.completed += 1;
-    }
-
-    /// Records a call ended by leaving coverage.
-    pub fn record_exit(&mut self) {
-        self.exited_coverage += 1;
-    }
-
     /// The paper's headline metric: percentage of accepted (new) calls.
     /// Returns 100 when nothing was offered.
     #[must_use]
@@ -426,11 +416,11 @@ impl MetricsSink for Metrics {
     }
 
     fn on_completion(&mut self, _now: SimTime, _cell: CellId, _user: UserId) {
-        self.record_completion();
+        self.completed += 1;
     }
 
     fn on_exit(&mut self, _now: SimTime, _cell: CellId, _user: UserId) {
-        self.record_exit();
+        self.exited_coverage += 1;
     }
 
     fn on_mobility_steps(&mut self, _now: SimTime, steps: u64) {
@@ -522,94 +512,23 @@ const OCCUPANCY_BUCKETS: usize = 20;
 /// **bit-identical across shard counts** — the floating-point
 /// utilization integrals are only folded in at the end of the run, in
 /// cell-id order, by [`MetricsSink::on_cell_utilization`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionRollup {
-    /// New-call requests offered / admitted / denied.
-    pub offered_new: u64,
-    /// New-call requests admitted.
-    pub accepted_new: u64,
-    /// New-call requests denied.
-    pub blocked_new: u64,
-    /// Handoff attempts into cells of this region.
-    pub handoff_attempts: u64,
-    /// Handoffs denied (calls dropped).
-    pub handoff_dropped: u64,
-    /// Calls completed in this region.
-    pub completed: u64,
-    /// Calls ended by leaving coverage from this region.
-    pub exited_coverage: u64,
+    /// The [`Metrics`] of this region's cells, fed by the decision,
+    /// completion, exit and end-of-run utilization hooks.
+    pub counts: Metrics,
     /// Epoch occupancy samples taken.
     pub samples: u64,
     /// Histogram of per-sample occupancy fraction (5% buckets).
     pub occupancy_hist: [u64; OCCUPANCY_BUCKETS],
-    /// Final occupied BU·s integral (populated at end of run).
-    pub occupied_bu_s: f64,
-    /// Final capacity BU·s integral (populated at end of run).
-    pub capacity_bu_s: f64,
-}
-
-impl Default for RegionRollup {
-    fn default() -> Self {
-        Self {
-            offered_new: 0,
-            accepted_new: 0,
-            blocked_new: 0,
-            handoff_attempts: 0,
-            handoff_dropped: 0,
-            completed: 0,
-            exited_coverage: 0,
-            samples: 0,
-            occupancy_hist: [0; OCCUPANCY_BUCKETS],
-            occupied_bu_s: 0.0,
-            capacity_bu_s: 0.0,
-        }
-    }
 }
 
 impl RegionRollup {
     fn merge(&mut self, other: &Self) {
-        self.offered_new += other.offered_new;
-        self.accepted_new += other.accepted_new;
-        self.blocked_new += other.blocked_new;
-        self.handoff_attempts += other.handoff_attempts;
-        self.handoff_dropped += other.handoff_dropped;
-        self.completed += other.completed;
-        self.exited_coverage += other.exited_coverage;
+        self.counts.merge(&other.counts);
         self.samples += other.samples;
         for (a, b) in self.occupancy_hist.iter_mut().zip(&other.occupancy_hist) {
             *a += b;
-        }
-        self.occupied_bu_s += other.occupied_bu_s;
-        self.capacity_bu_s += other.capacity_bu_s;
-    }
-
-    /// Acceptance percentage of new calls (100 when none offered).
-    #[must_use]
-    pub fn acceptance_percentage(&self) -> f64 {
-        if self.offered_new == 0 {
-            100.0
-        } else {
-            100.0 * self.accepted_new as f64 / self.offered_new as f64
-        }
-    }
-
-    /// Handoff dropping percentage (0 when no attempts).
-    #[must_use]
-    pub fn dropping_percentage(&self) -> f64 {
-        if self.handoff_attempts == 0 {
-            0.0
-        } else {
-            100.0 * self.handoff_dropped as f64 / self.handoff_attempts as f64
-        }
-    }
-
-    /// Time-averaged occupancy fraction from the end-of-run integrals.
-    #[must_use]
-    pub fn mean_utilization(&self) -> f64 {
-        if self.capacity_bu_s <= 0.0 {
-            0.0
-        } else {
-            self.occupied_bu_s / self.capacity_bu_s
         }
     }
 
@@ -691,23 +610,24 @@ impl RegionRollupSink {
     #[must_use]
     pub fn to_json(&self) -> String {
         fn rollup_fields(r: &RegionRollup) -> String {
+            let c = &r.counts;
             format!(
                 "\"offered_new\": {}, \"accepted_new\": {}, \"blocked_new\": {}, \
                  \"handoff_attempts\": {}, \"handoff_dropped\": {}, \"completed\": {}, \
                  \"exited_coverage\": {}, \"samples\": {}, \"acceptance_pct\": {:.4}, \
                  \"dropping_pct\": {:.4}, \"mean_utilization\": {:.6}, \
                  \"occupancy_p50\": {:.4}, \"occupancy_p99\": {:.4}",
-                r.offered_new,
-                r.accepted_new,
-                r.blocked_new,
-                r.handoff_attempts,
-                r.handoff_dropped,
-                r.completed,
-                r.exited_coverage,
+                c.offered_new,
+                c.accepted_new,
+                c.blocked_new,
+                c.handoff_attempts,
+                c.handoff_dropped,
+                c.completed,
+                c.exited_coverage,
                 r.samples,
-                r.acceptance_percentage(),
-                r.dropping_percentage(),
-                r.mean_utilization(),
+                c.acceptance_percentage(),
+                c.dropping_percentage(),
+                c.mean_utilization(),
                 r.occupancy_percentile(0.50),
                 r.occupancy_percentile(0.99),
             )
@@ -741,37 +661,19 @@ impl MetricsSink for RegionRollupSink {
         self.global.merge(&other.global);
     }
 
-    fn on_decision(&mut self, _now: SimTime, cell: CellId, record: &DecisionRecord) {
-        fn apply(rollup: &mut RegionRollup, kind: CallKind, admitted: bool) {
-            match kind {
-                CallKind::New => {
-                    rollup.offered_new += 1;
-                    if admitted {
-                        rollup.accepted_new += 1;
-                    } else {
-                        rollup.blocked_new += 1;
-                    }
-                }
-                CallKind::Handoff => {
-                    rollup.handoff_attempts += 1;
-                    if !admitted {
-                        rollup.handoff_dropped += 1;
-                    }
-                }
-            }
-        }
-        apply(self.region_mut(cell), record.kind, record.admitted);
-        apply(&mut self.global, record.kind, record.admitted);
+    fn on_decision(&mut self, now: SimTime, cell: CellId, record: &DecisionRecord) {
+        self.region_mut(cell).counts.on_decision(now, cell, record);
+        self.global.counts.on_decision(now, cell, record);
     }
 
-    fn on_completion(&mut self, _now: SimTime, cell: CellId, _user: UserId) {
-        self.region_mut(cell).completed += 1;
-        self.global.completed += 1;
+    fn on_completion(&mut self, now: SimTime, cell: CellId, user: UserId) {
+        self.region_mut(cell).counts.on_completion(now, cell, user);
+        self.global.counts.on_completion(now, cell, user);
     }
 
-    fn on_exit(&mut self, _now: SimTime, cell: CellId, _user: UserId) {
-        self.region_mut(cell).exited_coverage += 1;
-        self.global.exited_coverage += 1;
+    fn on_exit(&mut self, now: SimTime, cell: CellId, user: UserId) {
+        self.region_mut(cell).counts.on_exit(now, cell, user);
+        self.global.counts.on_exit(now, cell, user);
     }
 
     fn on_cell_sample(&mut self, _now: SimTime, cell: CellId, occupied: u32, capacity: u32) {
@@ -790,11 +692,8 @@ impl MetricsSink for RegionRollupSink {
     }
 
     fn on_cell_utilization(&mut self, cell: CellId, occupied_bu_s: f64, capacity_bu_s: f64) {
-        let region = self.region_mut(cell);
-        region.occupied_bu_s += occupied_bu_s;
-        region.capacity_bu_s += capacity_bu_s;
-        self.global.occupied_bu_s += occupied_bu_s;
-        self.global.capacity_bu_s += capacity_bu_s;
+        self.region_mut(cell).counts.on_cell_utilization(cell, occupied_bu_s, capacity_bu_s);
+        self.global.counts.on_cell_utilization(cell, occupied_bu_s, capacity_bu_s);
     }
 }
 
@@ -954,17 +853,19 @@ mod tests {
         let regions: Vec<_> = sink.regions().collect();
         assert_eq!(regions.len(), 2);
         let r0 = &regions[0].1;
-        assert_eq!((regions[0].0, r0.offered_new, r0.accepted_new, r0.blocked_new), (0, 2, 1, 1));
-        assert_eq!((r0.completed, r0.samples), (1, 4));
-        let r1 = &regions[1].1;
-        assert_eq!((regions[1].0, r1.handoff_attempts, r1.handoff_dropped), (1, 1, 1));
-        assert_eq!(r1.exited_coverage, 1);
+        let c0 = &r0.counts;
+        assert_eq!((regions[0].0, c0.offered_new, c0.accepted_new, c0.blocked_new), (0, 2, 1, 1));
+        assert_eq!((c0.completed, r0.samples), (1, 4));
+        let c1 = &regions[1].1.counts;
+        assert_eq!((regions[1].0, c1.handoff_attempts, c1.handoff_dropped), (1, 1, 1));
+        assert_eq!(c1.exited_coverage, 1);
 
         let g = sink.global();
-        assert_eq!((g.offered_new, g.accepted_new, g.handoff_attempts), (2, 1, 1));
-        assert!((g.acceptance_percentage() - 50.0).abs() < 1e-12);
-        assert!((g.dropping_percentage() - 100.0).abs() < 1e-12);
-        assert!((g.mean_utilization() - 40.0 / 240.0).abs() < 1e-12);
+        let gc = &g.counts;
+        assert_eq!((gc.offered_new, gc.accepted_new, gc.handoff_attempts), (2, 1, 1));
+        assert!((gc.acceptance_percentage() - 50.0).abs() < 1e-12);
+        assert!((gc.dropping_percentage() - 100.0).abs() < 1e-12);
+        assert!((gc.mean_utilization() - 40.0 / 240.0).abs() < 1e-12);
         // Samples at fractions 0, 0.25, 0.5, 1.0: the median falls in
         // the 0.25 bucket (upper edge 0.30), the p99 in the top bucket.
         assert!((g.occupancy_percentile(0.5) - 0.30).abs() < 1e-12);

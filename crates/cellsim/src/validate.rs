@@ -208,12 +208,6 @@ impl InvariantSink {
         Self::default()
     }
 
-    /// Number of users that produced at least one event.
-    #[must_use]
-    pub fn users_seen(&self) -> usize {
-        self.users.len()
-    }
-
     /// Number of epoch occupancy samples capacity-checked.
     #[must_use]
     pub fn samples_checked(&self) -> u64 {
@@ -581,7 +575,7 @@ mod tests {
         metrics.record_decision(ServiceClass::Voice, CallKind::New, true);
         metrics.record_decision(ServiceClass::Voice, CallKind::Handoff, true);
         metrics.record_decision(ServiceClass::Video, CallKind::New, false);
-        metrics.record_completion();
+        metrics.on_completion(t(9.0), CellId(1), UserId(7));
         assert_eq!(sink.cross_check(&metrics), Vec::<String>::new());
     }
 
@@ -692,7 +686,7 @@ mod tests {
         merged.absorb(a);
         merged.absorb(b);
         assert_eq!(merged.violations(), Vec::<String>::new());
-        assert_eq!(merged.users_seen(), 1);
+        assert_eq!(merged.active_at_horizon(), 0);
     }
 
     #[test]

@@ -639,12 +639,6 @@ impl WorkloadStream {
         self.next >= self.arrivals.count
     }
 
-    /// Configured chunk size (users per [`WorkloadStream::next_chunk`]).
-    #[must_use]
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
     /// Synthesizes the next chunk of users, or `None` when exhausted.
     pub fn next_chunk(&mut self) -> Option<WorkloadChunk> {
         if self.is_exhausted() {

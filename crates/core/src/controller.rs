@@ -803,7 +803,7 @@ mod tests {
     #[test]
     fn compiled_backend_agrees_on_clear_cut_decisions() {
         let compiled = FacsController::with_config(FacsConfig::compiled()).unwrap();
-        assert!(compiled.config().backend.is_compiled());
+        assert_eq!(compiled.config().backend, BackendKind::compiled());
         let good = req(ServiceClass::Voice, CallKind::New, MobilityInfo::new(60.0, 0.0, 2.0));
         let vid = req(ServiceClass::Video, CallKind::New, MobilityInfo::new(60.0, 0.0, 1.0));
         assert!(compiled.evaluate(&good, &cell(0)).decision.admits());

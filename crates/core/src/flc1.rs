@@ -143,7 +143,7 @@ mod tests {
         let exact = flc1();
         let compiled =
             Flc1::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
-        assert!(compiled.backend().is_compiled());
+        assert_eq!(compiled.backend(), BackendKind::compiled());
         assert_eq!(compiled.surface().unwrap().dims(), 3);
         let mut worst = 0.0f64;
         for s in [0.0, 7.0, 30.0, 55.0, 90.0, 120.0] {

@@ -128,7 +128,7 @@ mod tests {
         let exact = flc2();
         let compiled =
             Flc2::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
-        assert!(compiled.backend().is_compiled());
+        assert_eq!(compiled.backend(), BackendKind::compiled());
         let mut worst = 0.0f64;
         for cv in [0.0, 0.13, 0.4, 0.62, 0.88, 1.0] {
             for r in [0.0, 1.0, 3.7, 5.0, 8.2, 10.0] {

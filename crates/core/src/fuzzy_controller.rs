@@ -2,8 +2,7 @@
 //! compiled backend, its decision surface.
 
 use facs_fuzzy::{
-    BackendKind, CompiledSurface, Engine, FuzzyError, InferenceBackend, InferenceConfig,
-    DEFAULT_LATTICE_POINTS,
+    BackendKind, CompiledSurface, Engine, FuzzyError, InferenceConfig, DEFAULT_LATTICE_POINTS,
 };
 
 /// A default compiled surface baked into the binary: the nodes of the

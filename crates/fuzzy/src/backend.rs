@@ -1,8 +1,8 @@
-//! Pluggable inference backends: how a compiled controller answers
-//! queries.
+//! Inference backends: how a compiled controller answers queries.
 //!
-//! The [`InferenceBackend`] trait abstracts over the two ways this
-//! workspace evaluates a single-output fuzzy controller:
+//! [`BackendKind`] selects one of the two ways this workspace evaluates
+//! a single-output fuzzy controller; both answer through an
+//! `evaluate_crisp` method of their own:
 //!
 //! * **Exact Mamdani** — [`Engine`] itself: fuzzify, fire the rule base,
 //!   aggregate, defuzzify on every query. Each output term's membership
@@ -56,37 +56,7 @@ pub const MAX_SURFACE_DIMS: usize = 8;
 /// one alone) rather than pay for spawns that outlast the work.
 const MIN_NODES_PER_THREAD: usize = 512;
 
-/// A strategy for evaluating a single-output fuzzy controller from
-/// positional readings.
-///
-/// Implemented by [`Engine`] (exact Mamdani inference) and
-/// [`CompiledSurface`] (precomputed lattice + interpolation), so callers
-/// can hold either behind one interface and switch per [`BackendKind`].
-pub trait InferenceBackend {
-    /// Evaluates the controller's single output for readings given in
-    /// input-declaration order (each clamped into its universe).
-    ///
-    /// # Errors
-    ///
-    /// [`FuzzyError::NonFiniteInput`] on NaN/infinite readings, plus
-    /// arity errors when `readings` does not match the input count.
-    fn evaluate_crisp(&self, readings: &[f64]) -> Result<f64>;
-
-    /// Short static name for logs and benches.
-    fn backend_name(&self) -> &'static str;
-}
-
-impl InferenceBackend for Engine {
-    fn evaluate_crisp(&self, readings: &[f64]) -> Result<f64> {
-        Engine::evaluate_crisp(self, readings)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "exact-mamdani"
-    }
-}
-
-/// Which [`InferenceBackend`] a controller should use — the cheap,
+/// Which backend a controller should use — the cheap,
 /// copyable selector that configuration types carry (the surface itself
 /// is built when the controller is).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -107,12 +77,6 @@ impl BackendKind {
     #[must_use]
     pub fn compiled() -> Self {
         BackendKind::Compiled { points_per_axis: DEFAULT_LATTICE_POINTS }
-    }
-
-    /// `true` for the [`BackendKind::Compiled`] variant.
-    #[must_use]
-    pub fn is_compiled(self) -> bool {
-        matches!(self, BackendKind::Compiled { .. })
     }
 }
 
@@ -170,7 +134,7 @@ impl Nodes {
 ///
 /// ```
 /// use facs_fuzzy::{
-///     CompiledSurface, Engine, InferenceBackend, MembershipFunction, Rule, Variable,
+///     CompiledSurface, Engine, MembershipFunction, Rule, Variable,
 /// };
 ///
 /// # fn main() -> Result<(), facs_fuzzy::FuzzyError> {
@@ -370,9 +334,34 @@ impl CompiledSurface {
         std::ptr::eq(self.nodes(), other.nodes())
     }
 
+    /// Evaluates the surface for readings given in input-declaration
+    /// order by multilinear interpolation over the precomputed lattice:
+    /// locates the enclosing cell per axis, then blends its `2^dims`
+    /// corner values. Readings are clamped into each axis universe,
+    /// mirroring the exact engine.
+    ///
+    /// # Errors
+    ///
+    /// [`FuzzyError::NonFiniteInput`] on NaN/infinite readings, plus
+    /// arity errors when `readings` does not match the input count.
+    pub fn evaluate_crisp(&self, readings: &[f64]) -> Result<f64> {
+        // One dispatch on the axis count picks the walk built for it.
+        match self.axes.len() {
+            1 => self.interpolate::<1>(readings),
+            2 => self.interpolate::<2>(readings),
+            3 => self.interpolate::<3>(readings),
+            4 => self.interpolate::<4>(readings),
+            5 => self.interpolate::<5>(readings),
+            6 => self.interpolate::<6>(readings),
+            7 => self.interpolate::<7>(readings),
+            8 => self.interpolate::<8>(readings),
+            dims => unreachable!("a surface has 1..={MAX_SURFACE_DIMS} axes, not {dims}"),
+        }
+    }
+
     /// The least and greatest knot value along the first axis, with
     /// every other axis held at `others` (one reading per axis after
-    /// the first, located as [`evaluate_crisp`](InferenceBackend::evaluate_crisp)
+    /// the first, located as [`evaluate_crisp`](Self::evaluate_crisp)
     /// locates it).
     ///
     /// The interpolant is linear in the first axis between its knots,
@@ -381,7 +370,7 @@ impl CompiledSurface {
     ///
     /// # Errors
     ///
-    /// As [`evaluate_crisp`](InferenceBackend::evaluate_crisp): a wrong
+    /// As [`evaluate_crisp`](Self::evaluate_crisp): a wrong
     /// reading count or a non-finite reading.
     pub fn first_axis_extremes(&self, others: &[f64]) -> Result<(f64, f64)> {
         match self.axes.len() {
@@ -508,31 +497,6 @@ impl CompiledSurface {
             }
         }
         Ok(acc)
-    }
-}
-
-impl InferenceBackend for CompiledSurface {
-    /// Multilinear interpolation over the precomputed lattice: locates
-    /// the enclosing cell per axis, then blends its `2^dims` corner
-    /// values. Readings are clamped into each axis universe, mirroring
-    /// the exact engine.
-    fn evaluate_crisp(&self, readings: &[f64]) -> Result<f64> {
-        // One dispatch on the axis count picks the walk built for it.
-        match self.axes.len() {
-            1 => self.interpolate::<1>(readings),
-            2 => self.interpolate::<2>(readings),
-            3 => self.interpolate::<3>(readings),
-            4 => self.interpolate::<4>(readings),
-            5 => self.interpolate::<5>(readings),
-            6 => self.interpolate::<6>(readings),
-            7 => self.interpolate::<7>(readings),
-            8 => self.interpolate::<8>(readings),
-            dims => unreachable!("a surface has 1..={MAX_SURFACE_DIMS} axes, not {dims}"),
-        }
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "compiled-surface"
     }
 }
 
@@ -920,7 +884,6 @@ mod tests {
         assert_eq!(surface.points_per_axis(), 9);
         assert_eq!(surface.len(), 81);
         assert!(!surface.is_empty());
-        assert_eq!(surface.backend_name(), "compiled-surface");
     }
 
     #[test]
@@ -934,9 +897,7 @@ mod tests {
     #[test]
     fn backend_kind_selector() {
         assert_eq!(BackendKind::default(), BackendKind::Exact);
-        assert!(!BackendKind::Exact.is_compiled());
         let compiled = BackendKind::compiled();
-        assert!(compiled.is_compiled());
         assert_eq!(compiled, BackendKind::Compiled { points_per_axis: DEFAULT_LATTICE_POINTS });
         assert_eq!(compiled.to_string(), "compiled(33)");
         assert_eq!(BackendKind::Exact.to_string(), "exact");
@@ -946,14 +907,5 @@ mod tests {
     fn surface_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompiledSurface>();
-    }
-
-    #[test]
-    fn engine_implements_the_backend_trait() {
-        let engine = ramp_engine();
-        let backend: &dyn InferenceBackend = &engine;
-        assert_eq!(backend.backend_name(), "exact-mamdani");
-        let direct = engine.evaluate_crisp(&[3.0]).unwrap();
-        assert_eq!(backend.evaluate_crisp(&[3.0]).unwrap(), direct);
     }
 }

@@ -55,7 +55,7 @@
 //! * [`defuzz`] — centroid, bisector, mean-of-maxima and weighted-average
 //!   defuzzifiers.
 //! * [`engine`] — the compiled controller.
-//! * [`backend`] — pluggable inference backends: exact Mamdani per
+//! * [`backend`] — the two inference backends: exact Mamdani per
 //!   query, or a precomputed decision surface answered by multilinear
 //!   interpolation.
 
@@ -74,7 +74,7 @@ pub mod set;
 pub mod term;
 pub mod variable;
 
-pub use backend::{BackendKind, CompiledSurface, InferenceBackend, DEFAULT_LATTICE_POINTS};
+pub use backend::{BackendKind, CompiledSurface, DEFAULT_LATTICE_POINTS};
 pub use defuzz::{Defuzzifier, RESOLUTION};
 pub use engine::{Engine, EngineBuilder, InferenceConfig};
 pub use error::{FuzzyError, Result};
@@ -87,7 +87,7 @@ pub use variable::{Variable, VariableBuilder};
 
 /// Commonly used items, for glob import in applications and examples.
 pub mod prelude {
-    pub use crate::backend::{BackendKind, CompiledSurface, InferenceBackend};
+    pub use crate::backend::{BackendKind, CompiledSurface};
     pub use crate::defuzz::Defuzzifier;
     pub use crate::engine::{Engine, InferenceConfig};
     pub use crate::error::{FuzzyError, Result};

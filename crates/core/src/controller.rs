@@ -1,12 +1,13 @@
 //! The FACS admission controller: FLC1 → FLC2 cascade (paper Fig. 4).
 
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, CallKind, CallRequest,
     CellSnapshot, Decision, MobilityInfo, ServiceClass, ServiceProfile,
 };
-use facs_fuzzy::{BackendKind, FuzzyError, InferenceConfig};
+use facs_fuzzy::{BackendKind, CompiledSurface, FuzzyError, InferenceConfig};
 
 use crate::flc1::Flc1;
 use crate::flc2::Flc2;
@@ -120,7 +121,9 @@ struct FacsCore {
     flc1: Flc1,
     flc2: Flc2,
     config: FacsConfig,
-    bound: ScoreBound,
+    /// The policy table read off the compiled FLC2 surface; the exact
+    /// backend has no lattice to prove over.
+    bound: Option<ScoreBound>,
 }
 
 impl FacsController {
@@ -143,7 +146,7 @@ impl FacsController {
         let flc2 = Flc2::with_backend(config.inference, config.backend)?;
         let core = FacsCore {
             flc1: Flc1::with_backend(config.inference, config.backend)?,
-            bound: ScoreBound::new(&flc2, &config),
+            bound: flc2.surface().map(|surface| ScoreBound::new(surface, &config)),
             flc2,
             config,
         };
@@ -168,6 +171,17 @@ impl FacsController {
         &self.core.flc2
     }
 
+    /// The row of FACS's policy table for `class` at occupancy
+    /// `occupied` of a 40-BU cell: which Cv segments `decide` settles
+    /// without running FLC2. `None` on the exact backend, which proves
+    /// nothing, and above 40 BU.
+    #[must_use]
+    pub fn cv_segments(&self, class: ServiceClass, occupied: u32) -> Option<CvSegments<'_>> {
+        let (bound, surface) = (self.core.bound.as_ref()?, self.core.flc2.surface()?);
+        let row = *bound.rows[class.index()].get(occupied as usize)?;
+        Some(CvSegments { row, full: bound.full, surface })
+    }
+
     /// Runs the full cascade and returns every intermediate value.
     ///
     /// A corrupted (non-finite) mobility observation yields a firm
@@ -175,28 +189,40 @@ impl FacsController {
     /// live system a broken GPS fix must not take the admission path down.
     #[must_use]
     pub fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
-        if !request.mobility.is_finite() {
-            return FacsEvaluation {
+        match self.core.correction_value(request) {
+            Some(correction_value) => self.core.gate(correction_value, request, cell),
+            None => FacsEvaluation {
                 correction_value: 0.0,
                 score: -1.0,
                 decision: Decision::reject(-1.0),
-            };
+            },
         }
-        let core = &*self.core;
-        let scaled = scale_mobility(&core.config, &request.mobility);
-        let correction_value = match core.flc1.correction_value(&scaled) {
-            Ok(cv) => cv,
-            Err(_) => {
-                return FacsEvaluation {
-                    correction_value: 0.0,
-                    score: -1.0,
-                    decision: Decision::reject(-1.0),
-                }
-            }
-        };
+    }
+}
+
+impl FacsCore {
+    /// FLC1's correction value for `request`, or `None` where the cascade
+    /// rejects before FLC2: a non-finite mobility, a finite distance whose
+    /// scaling overflows, or any other FLC1 error.
+    #[inline]
+    fn correction_value(&self, request: &CallRequest) -> Option<f64> {
+        if !request.mobility.is_finite() {
+            return None;
+        }
+        self.flc1.correction_value(&scale_mobility(&self.config, &request.mobility)).ok()
+    }
+
+    /// The rest of the cascade on FLC1's correction value: FLC2, the
+    /// handoff bias, the score snap and the gate.
+    fn gate(
+        &self,
+        correction_value: f64,
+        request: &CallRequest,
+        cell: &CellSnapshot,
+    ) -> FacsEvaluation {
         let counter = scale_counter(cell);
         let request_bu = request.class.request_level();
-        let mut score = match core.flc2.decision_score(correction_value, request_bu, counter) {
+        let mut score = match self.flc2.decision_score(correction_value, request_bu, counter) {
             Ok(s) => s,
             Err(_) => {
                 return FacsEvaluation {
@@ -207,7 +233,7 @@ impl FacsController {
             }
         };
         if request.kind == CallKind::Handoff {
-            score = (score + core.config.handoff_bias).clamp(-1.0, 1.0);
+            score = (score + self.config.handoff_bias).clamp(-1.0, 1.0);
         }
         // Snap to a 1e-12 grid: the sampled centroid carries ~1e-16 noise
         // which must not flip a `score > threshold` gate at exactly the
@@ -216,7 +242,35 @@ impl FacsController {
         FacsEvaluation {
             correction_value,
             score,
-            decision: Decision::from_score(score, core.config.threshold),
+            decision: Decision::from_score(score, self.config.threshold),
+        }
+    }
+
+    /// `decide` past `fast_reject` on a 40-BU cell of the compiled
+    /// backend, whose policy-table row is `row`: a full admit row admits
+    /// without FLC1, a proven Cv segment settles the request without
+    /// FLC2, and a mixed one runs FLC2 on the Cv already computed.
+    #[inline]
+    fn decide_on_row(
+        &self,
+        request: &CallRequest,
+        cell: &BandwidthLedger,
+        surface: &CompiledSurface,
+        row: RowProof,
+        full: u64,
+    ) -> AdmissionPlan {
+        if row.admit == full && scale_mobility(&self.config, &request.mobility).is_finite() {
+            return AdmissionPlan::Admit(Decision::accept(1.0));
+        }
+        let Some(correction_value) = self.correction_value(request) else {
+            return AdmissionPlan::Reject(Decision::reject(-1.0));
+        };
+        match row.verdict_at(surface, correction_value) {
+            Some(true) => AdmissionPlan::Admit(Decision::accept(1.0)),
+            Some(false) => AdmissionPlan::Reject(Decision::reject(-1.0)),
+            None => {
+                AdmissionPlan::gate(self.gate(correction_value, request, &cell.snapshot()).decision)
+            }
         }
     }
 }
@@ -236,6 +290,9 @@ fn scale_mobility(config: &FacsConfig, mobility: &MobilityInfo) -> MobilityInfo 
 /// 0–40 BU counter universe, the paper's cell).
 const PAPER_CAPACITY_BU: u32 = 40;
 
+/// The occupancies of a 40-BU cell, 0 to 40 BU.
+const PAPER_ROWS: usize = PAPER_CAPACITY_BU as usize + 1;
+
 /// Scales occupancy into FLC2's 0–40 BU counter universe according to
 /// the cell's own capacity, so a half-full cell reads as `Cs = 20`
 /// whatever its size.
@@ -244,47 +301,158 @@ fn scale_counter(cell: &CellSnapshot) -> f64 {
     f64::from(cell.occupied.get()) * f64::from(PAPER_CAPACITY_BU) / capacity
 }
 
-/// Per class, the occupancies of a 40-BU cell at which the compiled FLC2
-/// surface settles a request whatever its mobility: the table behind
-/// [`FacsController::fast_reject`] and `decide`'s proven admissions.
+/// One row of FACS's policy table ([`FacsController::cv_segments`]): for
+/// one class at one occupancy of a 40-BU cell, which segments of FLC2's
+/// Cv axis the compiled surface settles whatever the request's kind.
+/// Segment `s` of the default 33-knot axis spans Cv ∈ `[s/32, (s+1)/32]`.
+/// A segment is *admitted* (every Cv in it admits), *rejected* (every Cv
+/// in it rejects) or *mixed* (FLC2 scores it). On a surface with more
+/// than 64 Cv segments a row is settled whole or not at all, and its 64
+/// bits all stand for the whole row.
+///
+/// `Display` writes one character per segment in Cv order: `A` admitted,
+/// `R` rejected, `?` mixed.
+#[derive(Debug, Clone, Copy)]
+pub struct CvSegments<'a> {
+    row: RowProof,
+    full: u64,
+    surface: &'a CompiledSurface,
+}
+
+impl CvSegments<'_> {
+    /// The number of Cv segments in the row.
+    #[must_use]
+    pub fn segments(&self) -> u32 {
+        self.full.count_ones()
+    }
+
+    /// Bit `s` set: every Cv in segment `s` is admitted.
+    #[must_use]
+    pub fn admitted(&self) -> u64 {
+        self.row.admit
+    }
+
+    /// Bit `s` set: every Cv in segment `s` is rejected.
+    #[must_use]
+    pub fn rejected(&self) -> u64 {
+        self.row.reject
+    }
+
+    /// Bit `s` set: segment `s` is left to FLC2.
+    #[must_use]
+    pub fn mixed(&self) -> u64 {
+        self.full & !(self.row.admit | self.row.reject)
+    }
+
+    /// The verdict the row proves at correction value `cv`: `Some(true)`
+    /// admitted, `Some(false)` rejected, `None` where FLC2 must score it
+    /// (a mixed segment, or a non-finite `cv`). This is the lookup
+    /// `decide` makes on FLC1's Cv: a Cv on an inner knot reads the
+    /// segment above it.
+    #[must_use]
+    pub fn verdict_at(&self, cv: f64) -> Option<bool> {
+        self.row.verdict_at(self.surface, cv)
+    }
+
+    /// The Cv cuts the row pins down: how often the verdict turns between
+    /// an admitted and a rejected segment, in Cv order, with the mixed
+    /// segments between them skipped. Each such turn has a cut inside
+    /// the mixed segments between (or at the knot shared by) the two.
+    #[must_use]
+    pub fn cuts(&self) -> u32 {
+        let mut last = None;
+        let mut cuts = 0;
+        for verdict in (0..self.segments() as usize).filter_map(|s| self.row.verdict(s)) {
+            cuts += u32::from(last.is_some_and(|l| l != verdict));
+            last = Some(verdict);
+        }
+        cuts
+    }
+}
+
+impl fmt::Display for CvSegments<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (0..self.segments() as usize).try_for_each(|s| {
+            f.write_char(match self.row.verdict(s) {
+                Some(true) => 'A',
+                Some(false) => 'R',
+                None => '?',
+            })
+        })
+    }
+}
+
+/// The proven Cv segments of one (class, occupancy) row: bit `s` of a
+/// mask stands for segment `s`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct RowProof {
+    admit: u64,
+    reject: u64,
+}
+
+impl RowProof {
+    /// `Some(true)` when segment `segment` is proven admitted,
+    /// `Some(false)` when proven rejected.
+    #[inline]
+    fn verdict(self, segment: usize) -> Option<bool> {
+        let proven = |mask: u64| mask.checked_shr(segment as u32).is_some_and(|rest| rest & 1 != 0);
+        if proven(self.admit) {
+            Some(true)
+        } else if proven(self.reject) {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// The verdict the row proves at correction value `cv`, located on
+    /// the FLC2 surface as `decision_score` locates it.
+    #[inline]
+    fn verdict_at(self, surface: &CompiledSurface, cv: f64) -> Option<bool> {
+        self.verdict(surface.first_axis_segment(cv).ok()?)
+    }
+}
+
+/// FACS's policy table on a 40-BU cell, read off the compiled FLC2
+/// surface: per class and occupancy, the Cv segments `decide` settles
+/// without FLC2 ([`CvSegments`]).
 ///
 /// On a 40-BU cell the counter is the occupancy. At a fixed (request,
-/// counter) the surface's multilinear interpolant is piecewise linear
-/// in Cv, so its maximum and its minimum over Cv ∈ `[0, 1]` sit at Cv
-/// lattice knots ([`CompiledSurface::first_axis_extremes`]). Bit `n` of
-/// a class's mask is set when occupancy `n` is *proven*:
+/// counter) the surface's multilinear interpolant is linear in Cv inside
+/// each lattice segment, so over a segment it lies between the scores at
+/// the segment's two knots ([`CompiledSurface::first_axis_knots`]). Bit
+/// `s` of a row's mask is set when segment `s` is *proven*:
 ///
-/// * **admit** — every knot scores above the gate plus any negative
+/// * **admit** — both knots score above the gate plus any negative
 ///   handoff bias's magnitude plus 1e-9;
-/// * **reject** — every knot scores at or below the gate less any
-///   positive handoff bias less 1e-9, and so does every knot at every
-///   higher occupancy up to 40.
+/// * **reject** — both knots score at or below the gate less any
+///   positive handoff bias less 1e-9.
 ///
-/// The 1e-9 covers float error, far above the 1e-12 score snap. FLC2 is
-/// not monotone in occupancy, so admissions are proven one occupancy at
-/// a time; rejections are kept as a tail ending at 40 because
-/// predictive FACS forwards to [`FacsController::fast_reject`] and then
-/// gates at an occupancy at or above the live one. The proofs cover
-/// every Cv, so FLC1 and the distance scaling play no part in them.
-/// Other capacities claim nothing.
-///
-/// [`CompiledSurface::first_axis_extremes`]: facs_fuzzy::CompiledSurface::first_axis_extremes
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The 1e-9 covers float error, far above the 1e-12 score snap. A knot
+/// two segments share is in both proofs, so a Cv on it is settled
+/// whichever segment the lookup places it in. A row whose admit mask is
+/// full admits at every Cv, so `decide` skips FLC1 there too. The rows
+/// whose reject masks are full from `tails` up to 40 are
+/// [`FacsController::fast_reject`]'s: a tail, because predictive FACS
+/// forwards to it and then gates at an occupancy at or above the live
+/// one, and FLC2 is not monotone in occupancy. Other capacities claim
+/// nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct ScoreBound {
-    admits: [u64; 3],
-    rejects: [u64; 3],
+    /// Per class, per occupancy 0–40.
+    rows: [[RowProof; PAPER_ROWS]; 3],
+    /// A row proven whole: one bit per Cv segment, or every bit on a
+    /// surface with more segments than a mask has bits.
+    full: u64,
+    /// Per class, the lowest occupancy from which every row up to 40 is a
+    /// full reject mask (41 when row 40 is not).
+    tails: [u32; 3],
 }
 
 impl ScoreBound {
-    /// Proves nothing: the exact backend has no lattice to bound over.
-    const NONE: Self = Self { admits: [0; 3], rejects: [0; 3] };
-
-    /// Reads the knot extremes off the surface once per (class,
-    /// occupancy), without running `decision_score`.
-    fn new(flc2: &Flc2, config: &FacsConfig) -> Self {
-        let Some(surface) = flc2.surface() else {
-            return Self::NONE;
-        };
+    /// Reads the table off the surface's Cv knots, one walk per (class,
+    /// occupancy), without running `decision_score` or allocating.
+    fn new(surface: &CompiledSurface, config: &FacsConfig) -> Self {
         // A NaN bias turns every handoff score into NaN, which never
         // admits.
         let admit_gate = if config.handoff_bias.is_nan() {
@@ -293,46 +461,60 @@ impl ScoreBound {
             config.threshold + (-config.handoff_bias).max(0.0) + 1e-9
         };
         let reject_gate = config.threshold - config.handoff_bias.max(0.0) - 1e-9;
-        let mut bound = Self::NONE;
+        let segments = surface.points_per_axis() - 1;
+        let per_segment = segments <= 64;
+        let full = if per_segment { u64::MAX >> (64 - segments) } else { u64::MAX };
+        let mut bound = Self {
+            rows: [[RowProof::default(); PAPER_ROWS]; 3],
+            full,
+            tails: [PAPER_CAPACITY_BU + 1; 3],
+        };
         for class in ServiceClass::ALL {
-            let (admits, rejects) =
-                (&mut bound.admits[class.index()], &mut bound.rejects[class.index()]);
-            let mut tail_unbroken = true;
-            for occupied in (0..=PAPER_CAPACITY_BU).rev() {
-                let (lowest, highest) = surface
-                    .first_axis_extremes(&[class.request_level(), f64::from(occupied)])
+            let rows = &mut bound.rows[class.index()];
+            for (occupied, row) in (0..=PAPER_CAPACITY_BU).zip(rows.iter_mut()) {
+                let (mut admit, mut reject) = (full, full);
+                let knots = surface
+                    .first_axis_knots(&[class.request_level(), f64::from(occupied)])
                     .expect("finite readings on FLC2's three axes");
-                if lowest > admit_gate {
-                    *admits |= 1 << occupied;
+                for (knot, value) in knots.enumerate() {
+                    // A knot ends the segment below it and starts the one
+                    // above; past 64 segments it touches the whole row.
+                    let touching = if per_segment { (0b11u128 << knot >> 1) as u64 } else { full };
+                    let (above, below) = (value > admit_gate, value <= reject_gate);
+                    if !above {
+                        admit &= !touching;
+                    }
+                    if !below {
+                        reject &= !touching;
+                    }
                 }
-                tail_unbroken &= highest <= reject_gate;
-                if tail_unbroken {
-                    *rejects |= 1 << occupied;
-                }
+                *row = RowProof { admit, reject };
+            }
+            let tail = &mut bound.tails[class.index()];
+            while *tail > 0 && rows[*tail as usize - 1].reject == full {
+                *tail -= 1;
             }
         }
         bound
     }
 
-    /// `true` when `class` is admitted into `cell` at every Cv.
+    /// The row of `class` at `cell`'s occupancy, if `cell` is a 40-BU
+    /// cell.
     #[inline]
-    fn admits(&self, class: ServiceClass, cell: &BandwidthLedger) -> bool {
-        proven(self.admits[class.index()], cell)
+    fn row(&self, class: ServiceClass, cell: &BandwidthLedger) -> Option<RowProof> {
+        if cell.capacity().get() != PAPER_CAPACITY_BU {
+            return None;
+        }
+        self.rows[class.index()].get(cell.occupied().get() as usize).copied()
     }
 
     /// `true` when `class` cannot be admitted into `cell` at any Cv, at
     /// this occupancy or any higher one.
     #[inline]
     fn rejects(&self, class: ServiceClass, cell: &BandwidthLedger) -> bool {
-        proven(self.rejects[class.index()], cell)
+        cell.capacity().get() == PAPER_CAPACITY_BU
+            && cell.occupied().get() >= self.tails[class.index()]
     }
-}
-
-/// Whether `mask` holds the occupancy of `cell`, a 40-BU cell.
-#[inline]
-fn proven(mask: u64, cell: &BandwidthLedger) -> bool {
-    cell.capacity().get() == PAPER_CAPACITY_BU
-        && mask.checked_shr(cell.occupied().get()).is_some_and(|rest| rest & 1 != 0)
 }
 
 impl AdmissionController for FacsController {
@@ -340,27 +522,31 @@ impl AdmissionController for FacsController {
         "FACS"
     }
 
-    /// Pre-screens both ways before running the cascade:
+    /// Pre-screens before running the cascade:
     ///
     /// * a request that [`fast_reject`](AdmissionController::fast_reject)
     ///   proves deniable is denied with the placeholder score −1.0;
-    /// * on the compiled backend, a request whose class the surface
-    ///   admits at every Cv at this occupancy of a 40-BU cell is admitted
-    ///   with the placeholder score +1.0, unless its mobility is
-    ///   non-finite or overflows the distance scaling, which
-    ///   [`evaluate`](FacsController::evaluate) rejects.
+    /// * on the compiled backend, at a 40-BU cell, a request whose class
+    ///   the policy table ([`FacsController::cv_segments`]) admits at
+    ///   every Cv at this occupancy is admitted with the placeholder
+    ///   score +1.0 without FLC1, unless its mobility is non-finite or
+    ///   overflows the distance scaling, which
+    ///   [`evaluate`](FacsController::evaluate) rejects;
+    /// * otherwise FLC1 runs once, and a Cv in a proven segment of the
+    ///   row is admitted (+1.0) or rejected (−1.0) without FLC2.
     ///
-    /// Either way the admission outcome is the cascade's; only the plan's
-    /// score differs. Every other request is gated on `evaluate`.
+    /// Every way the admission outcome is the cascade's; only the plan's
+    /// score differs. Every other request is gated on the cascade, FLC2
+    /// reusing the Cv already computed.
     fn decide(&mut self, request: &CallRequest, cell: &BandwidthLedger) -> AdmissionPlan {
         if self.fast_reject(&request.profile, cell) {
             return AdmissionPlan::Reject(Decision::reject(-1.0));
         }
         let core = &*self.core;
-        if core.bound.admits(request.class, cell)
-            && scale_mobility(&core.config, &request.mobility).is_finite()
-        {
-            return AdmissionPlan::Admit(Decision::accept(1.0));
+        if let (Some(bound), Some(surface)) = (&core.bound, core.flc2.surface()) {
+            if let Some(row) = bound.row(request.class, cell) {
+                return core.decide_on_row(request, cell, surface, row, bound.full);
+            }
         }
         AdmissionPlan::gate(self.evaluate(request, &cell.snapshot()).decision)
     }
@@ -371,7 +557,8 @@ impl AdmissionController for FacsController {
     /// over the gate at this or any higher occupancy of a 40-BU cell.
     /// `decide` answers such a request with the placeholder score −1.0.
     fn fast_reject(&self, profile: &ServiceProfile, cell: &BandwidthLedger) -> bool {
-        !cell.can_fit(profile.rb_cost_nominal) || self.core.bound.rejects(profile.class, cell)
+        !cell.can_fit(profile.rb_cost_nominal)
+            || self.core.bound.as_ref().is_some_and(|bound| bound.rejects(profile.class, cell))
     }
 }
 
@@ -828,18 +1015,25 @@ mod tests {
         (u64::MAX >> (63 - to)) & (u64::MAX << from)
     }
 
+    /// Per class, the occupancies (bit `n` for `n` BU) whose rows admit
+    /// at every Cv, and those of the reject tail.
+    fn row_masks(bound: &ScoreBound) -> ([u64; 3], [u64; 3]) {
+        let admits = bound.rows.map(|rows| {
+            (0..PAPER_ROWS).filter(|&n| rows[n].admit == bound.full).fold(0, |m, n| m | 1 << n)
+        });
+        (admits, bound.tails.map(|tail| span(tail.min(41), 40)))
+    }
+
     #[test]
     fn compiled_score_bound_pins_the_paper_cell_heads_and_tails() {
         let compiled = FacsController::with_config(FacsConfig::compiled()).unwrap();
         let heads = [17, 17, 17];
         let tails = [32, 27, 29];
-        let bound = compiled.core.bound;
-        assert_eq!(
-            bound.admits,
-            heads.map(|head| span(0, head - 1)),
-            "text/voice/video heads end (BU)"
-        );
-        assert_eq!(bound.rejects, tails.map(|tail| span(tail, 40)), "text/voice/video tails (BU)");
+        let bound = compiled.core.bound.as_ref().unwrap();
+        let (admits, rejects) = row_masks(bound);
+        assert_eq!(admits, heads.map(|head| span(0, head - 1)), "text/voice/video heads end (BU)");
+        assert_eq!(bound.tails, tails, "text/voice/video tails (BU)");
+        assert_eq!(rejects, tails.map(|tail| span(tail, 40)));
         // Against the cascade: a dense sweep of Cv through FLC2, and of
         // mobility through `evaluate` for new calls and handoffs. Every
         // proven occupancy goes one way at every input, and one BU past
@@ -905,7 +1099,7 @@ mod tests {
             let profile = ServiceProfile::paper(class);
             let unfit = !big.can_fit(profile.rb_cost_nominal);
             assert_eq!(compiled.fast_reject(&profile, &big), unfit, "{class} at 72/80");
-            assert!(!bound.admits(class, &empty_big), "{class} at 0/80");
+            assert_eq!(bound.row(class, &empty_big), None, "{class} at 0/80");
         }
     }
 
@@ -950,7 +1144,8 @@ mod tests {
     #[test]
     fn exact_backend_fast_reject_is_the_capacity_check() {
         let exact = facs();
-        assert_eq!(exact.core.bound, ScoreBound::NONE);
+        assert_eq!(exact.core.bound, None);
+        assert!(exact.cv_segments(ServiceClass::Text, 0).is_none());
         for capacity in [7, 40, 80] {
             for occupied in 0..=capacity {
                 let mut l = BandwidthLedger::new(BandwidthUnits::new(capacity));
@@ -974,34 +1169,61 @@ mod tests {
     #[test]
     fn score_bound_follows_the_gate_and_the_handoff_bias() {
         let bound = |config: FacsConfig| {
-            FacsController::with_config(FacsConfig { backend: BackendKind::compiled(), ..config })
-                .unwrap()
-                .core
-                .bound
+            let facs = FacsController::with_config(FacsConfig {
+                backend: BackendKind::compiled(),
+                ..config
+            })
+            .unwrap();
+            facs.core.bound.clone().unwrap()
         };
         let every = span(0, 40);
         // A gate below every score proves every admission and no
-        // rejection; a gate above every score proves the reverse.
+        // rejection, at every segment; a gate above every score proves
+        // the reverse.
         let lax = bound(FacsConfig { threshold: -1.5, ..FacsConfig::default() });
-        assert_eq!(lax, ScoreBound { admits: [every; 3], rejects: [0; 3] });
+        assert_eq!(lax.full, span(0, 31), "one bit per Cv segment");
+        assert_eq!(row_masks(&lax), ([every; 3], [0; 3]));
+        assert!(lax
+            .rows
+            .iter()
+            .flatten()
+            .all(|row| *row == RowProof { admit: lax.full, reject: 0 }));
         let strict = bound(FacsConfig { threshold: 1.5, ..FacsConfig::default() });
-        assert_eq!(strict, ScoreBound { admits: [0; 3], rejects: [every; 3] });
+        assert_eq!(row_masks(&strict), ([0; 3], [every; 3]));
+        assert!(strict
+            .rows
+            .iter()
+            .flatten()
+            .all(|row| *row == RowProof { admit: 0, reject: strict.full }));
         let plain = bound(FacsConfig::default());
         // A positive handoff bias shrinks every tail, a negative one
-        // every head, and a NaN one proves no admission.
+        // every head, and a NaN one proves no admission; segment by
+        // segment too.
         let raised = bound(FacsConfig { handoff_bias: 0.3, ..FacsConfig::default() });
         let lowered = bound(FacsConfig { handoff_bias: -0.3, ..FacsConfig::default() });
         let unknown = bound(FacsConfig { handoff_bias: f64::NAN, ..FacsConfig::default() });
+        let (plain_admits, plain_rejects) = row_masks(&plain);
+        let (raised_admits, raised_rejects) = row_masks(&raised);
+        let (lowered_admits, lowered_rejects) = row_masks(&lowered);
         for class in ServiceClass::ALL {
             let i = class.index();
-            assert_eq!(raised.rejects[i] & !plain.rejects[i], 0, "{class}");
-            assert!(raised.rejects[i].count_ones() < plain.rejects[i].count_ones(), "{class}");
-            assert_eq!(raised.admits[i], plain.admits[i], "{class}");
-            assert_eq!(lowered.admits[i] & !plain.admits[i], 0, "{class}");
-            assert!(lowered.admits[i].count_ones() < plain.admits[i].count_ones(), "{class}");
-            assert_eq!(lowered.rejects[i], plain.rejects[i], "{class}");
-            assert_eq!(unknown.admits[i], 0, "{class}");
+            assert_eq!(raised_rejects[i] & !plain_rejects[i], 0, "{class}");
+            assert!(raised_rejects[i].count_ones() < plain_rejects[i].count_ones(), "{class}");
+            assert_eq!(raised_admits[i], plain_admits[i], "{class}");
+            assert_eq!(lowered_admits[i] & !plain_admits[i], 0, "{class}");
+            assert!(lowered_admits[i].count_ones() < plain_admits[i].count_ones(), "{class}");
+            assert_eq!(lowered_rejects[i], plain_rejects[i], "{class}");
+            for n in 0..PAPER_ROWS {
+                let (p, r, l) = (plain.rows[i][n], raised.rows[i][n], lowered.rows[i][n]);
+                assert_eq!((r.admit, r.reject & !p.reject), (p.admit, 0), "{class} at {n}");
+                assert_eq!((l.reject, l.admit & !p.admit), (p.reject, 0), "{class} at {n}");
+                assert_eq!(unknown.rows[i][n].admit, 0, "{class} at {n}");
+            }
         }
+        let raised_segments: u32 =
+            raised.rows.iter().flatten().map(|r| r.reject.count_ones()).sum();
+        let plain_segments: u32 = plain.rows.iter().flatten().map(|r| r.reject.count_ones()).sum();
+        assert!(raised_segments < plain_segments);
     }
 
     #[test]
@@ -1024,10 +1246,10 @@ mod tests {
                     let per_occupancy = (0..=40u32)
                         .filter(|&n| {
                             let readings = [class.request_level(), f64::from(n)];
-                            surface.first_axis_extremes(&readings).unwrap().1 <= reject_gate
+                            surface.first_axis_knots(&readings).unwrap().all(|v| v <= reject_gate)
                         })
                         .fold(0u64, |mask, n| mask | 1 << n);
-                    let rejects = facs.core.bound.rejects[class.index()];
+                    let rejects = row_masks(facs.core.bound.as_ref().unwrap()).1[class.index()];
                     let first = rejects.trailing_zeros().min(41);
                     assert_eq!(rejects, span(first, 40), "{class} at {config:?}");
                     assert_eq!(rejects & !per_occupancy, 0, "{class} at {config:?}");
@@ -1050,5 +1272,144 @@ mod tests {
         assert!(Arc::ptr_eq(&a.core, &b.core), "clones must share one core");
         assert!(a.flc1().surface().unwrap().shares_samples(b.flc1().surface().unwrap()));
         assert!(a.flc2().surface().unwrap().shares_samples(b.flc2().surface().unwrap()));
+    }
+
+    /// The gate over FLC2's score, as the cascade applies it after FLC1.
+    fn cascade_admits(
+        flc2: &Flc2,
+        config: &FacsConfig,
+        class: ServiceClass,
+        kind: CallKind,
+        occupied: u32,
+        cv: f64,
+    ) -> bool {
+        let mut score =
+            flc2.decision_score(cv, class.request_level(), f64::from(occupied)).unwrap();
+        if kind == CallKind::Handoff {
+            score = (score + config.handoff_bias).clamp(-1.0, 1.0);
+        }
+        score = (score * 1e12).round() / 1e12;
+        score > config.threshold
+    }
+
+    /// Checks every proven segment of the rows `rows` selects against the
+    /// cascade: at both knots, the midpoint and one ulp inside each end,
+    /// for new calls and handoffs, the segment's verdict and the verdict
+    /// `decide`'s lookup reads for that Cv must both be the gate's.
+    /// Returns how many segments were proven.
+    fn check_segments(config: FacsConfig, rows: impl Fn(ServiceClass, u32) -> bool) -> usize {
+        let facs = FacsController::with_config(config).unwrap();
+        let (flc2, bound) = (facs.flc2(), facs.core.bound.as_ref().unwrap());
+        let surface = flc2.surface().unwrap();
+        let mut proven = 0;
+        for class in ServiceClass::ALL {
+            for occupied in (0..=40).filter(|&n| rows(class, n)) {
+                let row = bound.rows[class.index()][occupied as usize];
+                for segment in 0..32u32 {
+                    let Some(verdict) = row.verdict(segment as usize) else { continue };
+                    proven += 1;
+                    let (low, high) = (f64::from(segment) / 32.0, f64::from(segment + 1) / 32.0);
+                    let inside =
+                        [f64::from_bits(low.to_bits() + 1), f64::from_bits(high.to_bits() - 1)];
+                    for cv in [low, high, (low + high) / 2.0, inside[0], inside[1]] {
+                        for kind in [CallKind::New, CallKind::Handoff] {
+                            let admits = cascade_admits(flc2, &config, class, kind, occupied, cv);
+                            let at = format!("{class} {kind:?} at {occupied} BU, Cv {cv}");
+                            assert_eq!(verdict, admits, "segment {segment}: {at}");
+                            if let Some(looked_up) = row.verdict_at(surface, cv) {
+                                assert_eq!(looked_up, admits, "lookup: {at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        proven
+    }
+
+    #[test]
+    fn every_proven_segment_agrees_with_the_cascade_at_its_ends_and_middle() {
+        // Every (class, occupancy, segment) at the default gate, with a
+        // positive and with a negative handoff bias.
+        let proven = [0.0, 0.3, -0.3].map(|handoff_bias| {
+            check_segments(FacsConfig { handoff_bias, ..FacsConfig::compiled() }, |_, _| true)
+        });
+        // A bias of either sign widens one of the two gates by 0.3, so
+        // its proofs leave more segments to FLC2.
+        assert_eq!(proven, [3_936 - 43, 2_339, 2_560]);
+        // Gates placed exactly on knot scores, where only the 1e-9 margin
+        // keeps a knot out of both proofs: the score snap can move a
+        // knot's score either way across such a gate. Each gate is checked
+        // on the row its knot comes from, for new calls (no bias) and for
+        // handoffs under a bias that puts the biased gate on the knot.
+        let flc2 = Flc2::with_backend(InferenceConfig::default(), BackendKind::compiled()).unwrap();
+        let surface = flc2.surface().unwrap();
+        for class in ServiceClass::ALL {
+            for occupied in [17, 24] {
+                let readings = [class.request_level(), f64::from(occupied)];
+                for knot in surface.first_axis_knots(&readings).unwrap() {
+                    for (threshold, handoff_bias) in
+                        [(knot, 0.0), (knot + 0.3, 0.3), (knot - 0.3, -0.3)]
+                    {
+                        let config =
+                            FacsConfig { threshold, handoff_bias, ..FacsConfig::compiled() };
+                        check_segments(config, |c, n| c == class && n == occupied);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn policy_table_at_the_default_gate() {
+        let facs = FacsController::with_config(FacsConfig::compiled()).unwrap();
+        let surface = facs.flc2().surface().unwrap();
+        let rows: Vec<(ServiceClass, u32, CvSegments)> = ServiceClass::ALL
+            .into_iter()
+            .flat_map(|class| (0..=40).map(move |n| (class, n)))
+            .map(|(class, n)| (class, n, facs.cv_segments(class, n).unwrap()))
+            .collect();
+        assert!(facs.cv_segments(ServiceClass::Text, 41).is_none());
+        // 43 of the 3,936 (class, occupancy, segment) cells are mixed:
+        // 17 for text, 12 for voice and 14 for video.
+        let mixed = |class: ServiceClass| {
+            rows.iter().filter(|r| r.0 == class).map(|r| r.2.mixed().count_ones()).sum::<u32>()
+        };
+        assert_eq!(ServiceClass::ALL.map(mixed), [17, 12, 14]);
+        assert!(rows.iter().all(|r| r.2.segments() == 32));
+        // Every mixed segment holds exactly one cut of the admit set: the
+        // row's cuts are the turns of the gate's verdict between knots.
+        for (class, n, row) in &rows {
+            let readings = [class.request_level(), f64::from(*n)];
+            let knots: Vec<bool> =
+                surface.first_axis_knots(&readings).unwrap().map(|v| v > 0.1).collect();
+            let turns = knots.windows(2).filter(|pair| pair[0] != pair[1]).count();
+            assert_eq!(row.cuts() as usize, turns, "{class} at {n}: {row}");
+            assert_eq!(row.mixed().count_ones(), row.cuts(), "{class} at {n}: {row}");
+        }
+        // At most one cut on 120 rows; three on each 17-BU row, where the
+        // lowest Cv segments reject and the middle ones both admit and
+        // reject.
+        assert_eq!(rows.iter().filter(|r| r.2.cuts() <= 1).count(), 120);
+        let at_17: Vec<String> =
+            rows.iter().filter(|r| r.1 == 17).map(|r| r.2.to_string()).collect();
+        assert_eq!(
+            at_17,
+            [
+                "RRRR?AAAAAA?RRRRRR?AAAAAAAAAAAAA",
+                "RRRR?AAAAAA?RRRRRR?AAAAAAAAAAAAA",
+                "RRRR?AAAAAA?RRRRR?AAAAAAAAAAAAAA"
+            ]
+        );
+        // One cut per row from 18 BU up to the reject tail, at a Cv that
+        // rises with occupancy: low Cv rejects, high Cv admits.
+        for (class, n, row) in &rows {
+            let tail = facs.core.bound.as_ref().unwrap().tails[class.index()];
+            if (18..tail).contains(n) {
+                let cut = row.mixed().trailing_zeros();
+                assert_eq!(row.rejected(), span(0, cut - 1), "{class} at {n}: {row}");
+                assert_eq!(row.admitted(), span(cut + 1, 31), "{class} at {n}: {row}");
+            }
+        }
     }
 }

@@ -57,7 +57,9 @@ mod fuzzy_controller;
 pub mod predictive;
 pub mod tables;
 
-pub use controller::{FacsConfig, FacsController, FacsDegradeController, FacsEvaluation};
+pub use controller::{
+    CvSegments, FacsConfig, FacsController, FacsDegradeController, FacsEvaluation,
+};
 pub use flc1::Flc1;
 pub use flc2::Flc2;
 pub use predictive::PredictiveFacsController;

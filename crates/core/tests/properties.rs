@@ -113,6 +113,16 @@ fn arb_mobility() -> impl Strategy<Value = MobilityInfo> {
     prop_oneof![any, good, corrupt]
 }
 
+/// Correction values on one of FLC2's 33 Cv knots (`k/32`), one ulp
+/// either side of one, or anywhere in `[0, 1]`.
+fn arb_cv() -> impl Strategy<Value = f64> {
+    let knot = (0u32..=32).prop_map(|k| f64::from(k) / 32.0);
+    let beside = (0u32..=32, prop::sample::select(vec![-1i64, 1])).prop_map(|(k, step)| {
+        f64::from_bits((f64::from(k) / 32.0).to_bits().saturating_add_signed(step))
+    });
+    prop_oneof![knot, beside, 0.0_f64..=1.0]
+}
+
 proptest! {
     /// The `fast_reject` pre-screen is sound: whenever it claims a
     /// request is deniable, the cascade denies it or its nominal cost
@@ -126,7 +136,10 @@ proptest! {
     /// away, whose low Cv is the admit proof's worst case), cell radius,
     /// gate and handoff bias, on both backends, for plain and for warm
     /// predictive FACS (whose forecast may read above or below the live
-    /// occupancy).
+    /// occupancy). On a 40-BU cell, the policy table's proof of the
+    /// segment a Cv falls in must give the cascade's verdict at that Cv,
+    /// Cvs on a knot and one ulp beside one included, with the gate at
+    /// times placed exactly on a knot's score.
     #[test]
     fn fast_reject_implies_the_cascade_rejects(
         class in arb_class(),
@@ -144,11 +157,24 @@ proptest! {
         threshold in -0.5_f64..=0.6,
         compiled in any::<bool>(),
         history in prop::collection::vec(0.0_f64..=1.0, 4..12),
+        cv in arb_cv(),
+        gate_on_knot in prop_oneof![Just(None), (0u32..=32).prop_map(Some)],
     ) {
         let backend = if compiled { BackendKind::compiled() } else { BackendKind::Exact };
+        let (capacity, occupied) = cell;
+        let counter = f64::from(occupied) * 40.0 / f64::from(capacity);
+        let threshold = match gate_on_knot {
+            Some(knot) => compiled_flc2()
+                .surface()
+                .unwrap()
+                .first_axis_knots(&[class.request_level(), counter])
+                .unwrap()
+                .nth(knot as usize)
+                .unwrap(),
+            None => threshold,
+        };
         let config =
             FacsConfig { threshold, handoff_bias, cell_radius_km, backend, ..FacsConfig::default() };
-        let (capacity, occupied) = cell;
         let cell = filled(capacity, occupied);
         let request = CallRequest::new(CallId(0), class, kind, mobility);
         let fits = cell.can_fit(request.demand());
@@ -168,6 +194,16 @@ proptest! {
             plan,
             eval
         );
+        if let Some(row) = plain.cv_segments(class, occupied).filter(|_| capacity == 40) {
+            let mut score = plain.flc2().decision_score(cv, class.request_level(), counter).unwrap();
+            if kind == CallKind::Handoff {
+                score = (score + handoff_bias).clamp(-1.0, 1.0);
+            }
+            let admits = (score * 1e12).round() / 1e12 > threshold;
+            if let Some(verdict) = row.verdict_at(cv) {
+                prop_assert_eq!(verdict, admits, "row {} at Cv {}", row, cv);
+            }
+        }
         let mut predictive = PredictiveFacsController::ewma(config).unwrap();
         for (i, &fill) in history.iter().enumerate() {
             let held = (fill * f64::from(capacity)).round() as u32;

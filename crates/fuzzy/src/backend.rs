@@ -91,6 +91,10 @@ impl fmt::Display for BackendKind {
     }
 }
 
+/// The weighted corners of one slab of a surface across its first axis:
+/// `(node offset, weight)`, room for every corner of the other axes.
+type SlabCorners = [(usize, f64); 1 << (MAX_SURFACE_DIMS - 1)];
+
 /// One input axis of a compiled surface.
 #[derive(Debug, Clone)]
 struct Axis {
@@ -98,6 +102,25 @@ struct Axis {
     min: f64,
     max: f64,
     points: usize,
+}
+
+impl Axis {
+    /// The lattice cell a finite `value` falls in, clamped into the
+    /// universe, and how far across that cell it sits (0 at its lower
+    /// knot, 1 at its upper one). A value on an inner knot starts the
+    /// cell above it; the top knot ends the last cell. Every lookup
+    /// locates through here, so a surface answers a reading from the
+    /// cell its [`first_axis_segment`](CompiledSurface::first_axis_segment)
+    /// names.
+    #[inline(always)]
+    fn cell(&self, value: f64) -> (usize, f64) {
+        let x = value.clamp(self.min, self.max);
+        let t = (x - self.min) / (self.max - self.min) * (self.points - 1) as f64;
+        // `t >= +0.0` after the clamp, so truncation is the floor;
+        // `f64::floor` is a libcall on targets without SSE4.1.
+        let cell = (t as usize).min(self.points - 2);
+        (cell, (t - cell as f64).clamp(0.0, 1.0))
+    }
 }
 
 /// The node block of a compiled surface.
@@ -359,38 +382,66 @@ impl CompiledSurface {
         }
     }
 
-    /// The least and greatest knot value along the first axis, with
-    /// every other axis held at `others` (one reading per axis after
-    /// the first, located as [`evaluate_crisp`](Self::evaluate_crisp)
-    /// locates it).
+    /// The segment of the first axis that `reading` falls in: the
+    /// lattice cell, `0..points_per_axis() - 1`, that
+    /// [`evaluate_crisp`](Self::evaluate_crisp) interpolates that axis
+    /// across, found by the same arithmetic. A reading on an inner knot
+    /// falls in the segment above it, the top knot in the last segment,
+    /// and a reading outside the universe is clamped first.
     ///
-    /// The interpolant is linear in the first axis between its knots,
-    /// so these are its extremes over that whole axis: what the surface
-    /// answers at the other readings whatever the first one is.
+    /// # Errors
+    ///
+    /// [`FuzzyError::NonFiniteInput`] on a NaN or infinite reading.
+    #[inline]
+    pub fn first_axis_segment(&self, reading: f64) -> Result<usize> {
+        let axis = &self.axes[0];
+        if !reading.is_finite() {
+            return Err(FuzzyError::NonFiniteInput { variable: axis.name.clone(), value: reading });
+        }
+        Ok(axis.cell(reading).0)
+    }
+
+    /// The surface's values at the first axis's knots, in knot order,
+    /// with every other axis held at `others` (one reading per axis after
+    /// the first, located as [`evaluate_crisp`](Self::evaluate_crisp)
+    /// locates it). Nothing is allocated.
+    ///
+    /// The interpolant is linear in the first axis inside each of its
+    /// segments ([`first_axis_segment`](Self::first_axis_segment)), so
+    /// over a segment it lies between the values at the segment's two
+    /// knots, float error aside, and over the whole axis between the
+    /// least and the greatest knot value.
     ///
     /// # Errors
     ///
     /// As [`evaluate_crisp`](Self::evaluate_crisp): a wrong
     /// reading count or a non-finite reading.
-    pub fn first_axis_extremes(&self, others: &[f64]) -> Result<(f64, f64)> {
-        match self.axes.len() {
-            1 => self.extremes::<1>(others),
-            2 => self.extremes::<2>(others),
-            3 => self.extremes::<3>(others),
-            4 => self.extremes::<4>(others),
-            5 => self.extremes::<5>(others),
-            6 => self.extremes::<6>(others),
-            7 => self.extremes::<7>(others),
-            8 => self.extremes::<8>(others),
+    pub fn first_axis_knots(&self, others: &[f64]) -> Result<impl Iterator<Item = f64> + '_> {
+        let (base, corners, count) = match self.axes.len() {
+            1 => self.slab_corners::<1>(others),
+            2 => self.slab_corners::<2>(others),
+            3 => self.slab_corners::<3>(others),
+            4 => self.slab_corners::<4>(others),
+            5 => self.slab_corners::<5>(others),
+            6 => self.slab_corners::<6>(others),
+            7 => self.slab_corners::<7>(others),
+            8 => self.slab_corners::<8>(others),
             dims => unreachable!("a surface has 1..={MAX_SURFACE_DIMS} axes, not {dims}"),
-        }
+        }?;
+        let values = self.values.as_slice();
+        let stride = self.strides[0];
+        Ok((0..self.axes[0].points).map(move |knot| {
+            let slab = &values[base + knot * stride..];
+            corners[..count].iter().map(|&(offset, weight)| weight * slab[offset]).sum()
+        }))
     }
 
-    /// [`first_axis_extremes`](Self::first_axis_extremes) on a surface
-    /// of `D` axes: locates the other readings once, with the first
-    /// axis at its lowest knot, then blends the `2^(D-1)` corners of
-    /// every knot's slab.
-    fn extremes<const D: usize>(&self, others: &[f64]) -> Result<(f64, f64)> {
+    /// What [`first_axis_knots`](Self::first_axis_knots) blends on a
+    /// surface of `D` axes: the node of the first knot's slab that the
+    /// other readings locate to, and the corners of a slab with non-zero
+    /// weight (offset and weight; the first `count` entries), the same
+    /// for every knot.
+    fn slab_corners<const D: usize>(&self, others: &[f64]) -> Result<(usize, SlabCorners, usize)> {
         if others.len() + 1 != D {
             return Err(self.arity_error(others.len() + 1));
         }
@@ -399,9 +450,7 @@ impl CompiledSurface {
         // Reading 0 sits on knot 0, so `base` is that knot's corner and
         // the first axis's fraction is 0.
         let (base, frac) = self.locate::<D>(&readings)?;
-        // The corners of one knot's slab, with their weights: the same
-        // for every knot.
-        let mut corners = [(0usize, 0.0f64); 1 << (MAX_SURFACE_DIMS - 1)];
+        let mut corners: SlabCorners = [(0, 0.0); 1 << (MAX_SURFACE_DIMS - 1)];
         let mut count = 0;
         for corner in (0..(1usize << D)).step_by(2) {
             let mut weight = 1.0;
@@ -419,16 +468,7 @@ impl CompiledSurface {
                 count += 1;
             }
         }
-        let values = self.values.as_slice();
-        let (mut lowest, mut highest) = (f64::INFINITY, f64::NEG_INFINITY);
-        for knot in 0..self.axes[0].points {
-            let slab = &values[base + knot * self.strides[0]..];
-            let value: f64 =
-                corners[..count].iter().map(|&(offset, weight)| weight * slab[offset]).sum();
-            lowest = lowest.min(value);
-            highest = highest.max(value);
-        }
-        Ok((lowest, highest))
+        Ok((base, corners, count))
     }
 
     /// The arity error for `given` positional readings, matching the
@@ -461,12 +501,8 @@ impl CompiledSurface {
             if !value.is_finite() {
                 return Err(FuzzyError::NonFiniteInput { variable: axis.name.clone(), value });
             }
-            let x = value.clamp(axis.min, axis.max);
-            let t = (x - axis.min) / (axis.max - axis.min) * (axis.points - 1) as f64;
-            // `t >= +0.0` after the clamp, so truncation is the floor;
-            // `f64::floor` is a libcall on targets without SSE4.1.
-            let cell = (t as usize).min(axis.points - 2);
-            frac[d] = (t - cell as f64).clamp(0.0, 1.0);
+            let (cell, f) = axis.cell(value);
+            frac[d] = f;
             base += cell * self.strides[d];
         }
         Ok((base, frac))
@@ -788,38 +824,58 @@ mod tests {
     }
 
     #[test]
-    fn first_axis_extremes_bound_a_sweep_and_are_attained_at_knots() {
+    fn first_axis_knots_bound_every_segment_of_a_sweep() {
         for (engine, points) in [(ramp_engine(), 9), (three_input_engine(), 7)] {
             let surface = CompiledSurface::compile(&engine, points).unwrap();
             let axes = engine.inputs();
             let (min, max) = (axes[0].min(), axes[0].max());
+            let knot_at = |k: usize| min + (max - min) * (k as f64 / (points - 1) as f64);
             let others: Vec<Vec<f64>> = match axes.len() {
                 1 => vec![vec![]],
                 _ => vec![vec![-1.0, 0.0], vec![-0.37, 2.9], vec![0.5, 5.0], vec![3.0, -2.0]],
             };
             for rest in others {
-                let (lowest, highest) = surface.first_axis_extremes(&rest).unwrap();
                 let at = |x: f64| {
                     let readings: Vec<f64> =
                         std::iter::once(x).chain(rest.iter().copied()).collect();
                     surface.evaluate_crisp(&readings).unwrap()
                 };
-                let sweep: Vec<f64> =
-                    (0..=400).map(|i| at(min + (max - min) * f64::from(i) / 400.0)).collect();
-                assert!(sweep.iter().all(|&v| lowest - 1e-9 <= v && v <= highest + 1e-9));
-                let knots: Vec<f64> = (0..points)
-                    .map(|k| at(min + (max - min) * k as f64 / (points - 1) as f64))
-                    .collect();
-                assert!(knots.iter().any(|&v| (v - lowest).abs() < 1e-9), "{rest:?}");
-                assert!(knots.iter().any(|&v| (v - highest).abs() < 1e-9), "{rest:?}");
+                let knots: Vec<f64> = surface.first_axis_knots(&rest).unwrap().collect();
+                assert_eq!(knots.len(), points);
+                for (k, &value) in knots.iter().enumerate() {
+                    assert_eq!(value, at(knot_at(k)), "knot {k} at {rest:?}");
+                    assert_eq!(surface.first_axis_segment(knot_at(k)).unwrap(), k.min(points - 2));
+                }
+                // A sweep past both ends, every knot and one ulp either
+                // side of it: each value lies between the knots of the
+                // segment it is located in.
+                let ulps = (0..points).flat_map(|k| {
+                    let x = knot_at(k);
+                    [f64::from_bits(x.to_bits().wrapping_sub(1)), f64::from_bits(x.to_bits() + 1)]
+                });
+                let sweep = (-20..=420).map(|i| min + (max - min) * f64::from(i) / 400.0);
+                for x in sweep.chain(ulps).filter(|x| x.is_finite()) {
+                    let segment = surface.first_axis_segment(x).unwrap();
+                    let t = (x.clamp(min, max) - min) / (max - min) * (points - 1) as f64;
+                    assert_eq!(segment, (t.floor() as usize).min(points - 2), "{x}");
+                    let (a, b) = (knots[segment], knots[segment + 1]);
+                    let value = at(x);
+                    assert!(a.min(b) - 1e-9 <= value && value <= a.max(b) + 1e-9, "{x}: {value}");
+                }
             }
         }
         let surface = CompiledSurface::compile(&two_input_engine(), 5).unwrap();
-        assert!(matches!(surface.first_axis_extremes(&[]), Err(FuzzyError::MissingInput { .. })));
+        assert!(matches!(surface.first_axis_knots(&[]), Err(FuzzyError::MissingInput { .. })));
         assert!(matches!(
-            surface.first_axis_extremes(&[f64::NAN]),
+            surface.first_axis_knots(&[f64::NAN]),
             Err(FuzzyError::NonFiniteInput { .. })
         ));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                surface.first_axis_segment(bad),
+                Err(FuzzyError::NonFiniteInput { .. })
+            ));
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The admission-controller abstraction every CAC policy implements.
 
+use std::any::TypeId;
+use std::sync::Arc;
+
 use crate::decision::Decision;
 use crate::ledger::{BandwidthLedger, CellSnapshot, Reallocation};
 use crate::traffic::{CallId, CallRequest, ServiceClass, ServiceProfile};
@@ -136,6 +139,14 @@ pub struct Admission {
 ///
 /// Controllers are `Send` so the simulator's shard workers can own them
 /// on their threads.
+///
+/// A controller that keeps no per-cell state may report a
+/// [`policy_key`](AdmissionController::policy_key); the simulator then
+/// keeps one instance per key and shard, and that **shared instance**
+/// serves every cell of the shard that reported the key. Every hook of a
+/// shared instance receives the ledger or snapshot of the cell it is
+/// called for, and the calls of all those cells interleave in the
+/// shard's event order.
 pub trait AdmissionController: Send {
     /// A short human-readable policy name (e.g. `"FACS"`, `"SCC"`).
     fn name(&self) -> &str;
@@ -179,6 +190,12 @@ pub trait AdmissionController: Send {
     /// (cold start). The kernel `debug_assert!`s this contract at both
     /// call sites.
     ///
+    /// A shared instance (see
+    /// [`policy_key`](AdmissionController::policy_key)) still gets
+    /// exactly one call per cell it serves per epoch, so it sees `now_s`
+    /// once per such cell: `now_s` increases strictly per cell, not per
+    /// instance.
+    ///
     /// A controller used outside the kernel, e.g. a direct `decide` as
     /// in the quickstart, may never see `observe`; stateful policies
     /// must degrade gracefully to reactive behavior when the hook stays
@@ -207,9 +224,45 @@ pub trait AdmissionController: Send {
     fn is_cell_local(&self) -> bool {
         true
     }
+
+    /// The stateless policy this controller is an instance of, if any.
+    ///
+    /// `Some(k)` promises that the controller keeps no per-cell state:
+    /// every hook is a pure function of its arguments and of state shared
+    /// by all controllers that report `k`, so any one of them may serve
+    /// all their cells. The simulator keeps the first controller of each
+    /// key per shard and drops the others. A keyed controller must be
+    /// [cell-local](AdmissionController::is_cell_local). The default,
+    /// `None`, claims nothing: the controller serves its own cell only.
+    fn policy_key(&self) -> Option<PolicyKey> {
+        None
+    }
 }
 
-/// Object-safe boxed controller, the form the simulator stores per cell.
+/// Names one stateless policy (see [`AdmissionController::policy_key`]).
+///
+/// A key pairs the controller's type with the address of the state its
+/// instances share. Two types built on one shared core (plain FACS and
+/// FACS-degrade decide differently over the same FLCs) get different
+/// keys, and so do two separately built cores of one type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PolicyKey {
+    policy: TypeId,
+    shared: usize,
+}
+
+impl PolicyKey {
+    /// The key of a `P` whose every hook reads only its arguments and
+    /// `shared`. Two keys compare equal only while both controllers hold
+    /// `shared`, so compare the keys of live controllers only.
+    #[must_use]
+    pub fn of<P: 'static, S>(shared: &Arc<S>) -> Self {
+        Self { policy: TypeId::of::<P>(), shared: Arc::as_ptr(shared) as usize }
+    }
+}
+
+/// Object-safe boxed controller, the form the simulator's per-shard
+/// policy tables store.
 /// Method calls on it reach the controller through the vtable; code
 /// generic over [`AdmissionController`] takes `&mut *boxed`.
 pub type BoxedController = Box<dyn AdmissionController>;
@@ -362,6 +415,17 @@ mod tests {
         assert!(plan.apply(&request(), &mut ledger, &mut controller).is_none());
         assert_eq!(ledger, before);
         assert_eq!(controller.admitted, 0);
+    }
+
+    #[test]
+    fn policy_keys_tell_apart_the_type_and_the_shared_state() {
+        struct Other;
+        let (core, other_core) = (Arc::new(0u8), Arc::new(0u8));
+        let key = PolicyKey::of::<CountingController, _>(&core);
+        assert_eq!(key, PolicyKey::of::<CountingController, _>(&Arc::clone(&core)));
+        assert_ne!(key, PolicyKey::of::<Other, _>(&core), "same core, another type");
+        assert_ne!(key, PolicyKey::of::<CountingController, _>(&other_core), "another core");
+        assert_eq!(counting().policy_key(), None, "unkeyed by default");
     }
 
     #[test]

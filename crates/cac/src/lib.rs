@@ -57,7 +57,7 @@ pub mod policies;
 pub mod traffic;
 pub mod units;
 
-pub use controller::{Admission, AdmissionController, AdmissionPlan, BoxedController};
+pub use controller::{Admission, AdmissionController, AdmissionPlan, BoxedController, PolicyKey};
 pub use decision::{Decision, Verdict};
 pub use forecast::{EwmaHoltForecaster, InterarrivalEstimator};
 pub use ledger::{Allocation, BandwidthLedger, CellSnapshot, LedgerError, Reallocation};

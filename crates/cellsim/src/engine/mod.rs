@@ -46,13 +46,15 @@
 mod shard;
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Barrier, Mutex, PoisonError};
 
-use facs_cac::{BandwidthLedger, BandwidthUnits, BoxedController, CellId, ServiceProfile};
+use facs_cac::{
+    BandwidthLedger, BandwidthUnits, BoxedController, CellId, PolicyKey, ServiceProfile,
+};
 
 use crate::geometry::HexGrid;
 use crate::metrics::{Metrics, MetricsSink};
@@ -203,18 +205,29 @@ impl From<Vec<UserSpec>> for RunInput {
     }
 }
 
-/// The simulator: owns the grid and the cells (ledger + controller
-/// each), built into their shards once, at construction; each run lends
-/// every shard its cells, drives the epoch loop, folds the shards' sinks
-/// and flushes the cells' utilization in id order.
+/// The simulator: owns the grid, the cells (a ledger each) and their
+/// controllers, built into their shards once, at construction; each run
+/// lends every shard its cells and policy table, drives the epoch loop,
+/// folds the shards' sinks and flushes the cells' utilization in id
+/// order.
+///
+/// A shard keeps one controller per stateless policy
+/// ([`AdmissionController::policy_key`]) and one per unkeyed cell: every
+/// cell reaches its controller through the shard's policy table, so
+/// cloning one FACS prototype onto a ~100k-cell grid costs one
+/// controller per shard, not one allocation per cell.
 ///
 /// Build with [`Simulation::new`], then [`Simulation::run`] a workload
 /// (or [`Simulation::run_with`] to stream events into a custom
 /// [`MetricsSink`]).
+///
+/// [`AdmissionController::policy_key`]: facs_cac::AdmissionController::policy_key
 pub struct Simulation {
     grid: HexGrid,
     /// Shard `s`'s cells, ids `s, s + N, s + 2N, …` for `N` shards.
     cells: Vec<Vec<CellUnit>>,
+    /// Shard `s`'s policy table, indexed by its cells' `policy` slots.
+    policies: Vec<Vec<BoxedController>>,
     clock: SimTime,
     config: SimulationConfig,
 }
@@ -242,6 +255,9 @@ impl Simulation {
     /// controller is cell-local whenever the shard count, clamped to the
     /// cell count, exceeds one: a shared-state policy (SCC's shadow
     /// board) on concurrent shards would be silently nondeterministic.
+    /// It also panics on a controller that reports a
+    /// [`policy_key`](facs_cac::AdmissionController::policy_key) but is
+    /// not cell-local, a contradiction in the controller's contract.
     #[must_use]
     pub fn new(grid: HexGrid, config: SimulationConfig, controllers: Vec<BoxedController>) -> Self {
         assert_eq!(
@@ -261,6 +277,15 @@ impl Simulation {
             "horizon {} s is not a finite, non-negative time",
             config.max_time_s
         );
+        if let Some(controller) =
+            controllers.iter().find(|c| c.policy_key().is_some() && !c.is_cell_local())
+        {
+            panic!(
+                "controller `{}` reports a policy key but shares cross-cell state; a keyed \
+                 controller must be cell-local",
+                controller.name(),
+            );
+        }
         let shards = config.shards.clamp(1, grid.len().max(1));
         if shards > 1 {
             if let Some(controller) = controllers.iter().find(|c| !c.is_cell_local()) {
@@ -273,11 +298,42 @@ impl Simulation {
         }
         let mut cells: Vec<Vec<CellUnit>> =
             (0..shards).map(|s| Vec::with_capacity((grid.len() - s).div_ceil(shards))).collect();
+        let mut policies: Vec<Vec<BoxedController>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut keyed: Vec<HashMap<PolicyKey, u32>> = (0..shards).map(|_| HashMap::new()).collect();
         for (id, controller) in controllers.into_iter().enumerate() {
-            cells[id % shards]
-                .push(CellUnit::new(BandwidthLedger::new(config.capacity), controller));
+            let shard = id % shards;
+            let key = controller.policy_key();
+            // A later controller of a known key is dropped: the first one
+            // serves the key's every cell on this shard.
+            let slot = match key.and_then(|key| keyed[shard].get(&key)) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = u32::try_from(policies[shard].len()).expect("u32 policy slots");
+                    if let Some(key) = key {
+                        keyed[shard].insert(key, slot);
+                    }
+                    policies[shard].push(controller);
+                    slot
+                }
+            };
+            cells[shard].push(CellUnit::new(BandwidthLedger::new(config.capacity), slot));
         }
-        Self { grid, cells, clock: SimTime::ZERO, config: SimulationConfig { shards, ..config } }
+        Self {
+            grid,
+            cells,
+            policies,
+            clock: SimTime::ZERO,
+            config: SimulationConfig { shards, ..config },
+        }
+    }
+
+    /// The number of controllers the simulation keeps, over all shards:
+    /// one per stateless policy per shard, plus one per cell whose
+    /// controller reports no
+    /// [`policy_key`](facs_cac::AdmissionController::policy_key).
+    #[must_use]
+    pub fn policy_count(&self) -> usize {
+        self.policies.iter().map(Vec::len).sum()
     }
 
     /// Runs the workload to completion and returns the collected metrics.
@@ -314,9 +370,11 @@ impl Simulation {
         let mut shards: Vec<Shard<'_, S>> = self
             .cells
             .iter_mut()
+            .zip(&mut self.policies)
             .enumerate()
-            .map(|(i, cells)| {
-                Shard::new(i, shard_count, grid, config, std::mem::take(cells), sink.fork())
+            .map(|(i, (cells, policies))| {
+                let lent = (std::mem::take(cells), std::mem::take(policies));
+                Shard::new(i, shard_count, grid, config, lent, sink.fork())
             })
             .collect();
 
@@ -344,9 +402,10 @@ impl Simulation {
         // flush each cell's utilization integral in id order.
         let final_time =
             if epochs == 0 { SimTime::ZERO } else { barrier_time(tick, epochs).min(horizon) };
-        for (cells, shard) in self.cells.iter_mut().zip(shards) {
+        for ((cells, policies), shard) in self.cells.iter_mut().zip(&mut self.policies).zip(shards)
+        {
             sink.absorb(shard.sink);
-            *cells = shard.cells;
+            (*cells, *policies) = (shard.cells, shard.policies);
         }
         for id in 0..self.grid.len() {
             let cell = &mut self.cells[id % shard_count][id / shard_count];
@@ -1371,6 +1430,70 @@ mod tests {
         assert_eq!(metrics.accepted_new, 1);
     }
 
+    /// A stateless admit-all policy keyed by its shared `Arc`, optionally
+    /// claiming cross-cell state too.
+    #[derive(Clone)]
+    struct Keyed {
+        shared: std::sync::Arc<()>,
+        cell_local: bool,
+    }
+
+    impl AdmissionController for Keyed {
+        fn name(&self) -> &str {
+            "keyed"
+        }
+        fn decide(&mut self, _r: &CallRequest, _c: &BandwidthLedger) -> AdmissionPlan {
+            AdmissionPlan::gate(Decision::binary(true))
+        }
+        fn is_cell_local(&self) -> bool {
+            self.cell_local
+        }
+        fn policy_key(&self) -> Option<PolicyKey> {
+            Some(PolicyKey::of::<Self, _>(&self.shared))
+        }
+    }
+
+    #[test]
+    fn a_shard_keeps_one_controller_per_policy_key_and_one_per_unkeyed_cell() {
+        let fresh = || Keyed { shared: Default::default(), cell_local: true };
+        let (a, b) = (fresh(), fresh());
+        // Cells 0..19: keys a and b alternate, and every fifth cell is
+        // an unkeyed complete-sharing controller.
+        let mixed = || -> Vec<BoxedController> {
+            (0..19)
+                .map(|id| match id {
+                    _ if id % 5 == 4 => Box::new(CompleteSharing::new()) as BoxedController,
+                    _ if id % 2 == 0 => Box::new(a.clone()),
+                    _ => Box::new(b.clone()),
+                })
+                .collect()
+        };
+        let grid = HexGrid::new(2, 1.0);
+        for (shards, expected) in [(1, 2 + 3), (3, 6 + 3), (19, 16 + 3), (40, 16 + 3)] {
+            let config = SimulationConfig { shards, ..Default::default() };
+            let sim = Simulation::new(grid.clone(), config, mixed());
+            assert_eq!(sim.policy_count(), expected, "{shards} shards");
+            // Every cell's slot names a controller of its own key.
+            for id in 0..19 {
+                let shard = id % sim.cells.len();
+                let cell = &sim.cells[shard][id / sim.cells.len()];
+                let name = sim.policies[shard][cell.policy as usize].name();
+                assert_eq!(name, if id % 5 == 4 { "CS" } else { "keyed" }, "cell {id}");
+            }
+        }
+        let sim = Simulation::new(grid, SimulationConfig::default(), controllers(19));
+        assert_eq!(sim.policy_count(), 19, "unkeyed controllers keep one per cell");
+    }
+
+    #[test]
+    #[should_panic(expected = "reports a policy key but shares cross-cell state")]
+    fn a_keyed_controller_that_shares_cross_cell_state_is_refused() {
+        // Refused even on one shard, where a shared-state policy may run.
+        let shared = Keyed { shared: Default::default(), cell_local: false };
+        let controllers = (0..7).map(|_| Box::new(shared.clone()) as BoxedController).collect();
+        let _ = Simulation::new(HexGrid::new(1, 1.0), SimulationConfig::default(), controllers);
+    }
+
     #[test]
     #[should_panic(expected = "one controller per cell")]
     fn controller_count_mismatch_panics() {
@@ -1414,11 +1537,13 @@ mod tests {
         let spec = std::mem::size_of::<UserSpec>();
         assert!(spec <= 88, "UserSpec grew to {spec} bytes");
         // A simulation holds one `CellUnit` per cell for its lifetime
-        // (99,919 on the planet grid). Debug builds add the 8-B time of
-        // the last `observe` pulse, which only a `debug_assert!` reads.
+        // (99,919 on the planet grid); it names its controller by a 4-B
+        // policy slot, not a 16-B boxed pointer. Debug builds add the 8-B
+        // time of the last `observe` pulse, which only a `debug_assert!`
+        // reads.
         let pulse_field = if cfg!(debug_assertions) { std::mem::size_of::<f64>() } else { 0 };
         let cell = std::mem::size_of::<CellUnit>() - pulse_field;
-        assert!(cell <= 80, "CellUnit grew to {cell} bytes in release builds");
+        assert!(cell <= 72, "CellUnit grew to {cell} bytes in release builds");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! One shard of the simulation world: a group of cells (ledger +
-//! controller each), the users whose calls those cells currently serve,
-//! and two private queues, one of call-ends and one of movement wakes.
+//! One shard of the simulation world: a group of cells (a ledger each),
+//! the policy table their controllers sit in, the users whose calls
+//! those cells currently serve, and two private queues, one of call-ends
+//! and one of movement wakes.
 //!
 //! A shard processes an entire epoch — all cell-local events up to the
 //! next movement barrier — without communicating; cross-shard traffic
@@ -34,7 +35,8 @@ use super::{MobilityKind, SimulationConfig, UserSpec};
 /// a cell's id from its slot, and `HexGrid::center_of` its center.
 pub(crate) struct CellUnit {
     pub(crate) ledger: BandwidthLedger,
-    pub(crate) controller: BoxedController,
+    /// The cell's controller: its slot in the shard's policy table.
+    pub(crate) policy: u32,
     occupied_integral_bu_s: f64,
     last_change: SimTime,
     /// Barrier time of the last `observe` pulse delivered to this cell's
@@ -49,10 +51,10 @@ pub(crate) struct CellUnit {
 }
 
 impl CellUnit {
-    pub(crate) fn new(ledger: BandwidthLedger, controller: BoxedController) -> Self {
+    pub(crate) fn new(ledger: BandwidthLedger, policy: u32) -> Self {
         Self {
             ledger,
-            controller,
+            policy,
             occupied_integral_bu_s: 0.0,
             last_change: SimTime::ZERO,
             #[cfg(debug_assertions)]
@@ -257,6 +259,9 @@ pub(crate) struct Shard<'a, S> {
     /// The owned cells, lent by the simulation for one run: slot `k`
     /// holds cell `k · shard_count + index`.
     pub(crate) cells: Vec<CellUnit>,
+    /// The controllers the cells reach by their `policy` slot, lent
+    /// with them: one per stateless policy, one per unkeyed cell.
+    pub(crate) policies: Vec<BoxedController>,
     /// The movement tick in microseconds: barrier `b` is at `b · tick_us`.
     tick_us: u64,
     /// Call-ends, stale ones (of calls that handed off since) included.
@@ -277,7 +282,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         shard_count: usize,
         grid: &'a HexGrid,
         config: SimulationConfig,
-        cells: Vec<CellUnit>,
+        (cells, policies): (Vec<CellUnit>, Vec<BoxedController>),
         sink: S,
     ) -> Self {
         Self {
@@ -286,6 +291,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             grid,
             config,
             cells,
+            policies,
             tick_us: SimDuration::from_secs_f64(config.movement_tick_s).as_micros(),
             queue: EngineQueue::new(),
             wakes: EngineQueue::new(),
@@ -322,9 +328,12 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         now.as_micros().div_ceil(self.tick_us)
     }
 
-    fn cell_mut(&mut self, id: CellId) -> &mut CellUnit {
+    /// Cell `id` and its controller.
+    fn cell_mut(&mut self, id: CellId) -> (&mut CellUnit, &mut BoxedController) {
         debug_assert_eq!(id.0 as usize % self.shard_count, self.index, "cell on another shard");
-        &mut self.cells[id.0 as usize / self.shard_count]
+        let cell = &mut self.cells[id.0 as usize / self.shard_count];
+        let policy = cell.policy as usize;
+        (cell, &mut self.policies[policy])
     }
 
     /// Consults the controller, then applies its plan through
@@ -340,7 +349,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         cell_id: CellId,
         request: &CallRequest,
     ) -> Option<BandwidthUnits> {
-        let cell = self.cell_mut(cell_id);
+        let (cell, controller) = self.cell_mut(cell_id);
         // Ordering contract (see `AdmissionController::observe`): every
         // admission of an epoch fires before that epoch's observe pulse,
         // so a decide can never run at or before the last pulse time.
@@ -351,14 +360,14 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             now.as_secs_f64(),
             cell.last_observed_s
         );
-        let plan = cell.controller.decide(request, &cell.ledger);
+        let plan = controller.decide(request, &cell.ledger);
         if !plan.admits() {
             return None;
         }
         // Integrate only on the admit arms: an extra split point on a
         // rejection would reorder the occupancy-integral summation.
         cell.integrate_to(now);
-        let admission = plan.apply(request, &mut cell.ledger, &mut *cell.controller)?;
+        let admission = plan.apply(request, &mut cell.ledger, &mut **controller)?;
         for (call, to, floor) in admission.squeezed {
             self.sink.on_reallocation(now, cell_id, UserId(call.0), to, floor);
         }
@@ -366,7 +375,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
     }
 
     fn release(&mut self, now: SimTime, cell_id: CellId, call: CallId) {
-        let cell = self.cell_mut(cell_id);
+        let (cell, controller) = self.cell_mut(cell_id);
         cell.integrate_to(now);
         let profile = cell
             .ledger
@@ -386,7 +395,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
             })
             .collect();
         let after = cell.ledger.snapshot();
-        cell.controller.on_released(call, profile.class, &after);
+        controller.on_released(call, profile.class, &after);
         for (upgraded, to, floor) in upgrades {
             self.sink.on_reallocation(now, cell_id, UserId(upgraded.0), to, floor);
         }
@@ -422,10 +431,8 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
         // full request — `fast_reject` is a conservative proof that
         // `decide` could not admit, so the record is identical.
         let grid = self.grid;
-        let cell = self.cell_mut(cell_id);
-        if cell.controller.fast_reject(&profile, &cell.ledger)
-            || grid.out_of_coverage(start.position)
-        {
+        let (cell, controller) = self.cell_mut(cell_id);
+        if controller.fast_reject(&profile, &cell.ledger) || grid.out_of_coverage(start.position) {
             self.sink.on_decision(
                 now,
                 cell_id,
@@ -614,7 +621,7 @@ impl<'a, S: MetricsSink> Shard<'a, S> {
                 );
                 cell.last_observed_s = now.as_secs_f64();
             }
-            cell.controller.observe(now.as_secs_f64(), &cell.ledger);
+            self.policies[cell.policy as usize].observe(now.as_secs_f64(), &cell.ledger);
             self.sink.on_cell_sample(
                 now,
                 CellId((slot * self.shard_count + self.index) as u32),
@@ -630,6 +637,7 @@ impl<S> std::fmt::Debug for Shard<'_, S> {
         f.debug_struct("Shard")
             .field("index", &self.index)
             .field("cells", &self.cells.len())
+            .field("policies", &self.policies.len())
             .field("active", &self.active.len())
             .field("queued", &self.queue.len())
             .field("pending", &self.pending.len())
@@ -805,12 +813,10 @@ mod tests {
         let config = SimulationConfig { movement_tick_s: 1.0, seed: 11, ..Default::default() };
         let cells = grid
             .cell_ids()
-            .map(|_| {
-                let ledger = BandwidthLedger::new(BandwidthUnits::new(10_000));
-                CellUnit::new(ledger, Box::new(CompleteSharing::new()))
-            })
+            .map(|_| CellUnit::new(BandwidthLedger::new(BandwidthUnits::new(10_000)), 0))
             .collect();
-        let mut shard = Shard::new(0, 1, &grid, config, cells, Metrics::new());
+        let policies: Vec<BoxedController> = vec![Box::new(CompleteSharing::new())];
+        let mut shard = Shard::new(0, 1, &grid, config, (cells, policies), Metrics::new());
         let inradius = 3f64.sqrt() / 2.0 * 10.0;
         let slow = |user: u64| user % 3 != 0;
         let mut arrivals: VecDeque<PendingArrival> = (0..90u64)

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BandwidthUnits, CallKind, CallRequest,
-    CellSnapshot, Decision, MobilityInfo, ServiceClass, ServiceProfile,
+    CellSnapshot, Decision, MobilityInfo, PolicyKey, ServiceClass, ServiceProfile,
 };
 use facs_fuzzy::{BackendKind, CompiledSurface, FuzzyError, InferenceConfig};
 
@@ -83,7 +83,9 @@ pub struct FacsEvaluation {
 /// Nothing in it changes after construction, so every clone shares one
 /// core (both FLCs, the configuration and the score bound) behind an
 /// `Arc`: stamping one controller per cell of a planet-scale grid bumps
-/// a refcount, and every cell reads the same hot surfaces.
+/// a refcount, and every cell reads the same hot surfaces. Every clone
+/// reports the same [`policy_key`](AdmissionController::policy_key), so
+/// the simulator keeps one of them per shard.
 ///
 /// # Examples
 ///
@@ -560,6 +562,12 @@ impl AdmissionController for FacsController {
         !cell.can_fit(profile.rb_cost_nominal)
             || self.core.bound.as_ref().is_some_and(|bound| bound.rejects(profile.class, cell))
     }
+
+    /// Every clone of one controller is the same policy: all state is
+    /// the shared core.
+    fn policy_key(&self) -> Option<PolicyKey> {
+        Some(PolicyKey::of::<Self, _>(&self.core))
+    }
 }
 
 /// FACS with elastic-bandwidth degradation (cf. Chowdhury et al.,
@@ -612,13 +620,22 @@ impl FacsDegradeController {
     ///
     /// Propagates [`FuzzyError`] if the FLCs fail to compile.
     pub fn with_config(config: FacsConfig) -> Result<Self, FuzzyError> {
-        Ok(Self { inner: FacsController::with_config(config)? })
+        FacsController::with_config(config).map(Self::from)
     }
 
     /// The wrapped plain FACS controller.
     #[must_use]
     pub fn inner(&self) -> &FacsController {
         &self.inner
+    }
+}
+
+/// FACS-degrade over `inner`'s core: the two share both FLCs and the
+/// configuration, and still report different
+/// [`policy_key`](AdmissionController::policy_key)s.
+impl From<FacsController> for FacsDegradeController {
+    fn from(inner: FacsController) -> Self {
+        Self { inner }
     }
 }
 
@@ -675,6 +692,12 @@ impl AdmissionController for FacsDegradeController {
             }
         }
         AdmissionPlan::Reject(Decision::reject(eval.score))
+    }
+
+    /// Keyed by the wrapped core, like [`FacsController`], but as a
+    /// different policy.
+    fn policy_key(&self) -> Option<PolicyKey> {
+        Some(PolicyKey::of::<Self, _>(&self.inner.core))
     }
 }
 

@@ -280,7 +280,7 @@ fn main() {
         // Keep the all-experiments sweep fast: the 7-scenario x 3-system
         // grid honours --reps only when asked for explicitly.
         let predict_reps = if exp == "predict" { reps } else { 1 };
-        println!("== predict: forecast-fed admission across the catalog ==");
+        println!("== predict: headroom-gated admission across the catalog ==");
         println!("scenario,system,acceptance%,new_block%,handoff_drop%,handoffs");
         let rows = predict_comparison(predict_reps);
         for row in &rows {
@@ -295,7 +295,7 @@ fn main() {
             );
         }
         // The acceptance bar from the paper's future-work direction:
-        // forecast-fed FACS must cut handoff drops on the
+        // headroom-gated FACS must cut handoff drops on the
         // congestion-ramp scenarios without giving the win back as
         // extra new-call blocking (comparable = within 2 points).
         let mut gate_ok = true;
@@ -308,7 +308,7 @@ fn main() {
                 .iter()
                 .filter(|r| r.scenario == scenario && r.label.starts_with("FACS-"))
                 .min_by(|a, b| a.dropping_percentage().total_cmp(&b.dropping_percentage()))
-                .expect("a predictive row per scenario");
+                .expect("a headroom row per scenario");
             let drop_gain = facs.dropping_percentage() - best.dropping_percentage();
             let block_cost = best.blocking_percentage() - facs.blocking_percentage();
             let ok = drop_gain > 0.0 && block_cost <= 2.0;
@@ -324,7 +324,7 @@ fn main() {
             );
         }
         println!(
-            "predict gate {}: predictive FACS {} static FACS on the ramp scenarios",
+            "predict gate {}: headroom FACS {} static FACS on the ramp scenarios",
             if gate_ok { "PASSED" } else { "WARNING" },
             if gate_ok { "beats" } else { "did not beat" },
         );
@@ -355,12 +355,6 @@ fn main() {
             json.push_str("\n]\n");
             let path = write_artifact("--out-dir", &out_dir, "predict-comparison.json", &json);
             println!("# wrote {path}");
-        }
-        println!();
-        println!("== predict: forecaster accuracy (rush-hour occupancy, MAE in BU) ==");
-        println!("forecaster,horizon_epochs,mae_bu,samples");
-        for row in forecast_accuracy("rush-hour", &[1, 2, 4, 8]) {
-            println!("{},{},{:.3},{}", row.forecaster, row.horizon_epochs, row.mae_bu, row.samples);
         }
         println!();
     }

@@ -6,13 +6,12 @@
 //! measured numbers against the paper's.
 
 use facs::{
-    FacsConfig, FacsController, FacsDegradeController, Flc1, Flc2, PredictiveFacsController, FRB1,
+    FacsConfig, FacsController, FacsDegradeController, Flc1, Flc2, HeadroomFacsController, FRB1,
     FRB2,
 };
 use facs_cac::policies::CompleteSharing;
 use facs_cac::{
-    BoxedController, CallId, CallKind, CallRequest, CellSnapshot, EwmaHoltForecaster, MobilityInfo,
-    ServiceClass,
+    BoxedController, CallId, CallKind, CallRequest, CellSnapshot, MobilityInfo, ServiceClass,
 };
 use facs_cellsim::prelude::*;
 use facs_cellsim::HexGrid;
@@ -50,13 +49,13 @@ pub fn facs_degrade_builder(
     }
 }
 
-/// Builds one predictive (EWMA/Holt) FACS controller per grid cell
-/// (prototype-clone economics of [`facs_builder`]).
-pub fn predictive_ewma_builder(
-    config: FacsConfig,
-) -> impl Fn(&HexGrid) -> Vec<BoxedController> + Sync {
-    let build = PredictiveFacsController::ewma_factory(config).expect("predictive FACS builds");
-    move |grid: &HexGrid| grid.cell_ids().map(|_| build()).collect()
+/// Builds one headroom FACS controller per grid cell (same
+/// prototype-clone economics as [`facs_builder`]).
+pub fn headroom_builder(config: FacsConfig) -> impl Fn(&HexGrid) -> Vec<BoxedController> + Sync {
+    let prototype = HeadroomFacsController::with_config(config).expect("FACS builds");
+    move |grid: &HexGrid| {
+        grid.cell_ids().map(|_| Box::new(prototype.clone()) as BoxedController).collect()
+    }
 }
 
 /// Builds one Complete Sharing controller per grid cell.
@@ -385,7 +384,7 @@ pub fn elastic_comparison(replications: u32) -> Vec<ElasticRow> {
 pub struct PredictRow {
     /// Catalog scenario name.
     pub scenario: &'static str,
-    /// System label (`FACS`, `SCC`, `FACS-predict-ewma`).
+    /// System label (`FACS`, `SCC`, `FACS-headroom`).
     pub label: &'static str,
     /// Counters aggregated over the replications.
     pub metrics: Metrics,
@@ -405,10 +404,10 @@ impl PredictRow {
     }
 }
 
-/// Compares static FACS, SCC and predictive FACS across the whole
-/// scenario catalog — the EXPERIMENTS.md `predict` table. The
+/// Compares static FACS, SCC and predictive (headroom) FACS across the
+/// whole scenario catalog — the EXPERIMENTS.md `predict` table. The
 /// acceptance bar: on the congestion-ramp scenarios (`flash-crowd`,
-/// `rush-hour`) the predictive controller must show a lower handoff-drop
+/// `rush-hour`) headroom FACS must show a lower handoff-drop
 /// probability than static FACS at comparable new-call blocking.
 ///
 /// Both FACS variants run on compiled FLC1 surfaces; SCC is pinned to one
@@ -418,7 +417,7 @@ pub fn predict_comparison(replications: u32) -> Vec<PredictRow> {
     let systems: Vec<(&'static str, bool, Box<ControllerBuilder>)> = vec![
         ("FACS", true, Box::new(facs_builder(FacsConfig::compiled()))),
         ("SCC", false, Box::new(scc_builder(SccConfig::default()))),
-        ("FACS-predict-ewma", true, Box::new(predictive_ewma_builder(FacsConfig::compiled()))),
+        ("FACS-headroom", true, Box::new(headroom_builder(FacsConfig::compiled()))),
     ];
     let mut rows = Vec::new();
     for entry in facs_cellsim::catalog() {
@@ -429,83 +428,6 @@ pub fn predict_comparison(replications: u32) -> Vec<PredictRow> {
                 scenario: entry.name,
                 label,
                 metrics: config.aggregate(build.as_ref()),
-            });
-        }
-    }
-    rows
-}
-
-/// One `(forecaster, horizon)` cell of the forecast-accuracy table (see
-/// [`forecast_accuracy`]).
-#[derive(Debug, Clone)]
-pub struct MaeRow {
-    /// Forecaster label (`naive`, `ewma`, `holt`).
-    pub forecaster: &'static str,
-    /// Look-ahead, in epoch samples.
-    pub horizon_epochs: u32,
-    /// Mean absolute error of the occupancy forecast, in bandwidth units.
-    pub mae_bu: f64,
-    /// Forecast/actual pairs the mean is taken over.
-    pub samples: u64,
-}
-
-/// Measures forecaster accuracy offline: runs `scenario_name` once under
-/// static FACS with a [`CellLoadSeries`] sink, then replays every cell's
-/// per-epoch occupancy series through each forecaster and scores the
-/// `h`-epochs-ahead prediction against the recorded truth (MAE in BU).
-///
-/// The EXPERIMENTS.md forecast-accuracy table runs this on `rush-hour`
-/// at horizons 1/2/4/8; `naive` (predict-last-value) is the floor any
-/// useful forecaster must beat on trending load.
-///
-/// # Panics
-///
-/// Panics when `scenario_name` is not in the catalog.
-#[must_use]
-pub fn forecast_accuracy(scenario_name: &str, horizons: &[u32]) -> Vec<MaeRow> {
-    let base = facs_cellsim::scenario_by_name(scenario_name).expect("scenario in catalog");
-    let config = ScenarioConfig { replications: 1, shards: 1, ..base };
-    let grid = config.grid();
-    let controllers = facs_builder(FacsConfig::compiled())(&grid);
-    let mut sim = Simulation::new(grid, config.sim_config(config.seed), controllers);
-    let series = sim.run_with(config.run_input(config.seed), CellLoadSeries::new());
-    let capacity = f64::from(config.capacity_bu);
-    let cells: Vec<_> = series.cells().collect();
-
-    let mut rows = Vec::new();
-    for &h in horizons {
-        let mut acc: [(&'static str, f64, u64); 3] =
-            [("naive", 0.0, 0), ("ewma", 0.0, 0), ("holt", 0.0, 0)];
-        for &cell in &cells {
-            let samples = series.samples(cell);
-            if samples.len() <= h as usize {
-                continue;
-            }
-            // Fresh forecasters per cell: accuracy is a per-cell skill.
-            let mut forecasters = [
-                EwmaHoltForecaster::new(1.0, 0.0),
-                EwmaHoltForecaster::ewma(0.4),
-                EwmaHoltForecaster::default_profile(),
-            ];
-            for (i, &(t, x)) in samples.iter().enumerate() {
-                for f in &mut forecasters {
-                    f.observe(t, f64::from(x));
-                }
-                if let Some(&(t_future, actual)) = samples.get(i + h as usize) {
-                    for (j, f) in forecasters.iter().enumerate() {
-                        let predicted = f.forecast(t_future - t).clamp(0.0, capacity);
-                        acc[j].1 += (predicted - f64::from(actual)).abs();
-                        acc[j].2 += 1;
-                    }
-                }
-            }
-        }
-        for (forecaster, abs_err, n) in acc {
-            rows.push(MaeRow {
-                forecaster,
-                horizon_epochs: h,
-                mae_bu: if n == 0 { 0.0 } else { abs_err / n as f64 },
-                samples: n,
             });
         }
     }

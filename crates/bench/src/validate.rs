@@ -33,7 +33,7 @@ use facs_cellsim::{catalog, ControllerSlot, FuzzCase, InvariantSink, TraceDigest
 use facs_scc::SccConfig;
 
 use crate::experiments::{
-    cs_builder, facs_builder, facs_degrade_builder, predictive_ewma_builder, scc_builder,
+    cs_builder, facs_builder, facs_degrade_builder, headroom_builder, scc_builder,
 };
 
 /// The golden-file schema version. Bump it whenever the digest
@@ -56,12 +56,12 @@ pub fn golden_variants() -> Vec<(&'static str, Box<ControllerBuilder>)> {
         ("facs-degrade", Box::new(facs_degrade_builder(FacsConfig::default()))),
         ("complete-sharing", Box::new(cs_builder())),
         ("scc", Box::new(scc_builder(SccConfig::default()))),
-        // Predictive variants, appended behind the original five so
+        // Headroom variants, appended behind the original five so
         // existing baseline digests stay byte-comparable (same
         // GOLDEN_SCHEMA; golden_diff flags the new names as "re-bless"
         // on baselines that predate them).
-        ("facs-predict-ewma", Box::new(predictive_ewma_builder(FacsConfig::default()))),
-        ("facs-predict-ewma-compiled", Box::new(predictive_ewma_builder(FacsConfig::compiled()))),
+        ("facs-headroom", Box::new(headroom_builder(FacsConfig::default()))),
+        ("facs-headroom-compiled", Box::new(headroom_builder(FacsConfig::compiled()))),
     ]
 }
 
@@ -363,17 +363,17 @@ impl BackendPair {
     /// Builds the pair for one fuzzed controller family: the default
     /// exact/compiled FACS configurations, wrapped in that family's
     /// controller. The open-loop [`audit_backend_divergence`] replays
-    /// the plain reactive cascade for both families: the predictive gate
-    /// only swaps the occupancy fed in, so its per-decision divergence
-    /// is the cascade's.
+    /// the plain reactive cascade for both families: the headroom gate
+    /// only adds a second occupancy to score at, so its per-decision
+    /// divergence is the cascade's.
     #[must_use]
     pub fn for_slot(slot: ControllerSlot) -> Self {
         let (exact, compiled) = (FacsConfig::default(), FacsConfig::compiled());
         match slot {
             ControllerSlot::Baseline => Self::new(exact, compiled),
-            ControllerSlot::PredictEwma => Self {
-                exact_builder: Box::new(predictive_ewma_builder(exact)),
-                compiled_builder: Box::new(predictive_ewma_builder(compiled)),
+            ControllerSlot::Headroom => Self {
+                exact_builder: Box::new(headroom_builder(exact)),
+                compiled_builder: Box::new(headroom_builder(compiled)),
                 ..Self::new(exact, compiled)
             },
         }
@@ -590,7 +590,7 @@ pub fn run_validation(
     // construction is paid per process, not per case.
     let pairs = [
         (ControllerSlot::Baseline, BackendPair::for_slot(ControllerSlot::Baseline)),
-        (ControllerSlot::PredictEwma, BackendPair::for_slot(ControllerSlot::PredictEwma)),
+        (ControllerSlot::Headroom, BackendPair::for_slot(ControllerSlot::Headroom)),
     ];
     let pair_for = |slot: ControllerSlot| {
         &pairs.iter().find(|(s, _)| *s == slot).expect("every slot has a pair").1

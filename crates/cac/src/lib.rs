@@ -4,8 +4,7 @@
 //! units and ledgers, traffic classes, admission requests, soft decisions,
 //! the [`AdmissionController`] trait every policy implements, and the
 //! two classical baseline policies the paper's related-work section
-//! surveys (Complete Sharing, Guard Channel), and the EWMA/Holt load
-//! forecaster behind predictive admission.
+//! surveys (Complete Sharing, Guard Channel).
 //!
 //! The FACS controller itself lives in the `facs` crate; the Shadow
 //! Cluster Concept baseline in `facs-scc`; the simulator driving them in
@@ -51,7 +50,6 @@
 
 pub mod controller;
 pub mod decision;
-pub mod forecast;
 pub mod ledger;
 pub mod policies;
 pub mod traffic;
@@ -59,7 +57,6 @@ pub mod units;
 
 pub use controller::{Admission, AdmissionController, AdmissionPlan, BoxedController, PolicyKey};
 pub use decision::{Decision, Verdict};
-pub use forecast::{EwmaHoltForecaster, InterarrivalEstimator};
 pub use ledger::{Allocation, BandwidthLedger, CellSnapshot, LedgerError, Reallocation};
 pub use traffic::{
     normalize_angle, CallId, CallKind, CallRequest, CellId, ClassCounts, MobilityInfo,
@@ -71,7 +68,6 @@ pub use units::BandwidthUnits;
 pub mod prelude {
     pub use crate::controller::{AdmissionController, AdmissionPlan, BoxedController};
     pub use crate::decision::{Decision, Verdict};
-    pub use crate::forecast::EwmaHoltForecaster;
     pub use crate::ledger::{BandwidthLedger, CellSnapshot, Reallocation};
     pub use crate::traffic::{
         CallId, CallKind, CallRequest, CellId, ClassCounts, MobilityInfo, ServiceClass,

@@ -27,16 +27,16 @@ use crate::workload::{
 /// Which admission-controller family a fuzz case validates.
 ///
 /// The fuzzer samples a controller axis alongside the workload axes so
-/// the determinism/invariant properties cover the stateful predictive
-/// FACS variant, not just the reactive baseline. The baseline keeps the
+/// the determinism/invariant properties cover the headroom-gated FACS
+/// variant, not just the reactive baseline. The baseline keeps the
 /// majority share (5/8): it is the reference implementation every other
 /// property (backend agreement, goldens) is phrased against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControllerSlot {
     /// Plain reactive FACS (the original harness subject).
     Baseline,
-    /// Predictive FACS over the EWMA/Holt forecaster.
-    PredictEwma,
+    /// FACS that gates new calls one BU above the live occupancy too.
+    Headroom,
 }
 
 /// One fuzzed scenario: the sampled configuration plus its provenance.
@@ -209,10 +209,9 @@ impl WorkloadFuzzer {
         // Controller-family sampling: appended LAST, so every earlier
         // field of a given (seed, index) case is unchanged by the
         // predictive-admission extension. 3/8 of cases exercise the
-        // stateful predictive controller; the rest stay on the reactive
-        // baseline.
+        // headroom controller; the rest stay on the reactive baseline.
         let controller = match rng.index(8) {
-            5..=7 => ControllerSlot::PredictEwma,
+            5..=7 => ControllerSlot::Headroom,
             _ => ControllerSlot::Baseline,
         };
 
@@ -357,7 +356,7 @@ pub fn case_complexity(case: &FuzzCase) -> u64 {
 /// first one-step simplification on which `still_fails` returns `true`,
 /// until no simplification fails. The controller axis shrinks first — a
 /// failure that reproduces under the reactive baseline controller is
-/// far simpler to debug than one needing forecaster state — then the
+/// far simpler to debug than one needing the headroom gate — then the
 /// scenario axes. Because every candidate is strictly smaller under
 /// [`case_complexity`], the loop always terminates; the result
 /// still fails (it is the input when nothing smaller does).
@@ -465,7 +464,7 @@ mod tests {
         );
         assert!(any(&|c| c.streamed), "streamed-synthesis cases never sampled");
         assert!(any(&|c| !c.streamed), "eager-synthesis cases never sampled");
-        for slot in [ControllerSlot::Baseline, ControllerSlot::PredictEwma] {
+        for slot in [ControllerSlot::Baseline, ControllerSlot::Headroom] {
             assert!(
                 cases.iter().any(|c| c.controller == slot),
                 "controller slot {slot:?} never sampled"
@@ -499,7 +498,7 @@ mod tests {
         let case = WorkloadFuzzer::new(5).case(0);
         let mut case = case;
         case.config.requests = 300;
-        case.controller = ControllerSlot::PredictEwma;
+        case.controller = ControllerSlot::Headroom;
         let fails = |c: &FuzzCase| c.config.requests >= 40;
         let minimal = shrink(&case, fails);
         assert!(fails(&minimal), "shrunk case must still fail");
@@ -516,10 +515,10 @@ mod tests {
     #[test]
     fn shrink_keeps_the_controller_when_the_failure_needs_it() {
         let mut case = WorkloadFuzzer::new(5).case(0);
-        case.controller = ControllerSlot::PredictEwma;
-        // The failure only reproduces under the predictive controller.
-        let minimal = shrink(&case, |c| c.controller == ControllerSlot::PredictEwma);
-        assert_eq!(minimal.controller, ControllerSlot::PredictEwma);
+        case.controller = ControllerSlot::Headroom;
+        // The failure only reproduces under the headroom controller.
+        let minimal = shrink(&case, |c| c.controller == ControllerSlot::Headroom);
+        assert_eq!(minimal.controller, ControllerSlot::Headroom);
     }
 
     #[test]

@@ -74,6 +74,14 @@ pub struct FacsEvaluation {
     pub decision: Decision,
 }
 
+impl FacsEvaluation {
+    /// The firm rejection the cascade answers with when it cannot score
+    /// a request.
+    fn firm_reject(correction_value: f64) -> Self {
+        Self { correction_value, score: -1.0, decision: Decision::reject(-1.0) }
+    }
+}
+
 /// The Fuzzy Admission Control System of Barolli et al. (ICDCSW 2007).
 ///
 /// One instance serves one cell. The controller is pure over its inputs —
@@ -193,11 +201,7 @@ impl FacsController {
     pub fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
         match self.core.correction_value(request) {
             Some(correction_value) => self.core.gate(correction_value, request, cell),
-            None => FacsEvaluation {
-                correction_value: 0.0,
-                score: -1.0,
-                decision: Decision::reject(-1.0),
-            },
+            None => FacsEvaluation::firm_reject(0.0),
         }
     }
 }
@@ -224,15 +228,8 @@ impl FacsCore {
     ) -> FacsEvaluation {
         let counter = scale_counter(cell);
         let request_bu = request.class.request_level();
-        let mut score = match self.flc2.decision_score(correction_value, request_bu, counter) {
-            Ok(s) => s,
-            Err(_) => {
-                return FacsEvaluation {
-                    correction_value,
-                    score: -1.0,
-                    decision: Decision::reject(-1.0),
-                }
-            }
+        let Ok(mut score) = self.flc2.decision_score(correction_value, request_bu, counter) else {
+            return FacsEvaluation::firm_reject(correction_value);
         };
         if request.kind == CallKind::Handoff {
             score = (score + self.config.handoff_bias).clamp(-1.0, 1.0);
@@ -435,10 +432,11 @@ impl RowProof {
 /// whichever segment the lookup places it in. A row whose admit mask is
 /// full admits at every Cv, so `decide` skips FLC1 there too. The rows
 /// whose reject masks are full from `tails` up to 40 are
-/// [`FacsController::fast_reject`]'s: a tail, because predictive FACS
-/// forwards to it and then gates at an occupancy at or above the live
-/// one, and FLC2 is not monotone in occupancy. Other capacities claim
-/// nothing.
+/// [`FacsController::fast_reject`]'s: a tail, so a claim at one
+/// occupancy holds at every higher one too, although FLC2 is not
+/// monotone in occupancy. [`HeadroomFacsController`] forwards to it and
+/// needs only the live row, since it never scores a new call above the
+/// live cascade. Other capacities claim nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ScoreBound {
     /// Per class, per occupancy 0–40.
@@ -692,6 +690,114 @@ impl AdmissionController for FacsDegradeController {
             }
         }
         AdmissionPlan::Reject(Decision::reject(eval.score))
+    }
+
+    /// Keyed by the wrapped core, like [`FacsController`], but as a
+    /// different policy.
+    fn policy_key(&self) -> Option<PolicyKey> {
+        Some(PolicyKey::of::<Self, _>(&self.inner.core))
+    }
+}
+
+/// The headroom a new call must leave above the live occupancy, in BU.
+/// One BU keeps the flash-crowd blocking cost inside the `predict`
+/// experiment's 2-point budget; two BU break it (EXPERIMENTS.md).
+const NEW_CALL_HEADROOM_BU: u32 = 1;
+
+/// FACS with a fixed new-call headroom, in the spirit of a dynamic guard
+/// channel (arXiv:1502.06329): where the network is heading
+/// (arXiv:1004.4444) is read off one BU above the live load, not off a
+/// forecast.
+///
+/// * A **handoff** is gated exactly as [`FacsController`] gates it: the
+///   call already exists and needs capacity now.
+/// * A **new call** is admitted only if the cascade admits it both at
+///   the live occupancy and at `min(live + 1, capacity)`. A new call
+///   holds its bandwidth for its whole holding time, so admitting it on
+///   the last BU the cascade would still grant spends the headroom the
+///   next handoff needs.
+///
+/// [`evaluate`](Self::evaluate) reports the lower-scoring of the two
+/// evaluations, so a new call never scores above plain FACS. The
+/// controller holds no state besides the shared core, so every clone
+/// reports one [`policy_key`](AdmissionController::policy_key).
+#[derive(Debug, Clone)]
+pub struct HeadroomFacsController {
+    inner: FacsController,
+}
+
+impl HeadroomFacsController {
+    /// Builds headroom FACS over a custom FACS configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`FuzzyError`] if the FLCs fail to compile.
+    pub fn with_config(config: FacsConfig) -> Result<Self, FuzzyError> {
+        FacsController::with_config(config).map(Self::from)
+    }
+
+    /// Runs the cascade exactly as `decide` gates it, exposing the
+    /// evidence: plain FACS's evaluation for a handoff, and for a new
+    /// call the lower-scoring of the evaluations at the live occupancy
+    /// and one BU above it. FLC1 runs once.
+    #[must_use]
+    pub fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
+        let core = &*self.inner.core;
+        let Some(correction_value) = core.correction_value(request) else {
+            return FacsEvaluation::firm_reject(0.0);
+        };
+        let live = core.gate(correction_value, request, cell);
+        if request.kind != CallKind::New {
+            return live;
+        }
+        let raised = CellSnapshot {
+            occupied: BandwidthUnits::new(
+                cell.occupied.get().saturating_add(NEW_CALL_HEADROOM_BU).min(cell.capacity.get()),
+            ),
+            ..*cell
+        };
+        let above = core.gate(correction_value, request, &raised);
+        if above.score < live.score {
+            above
+        } else {
+            live
+        }
+    }
+}
+
+/// Headroom FACS over `inner`'s core, sharing both FLCs and the
+/// configuration under a [`policy_key`](AdmissionController::policy_key)
+/// of its own.
+impl From<FacsController> for HeadroomFacsController {
+    fn from(inner: FacsController) -> Self {
+        Self { inner }
+    }
+}
+
+impl AdmissionController for HeadroomFacsController {
+    fn name(&self) -> &str {
+        "FACS-headroom"
+    }
+
+    /// A handoff goes to plain FACS's `decide`, pre-screens included. A
+    /// new call that [`fast_reject`](AdmissionController::fast_reject)
+    /// proves deniable is denied with the placeholder score −1.0; any
+    /// other is gated on [`evaluate`](Self::evaluate).
+    fn decide(&mut self, request: &CallRequest, cell: &BandwidthLedger) -> AdmissionPlan {
+        if request.kind != CallKind::New {
+            return self.inner.decide(request, cell);
+        }
+        if self.fast_reject(&request.profile, cell) {
+            return AdmissionPlan::Reject(Decision::reject(-1.0));
+        }
+        AdmissionPlan::gate(self.evaluate(request, &cell.snapshot()).decision)
+    }
+
+    /// Plain FACS's pre-screen: a request it proves the live cascade
+    /// denies is denied here too, since a new call is admitted only where
+    /// the live cascade admits it.
+    fn fast_reject(&self, profile: &ServiceProfile, cell: &BandwidthLedger) -> bool {
+        self.inner.fast_reject(profile, cell)
     }
 
     /// Keyed by the wrapped core, like [`FacsController`], but as a
@@ -1251,13 +1357,12 @@ mod tests {
 
     #[test]
     fn reject_masks_are_tails_ending_at_full_occupancy() {
-        // Predictive FACS gates at or above the live occupancy, so a
-        // proven rejection must also hold at every higher occupancy.
-        // Checked against a per-occupancy proof read off the surface,
-        // over a grid of gates and handoff biases. The best knot score
-        // dips between 0 and 20 BU (text and voice bottom out at 10 BU),
-        // so gates near 0.82 prove occupancies there that the tail
-        // must leave out.
+        // `fast_reject` claims a tail: a proven rejection must also
+        // hold at every higher occupancy. Checked against a
+        // per-occupancy proof read off the surface, over a grid of gates
+        // and handoff biases. The best knot score dips between 0 and
+        // 20 BU (text and voice bottom out at 10 BU), so gates near 0.82
+        // prove occupancies there that the tail must leave out.
         let mut broken_tails = 0;
         for threshold in (-20..=36).map(|i| f64::from(i) * 0.025) {
             for handoff_bias in (-4..=10).map(|i| f64::from(i) * 0.05) {
@@ -1434,5 +1539,102 @@ mod tests {
                 assert_eq!(row.admitted(), span(cut + 1, 31), "{class} at {n}: {row}");
             }
         }
+    }
+
+    /// Mobilities on both sides of the admission gate: a vehicle heading
+    /// at the base station, a user at an angle, and a slow user moving
+    /// across the bearing far out.
+    const MOBILITIES: [MobilityInfo; 3] = [
+        MobilityInfo { speed_kmh: 60.0, angle_deg: 0.0, distance_km: 2.0 },
+        MobilityInfo { speed_kmh: 45.0, angle_deg: 20.0, distance_km: 4.0 },
+        MobilityInfo { speed_kmh: 10.0, angle_deg: 90.0, distance_km: 6.0 },
+    ];
+
+    #[test]
+    fn headroom_gates_handoffs_as_facs_and_new_calls_at_live_and_one_above() {
+        for config in [FacsConfig::default(), FacsConfig::compiled()] {
+            let mut plain = FacsController::with_config(config).unwrap();
+            let mut headroom = HeadroomFacsController::from(plain.clone());
+            for occupied in 0..=40 {
+                let l = ledger(occupied);
+                for class in ServiceClass::ALL {
+                    for mobility in MOBILITIES {
+                        let handoff = req(class, CallKind::Handoff, mobility);
+                        assert_eq!(
+                            headroom.decide(&handoff, &l),
+                            plain.decide(&handoff, &l),
+                            "{class} handoff at {occupied}"
+                        );
+                        let new = req(class, CallKind::New, mobility);
+                        let above = plain.evaluate(&new, &cell((occupied + 1).min(40)));
+                        assert_eq!(
+                            headroom.decide(&new, &l).admits(),
+                            plain.decide(&new, &l).admits() && above.decision.admits(),
+                            "{class} new call at {occupied}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn headroom_turns_away_new_calls_on_the_last_admissible_bu_but_not_handoffs() {
+        let plain = facs();
+        let headroom = HeadroomFacsController::from(plain.clone());
+        let mut turned_away = 0;
+        for occupied in 0..40 {
+            for class in ServiceClass::ALL {
+                for mobility in MOBILITIES {
+                    let new = req(class, CallKind::New, mobility);
+                    let (live, above) = (
+                        plain.evaluate(&new, &cell(occupied)),
+                        plain.evaluate(&new, &cell(occupied + 1)),
+                    );
+                    let gated = headroom.evaluate(&new, &cell(occupied));
+                    assert_eq!(gated, if above.score < live.score { above } else { live });
+                    if live.decision.admits() && !above.decision.admits() {
+                        turned_away += 1;
+                        assert!(!gated.decision.admits(), "{class} new call at {occupied}");
+                        let handoff = req(class, CallKind::Handoff, mobility);
+                        assert!(headroom.evaluate(&handoff, &cell(occupied)).decision.admits());
+                    }
+                }
+            }
+        }
+        assert!(turned_away > 0, "no new call sits on its last admissible BU");
+    }
+
+    #[test]
+    fn headroom_never_reads_above_capacity() {
+        // A full cell has no BU above it: the raised occupancy is the live
+        // one, on the paper cell and on a bigger one alike.
+        let plain = facs();
+        let headroom = HeadroomFacsController::from(plain.clone());
+        for full in
+            [cell(40), CellSnapshot::loaded(BandwidthUnits::new(80), BandwidthUnits::new(80))]
+        {
+            for class in ServiceClass::ALL {
+                for mobility in MOBILITIES {
+                    let new = req(class, CallKind::New, mobility);
+                    assert_eq!(headroom.evaluate(&new, &full), plain.evaluate(&new, &full));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn headroom_controller_is_cell_local_keyed_and_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<HeadroomFacsController>();
+        assert_eq!(std::mem::size_of::<HeadroomFacsController>(), std::mem::size_of::<usize>());
+        let plain = facs();
+        let headroom = HeadroomFacsController::from(plain.clone());
+        assert_eq!(headroom.name(), "FACS-headroom");
+        assert!(headroom.is_cell_local());
+        assert!(headroom.policy_key().is_some());
+        assert_eq!(headroom.policy_key(), headroom.clone().policy_key());
+        assert_ne!(headroom.policy_key(), plain.policy_key());
+        assert_ne!(headroom.policy_key(), FacsDegradeController::from(plain).policy_key());
     }
 }

@@ -17,8 +17,8 @@
 //!   [`FacsDegradeController`] wraps it with elastic-bandwidth
 //!   degradation: handoffs that do not fit at nominal bandwidth may
 //!   squeeze existing elastic calls toward their QoS floors.
-//!   [`PredictiveFacsController`] gates new calls at an EWMA/Holt
-//!   forecast of the cell's occupancy instead of the live counter.
+//!   [`HeadroomFacsController`] admits a new call only where the
+//!   cascade admits it at the live occupancy and one BU above it.
 //!
 //! ## Quickstart
 //!
@@ -54,23 +54,21 @@ mod definitions;
 pub mod flc1;
 pub mod flc2;
 mod fuzzy_controller;
-pub mod predictive;
 pub mod tables;
 
 pub use controller::{
     CvSegments, FacsConfig, FacsController, FacsDegradeController, FacsEvaluation,
+    HeadroomFacsController,
 };
 pub use flc1::Flc1;
 pub use flc2::Flc2;
-pub use predictive::PredictiveFacsController;
 pub use tables::{FRB1, FRB2};
 
 /// Commonly used items, for glob import in applications and examples.
 pub mod prelude {
     pub use crate::controller::{
-        FacsConfig, FacsController, FacsDegradeController, FacsEvaluation,
+        FacsConfig, FacsController, FacsDegradeController, FacsEvaluation, HeadroomFacsController,
     };
     pub use crate::flc1::Flc1;
     pub use crate::flc2::Flc2;
-    pub use crate::predictive::PredictiveFacsController;
 }

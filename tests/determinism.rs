@@ -4,7 +4,7 @@
 //! the parallel replication/sweep runners must be bit-identical to a
 //! sequential fold.
 
-use facs::{FacsConfig, FacsController, FacsDegradeController, PredictiveFacsController};
+use facs::{FacsConfig, FacsController, FacsDegradeController, HeadroomFacsController};
 use facs_cac::policies::{CompleteSharing, GuardChannel};
 use facs_cac::{BandwidthUnits, BoxedController};
 use facs_cellsim::prelude::*;
@@ -56,16 +56,13 @@ fn backend_configs() -> [(&'static str, FacsConfig); 2] {
     ]
 }
 
-/// Per-cell builders for the stateful controller family introduced with
-/// the load forecaster: predictive FACS over EWMA/Holt. Each cell gets
-/// an independent clone of a shared prototype, mirroring the bench
-/// builders.
-fn stateful_builders(config: FacsConfig) -> Vec<(&'static str, BoxedBuilder)> {
-    let ewma = PredictiveFacsController::ewma_factory(config).expect("predictive ewma factory");
-    vec![(
-        "facs-predict-ewma",
-        Box::new(move |grid: &HexGrid| grid.cell_ids().map(|_| ewma()).collect()),
-    )]
+/// Headroom FACS, one clone of a shared prototype per cell, mirroring
+/// the bench builders.
+fn headroom_builder(config: FacsConfig) -> BoxedBuilder {
+    let prototype = HeadroomFacsController::with_config(config).unwrap();
+    Box::new(move |grid: &HexGrid| {
+        grid.cell_ids().map(|_| Box::new(prototype.clone()) as BoxedController).collect()
+    })
 }
 
 fn builders() -> Vec<(&'static str, BoxedBuilder)> {
@@ -105,7 +102,7 @@ fn builders() -> Vec<(&'static str, BoxedBuilder)> {
             }),
         ),
     ];
-    all.extend(stateful_builders(FacsConfig::default()));
+    all.push(("facs-headroom", headroom_builder(FacsConfig::default())));
     all
 }
 
@@ -235,31 +232,29 @@ fn catalog_shards_are_bit_identical_on_both_backends() {
 }
 
 #[test]
-fn predictive_variants_are_shard_identical_on_both_backends() {
-    // The new-variant acceptance criterion: forecaster and tuner state
-    // lives strictly per cell, so multi-shard runs must stay
-    // bit-identical to single-shard, on both backends. The two
-    // congestion-ramp catalog entries exercise the forecasters hardest
-    // while keeping the debug-profile runtime sane — shard identity
-    // does not depend on the scenario shape.
+fn headroom_facs_is_shard_identical_on_both_backends() {
+    // Multi-shard runs must stay bit-identical to single-shard on both
+    // backends, with each shard serving its cells from one keyed
+    // controller. The two congestion-ramp catalog entries press the
+    // new-call headroom hardest while keeping the debug-profile runtime
+    // sane — shard identity does not depend on the scenario shape.
     for entry in facs_cellsim::catalog()
         .into_iter()
         .filter(|e| matches!(e.name, "flash-crowd" | "rush-hour"))
     {
         for (backend, config) in backend_configs() {
-            for (name, build) in stateful_builders(config) {
-                let run = |shards: usize| {
-                    let cfg = ScenarioConfig { shards, replications: 1, ..entry.config.clone() };
-                    cfg.run_once(cfg.seed, build.as_ref())
-                };
-                let single = run(1);
-                for shards in [2, 4, 7] {
-                    assert_eq!(
-                        single,
-                        run(shards),
-                        "{name} on the {backend} backend diverged at {shards} shards"
-                    );
-                }
+            let build = headroom_builder(config);
+            let run = |shards: usize| {
+                let cfg = ScenarioConfig { shards, replications: 1, ..entry.config.clone() };
+                cfg.run_once(cfg.seed, build.as_ref())
+            };
+            let single = run(1);
+            for shards in [2, 4, 7] {
+                assert_eq!(
+                    single,
+                    run(shards),
+                    "facs-headroom on the {backend} backend diverged at {shards} shards"
+                );
             }
         }
     }

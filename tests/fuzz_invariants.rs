@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use facs::{FacsConfig, FacsController, FacsEvaluation, PredictiveFacsController};
+use facs::{FacsConfig, FacsController, FacsEvaluation, HeadroomFacsController};
 use facs_cac::policies::CompleteSharing;
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BoxedController, CallId, CallRequest,
@@ -114,13 +114,13 @@ impl Cascade for FacsController {
     }
 }
 
-impl Cascade for PredictiveFacsController {
-    // Its gate may read a forecast above the live occupancy, where
-    // plain FACS's proof does not reach.
-    const PROVES_ADMISSIONS: bool = false;
+impl Cascade for HeadroomFacsController {
+    // Handoffs go through plain FACS's `decide`, proofs included; new
+    // calls are gated on the cascade.
+    const PROVES_ADMISSIONS: bool = true;
 
     fn evaluate(&self, request: &CallRequest, cell: &CellSnapshot) -> FacsEvaluation {
-        PredictiveFacsController::evaluate(self, request, cell)
+        HeadroomFacsController::evaluate(self, request, cell)
     }
 }
 
@@ -137,9 +137,8 @@ struct Claims {
 
 /// Forwards every method to `inner` except the pre-screen. `fast_reject`
 /// claims nothing, so the engine runs every arrival through `decide`.
-/// `decide` still runs the inner one for its side effects (predictive
-/// FACS counts handoffs there), but answers with the bare cascade: the
-/// gated score where the nominal cost fits, whatever the inner
+/// `decide` still runs the inner one, but answers with the bare cascade:
+/// the gated score where the nominal cost fits, whatever the inner
 /// pre-screens said. It counts the requests the inner pre-screens settle
 /// on a cell that still fits them, so the test can tell both were
 /// exercised.
@@ -227,7 +226,7 @@ fn assert_pre_screen_is_invisible<C: Cascade>(
 /// The FACS score-bound pre-screens change no observable event: on every
 /// catalog scenario and 50 fuzzed workloads (capacities 10–80 BU, so
 /// cells the bound covers and cells it does not), compiled FACS and
-/// compiled predictive FACS digest identically with the pre-screens and
+/// compiled headroom FACS digest identically with the pre-screens and
 /// without them.
 #[test]
 fn fast_reject_pre_screen_leaves_every_digest_unchanged() {
@@ -240,8 +239,8 @@ fn fast_reject_pre_screen_leaves_every_digest_unchanged() {
     let config = FacsConfig::compiled();
     let facs = FacsController::with_config(config).expect("FACS builds");
     assert_pre_screen_is_invisible("facs-compiled", &facs, &scenarios);
-    let predictive = PredictiveFacsController::ewma(config).expect("predictive FACS builds");
-    assert_pre_screen_is_invisible("facs-predict-ewma-compiled", &predictive, &scenarios);
+    let headroom = HeadroomFacsController::from(facs);
+    assert_pre_screen_is_invisible("facs-headroom-compiled", &headroom, &scenarios);
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! behind a wrapper that reports no key (one instance per cell), and the
 //! table must hold one controller per key and shard.
 
-use facs::{FacsConfig, FacsController, FacsDegradeController, PredictiveFacsController};
-use facs_bench::experiments::{facs_builder, facs_degrade_builder, predictive_ewma_builder};
+use facs::{FacsConfig, FacsController, FacsDegradeController, HeadroomFacsController};
+use facs_bench::experiments::{cs_builder, facs_builder, facs_degrade_builder, headroom_builder};
+use facs_cac::policies::CompleteSharing;
 use facs_cac::{
     AdmissionController, AdmissionPlan, BandwidthLedger, BoxedController, CallId, CallRequest,
     CellSnapshot, ServiceClass, ServiceProfile,
@@ -98,10 +99,11 @@ fn run(
 
 /// Keyed pairs on alternating cells run bit for bit like the same
 /// controllers unkeyed, one instance per cell, on 1, 3 and 7 shards and
-/// 1 and 2 workers: two FACS gates, and FACS next to FACS-degrade built
-/// on the same core, which must not share a slot. Each pair decides
-/// differently on this scenario, so a table that served one of them on
-/// the other's cells would move the digest.
+/// 1 and 2 workers: two FACS gates, and FACS next to FACS-degrade and
+/// next to FACS-headroom built on the same core, neither of which may
+/// share a slot with it. Each pair decides differently on this
+/// scenario, so a table that served one of them on the other's cells
+/// would move the digest.
 #[test]
 fn keyed_controllers_run_bit_for_bit_like_one_instance_per_cell() {
     let config = scenario();
@@ -112,7 +114,8 @@ fn keyed_controllers_run_bit_for_bit_like_one_instance_per_cell() {
     };
     let (low, high) = (gate(0.1), gate(0.3));
     let degrade = FacsDegradeController::from(low.clone());
-    let pairs: [(&str, Prototype, Prototype); 2] = [
+    let (plain, headroom) = (low.clone(), HeadroomFacsController::from(low.clone()));
+    let pairs: [(&str, Prototype, Prototype); 3] = [
         (
             "two FACS gates",
             Box::new(move || Box::new(low.clone())),
@@ -125,6 +128,11 @@ fn keyed_controllers_run_bit_for_bit_like_one_instance_per_cell() {
                 move || Box::new(facs.clone())
             }),
             Box::new(move || Box::new(degrade.clone())),
+        ),
+        (
+            "FACS and FACS-headroom on one core",
+            Box::new(move || Box::new(plain.clone())),
+            Box::new(move || Box::new(headroom.clone())),
         ),
     ];
     for (name, even, odd) in &pairs {
@@ -145,11 +153,11 @@ fn keyed_controllers_run_bit_for_bit_like_one_instance_per_cell() {
 }
 
 /// The planet grid built by `facs_builder` keeps one controller per
-/// shard, 8 in all, not one per cell; FACS-degrade does the same, and
-/// predictive FACS, whose forecasters are per-cell state, keeps one per
+/// shard, 8 in all, not one per cell; FACS-degrade and FACS-headroom do
+/// the same, and complete sharing, which reports no key, keeps one per
 /// cell.
 #[test]
-fn facs_keeps_one_controller_per_shard_and_predictive_facs_one_per_cell() {
+fn facs_keeps_one_controller_per_shard_and_complete_sharing_one_per_cell() {
     let planet = planet_scale(1).config;
     let grid = planet.grid();
     assert_eq!(grid.len(), 99_919);
@@ -159,10 +167,9 @@ fn facs_keeps_one_controller_per_shard_and_predictive_facs_one_per_cell() {
     let compiled = FacsConfig::compiled();
     assert_eq!(kept(&planet, facs_builder(compiled)(&grid)), 8);
     assert_eq!(kept(&planet, facs_degrade_builder(compiled)(&grid)), 8);
-    // A smaller grid keeps the per-cell forecasters cheap.
+    assert_eq!(kept(&planet, headroom_builder(compiled)(&grid)), 8);
     let small = ScenarioConfig { grid_radius: 3, ..planet };
     let cells = small.grid().len();
-    assert_eq!(kept(&small, predictive_ewma_builder(compiled)(&small.grid())), cells);
-    let predictive = PredictiveFacsController::ewma(compiled).expect("predictive FACS builds");
-    assert_eq!(predictive.policy_key(), None, "per-cell forecasters, so no key");
+    assert_eq!(kept(&small, cs_builder()(&small.grid())), cells);
+    assert_eq!(CompleteSharing::new().policy_key(), None, "no key, so one per cell");
 }
